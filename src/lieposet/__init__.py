@@ -16,6 +16,7 @@ from .errors import (
     Condition3Violation,
     DegenerateEvaluation,
     InputParseError,
+    InvariantViolation,
     LiePosetError,
     NoSignRescaling,
     NonEigenbasis,
@@ -26,7 +27,7 @@ from .errors import (
     UnsupportedHeight,
     UnsupportedPoset,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, integer_rank
 from .posets import (
     FAMILIES,
     GraphComponent,

@@ -65,6 +65,12 @@ class NonEigenbasis(LiePosetError):
     """The adjoint action is not exactly triangularizable in this basis."""
 
 
+class InvariantViolation(LiePosetError):
+    """A computed object broke an identity that always holds, such as the
+    even rank of an evaluated skew matrix or the principal element's
+    fixed-point identity F(ad(x)(b)) = F(b)."""
+
+
 class DegenerateEvaluation(LiePosetError):
     """A pivot coefficient vanished at the sampled point; retries exhausted."""
 

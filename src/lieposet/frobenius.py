@@ -21,7 +21,7 @@ from .algebra import (
     realize_combination,
     structure_constants,
 )
-from .errors import NonEigenbasis, NotFrobenius, SingularForm
+from .errors import InvariantViolation, NonEigenbasis, NotFrobenius, SingularForm
 from .index_engine import commutator_matrix
 from .posets import graph_components, relation_graph
 
@@ -114,12 +114,14 @@ def principal_element(P, F):
         raise SingularForm("the Kirillov form of F is singular")
     rhs = [-point[b] for b in basis]
     solution = B.solve(rhs)
-    assert solution is not None
+    if solution is None:
+        raise SingularForm("the Kirillov form of F has no solution for -F")
     combo = {b: v for b, v in zip(basis, solution) if v}
     fmat = realize_combination(combo)
     for b in basis:
         # fixed point identity F(ad(x)(b)) == F(b), checked on the matrices
-        assert F.value_on(fmat.commutator(realize(b))) == F.value_on(realize(b))
+        if F.value_on(fmat.commutator(realize(b))) != F.value_on(realize(b)):
+            raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
     diagonal = None
     convention = "other"
     if all(r == c for (r, c) in fmat.entries):

@@ -10,7 +10,7 @@ the JSON report is byte identical across runs and worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
@@ -90,8 +90,21 @@ def _witness(**kv):
 
 @dataclass(frozen=True)
 class CheckContext:
+    """Seed and trials for one poset's checks, plus its oracle memo.
+
+    Build one per poset: the memo holds the oracle of the poset and of
+    its component subposets, so it stays as small as one poset's work.
+    """
+
     seed: int
     trials: int
+    oracles: dict = field(default_factory=dict, compare=False)
+
+    def oracle(self, P):
+        """index_oracle(P) at this context's seed and trials, computed once."""
+        if P not in self.oracles:
+            self.oracles[P] = index_oracle(P, trials=self.trials, seed=self.seed)
+        return self.oracles[P]
 
 
 def check_dimension_formula(P, ctx):
@@ -104,7 +117,7 @@ def check_dimension_formula(P, ctx):
 
 def check_formula_vs_oracle(P, ctx):
     f = index_formula(P)
-    o = index_oracle(P, trials=ctx.trials, seed=ctx.seed)
+    o = ctx.oracle(P)
     return ("pass" if f == o else "fail"), _witness(formula=f, oracle=o, seed=ctx.seed)
 
 
@@ -114,8 +127,8 @@ def check_disjoint_additivity(P, ctx):
     for comp in comps:
         signed = [v for w in comp.vertices for v in (w, -w)]
         sub = induced_subposet(P, signed)
-        total += index_oracle(sub, trials=ctx.trials, seed=ctx.seed)
-    whole = index_oracle(P, trials=ctx.trials, seed=ctx.seed)
+        total += ctx.oracle(sub)
+    whole = ctx.oracle(P)
     return (
         ("pass" if total == whole else "fail"),
         _witness(component_sum=total, whole=whole, components=len(comps)),
@@ -124,7 +137,7 @@ def check_disjoint_additivity(P, ctx):
 
 def check_frobenius_criterion(P, ctx):
     by_graph = is_frobenius_by_graph(P)
-    by_oracle = index_oracle(P, trials=ctx.trials, seed=ctx.seed) == 0
+    by_oracle = ctx.oracle(P) == 0
     return (
         ("pass" if by_graph == by_oracle else "fail"),
         _witness(graph=by_graph, oracle=by_oracle),

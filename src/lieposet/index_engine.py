@@ -6,6 +6,12 @@ generic rank is obtained exactly as the maximum rank over seeded random
 integer evaluations; entries are linear forms, so the failure probability
 after t trials is below dim^2 * (dim/2001)^t.
 
+The oracle never leaves the integers: the structure constants are stored
+as ints, the evaluation points are ints, one row evaluator
+(`_evaluate_rows`) builds the integer matrix, and `linalg.integer_rank`
+takes its rank.  `evaluate` and `ExactMatrix` remain for the exact
+Fraction work of the Frobenius solve.
+
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
 proves the prediction, checking the rank after every step.
@@ -17,8 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateEvaluation, UnsupportedPoset
-from .linalg import ExactMatrix
+from .errors import DegenerateEvaluation, InvariantViolation, UnsupportedPoset
+from .linalg import ExactMatrix, integer_rank
 from .posets import (
     graph_components,
     height,
@@ -37,7 +43,8 @@ ORACLE_TRIALS = 5
 class CommutatorMatrix:
     """Skew matrix of brackets [x_i, x_j] written in basis coordinates.
 
-    entries[i][j] is a sorted tuple of (position, coefficient) pairs.
+    entries[i][j] is a sorted tuple of (position, coefficient) pairs with
+    int coefficients.
     """
 
     basis: tuple
@@ -52,16 +59,17 @@ class CommutatorMatrix:
 
     def evaluate(self, point):
         """Exact matrix of the Kirillov form at a basis-symbol assignment."""
-        values = [Fraction(point[b]) for b in self.basis]
-        rows = []
-        for i in range(self.dim):
-            rows.append(
-                [
-                    sum((values[k] * c for k, c in self.entries[i][j]), Fraction(0))
-                    for j in range(self.dim)
-                ]
-            )
-        return ExactMatrix(rows, ncols=self.dim)
+        values = [point[b] for b in self.basis]
+        return ExactMatrix(_evaluate_rows(self.entries, values), ncols=self.dim)
+
+
+def _evaluate_rows(entries, values):
+    """Rows of the matrix whose cell is the linear form sum(values[k] * c).
+
+    The number type of values is kept: int values give int rows, Fraction
+    values give Fraction (or int zero) entries.
+    """
+    return [[sum(values[k] * c for k, c in cell) for cell in row] for row in entries]
 
 
 def commutator_matrix(P):
@@ -69,6 +77,9 @@ def commutator_matrix(P):
     dim = len(basis)
     grid = [[() for _ in range(dim)] for _ in range(dim)]
     for (i, j), terms in table.items():
+        if any(c.denominator != 1 for _, c in terms):
+            raise InvariantViolation(f"non-integral structure constant in {terms}")
+        terms = tuple((k, c.numerator) for k, c in terms)
         grid[i][j] = terms
         grid[j][i] = tuple((k, -c) for k, c in terms)
     return CommutatorMatrix(basis, tuple(tuple(row) for row in grid))
@@ -86,14 +97,22 @@ def _nonzero_int(rng):
 
 
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
-    """Max rank over seeded evaluations at nonzero integers in [-1000, 1000]."""
+    """Max rank over seeded evaluations at nonzero integers in [-1000, 1000].
+
+    Each trial draws one value per basis element, in basis order.  An
+    evaluated skew matrix has even rank, so an odd rank raises
+    InvariantViolation.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
-        point = {b: Fraction(_nonzero_int(rng)) for b in C.basis}
-        best = max(best, C.evaluate(point).rank())
+        values = [_nonzero_int(rng) for _ in C.basis]
+        rank = integer_rank(_evaluate_rows(C.entries, values), C.dim)
+        if rank % 2:
+            raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
+        best = max(best, rank)
     return best
 
 
@@ -154,19 +173,8 @@ class BBlock:
     entries: tuple
 
     def evaluate(self, point):
-        values = {b: Fraction(point[b]) for b in self.basis}
-        rows = []
-        for r in range(len(self.rows)):
-            rows.append(
-                [
-                    sum(
-                        (values[self.basis[k]] * c for k, c in self.entries[r][c2]),
-                        Fraction(0),
-                    )
-                    for c2 in range(len(self.cols))
-                ]
-            )
-        return ExactMatrix(rows, ncols=len(self.cols))
+        values = [point[b] for b in self.basis]
+        return ExactMatrix(_evaluate_rows(self.entries, values), ncols=len(self.cols))
 
 
 def b_block(P):

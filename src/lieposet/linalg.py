@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the integers and the rationals.
 
-Rank is computed by fraction-free (Bareiss) elimination on an integer
-rescaling of the matrix, with partial pivoting on numerator magnitude, so
-intermediate entries stay minors of the input instead of growing freely.
-Kernel and solve use straightforward Gaussian elimination over Fraction;
-every result is exact.
+`integer_rank` is the only rank loop in the package: fraction-free
+(Bareiss) elimination on lists of Python ints, with partial pivoting on
+magnitude, so intermediate entries stay minors of the input instead of
+growing freely.  The index oracle calls it directly on integer
+evaluations; `ExactMatrix.rank` rescales each row to integers and calls
+it too.  Kernel and solve use straightforward Gaussian elimination over
+Fraction; every result is exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,47 @@ from math import gcd
 
 def _lcm(a, b):
     return a // gcd(a, b) * b
+
+
+def integer_rank(rows, ncols):
+    """Exact rank of an integer matrix given as a list of rows of ints.
+
+    Fraction-free elimination (Bareiss 1968): every entry after a step is
+    a minor of the input, so each division is exact on integer input; a
+    nonzero remainder raises ArithmeticError.  The rows are not modified.
+    """
+    m = [list(row) for row in rows]
+    nr = len(m)
+    row = 0
+    prev = 1
+    for col in range(ncols):
+        if row == nr:
+            break
+        piv = -1
+        best = 0
+        for i in range(row, nr):
+            a = abs(m[i][col])
+            if a > best:
+                best, piv = a, i
+        if piv < 0:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+        lead = m[row][col]
+        for i in range(row + 1, nr):
+            head = m[i][col]
+            ri, rr = m[i], m[row]
+            for j in range(col + 1, ncols):
+                # exact by Sylvester's identity: entries stay minors of
+                # the original matrix
+                q, r = divmod(ri[j] * lead - head * rr[j], prev)
+                if r:
+                    raise ArithmeticError("fraction-free step not exact")
+                ri[j] = q
+            ri[col] = 0
+        prev = lead
+        row += 1
+    return row
 
 
 class ExactMatrix:
@@ -68,38 +111,7 @@ class ExactMatrix:
         return out
 
     def rank(self):
-        m = self.integer_rows()
-        nr, nc = self.nrows, self.ncols
-        row = 0
-        prev = 1
-        for col in range(nc):
-            if row == nr:
-                break
-            piv = -1
-            best = 0
-            for i in range(row, nr):
-                a = abs(m[i][col])
-                if a > best:
-                    best, piv = a, i
-            if piv < 0:
-                continue
-            if piv != row:
-                m[row], m[piv] = m[piv], m[row]
-            lead = m[row][col]
-            for i in range(row + 1, nr):
-                head = m[i][col]
-                ri, rr = m[i], m[row]
-                for j in range(col + 1, nc):
-                    # exact by Sylvester's identity: entries stay minors of
-                    # the original matrix
-                    q, r = divmod(ri[j] * lead - head * rr[j], prev)
-                    if r:
-                        raise ArithmeticError("fraction-free step not exact")
-                    ri[j] = q
-                ri[col] = 0
-            prev = lead
-            row += 1
-        return row
+        return integer_rank(self.integer_rows(), self.ncols)
 
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from lieposet import (
+    ExactMatrix,
+    InvariantViolation,
     NotFrobenius,
+    SparseMatrixQ,
     SingularForm,
     UnsupportedHeight,
     build_basis,
@@ -18,6 +21,8 @@ from lieposet import (
     realize,
     spectrum,
 )
+
+from lieposet import frobenius
 
 HALF = Fraction(1, 2)
 
@@ -107,6 +112,19 @@ class TestPrincipalElement:
         F = functional(path_poset, {(-1, 2): 1, (-2, 3): 1})
         with pytest.raises(SingularForm):
             principal_element(path_poset, F)
+
+    def test_missing_solution_raises_singular_form(self, triangle_poset, monkeypatch):
+        monkeypatch.setattr(ExactMatrix, "solve", lambda self, rhs: None)
+        with pytest.raises(SingularForm):
+            principal_element(triangle_poset, frobenius_functional(triangle_poset))
+
+    def test_fixed_point_mismatch_raises_invariant_violation(
+        self, triangle_poset, monkeypatch
+    ):
+        # realizing the solution as zero breaks F(ad(x)(b)) == F(b)
+        monkeypatch.setattr(frobenius, "realize_combination", lambda combo: SparseMatrixQ())
+        with pytest.raises(InvariantViolation):
+            principal_element(triangle_poset, frobenius_functional(triangle_poset))
 
     def test_fixed_point_property(self, triangle_poset):
         F = frobenius_functional(triangle_poset)

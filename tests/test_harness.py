@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,17 +7,21 @@ from lieposet import (
     CampaignConfig,
     CheckResult,
     build_poset,
+    graph_components,
+    h01_slots,
     index_formula,
     index_oracle,
     minimize_failure,
     poset_from_mask,
     random_separable_poset,
+    relation_graph,
     report_json_bytes,
     report_text,
     run_campaign,
     type_a_height_one_posets,
 )
-from lieposet.harness import _witness
+from lieposet import harness
+from lieposet.harness import CHECKS, _witness, run_checks_on_poset
 
 
 def test_small_campaign_all_pass():
@@ -52,6 +57,46 @@ def test_seed_changes_report_config_only_on_pass():
     r2 = run_campaign(CampaignConfig(plan=(("C", 2),), seed=2))
     assert r1["summary"] == r2["summary"]
     assert r1["config"] != r2["config"]
+
+
+def test_default_report_bytes_pinned():
+    # the report bytes are the behavioural contract: a change to them
+    # must be deliberate and update this digest
+    payload = report_json_bytes(run_campaign(CampaignConfig()))
+    assert hashlib.sha256(payload).hexdigest() == (
+        "ccce07162db20c7602d3ea35bbf3713a57ebe04c170ce5d918f2cc493626f547"
+    )
+
+
+def _mask(family, n, edges, loops=()):
+    edge_slots, loop_slots = h01_slots(family, n)
+    mask = sum(1 << edge_slots.index(e) for e in edges)
+    return mask | sum(1 << (len(edge_slots) + loop_slots.index(v)) for v in loops)
+
+
+@pytest.mark.parametrize(
+    "edges, loops, components",
+    [
+        ([(1, 2), (2, 3), (3, 4), (1, 3)], (4,), 1),
+        ([(1, 2), (2, 3), (1, 3)], (), 2),  # a triangle plus the isolated vertex 4
+    ],
+)
+def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, components):
+    calls = []
+    inner = harness.index_oracle
+
+    def counted(P, **kwargs):
+        calls.append(P)
+        return inner(P, **kwargs)
+
+    monkeypatch.setattr(harness, "index_oracle", counted)
+    mask = _mask("C", 4, edges, loops)
+    assert len(graph_components(relation_graph(poset_from_mask("C", 4, mask)))) == components
+    results = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    assert all(r.status != "fail" for r in results)
+    # a connected poset is its own component subposet; otherwise each
+    # component and the whole poset are computed once
+    assert len(calls) == (1 if components == 1 else components + 1)
 
 
 def test_unknown_check_rejected():

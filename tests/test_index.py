@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet import (
+    CommutatorMatrix,
+    InvariantViolation,
     UnsupportedPoset,
     build_basis,
     build_poset,
@@ -22,6 +24,7 @@ from lieposet import (
     type_a_height_one_index,
     type_a_height_one_posets,
 )
+from lieposet.index_engine import ORACLE_TRIALS
 
 
 class TestCommutatorMatrix:
@@ -96,6 +99,36 @@ class TestEvaluateAndRank:
     def test_rank_always_even(self):
         for P in enumerate_h01("C", 3):
             assert generic_rank(commutator_matrix(P), trials=3, seed=1) % 2 == 0
+
+    def test_odd_rank_raises_invariant_violation(self):
+        # a 1x1 matrix holding the symbol itself is not skew: rank 1
+        C = CommutatorMatrix(basis=("x",), entries=((((0, 1),),),))
+        with pytest.raises(InvariantViolation):
+            generic_rank(C, trials=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    def test_generic_rank_matches_fraction_reference(self, seed):
+        """The integer kernel equals the max rank of the Fraction
+        evaluations at the same seeded points, drawn in basis order."""
+
+        def reference(C, trials):
+            rng = random.Random(seed)
+            best = 0
+            for _ in range(trials):
+                point = {}
+                for b in C.basis:
+                    value = 0
+                    while value == 0:
+                        value = rng.randint(-1000, 1000)
+                    point[b] = Fraction(value)
+                best = max(best, C.evaluate(point).rank())
+            return best
+
+        for fam, n_max in (("C", 3), ("D", 3), ("B", 2)):
+            for n in range(1, n_max + 1):
+                for P in enumerate_h01(fam, n):
+                    C = commutator_matrix(P)
+                    assert generic_rank(C, seed=seed) == reference(C, ORACLE_TRIALS), P
 
 
 class TestIndexOracle:

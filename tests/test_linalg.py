@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieposet import ExactMatrix
+from lieposet import ExactMatrix, integer_rank
 
 
 def naive_rank(rows):
@@ -90,3 +90,28 @@ def test_kernel_dimension_complements_rank(n, data):
     assert len(kernel) == n - A.rank()
     for vec in kernel:
         assert all(sum(r[j] * vec[j] for j in range(n)) == 0 for r in A.rows)
+
+
+def rref_pivots(rows, ncols):
+    """Rank as the pivot count of the Fraction reduced row echelon form."""
+    return len(ExactMatrix(rows, ncols=ncols).rref()[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_integer_rank_matches_rref_pivots(nr, nc, inner, data):
+    # a product through `inner` columns has rank <= inner: rank deficient
+    # whenever inner < min(nr, nc)
+    ints = st.integers(-20, 20)
+    left = [[data.draw(ints) for _ in range(inner)] for _ in range(nr)]
+    right = [[data.draw(ints) for _ in range(nc)] for _ in range(inner)]
+    rows = [
+        [sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(nc)]
+        for i in range(nr)
+    ]
+    copy = [row[:] for row in rows]
+    rank = integer_rank(rows, nc)
+    assert rows == copy
+    assert rank == rref_pivots(rows, nc)
+    assert rank <= min(inner, nr, nc)
+
