@@ -17,6 +17,13 @@ Brackets are computed on the sparse realizations and decomposed back into
 the basis by reading coefficients off block positions; basis elements have
 disjoint leading supports, so the decomposition is exact and any nonzero
 residual signals an invalid poset/basis pair.
+
+Realizations have entries 0 and +-1, and sparse matrices keep int entries
+as ints, so every structure constant is an int and no Fraction is built
+while the table is computed.  `structure_constants` builds the basis once
+per poset and hands its membership set to `decompose`; its cache is
+bounded, since reuse across posets is short range (a type-D table next to
+the type-C one on the same relations, type B next to type D).
 """
 
 from __future__ import annotations
@@ -58,7 +65,11 @@ class BasisElement:
 
 
 class SparseMatrixQ:
-    """Sparse exact matrix keyed by signed row/column labels."""
+    """Sparse exact matrix keyed by signed row/column labels.
+
+    Entries are ints or Fractions: int input stays int, anything else goes
+    through Fraction, and arithmetic keeps whichever type it produces.
+    """
 
     __slots__ = ("entries",)
 
@@ -66,7 +77,8 @@ class SparseMatrixQ:
         data = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for key, value in items:
-            value = Fraction(value)
+            if not isinstance(value, int):
+                value = Fraction(value)
             if value:
                 data[key] = value
         self.entries = data
@@ -84,17 +96,15 @@ class SparseMatrixQ:
         return f"SparseMatrixQ({{{body}}})"
 
     def get(self, r, c):
-        return self.entries.get((r, c), Fraction(0))
+        return self.entries.get((r, c), 0)
 
     def scaled(self, factor):
-        factor = Fraction(factor)
         return SparseMatrixQ({k: v * factor for k, v in self.entries.items()})
 
     def add_scaled(self, other, factor=1):
         out = dict(self.entries)
-        factor = Fraction(factor)
         for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v * factor
+            out[k] = out.get(k, 0) + v * factor
         return SparseMatrixQ(out)
 
     def __sub__(self, other):
@@ -108,7 +118,7 @@ class SparseMatrixQ:
         for (r, c), v in self.entries.items():
             for c2, w in by_row.get(c, ()):
                 key = (r, c2)
-                out[key] = out.get(key, Fraction(0)) + v * w
+                out[key] = out.get(key, 0) + v * w
         return SparseMatrixQ(out)
 
     def commutator(self, other):
@@ -183,19 +193,21 @@ def realize_combination(terms):
     return out
 
 
-def decompose(mat, P):
+def decompose(mat, P, members=None):
     """Write a sparse matrix as a combination of the basis of P.
 
     Coefficients are read off the leading block positions; the claimed
     combination is then re-realized and compared entry by entry, so a
     nonzero residual (or a position with no basis element) raises
-    NotInSpan rather than returning a wrong answer.
+    NotInSpan rather than returning a wrong answer.  `members` is the set
+    of basis elements of P, built here when the caller has none.
     """
-    members = set(build_basis(P))
+    if members is None:
+        members = set(build_basis(P))
     fam = P.family
     combo = {}
     if fam == "A":
-        diag = {e: Fraction(0) for e in P.elements}
+        diag = {e: 0 for e in P.elements}
         for (r, c), v in mat.entries.items():
             if r == c:
                 diag[r] = v
@@ -207,7 +219,7 @@ def decompose(mat, P):
         if any(diag.values()):
             if sum(diag.values()) != 0:
                 raise NotInSpan("diagonal part has nonzero trace")
-            prefix = Fraction(0)
+            prefix = 0
             for i in range(1, P.n):
                 prefix += diag[i]
                 if prefix:
@@ -250,15 +262,16 @@ def bracket(a, b, P):
     return decompose(realize(a).commutator(realize(b)), P)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def structure_constants(P):
     """Canonical basis and the table of brackets between its elements.
 
     Returns (basis, table) where table maps (i, j) with i < j to a sorted
-    tuple of (k, coefficient) pairs; absent keys mean a zero bracket and
-    the skew entries follow by antisymmetry.
+    tuple of (k, coefficient) pairs with int coefficients; absent keys
+    mean a zero bracket and the skew entries follow by antisymmetry.
     """
     basis = build_basis(P)
+    members = set(basis)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
     table = {}
@@ -267,7 +280,7 @@ def structure_constants(P):
             com = mats[i].commutator(mats[j])
             if not com:
                 continue
-            combo = decompose(com, P)
+            combo = decompose(com, P, members)
             table[(i, j)] = tuple(
                 sorted((position[b], c) for b, c in combo.items())
             )
@@ -294,7 +307,7 @@ def combo_bracket(P, u, v):
             if not b:
                 continue
             for k, c in bracket_positions(P, i, j).items():
-                out[k] = out.get(k, Fraction(0)) + a * b * c
+                out[k] = out.get(k, 0) + a * b * c
     return {k: c for k, c in out.items() if c}
 
 
@@ -369,8 +382,8 @@ def verify_CD_isomorphism(P):
         td = dict(table_d.get(key, ()))
         tc = dict(table_c.get(key, ()))
         for k in sorted(set(td) | set(tc)):
-            cd = td.get(k, Fraction(0))
-            cc = tc.get(k, Fraction(0))
+            cd = td.get(k, 0)
+            cc = tc.get(k, 0)
             if cd == 0 or cc == 0 or abs(cd) != abs(cc):
                 raise NoSignRescaling(
                     f"constants differ in magnitude at [{basis_d[i]!r},{basis_d[j]!r}]"

@@ -195,11 +195,14 @@ def spectrum(P, fhat):
 
 
 def _scalar_multiple(com, bmat):
-    """lam with com == lam * bmat, or None."""
+    """lam with com == lam * bmat, or None.
+
+    Entries may both be ints, so lam is built as a Fraction, never by `/`.
+    """
     if not com:
         return Fraction(0)
     key = next(iter(bmat.entries))
-    lam = com.get(*key) / bmat.entries[key]
+    lam = Fraction(com.get(*key), bmat.entries[key])
     return lam if com == bmat.scaled(lam) else None
 
 

@@ -90,21 +90,35 @@ def _witness(**kv):
 
 @dataclass(frozen=True)
 class CheckContext:
-    """Seed and trials for one poset's checks, plus its oracle memo.
+    """Seed and trials for one poset's checks, plus their memo.
 
     Build one per poset: the memo holds the oracle of the poset and of
-    its component subposets, so it stays as small as one poset's work.
+    its component subposets, and the principal element of the poset, so
+    it stays as small as one poset's work.
     """
 
     seed: int
     trials: int
-    oracles: dict = field(default_factory=dict, compare=False)
+    memo: dict = field(default_factory=dict, compare=False)
+
+    def _once(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
     def oracle(self, P):
         """index_oracle(P) at this context's seed and trials, computed once."""
-        if P not in self.oracles:
-            self.oracles[P] = index_oracle(P, trials=self.trials, seed=self.seed)
-        return self.oracles[P]
+        return self._once(
+            ("oracle", P),
+            lambda: index_oracle(P, trials=self.trials, seed=self.seed),
+        )
+
+    def principal(self, P):
+        """principal_element of the Frobenius functional of P, computed once."""
+        return self._once(
+            ("principal", P),
+            lambda: principal_element(P, frobenius_functional(P)),
+        )
 
 
 def check_dimension_formula(P, ctx):
@@ -154,7 +168,7 @@ def check_frobenius_kernel(P, ctx):
 def check_principal_element(P, ctx):
     if not is_frobenius_by_graph(P):
         return "skipped", _witness(reason="not Frobenius")
-    element = principal_element(P, frobenius_functional(P))
+    element = ctx.principal(P)
     if element.diagonal is None:
         return "fail", _witness(reason="principal element not diagonal")
     diag = dict(element.diagonal)
@@ -169,8 +183,7 @@ def check_principal_element(P, ctx):
 def check_binary_spectrum(P, ctx):
     if not is_frobenius_by_graph(P):
         return "skipped", _witness(reason="not Frobenius")
-    element = principal_element(P, frobenius_functional(P))
-    report = spectrum(P, element)
+    report = spectrum(P, ctx.principal(P))
     return (
         ("pass" if report.is_binary else "fail"),
         _witness(

@@ -77,9 +77,8 @@ def commutator_matrix(P):
     dim = len(basis)
     grid = [[() for _ in range(dim)] for _ in range(dim)]
     for (i, j), terms in table.items():
-        if any(c.denominator != 1 for _, c in terms):
+        if any(type(c) is not int for _, c in terms):
             raise InvariantViolation(f"non-integral structure constant in {terms}")
-        terms = tuple((k, c.numerator) for k, c in terms)
         grid[i][j] = terms
         grid[j][i] = tuple((k, -c) for k, c in terms)
     return CommutatorMatrix(basis, tuple(tuple(row) for row in grid))
@@ -131,19 +130,31 @@ def index_formula(P):
     posets of any height (index of the type-A algebra on P+ plus one,
     with the type-A index taken from the oracle at fixed seed).  Raises
     UnsupportedPoset otherwise; there is no silent oracle fallback.
+
+    The index is dim minus the even rank of a skew matrix, so a value
+    whose parity differs from dim's raises InvariantViolation.
     """
     if P.family == "A":
         raise UnsupportedPoset("index_formula applies to families B, C, D")
     hp = height(P)
     if hp == (0, 0):
-        return P.n
-    if hp == (0, 1):
+        index = P.n
+    elif hp == (0, 1):
         G = relation_graph(P)
         eta = sum(1 for comp in graph_components(G) if not comp.has_odd_cycle)
-        return G.edge_count - G.n + 2 * eta
-    if is_separable(P):
-        return index_oracle(positive_part(P), trials=ORACLE_TRIALS, seed=0) + 1
-    raise UnsupportedPoset(f"no formula for a non-separable poset of height {tuple(hp)}")
+        index = G.edge_count - G.n + 2 * eta
+    elif is_separable(P):
+        index = index_oracle(positive_part(P), trials=ORACLE_TRIALS, seed=0) + 1
+    else:
+        raise UnsupportedPoset(
+            f"no formula for a non-separable poset of height {tuple(hp)}"
+        )
+    dim = len(structure_constants(P)[0])
+    if (index - dim) % 2:
+        raise InvariantViolation(
+            f"formula index {index} and dimension {dim} differ in parity"
+        )
+    return index
 
 
 def type_a_height_one_index(P):

@@ -6,6 +6,12 @@ the element 0.  Relations are stored reflexively and transitively closed,
 with (x, y) meaning x <= y in the partial order, and are constrained to
 respect the integer order.  For the signed families, every relation
 (x, y) with x != -y comes with its mirror (-y, -x).
+
+Posets and relation graphs are frozen, so the objects derived from them
+(the height pair, the relation graph, its components) are computed once
+per object and cached on it; `height`, `relation_graph` and
+`graph_components` read those caches.  The caches live outside the
+dataclass fields, so equality and hashing ignore them.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -68,6 +75,39 @@ class SignedPoset:
         """Relations running from a negative element to a positive one."""
         return tuple(sorted((x, y) for (x, y) in self.relations if x < 0 < y))
 
+    @cached_property
+    def height_pair(self):
+        """The HeightPair of a signed poset; read it through :func:`height`."""
+        if self.family == "A":
+            raise ValueError("height pairs apply to families B, C, D")
+        positives = [x for x in self.elements if x > 0]
+        plus = _longest_chain(positives, self.relations) - 1
+        total = _longest_chain(self.elements, self.relations) - 1
+        return HeightPair(plus, total)
+
+    @cached_property
+    def relation_graph(self):
+        """The RelationGraph; read it through :func:`relation_graph`.
+
+        Raises on every access while the poset has no relation graph,
+        since a property that raises caches nothing.
+        """
+        if self.family == "A":
+            raise ValueError("relation graphs apply to families B, C, D")
+        hp = self.height_pair
+        if hp.plus_height != 0 or hp.total_height > 1:
+            raise UnsupportedHeight(f"height {tuple(hp)} is not (0,0) or (0,1)")
+        edges = set()
+        loops = set()
+        for x, y in self.relations:
+            if x < 0 < y:
+                i, j = -x, y
+                if i == j:
+                    loops.add(i)
+                else:
+                    edges.add((min(i, j), max(i, j)))
+        return RelationGraph(self.n, frozenset(edges), frozenset(loops))
+
     def __repr__(self):
         gens = ",".join(f"{x}<={y}" for x, y in covering_relations(self))
         return f"SignedPoset({self.family};{self.n};{gens})"
@@ -104,6 +144,40 @@ class RelationGraph:
 
     def sorted_loops(self):
         return tuple(sorted(self.loops))
+
+    @cached_property
+    def components(self):
+        """GraphComponents in vertex order; read them through :func:`graph_components`."""
+        adj = {v: [] for v in self.vertices}
+        for i, j in sorted(self.edges):
+            adj[i].append(j)
+            adj[j].append(i)
+        seen = set()
+        components = []
+        for root in self.vertices:
+            if root in seen:
+                continue
+            color = {root: 0}
+            queue = deque([root])
+            odd = False
+            while queue:
+                u = queue.popleft()
+                for v in adj[u]:
+                    if v not in color:
+                        color[v] = color[u] ^ 1
+                        queue.append(v)
+                    elif color[v] == color[u]:
+                        odd = True
+            seen.update(color)
+            verts = tuple(sorted(color))
+            in_comp = set(verts)
+            edge_count = sum(1 for (i, j) in self.edges if i in in_comp)
+            edge_count += sum(1 for v in self.loops if v in in_comp)
+            has_odd = odd or any(v in self.loops for v in verts)
+            components.append(
+                GraphComponent(verts, edge_count, has_odd, edge_count == len(verts))
+            )
+        return tuple(components)
 
 
 @dataclass(frozen=True)
@@ -249,12 +323,7 @@ def _longest_chain(elements, relations):
 
 def height(P):
     """Height pair (longest chain in P+ minus one, longest chain minus one)."""
-    if P.family == "A":
-        raise ValueError("height pairs apply to families B, C, D")
-    positives = [x for x in P.elements if x > 0]
-    plus = _longest_chain(positives, P.relations) - 1
-    total = _longest_chain(P.elements, P.relations) - 1
-    return HeightPair(plus, total)
+    return P.height_pair
 
 
 def type_a_height(P):
@@ -276,54 +345,16 @@ def is_separable(P):
 
 
 def relation_graph(P):
-    if P.family == "A":
-        raise ValueError("relation graphs apply to families B, C, D")
-    hp = height(P)
-    if hp.plus_height != 0 or hp.total_height > 1:
-        raise UnsupportedHeight(f"height {tuple(hp)} is not (0,0) or (0,1)")
-    edges = set()
-    loops = set()
-    for x, y in P.relations:
-        if x < 0 < y:
-            i, j = -x, y
-            if i == j:
-                loops.add(i)
-            else:
-                edges.add((min(i, j), max(i, j)))
-    return RelationGraph(P.n, frozenset(edges), frozenset(loops))
+    """Relation graph of a height-(0,0)/(0,1) signed poset.
+
+    Raises UnsupportedHeight for any other height, on every call.
+    """
+    return P.relation_graph
 
 
 def graph_components(G):
-    adj = {v: [] for v in G.vertices}
-    for i, j in sorted(G.edges):
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = set()
-    components = []
-    for root in G.vertices:
-        if root in seen:
-            continue
-        color = {root: 0}
-        queue = deque([root])
-        odd = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    odd = True
-        seen.update(color)
-        verts = tuple(sorted(color))
-        in_comp = set(verts)
-        edge_count = sum(1 for (i, j) in G.edges if i in in_comp)
-        edge_count += sum(1 for v in G.loops if v in in_comp)
-        has_odd = odd or any(v in G.loops for v in verts)
-        components.append(
-            GraphComponent(verts, edge_count, has_odd, edge_count == len(verts))
-        )
-    return tuple(components)
+    """Connected components of a relation graph, in vertex order."""
+    return G.components
 
 
 def poset_from_graph(family, n, edges, loops=()):

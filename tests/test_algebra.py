@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,10 +26,13 @@ from lieposet import (
     realize_combination,
     relation_graph,
     structure_constants,
+    type_a_height_one_posets,
     validate,
     verify_B_reduction,
     verify_CD_isomorphism,
 )
+from lieposet import algebra
+from lieposet.formats import structure_constants_json_obj, structure_constants_text
 
 
 def by_kind(basis, kind, i, j=0):
@@ -252,3 +257,60 @@ def test_bracket_closure_on_general_type_c_posets(n, data):
     basis = build_basis(P)
     for a, b in itertools.combinations(basis, 2):
         bracket(a, b, P)  # must never raise NotInSpan
+
+
+def _structure_constant_corpus(c_max, d_max, b_max):
+    """Every poset of C<=c_max, D<=d_max, B<=b_max, then height-one type A
+    for n=2..4, in enumeration order."""
+    for fam, n_max in (("C", c_max), ("D", d_max), ("B", b_max)):
+        for n in range(1, n_max + 1):
+            yield from enumerate_h01(fam, n)
+    for n in range(2, 5):
+        yield from type_a_height_one_posets(n, connected_only=False)
+
+
+class TestIntegerStructureConstants:
+    def test_coefficients_are_ints_and_no_fraction_is_built(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} built for a structure constant")
+
+        monkeypatch.setattr(algebra, "Fraction", no_fraction)
+        structure_constants.cache_clear()
+        for P in _structure_constant_corpus(3, 3, 2):
+            _, table = structure_constants(P)
+            for terms in table.values():
+                assert all(type(c) is int for _, c in terms), (P, terms)
+
+    def test_outputs_pinned(self):
+        # the json and text renderings of every table, in enumeration order;
+        # a change to any coefficient or its rendering moves this digest
+        digest = hashlib.sha256()
+        count = 0
+        for P in _structure_constant_corpus(4, 4, 3):
+            digest.update(json.dumps(structure_constants_json_obj(P), sort_keys=True).encode())
+            digest.update(structure_constants_text(P).encode())
+            count += 1
+        assert count == 1215
+        assert digest.hexdigest() == (
+            "cd876c90389547a434f4db74f0b79f7f5af052c14c42e83e1b49c86f4f10cb8b"
+        )
+
+    def test_basis_built_once_per_cache_miss(self, monkeypatch):
+        calls = []
+        inner = algebra.build_basis
+
+        def counted(P):
+            calls.append(P)
+            return inner(P)
+
+        monkeypatch.setattr(algebra, "build_basis", counted)
+        structure_constants.cache_clear()
+        P = build_poset("C", 4, [(-1, 2), (-2, 3), (-3, 4), (-4, 4)])
+        structure_constants(P)
+        structure_constants(P)
+        info = structure_constants.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(calls) == info.misses
+
+    def test_cache_is_bounded(self):
+        assert structure_constants.cache_info().maxsize is not None

@@ -6,6 +6,7 @@ from lieposet import (
     ExactMatrix,
     InvariantViolation,
     NotFrobenius,
+    PrincipalElement,
     SparseMatrixQ,
     SingularForm,
     UnsupportedHeight,
@@ -155,6 +156,20 @@ class TestSpectrum:
         report = spectrum(triangle_poset, element)
         assert report.eigenvalues == (0, 0, 0, 1, 1, 1)
         assert report.multiplicities() == {0: 3, 1: 3}
+
+    def test_int_coefficients_give_fraction_eigenvalues(self, triangle_poset):
+        # twice the principal element has int coefficients and int matrix
+        # entries; eigenvalues must stay exact rationals, never floats
+        half = principal_element(triangle_poset, frobenius_functional(triangle_poset))
+        doubled = PrincipalElement(
+            coefficients=tuple((b, int(2 * v)) for b, v in half.coefficients),
+            diagonal=None,
+            half_convention="other",
+        )
+        assert all(type(v) is int for _, v in doubled.coefficients)
+        report = spectrum(triangle_poset, doubled)
+        assert report.eigenvalues == (0, 0, 0, 2, 2, 2)
+        assert all(type(v) is Fraction for v in report.eigenvalues)
 
     def test_spectrum_invariant_under_functional_choice(self, triangle_poset):
         # a different nonsingular functional gives another principal element

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,57 @@ def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, comp
     # a connected poset is its own component subposet; otherwise each
     # component and the whole poset are computed once
     assert len(calls) == (1 if components == 1 else components + 1)
+
+
+def test_derived_objects_computed_once_per_poset(monkeypatch):
+    # a connected Frobenius C4 poset: the path 1-2-3-4 with a loop at 4
+    from lieposet import posets
+
+    principal_calls = []
+    chain_calls = []
+    inner_principal = harness.principal_element
+    inner_chain = posets._longest_chain
+
+    def counted_principal(P, F):
+        principal_calls.append(P)
+        return inner_principal(P, F)
+
+    def counted_chain(elements, relations):
+        chain_calls.append(elements)
+        return inner_chain(elements, relations)
+
+    monkeypatch.setattr(harness, "principal_element", counted_principal)
+    monkeypatch.setattr(posets, "_longest_chain", counted_chain)
+    mask = _mask("C", 4, [(1, 2), (2, 3), (3, 4)], (4,))
+    results = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    status = {r.check: r.status for r in results}
+    assert status["principal_element"] == status["binary_spectrum"] == "pass"
+    assert len(principal_calls) == 1
+    # one height pair: the longest chain in P+ and in P
+    assert len(chain_calls) == 2
+
+
+def test_default_report_bytes_pinned_under_optimize():
+    # python -O strips assert statements, so no correctness check may live
+    # in one: the report must not change
+    code = (
+        "import hashlib\n"
+        "from lieposet.harness import CampaignConfig, report_json_bytes, run_campaign\n"
+        "payload = report_json_bytes(run_campaign(CampaignConfig()))\n"
+        "print(__debug__, hashlib.sha256(payload).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert proc.stdout.split() == [
+        "False",
+        "ccce07162db20c7602d3ea35bbf3713a57ebe04c170ce5d918f2cc493626f547",
+    ]
 
 
 def test_unknown_check_rejected():

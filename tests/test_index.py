@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lieposet import (
     CommutatorMatrix,
     InvariantViolation,
+    RelationGraph,
     UnsupportedPoset,
     build_basis,
     build_poset,
@@ -21,9 +22,11 @@ from lieposet import (
     poset_from_mask,
     positive_part,
     random_separable_poset,
+    relation_graph,
     type_a_height_one_index,
     type_a_height_one_posets,
 )
+from lieposet import index_engine
 from lieposet.index_engine import ORACLE_TRIALS
 
 
@@ -168,6 +171,15 @@ class TestIndexFormula:
             index_formula(P)
         with pytest.raises(UnsupportedPoset):
             index_formula(build_poset("A", 2, [(1, 2)]))
+
+    def test_odd_parity_raises_invariant_violation(self, path_poset, monkeypatch):
+        # the formula reads a graph short of one edge, so its value moves by
+        # one and no longer has the parity of dim
+        G = relation_graph(path_poset)
+        short = RelationGraph(G.n, frozenset(sorted(G.edges)[1:]), G.loops)
+        monkeypatch.setattr(index_engine, "relation_graph", lambda P: short)
+        with pytest.raises(InvariantViolation):
+            index_formula(path_poset)
 
     def test_formula_oracle_agreement_small(self):
         for fam, n_max in (("C", 3), ("D", 3), ("B", 3)):

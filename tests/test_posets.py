@@ -141,10 +141,21 @@ class TestRelationGraph:
         assert G.sorted_edges() == () and G.n == 2
 
     def test_unsupported_height(self):
-        with pytest.raises(UnsupportedHeight):
-            relation_graph(build_poset("C", 2, [(-2, -1)]))
+        P = build_poset("C", 2, [(-2, -1)])
+        for _ in range(2):  # a cached graph must never stand in for the error
+            with pytest.raises(UnsupportedHeight):
+                relation_graph(P)
         with pytest.raises(UnsupportedHeight):
             relation_graph(build_poset("B", 1, [(-1, 0)]))
+
+    def test_derived_objects_cached_on_the_poset(self, path_poset):
+        G = relation_graph(path_poset)
+        assert relation_graph(path_poset) is G
+        assert graph_components(G) is graph_components(G)
+        assert height(path_poset) is height(path_poset)
+        # the caches are not fields: equality and hashing ignore them
+        fresh = SignedPoset(path_poset.family, path_poset.n, path_poset.relations)
+        assert fresh == path_poset and hash(fresh) == hash(path_poset)
 
 
 class TestComponents:
