@@ -7,12 +7,20 @@ entry (-min, max) of every edge and (-i, i) of every loop; the principal
 element is always obtained by solving the linear system of the Kirillov
 form rather than by assuming a closed form, because the two natural sign
 orientations of the half-integer diagonal both occur in print.
+
+Everything up to that solution is an integer: the standard functional has
+weight 1, realizations have entries +/-1 and the structure constants are
+ints, so the point, the Kirillov form and its elimination stay in ints
+(`linalg`'s Bareiss loop).  Only the solution x has a denominator.  The
+fixed-point identity and the spectrum are computed on the integer
+multiple d*x, d the lcm of its denominators, and divided by d at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     combo_bracket,
@@ -37,10 +45,7 @@ class Functional:
         return dict(self.support)
 
     def value_on(self, mat):
-        return sum(
-            (weight * mat.get(r, c) for (r, c), weight in self.support),
-            Fraction(0),
-        )
+        return sum(weight * mat.get(r, c) for (r, c), weight in self.support)
 
     def point(self, P):
         """Induced assignment basis element -> value on its realization."""
@@ -49,11 +54,16 @@ class Functional:
 
 
 def functional(P, coefficients):
-    """Validate entry extractors against the matrix form of P."""
+    """Validate entry extractors against the matrix form of P.
+
+    Integral weights are stored as ints, others as Fractions.
+    """
     allowed = matrix_form(P)
     support = []
     for (r, c), weight in sorted(coefficients.items()):
         weight = Fraction(weight)
+        if weight.denominator == 1:
+            weight = weight.numerator
         if not weight:
             continue
         if (r, c) not in allowed:
@@ -116,12 +126,14 @@ def principal_element(P, F):
     solution = B.solve(rhs)
     if solution is None:
         raise SingularForm("the Kirillov form of F has no solution for -F")
-    combo = {b: v for b, v in zip(basis, solution) if v}
-    fmat = realize_combination(combo)
+    coefficients = tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v)
+    d, xmat = _integer_multiple(coefficients)
     for b in basis:
-        # fixed point identity F(ad(x)(b)) == F(b), checked on the matrices
-        if F.value_on(fmat.commutator(realize(b))) != F.value_on(realize(b)):
+        # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
+        # X = d*x as F(ad(X)(b)) == d*F(b); point[b] is F(b)
+        if F.value_on(xmat.commutator(realize(b))) != d * point[b]:
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
+    fmat = xmat.scaled(Fraction(1, d))
     diagonal = None
     convention = "other"
     if all(r == c for (r, c) in fmat.entries):
@@ -134,7 +146,7 @@ def principal_element(P, F):
         elif all(diag[e] == half and diag[-e] == -half for e in positives):
             convention = "positives-plus-half"
     return PrincipalElement(
-        coefficients=tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v),
+        coefficients=coefficients,
         diagonal=diagonal,
         half_convention=convention,
     )
@@ -161,20 +173,22 @@ def spectrum(P, fhat):
     Each basis element is tried as an eigenvector first; if any fails,
     the full ad matrix is permuted to triangular form when its off
     diagonal dependency graph is acyclic, and NonEigenbasis is raised
-    otherwise.
+    otherwise.  The eigenvector brackets are taken in ints with d*fhat,
+    d the common denominator of its coefficients, and each eigenvalue is
+    divided by d.
     """
     basis, _ = structure_constants(P)
-    fmat = fhat.realized()
+    d, xmat = _integer_multiple(fhat.coefficients)
     eigenvalues = []
     shortcut_ok = True
     for b in basis:
         bmat = realize(b)
-        com = fmat.commutator(bmat)
-        lam = _scalar_multiple(com, bmat)
+        # eigenvalue of ad(d*fhat), in ints, over d
+        lam = _scalar_multiple(xmat.commutator(bmat), bmat)
         if lam is None:
             shortcut_ok = False
             break
-        eigenvalues.append(lam)
+        eigenvalues.append(lam / d)
     if not shortcut_ok:
         eigenvalues = _triangularized_eigenvalues(P, fhat, basis)
     eigenvalues = tuple(sorted(eigenvalues))
@@ -191,6 +205,20 @@ def spectrum(P, fhat):
         is_binary=is_binary,
         zero_count=zero,
         one_count=one,
+    )
+
+
+def _integer_multiple(coefficients):
+    """(d, realization of d*x) for x given as (element, coefficient) pairs.
+
+    d is the lcm of the coefficient denominators, so d*x has int
+    coefficients and its realization int entries.
+    """
+    d = 1
+    for _, v in coefficients:
+        d = lcm(d, v.denominator)
+    return d, realize_combination(
+        {b: v.numerator * (d // v.denominator) for b, v in coefficients}
     )
 
 

@@ -9,8 +9,10 @@ after t trials is below dim^2 * (dim/2001)^t.
 The oracle never leaves the integers: the structure constants are stored
 as ints, the evaluation points are ints, one row evaluator
 (`_evaluate_rows`) builds the integer matrix, and `linalg.integer_rank`
-takes its rank.  `evaluate` and `ExactMatrix` remain for the exact
-Fraction work of the Frobenius solve.
+takes its rank.  `CommutatorMatrix.evaluate` wraps the same rows in an
+`ExactMatrix` for the Frobenius path (kernel dimension and principal
+element); at the integer point of a functional with integral weights
+they stay ints, and rank and solve run the same Bareiss loop.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that

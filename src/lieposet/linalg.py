@@ -1,33 +1,34 @@
 """Dense exact linear algebra over the integers and the rationals.
 
-`integer_rank` is the only rank loop in the package: fraction-free
-(Bareiss) elimination on lists of Python ints, with partial pivoting on
-magnitude, so intermediate entries stay minors of the input instead of
-growing freely.  The index oracle calls it directly on integer
-evaluations; `ExactMatrix.rank` rescales each row to integers and calls
-it too.  Kernel and solve use straightforward Gaussian elimination over
-Fraction; every result is exact.
+`_bareiss` is the only elimination loop that rank and solve use:
+fraction-free (Bareiss) elimination on lists of Python ints, with partial
+pivoting on magnitude, so intermediate entries stay minors of the input
+instead of growing freely.  The index oracle calls `integer_rank` directly
+on integer evaluations.  `ExactMatrix` keeps int entries as ints;
+`ExactMatrix.rank` and `ExactMatrix.solve` rescale each row to integers
+and run the same loop, and solve back-substitutes in Fraction.  Only
+`kernel` goes through the Fraction reduced row echelon form `rref`.
+Every result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
-
-
-def integer_rank(rows, ncols):
-    """Exact rank of an integer matrix given as a list of rows of ints.
+def _bareiss(m, ncols):
+    """Eliminate the int rows `m` in place; return the pivot columns.
 
     Fraction-free elimination (Bareiss 1968): every entry after a step is
     a minor of the input, so each division is exact on integer input; a
-    nonzero remainder raises ArithmeticError.  The rows are not modified.
+    nonzero remainder raises ArithmeticError.  On return the first
+    len(pivots) rows are in row echelon form, row k leading at pivots[k],
+    and the rows below are zero.  The pivot columns are those of the
+    reduced row echelon form, whatever rows the pivoting picks.
     """
-    m = [list(row) for row in rows]
     nr = len(m)
+    pivots = []
     row = 0
     prev = 1
     for col in range(ncols):
@@ -56,17 +57,48 @@ def integer_rank(rows, ncols):
                 ri[j] = q
             ri[col] = 0
         prev = lead
+        pivots.append(col)
         row += 1
-    return row
+    return pivots
+
+
+def integer_rank(rows, ncols):
+    """Exact rank of an integer matrix given as a list of rows of ints.
+
+    The rows are not modified.
+    """
+    return len(_bareiss([list(row) for row in rows], ncols))
+
+
+# entry types ExactMatrix keeps as they are; anything else goes through Fraction
+_EXACT = (int, Fraction)
+
+
+def _integer_row(row):
+    """The row scaled by the lcm of its Fraction denominators, as ints."""
+    scale = 1
+    for x in row:
+        if type(x) is not int:
+            scale = lcm(scale, x.denominator)
+    return [
+        x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+        for x in row
+    ]
 
 
 class ExactMatrix:
-    """A dense matrix of Fractions with exact rank, kernel and solve."""
+    """A dense exact matrix of ints and Fractions with rank, kernel and solve.
+
+    int and Fraction entries are kept as they are; anything else goes
+    through Fraction.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.rows = [
+            [x if isinstance(x, _EXACT) else Fraction(x) for x in row] for row in rows
+        ]
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
@@ -102,20 +134,14 @@ class ExactMatrix:
 
     def integer_rows(self):
         """Copy of the rows with each row scaled by the lcm of its denominators."""
-        out = []
-        for row in self.rows:
-            scale = 1
-            for x in row:
-                scale = _lcm(scale, x.denominator)
-            out.append([int(x * scale) for x in row])
-        return out
+        return [_integer_row(row) for row in self.rows]
 
     def rank(self):
         return integer_rank(self.integer_rows(), self.ncols)
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = [row[:] for row in self.rows]
+        """Reduced row echelon form over Fraction; returns (rows, pivot column list)."""
+        m = [[Fraction(x) for x in row] for row in self.rows]
         nr, nc = self.nrows, self.ncols
         pivots = []
         row = 0
@@ -153,20 +179,31 @@ class ExactMatrix:
     def solve(self, rhs):
         """One exact solution of A x = rhs, or None when inconsistent.
 
-        Free variables are set to zero.
+        The augmented rows are scaled to ints and eliminated by the same
+        Bareiss loop as `rank`; the system is inconsistent exactly when
+        the rhs column is a pivot.  Back-substitution runs in Fraction
+        with free variables set to zero, so the solution is the one the
+        reduced row echelon form gives.
         """
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = ExactMatrix(
-            [row + [Fraction(b)] for row, b in zip(self.rows, rhs)],
-            ncols=self.ncols + 1,
-        )
+        n = self.ncols
         if self.nrows == 0:
-            return [Fraction(0)] * self.ncols
-        m, pivots = aug.rref()
-        if self.ncols in pivots:
+            return [Fraction(0)] * n
+        m = [
+            _integer_row(row + [b if isinstance(b, _EXACT) else Fraction(b)])
+            for row, b in zip(self.rows, rhs)
+        ]
+        pivots = _bareiss(m, n + 1)
+        if pivots and pivots[-1] == n:
             return None
-        x = [Fraction(0)] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][self.ncols]
+        x = [Fraction(0)] * n
+        for k in reversed(range(len(pivots))):
+            c = pivots[k]
+            row = m[k]
+            acc = Fraction(row[n])
+            for j in pivots[k + 1:]:
+                if row[j]:
+                    acc -= row[j] * x[j]
+            x[c] = acc / row[c]
         return x

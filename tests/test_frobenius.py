@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,18 +14,21 @@ from lieposet import (
     UnsupportedHeight,
     build_basis,
     build_poset,
+    commutator_matrix,
     enumerate_h01,
     frobenius_functional,
     functional,
     index_oracle,
     is_frobenius_by_graph,
     kernel_dim,
+    poset_from_graph,
     principal_element,
     realize,
     spectrum,
 )
 
 from lieposet import frobenius
+from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 
 HALF = Fraction(1, 2)
 
@@ -127,6 +132,25 @@ class TestPrincipalElement:
         with pytest.raises(InvariantViolation):
             principal_element(triangle_poset, frobenius_functional(triangle_poset))
 
+    def test_wrong_solution_raises_invariant_violation(self, monkeypatch):
+        # the fixed-point identity, checked on d*x, must catch a solution
+        # that is off in a single coordinate
+        true_solve = ExactMatrix.solve
+
+        def off_by_one(self, rhs):
+            x = true_solve(self, rhs)
+            x[0] += 1
+            return x
+
+        monkeypatch.setattr(ExactMatrix, "solve", off_by_one)
+        for P in (
+            build_poset("C", 3, [(-1, 2), (-1, 3), (-2, 3)]),
+            poset_from_graph("C", 4, [(1, 2), (2, 3), (3, 4)], [1]),
+            poset_from_graph("B", 3, [(1, 2), (1, 3), (2, 3)], []),
+        ):
+            with pytest.raises(InvariantViolation):
+                principal_element(P, frobenius_functional(P))
+
     def test_fixed_point_property(self, triangle_poset):
         F = frobenius_functional(triangle_poset)
         element = principal_element(triangle_poset, F)
@@ -190,6 +214,54 @@ class TestSpectrum:
                 report = spectrum(P, element)
                 assert report.is_binary
                 assert report.zero_count == report.one_count == report.dim // 2
+
+
+class TestIntegerPath:
+    POSETS = (
+        poset_from_graph("C", 4, [(1, 2), (2, 3), (3, 4)], [1]),
+        poset_from_graph("B", 3, [(1, 2), (1, 3), (2, 3)], []),
+    )
+
+    @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])
+    def test_point_and_kirillov_form_are_ints(self, P):
+        F = frobenius_functional(P)
+        point = F.point(P)
+        assert point and all(type(v) is int for v in point.values())
+        B = commutator_matrix(P).evaluate(point)
+        assert all(type(x) is int for row in B.rows for x in row)
+
+    @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])
+    def test_solution_and_eigenvalues_are_fractions(self, P):
+        element = principal_element(P, frobenius_functional(P))
+        assert element.coefficients
+        assert all(type(v) is Fraction for _, v in element.coefficients)
+        report = spectrum(P, element)
+        assert all(type(v) is Fraction for v in report.eigenvalues)
+
+    def test_outputs_pinned(self):
+        # principal element and spectrum of every Frobenius poset of
+        # C<=4, D<=4, B<=3 in enumeration order; a change to any
+        # coefficient, diagonal entry, eigenvalue or rendering moves this
+        digest = hashlib.sha256()
+        count = 0
+        for family, top in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, top + 1):
+                for P in enumerate_h01(family, n):
+                    if not is_frobenius_by_graph(P):
+                        continue
+                    F = frobenius_functional(P)
+                    assert kernel_dim(P, F) == 0
+                    element = principal_element(P, F)
+                    report = spectrum(P, element)
+                    digest.update(
+                        json.dumps(principal_element_json_obj(element), sort_keys=True).encode()
+                    )
+                    digest.update(json.dumps(spectrum_json_obj(report), sort_keys=True).encode())
+                    count += 1
+        assert count == 176
+        assert digest.hexdigest() == (
+            "6de5ebba26fadda92ba600d525926b8ce0cc6368c779824b9558a2541f30d700"
+        )
 
 
 class TestBDFrobenius:

@@ -43,7 +43,10 @@ def test_kernel_and_solve():
     x = A.solve([Fraction(6), Fraction(15)])
     assert x is not None
     assert [sum(r[j] * x[j] for j in range(3)) for r in A.rows] == [6, 15]
-    assert A.solve([1, 0]) is None or True  # consistent or not, must not crash
+    # rank 2 in 2 rows: every rhs is consistent
+    y = A.solve([1, 0])
+    assert y is not None
+    assert [sum(r[j] * y[j] for j in range(3)) for r in A.rows] == [1, 0]
 
 
 def test_solve_inconsistent():
@@ -55,6 +58,29 @@ def test_solve_unique():
     A = ExactMatrix([[0, 2], [-2, 0]])
     x = A.solve([2, -1])
     assert x == [Fraction(1, 2), Fraction(1)]
+
+
+def test_entries_keep_int_and_fraction():
+    A = ExactMatrix([[1, Fraction(1, 2)], ["3/4", 0.5]])
+    assert [[type(x) for x in row] for row in A.rows] == [
+        [int, Fraction],
+        [Fraction, Fraction],
+    ]
+    assert A.rows == [[1, Fraction(1, 2)], [Fraction(3, 4), Fraction(1, 2)]]
+
+
+def test_int_matrices_never_give_floats():
+    # int / int is a float in Python: rref, kernel and solve must divide
+    # in Fraction even when every entry of the matrix is an int
+    for rows in ([[2, 1], [4, 3]], [[2, 4], [1, 2]]):
+        A = ExactMatrix(rows)
+        m, _ = A.rref()
+        values = [x for row in m for x in row]
+        values += [x for vec in A.kernel() for x in vec]
+        values += A.solve([1, 2]) or []
+        values += A.solve([3, 1]) or []
+        assert values
+        assert all(type(x) in (int, Fraction) for x in values), values
 
 
 def test_transpose_and_zero():
@@ -115,3 +141,63 @@ def test_integer_rank_matches_rref_pivots(nr, nc, inner, data):
     assert rank == rref_pivots(rows, nc)
     assert rank <= min(inner, nr, nc)
 
+
+
+def reference_solve(rows, rhs, ncols):
+    """Fraction Gauss-Jordan solve with free variables 0, or None when
+    inconsistent; independent of ExactMatrix."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead = m[r][col]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_solve_matches_reference_solve(nr, nc, inner, use_fractions, consistent, data):
+    # a product through `inner` columns has rank <= inner: rank deficient
+    # whenever inner < min(nr, nc), so inconsistent rhs occur often
+    entries = fractions if use_fractions else st.integers(-9, 9)
+    left = [[data.draw(entries) for _ in range(inner)] for _ in range(nr)]
+    right = [[data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(inner)]
+    rows = [
+        [sum((left[i][k] * right[k][j] for k in range(inner)), 0) for j in range(nc)]
+        for i in range(nr)
+    ]
+    if consistent:
+        y = [data.draw(fractions) for _ in range(nc)]
+        rhs = [sum((r[j] * y[j] for j in range(nc)), 0) for r in rows]
+    else:
+        rhs = [data.draw(entries) for _ in range(nr)]
+    expected = reference_solve(rows, rhs, nc)
+    x = ExactMatrix(rows, ncols=nc).solve(rhs)
+    assert x == expected
+    if consistent:
+        assert x is not None
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(r[j] * x[j] for j in range(nc)) for r in rows] == rhs
