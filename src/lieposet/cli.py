@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from . import formats
+from . import __version__, formats
 from .algebra import verify_B_reduction, verify_CD_isomorphism
 from .errors import InputParseError, LiePosetError, PosetConstructionError
 from .frobenius import (
@@ -97,7 +97,7 @@ def format_option(*choices, default="text"):
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="lieposet")
+@click.version_option(version=__version__, prog_name="lieposet")
 def main():
     """Exact tools for Lie poset algebras of types A, B, C and D."""
 

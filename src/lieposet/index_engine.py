@@ -307,10 +307,18 @@ def _simple_cycles(edges):
     return found
 
 
-def _select_cycle(edges, odd):
-    matching = [
-        c for c in _simple_cycles(edges) if (len(c) % 2 == 1) == odd
-    ]
+def _cycle_edges(cycle):
+    """The edges of a canonical cycle tuple, closing edge included."""
+    return frozenset(_pair(cycle[k - 1], cycle[k]) for k in range(len(cycle)))
+
+
+def _select_cycle(cycles, odd):
+    """The longest cycle of the wanted parity, then the least tuple; or None.
+
+    `cycles` iterates over canonical cycle tuples, as `_simple_cycles`
+    returns them.
+    """
+    matching = [c for c in cycles if (len(c) % 2 == 1) == odd]
     if not matching:
         return None
     size = max(len(c) for c in matching)
@@ -326,6 +334,13 @@ def reduce(P, seed=0, retries=5):
     and the exact rank is recomputed after every step; a rank change or a
     vanishing divisor triggers a reseeded retry and finally
     DegenerateEvaluation.
+
+    The simple cycles are enumerated once, when the replay first reaches
+    the cycle phase.  An even-cycle step removes its closing edge e and
+    drops the cycles through e: the simple cycles of G - e are exactly
+    the cycles of G that avoid e, so each step picks the cycle a fresh
+    search would pick.  An odd-cycle step adds a loop, after which only
+    loop steps and no cycle search follow.
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
@@ -388,6 +403,7 @@ def _reduce_once(P, G, seed):
 
     edges = set(G.edges)
     loops = set(G.loops)
+    cycles = None  # canonical cycle -> its edge set, enumerated on first use
     base_rank = rank_now()
     initial = snapshot("Init", "instantiated block", edges, loops, base_rank)
     steps = []
@@ -434,7 +450,9 @@ def _reduce_once(P, G, seed):
                 record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
             continue
 
-        cycle = _select_cycle(edges, odd=True)
+        if cycles is None:
+            cycles = {c: _cycle_edges(c) for c in _simple_cycles(edges)}
+        cycle = _select_cycle(cycles, odd=True)
         if cycle is not None:
             _cycle_rowop(cycle, row_for, add_scaled, edge_values)
             first, last = cycle[0], cycle[-1]
@@ -449,7 +467,7 @@ def _reduce_once(P, G, seed):
             record(STEP_ODD_CYCLE, f"odd cycle {cycle}: edge {closing} became loop {last}")
             continue
 
-        cycle = _select_cycle(edges, odd=False)
+        cycle = _select_cycle(cycles, odd=False)
         if cycle is not None:
             _cycle_rowop(cycle, row_for, add_scaled, edge_values)
             closing = _pair(cycle[0], cycle[-1])
@@ -458,6 +476,8 @@ def _reduce_once(P, G, seed):
                 raise DegenerateEvaluation(f"even cycle row {closing} did not vanish")
             trow.label = ("0",)
             edges.remove(closing)
+            # the simple cycles of G - e are the cycles of G that avoid e
+            cycles = {c: es for c, es in cycles.items() if closing not in es}
             record(STEP_EVEN_CYCLE, f"even cycle {cycle}: edge {closing} zeroed")
             continue
 

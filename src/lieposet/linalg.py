@@ -3,7 +3,10 @@
 `_bareiss` is the only elimination loop that rank and solve use:
 fraction-free (Bareiss) elimination on lists of Python ints, with partial
 pivoting on magnitude, so intermediate entries stay minors of the input
-instead of growing freely.  The index oracle calls `integer_rank` directly
+instead of growing freely.  A row with a zero entry in the pivot column
+is not rewritten at that step; the scale Bareiss would have given it is
+applied when the row is next used, so sparse rows cost only the steps
+that change them.  The index oracle calls `integer_rank` directly
 on integer evaluations.  `ExactMatrix` keeps int entries as ints;
 `ExactMatrix.rank` and `ExactMatrix.solve` rescale each row to integers
 and run the same loop, and solve back-substitutes in Fraction.  Only
@@ -26,8 +29,18 @@ def _bareiss(m, ncols):
     len(pivots) rows are in row echelon form, row k leading at pivots[k],
     and the rows below are zero.  The pivot columns are those of the
     reduced row echelon form, whatever rows the pivoting picks.
+
+    A row whose entry in the pivot column is zero is left untouched.
+    Bareiss would multiply it by lead/prev at that step; over the steps it
+    sits out these factors telescope to prev/base[i], where base[i] is
+    the `prev` at which row i was last written (1 at the start).  So a
+    stored row is the Bareiss row divided by prev/base[i]: still a minor
+    of the input, and zero exactly where the Bareiss row is.  The pivot
+    row is brought up to date before it is used, and a row with a nonzero
+    head is rewritten with base[i] as the divisor.
     """
     nr = len(m)
+    base = [1] * nr
     pivots = []
     row = 0
     prev = 1
@@ -44,18 +57,31 @@ def _bareiss(m, ncols):
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-        lead = m[row][col]
+            base[row], base[piv] = base[piv], base[row]
+        rr = m[row]
+        if base[row] != prev:
+            old = base[row]
+            for j in range(col, ncols):
+                q, r = divmod(rr[j] * prev, old)
+                if r:
+                    raise ArithmeticError("fraction-free step not exact")
+                rr[j] = q
+        lead = rr[col]
         for i in range(row + 1, nr):
-            head = m[i][col]
-            ri, rr = m[i], m[row]
+            ri = m[i]
+            head = ri[col]
+            if not head:
+                continue
+            old = base[i]
             for j in range(col + 1, ncols):
                 # exact by Sylvester's identity: entries stay minors of
                 # the original matrix
-                q, r = divmod(ri[j] * lead - head * rr[j], prev)
+                q, r = divmod(ri[j] * lead - head * rr[j], old)
                 if r:
                     raise ArithmeticError("fraction-free step not exact")
                 ri[j] = q
             ri[col] = 0
+            base[i] = lead
         prev = lead
         pivots.append(col)
         row += 1

@@ -34,6 +34,14 @@ def test_validate_reads_stdin(runner, path_poset):
     assert result.exit_code == 0
 
 
+def test_version_without_installed_metadata(runner):
+    # the package runs from the source tree, where no distribution
+    # metadata exists; the version comes from lieposet.__version__
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
+
+
 def test_missing_input_is_exit_2(runner):
     result = runner.invoke(main, ["index"])
     assert result.exit_code == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet import ExactMatrix, integer_rank
+from lieposet.linalg import _bareiss
 
 
 def naive_rank(rows):
@@ -201,3 +202,88 @@ def test_solve_matches_reference_solve(nr, nc, inner, use_fractions, consistent,
     if x is not None:
         assert all(type(v) is Fraction for v in x)
         assert [sum(r[j] * x[j] for j in range(nc)) for r in rows] == rhs
+
+
+def reference_det(rows):
+    """Determinant by Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def assert_pivot_rows_are_minors(rows, ncols):
+    """Check _bareiss against the determinants its entries must equal.
+
+    Pivot row k, entry j, is the minor of the input on the first k + 1
+    pivot rows and the columns pivots[:k] + [j]; the rows below the
+    pivot rows are zero.
+    """
+    m = [list(row) for row in rows]
+    # _bareiss swaps the row lists themselves, so each pivot row can be
+    # traced back to the input row it came from
+    source = {id(row): i for i, row in enumerate(m)}
+    pivots = _bareiss(m, ncols)
+    picked = [rows[source[id(m[k])]] for k in range(len(pivots))]
+    for k, p in enumerate(pivots):
+        assert not any(m[k][:p])
+        for j in range(p, ncols):
+            cols = pivots[:k] + [j]
+            minor = [[row[c] for c in cols] for row in picked[: k + 1]]
+            assert m[k][j] == reference_det(minor)
+    assert not any(x for row in m[len(pivots):] for x in row)
+
+
+nonzero_ints = st.integers(-9, 9).filter(bool)
+nonzero_fractions = st.builds(Fraction, nonzero_ints, st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(10, 35),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_sparse_rank_and_solve_match_reference(
+    nr, nc, density, use_fractions, consistent, data
+):
+    # with 10-35% nonzeros most rows have a zero head at most steps, so
+    # they sit out several steps before they are eliminated or become
+    # the pivot row; a zero row sits out every step
+    entries = nonzero_fractions if use_fractions else nonzero_ints
+
+    def sparse_row(length):
+        return [
+            data.draw(entries) if data.draw(st.integers(0, 99)) < density else 0
+            for _ in range(length)
+        ]
+
+    rows = [sparse_row(nc) for _ in range(nr)]
+    zero = data.draw(st.integers(0, nr))
+    if zero < nr:
+        rows[zero] = [0] * nc
+    A = ExactMatrix(rows, ncols=nc)
+    assert integer_rank(A.integer_rows(), nc) == naive_rank(rows)
+    assert_pivot_rows_are_minors(A.integer_rows(), nc)
+    if consistent:
+        y = sparse_row(nc)
+        rhs = [sum((r[j] * y[j] for j in range(nc)), 0) for r in rows]
+    else:
+        rhs = sparse_row(nr)
+    expected = reference_solve(rows, rhs, nc)
+    assert A.solve(rhs) == expected
+    if consistent:
+        assert expected is not None

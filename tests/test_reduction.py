@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from lieposet import (
     relation_graph,
     rg_connected,
 )
+from lieposet import index_engine
+from lieposet.formats import reduction_trace_json_obj
 
 
 class TestBBlock:
@@ -142,3 +146,46 @@ class TestReduce:
         trace = reduce(P, seed=0)
         assert trace.final_rank == 5
         assert len(set(trace.ranks)) == 1
+
+
+def complete_bipartite(a, b):
+    """K_{a,b} as a type-C poset: vertices 1..a against a+1..a+b, no loops."""
+    edges = [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)]
+    return poset_from_graph("C", a + b, edges)
+
+
+class TestReduceReplay:
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 4)])
+    def test_cycles_enumerated_once(self, monkeypatch, a, b):
+        calls = []
+        enumerate_cycles = index_engine._simple_cycles
+
+        def counted(edges):
+            calls.append(len(edges))
+            return enumerate_cycles(edges)
+
+        monkeypatch.setattr(index_engine, "_simple_cycles", counted)
+        trace = reduce(complete_bipartite(a, b), seed=0)
+        kinds = [s.kind for s in trace.steps]
+        # (a-1)(b-1) even-cycle steps leave a spanning tree to sweep
+        assert kinds.count("EvenCycleElim") == (a - 1) * (b - 1)
+        assert calls == [a * b]
+
+    def test_traces_pinned(self):
+        # every connected C<=4 poset in enumeration order, then K3,3, K3,4
+        # and K4,4: the replay picks the same cycle at every step
+        posets = [
+            P
+            for n in (1, 2, 3, 4)
+            for P in enumerate_h01("C", n)
+            if rg_connected(P)
+        ]
+        posets += [complete_bipartite(a, b) for a, b in ((3, 3), (3, 4), (4, 4))]
+        digest = hashlib.sha256()
+        for P in posets:
+            obj = reduction_trace_json_obj(reduce(P, seed=0))
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+        assert len(posets) == 649
+        assert digest.hexdigest() == (
+            "cd3cc3928c8fa7240b3b1a6710c00981a0c8cbbcf0e1f5b92902e350a6acead6"
+        )
