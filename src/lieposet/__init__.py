@@ -71,13 +71,10 @@ from .algebra import (
     verify_CD_isomorphism,
 )
 from .index_engine import (
-    BBlock,
     CommutatorMatrix,
     ReductionStep,
     ReductionTrace,
-    b_block,
     commutator_matrix,
-    evaluate,
     generic_rank,
     index_formula,
     index_oracle,

@@ -13,7 +13,9 @@ weight 1, realizations have entries +/-1 and the structure constants are
 ints, so the point, the Kirillov form and its elimination stay in ints
 (`linalg`'s Bareiss loop).  Only the solution x has a denominator.  The
 fixed-point identity and the spectrum are computed on the integer
-multiple d*x, d the lcm of its denominators, and divided by d at the end.
+multiple d*x, d the lcm of its denominators, and divided by d at the end:
+the identity on its realized matrix, the spectrum on the columns of
+ad(d*x) that the structure constants give.
 """
 
 from __future__ import annotations
@@ -99,9 +101,12 @@ class PrincipalElement:
     """Solution x of B_F(x, -) = F, in basis coordinates.
 
     diagonal holds (element, entry) pairs of the realized matrix when it
-    is diagonal, else None.  half_convention records the orientation of a
-    +/-1/2 diagonal: "negatives-plus-half" when every negative row
-    carries +1/2, "positives-plus-half" for the opposite, else "other".
+    is diagonal, else None.  half_convention is "negatives-plus-half"
+    when the diagonal carries +1/2 on every negative row and -1/2 on every
+    positive row, else "other".  The orientation is forced: on a diagonal
+    solution each supported root (-i, j) gives -x_i - x_j = 1 and each
+    loop -2x_i = 1.  A functional with diagonal support forces a
+    nilradical part, so its solution is not diagonal and gets "other".
     """
 
     coefficients: tuple  # (BasisElement, Fraction) pairs in basis order
@@ -127,7 +132,8 @@ def principal_element(P, F):
     if solution is None:
         raise SingularForm("the Kirillov form of F has no solution for -F")
     coefficients = tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v)
-    d, xmat = _integer_multiple(coefficients)
+    d, x = _integer_multiple(coefficients)
+    xmat = realize_combination(x)
     for b in basis:
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
         # X = d*x as F(ad(X)(b)) == d*F(b); point[b] is F(b)
@@ -140,11 +146,8 @@ def principal_element(P, F):
         diagonal = tuple((e, fmat.get(e, e)) for e in P.elements)
         diag = dict(diagonal)
         half = Fraction(1, 2)
-        positives = [e for e in P.elements if e > 0]
-        if all(diag[-e] == half and diag[e] == -half for e in positives):
+        if all(diag[-e] == half and diag[e] == -half for e in P.elements if e > 0):
             convention = "negatives-plus-half"
-        elif all(diag[e] == half and diag[-e] == -half for e in positives):
-            convention = "positives-plus-half"
     return PrincipalElement(
         coefficients=coefficients,
         diagonal=diagonal,
@@ -170,28 +173,32 @@ class SpectrumReport:
 def spectrum(P, fhat):
     """Eigenvalues of ad(fhat) on the algebra of P, computed exactly.
 
-    Each basis element is tried as an eigenvector first; if any fails,
-    the full ad matrix is permuted to triangular form when its off
-    diagonal dependency graph is acyclic, and NonEigenbasis is raised
-    otherwise.  The eigenvector brackets are taken in ints with d*fhat,
-    d the common denominator of its coefficients, and each eigenvalue is
-    divided by d.
+    The columns of ad(d*fhat) in basis coordinates come from the integer
+    structure constants, d the common denominator of the coefficients of
+    fhat.  When the digraph of its off-diagonal entries is acyclic the
+    matrix is triangular in some ordering of the basis, so its diagonal
+    entries, over d, are the eigenvalues; otherwise NonEigenbasis is
+    raised.  A diagonal fhat gives a graph with no edges.
     """
     basis, _ = structure_constants(P)
-    d, xmat = _integer_multiple(fhat.coefficients)
-    eigenvalues = []
-    shortcut_ok = True
-    for b in basis:
-        bmat = realize(b)
-        # eigenvalue of ad(d*fhat), in ints, over d
-        lam = _scalar_multiple(xmat.commutator(bmat), bmat)
-        if lam is None:
-            shortcut_ok = False
-            break
-        eigenvalues.append(lam / d)
-    if not shortcut_ok:
-        eigenvalues = _triangularized_eigenvalues(P, fhat, basis)
-    eigenvalues = tuple(sorted(eigenvalues))
+    position = {b: k for k, b in enumerate(basis)}
+    d, x = _integer_multiple(fhat.coefficients)
+    x = {position[b]: c for b, c in x.items()}
+    columns = [combo_bracket(P, x, {k: 1}) for k in range(len(basis))]
+    # repeatedly drop the columns that depend on no other remaining one;
+    # the digraph is acyclic exactly when every column goes
+    pending = {
+        k: {row for row in column if row != k} for k, column in enumerate(columns)
+    }
+    while pending:
+        free = [k for k, rows in pending.items() if not rows]
+        if not free:
+            raise NonEigenbasis("ad matrix is not permutation triangular")
+        for k in free:
+            del pending[k]
+        for rows in pending.values():
+            rows.difference_update(free)
+    eigenvalues = tuple(sorted(Fraction(c.get(k, 0), d) for k, c in enumerate(columns)))
     counts = {}
     for value in eigenvalues:
         counts[value] = counts.get(value, 0) + 1
@@ -209,55 +216,9 @@ def spectrum(P, fhat):
 
 
 def _integer_multiple(coefficients):
-    """(d, realization of d*x) for x given as (element, coefficient) pairs.
-
-    d is the lcm of the coefficient denominators, so d*x has int
-    coefficients and its realization int entries.
-    """
+    """(d, {element: int coefficient of d*x}) for x given as (element,
+    coefficient) pairs; d is the lcm of the coefficient denominators."""
     d = 1
     for _, v in coefficients:
         d = lcm(d, v.denominator)
-    return d, realize_combination(
-        {b: v.numerator * (d // v.denominator) for b, v in coefficients}
-    )
-
-
-def _scalar_multiple(com, bmat):
-    """lam with com == lam * bmat, or None.
-
-    Entries may both be ints, so lam is built as a Fraction, never by `/`.
-    """
-    if not com:
-        return Fraction(0)
-    key = next(iter(bmat.entries))
-    lam = Fraction(com.get(*key), bmat.entries[key])
-    return lam if com == bmat.scaled(lam) else None
-
-
-def _triangularized_eigenvalues(P, fhat, basis):
-    position = {b: k for k, b in enumerate(basis)}
-    fh = {position[b]: v for b, v in fhat.as_combination().items()}
-    columns = [combo_bracket(P, fh, {k: Fraction(1)}) for k in range(len(basis))]
-    # ad is triangularizable by permutation iff this digraph is acyclic
-    succ = {k: set() for k in range(len(basis))}
-    for col, terms in enumerate(columns):
-        for row in terms:
-            if row != col:
-                succ[row].add(col)
-    order = []
-    state = {}
-
-    def visit(u):
-        state[u] = 1
-        for w in sorted(succ[u]):
-            if state.get(w) == 1:
-                raise NonEigenbasis("ad matrix is not permutation triangular")
-            if w not in state:
-                visit(w)
-        state[u] = 2
-        order.append(u)
-
-    for u in range(len(basis)):
-        if u not in state:
-            visit(u)
-    return [columns[k].get(k, Fraction(0)) for k in range(len(basis))]
+    return d, {b: v.numerator * (d // v.denominator) for b, v in coefficients}

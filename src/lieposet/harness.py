@@ -50,13 +50,22 @@ def poset_seed(base_seed, family, n, mask):
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to enumerate and how: ((family, n_max), ...), checks, seed."""
+    """What to enumerate and how: ((family, n_max), ...), checks, seed.
+
+    trials and jobs below 1 raise ValueError, before any poset runs.
+    """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
     checks: tuple = ()  # empty means all registered checks
     seed: int = 0
     trials: int = 5
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
     def enabled_checks(self):
         names = self.checks or tuple(CHECKS)
@@ -245,16 +254,24 @@ CHECKS = {
 }
 
 
+def _run_check(fn, P, ctx):
+    """(status, witness) of one check; any exception it raises is a fail.
+
+    A fault in one check on one poset is recorded with its type and
+    message instead of ending the campaign.
+    """
+    try:
+        return fn(P, ctx)
+    except Exception as exc:
+        return "fail", _witness(error=type(exc).__name__, message=exc)
+
+
 def run_checks_on_poset(family, n, mask, checks, seed, trials):
     P = poset_from_mask(family, n, mask)
     ctx = CheckContext(seed=poset_seed(seed, family, n, mask), trials=trials)
     results = []
     for name in checks:
-        try:
-            status, witness = CHECKS[name](P, ctx)
-        except (LiePosetError, AssertionError) as exc:
-            status = "fail"
-            witness = _witness(error=type(exc).__name__, message=exc)
+        status, witness = _run_check(CHECKS[name], P, ctx)
         results.append(CheckResult(family, n, mask, name, status, witness))
     return results
 
@@ -342,10 +359,7 @@ def minimize_failure(result, cfg=None, check_fn=None):
             seed=poset_seed(cfg.seed, result.family, result.n, mask),
             trials=cfg.trials,
         )
-        try:
-            return fn(P, ctx)
-        except (LiePosetError, AssertionError) as exc:
-            return "fail", _witness(error=type(exc).__name__, message=exc)
+        return _run_check(fn, P, ctx)
 
     mask = result.mask
     shrunk = True

@@ -9,10 +9,11 @@ after t trials is below dim^2 * (dim/2001)^t.
 The oracle never leaves the integers: the structure constants are stored
 as ints, the evaluation points are ints, one row evaluator
 (`_evaluate_rows`) builds the integer matrix, and `linalg.integer_rank`
-takes its rank.  `CommutatorMatrix.evaluate` wraps the same rows in an
-`ExactMatrix` for the Frobenius path (kernel dimension and principal
-element); at the integer point of a functional with integral weights
-they stay ints, and rank and solve run the same Bareiss loop.
+takes its rank.  `CommutatorMatrix.evaluate` is the only other caller
+of `_evaluate_rows`: it wraps the same rows in an `ExactMatrix` for the
+Frobenius path (kernel dimension and principal element); at the integer
+point of a functional with integral weights they stay ints, and rank and
+solve run the same Bareiss loop.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -84,10 +85,6 @@ def commutator_matrix(P):
         grid[i][j] = terms
         grid[j][i] = tuple((k, -c) for k, c in terms)
     return CommutatorMatrix(basis, tuple(tuple(row) for row in grid))
-
-
-def evaluate(C, point):
-    return C.evaluate(point)
 
 
 def _nonzero_int(rng):
@@ -169,45 +166,6 @@ def type_a_height_one_index(P):
         raise UnsupportedPoset("Hasse diagram is not connected")
     edges = sum(1 for (x, y) in P.strict_relations)
     return edges - P.n + 1
-
-
-@dataclass(frozen=True)
-class BBlock:
-    """The lower-left block of the commutator matrix of a height-(0,1) poset.
-
-    Rows are labeled by the Y and Z basis elements, columns by the H
-    elements, both in canonical order; the commutator matrix is assembled
-    from it as ((0, -B^T), (B, 0)).
-    """
-
-    rows: tuple
-    cols: tuple
-    basis: tuple
-    entries: tuple
-
-    def evaluate(self, point):
-        values = [point[b] for b in self.basis]
-        return ExactMatrix(_evaluate_rows(self.entries, values), ncols=len(self.cols))
-
-
-def b_block(P):
-    if P.family != "C":
-        raise UnsupportedPoset("the reduction block is defined for family C")
-    hp = height(P)
-    if hp.plus_height != 0 or hp.total_height > 1:
-        raise UnsupportedPoset(f"height {tuple(hp)} is not (0,0) or (0,1)")
-    C = commutator_matrix(P)
-    row_pos = [k for k, b in enumerate(C.basis) if b.kind in ("Y", "Z")]
-    col_pos = [k for k, b in enumerate(C.basis) if b.kind == "H"]
-    entries = tuple(
-        tuple(C.entries[r][c] for c in col_pos) for r in row_pos
-    )
-    return BBlock(
-        rows=tuple(C.basis[k] for k in row_pos),
-        cols=tuple(C.basis[k] for k in col_pos),
-        basis=C.basis,
-        entries=entries,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ applied when the row is next used, so sparse rows cost only the steps
 that change them.  The index oracle calls `integer_rank` directly
 on integer evaluations.  `ExactMatrix` keeps int entries as ints;
 `ExactMatrix.rank` and `ExactMatrix.solve` rescale each row to integers
-and run the same loop, and solve back-substitutes in Fraction.  Only
-`kernel` goes through the Fraction reduced row echelon form `rref`.
-Every result is exact.
+and run the same loop, and solve back-substitutes in Fraction.  Every
+result is exact.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def _integer_row(row):
 
 
 class ExactMatrix:
-    """A dense exact matrix of ints and Fractions with rank, kernel and solve.
+    """A dense exact matrix of ints and Fractions with rank and solve.
 
     int and Fraction entries are kept as they are; anything else goes
     through Fraction.
@@ -133,10 +132,6 @@ class ExactMatrix:
         else:
             self.ncols = int(ncols or 0)
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -149,58 +144,12 @@ class ExactMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
-    def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
-
-    def transpose(self):
-        return ExactMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
     def integer_rows(self):
         """Copy of the rows with each row scaled by the lcm of its denominators."""
         return [_integer_row(row) for row in self.rows]
 
     def rank(self):
         return integer_rank(self.integer_rows(), self.ncols)
-
-    def rref(self):
-        """Reduced row echelon form over Fraction; returns (rows, pivot column list)."""
-        m = [[Fraction(x) for x in row] for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        row = 0
-        for col in range(nc):
-            if row == nr:
-                break
-            piv = next((i for i in range(row, nr) if m[i][col] != 0), -1)
-            if piv < 0:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            lead = m[row][col]
-            m[row] = [x / lead for x in m[row]]
-            for i in range(nr):
-                if i != row and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-            pivots.append(col)
-            row += 1
-        return m, pivots
-
-    def kernel(self):
-        """Basis of the right null space, one vector per free column."""
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][f]
-            basis.append(v)
-        return basis
 
     def solve(self, rhs):
         """One exact solution of A x = rhs, or None when inconsistent.

@@ -20,7 +20,6 @@ from lieposet import (
     combo_bracket,
     commutator_matrix,
     enumerate_h01,
-    evaluate,
     frobenius_functional,
     generic_rank,
     graph_components,
@@ -106,7 +105,7 @@ def test_criterion_01_two_dim_fixture():
         assert C.entry(0, 1) == {1: 2}
         assert C.entry(1, 0) == {1: -2}
         for value in (1, -1, 7, Fraction(3, 5), -1000):
-            M = evaluate(C, {C.basis[0]: 0, C.basis[1]: value})
+            M = C.evaluate({C.basis[0]: 0, C.basis[1]: value})
             assert M.rank() == 2
         assert index_oracle(P) == 0
         best = float("inf")

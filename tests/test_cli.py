@@ -177,6 +177,13 @@ def test_verify_rejects_bad_flags(runner):
     )
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+def test_verify_rejects_nonpositive_trials_and_jobs(runner, flag):
+    # checked before any poset runs, even when no check reads the value
+    argv = ["verify", "--families", "C:1", "--checks", "dimension_formula", flag, "0"]
+    assert runner.invoke(main, argv).exit_code == 2
+
+
 def test_env_var_override(runner):
     result = runner.invoke(
         main,

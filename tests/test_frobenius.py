@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lieposet import (
     ExactMatrix,
     InvariantViolation,
+    NonEigenbasis,
     NotFrobenius,
     PrincipalElement,
     SparseMatrixQ,
@@ -21,6 +23,7 @@ from lieposet import (
     index_oracle,
     is_frobenius_by_graph,
     kernel_dim,
+    matrix_form,
     poset_from_graph,
     principal_element,
     realize,
@@ -151,6 +154,28 @@ class TestPrincipalElement:
             with pytest.raises(InvariantViolation):
                 principal_element(P, frobenius_functional(P))
 
+    def test_off_diagonal_functionals_give_negatives_plus_half(self):
+        # on a diagonal solution each supported root (-i, j) forces
+        # -x_i - x_j = 1 and each loop -2x_i = 1, so positive rows always
+        # carry -1/2: no functional flips the orientation
+        rng = random.Random(2001)
+        nonsingular = 0
+        for family, top in (("C", 3), ("D", 3), ("B", 3)):
+            for n in range(1, top + 1):
+                for P in enumerate_h01(family, n):
+                    if not is_frobenius_by_graph(P):
+                        continue
+                    off = [(r, c) for r, c in sorted(matrix_form(P)) if r != c]
+                    for _ in range(4):
+                        weights = {rc: rng.choice((-1, 1)) * rng.randint(1, 5) for rc in off}
+                        F = functional(P, weights)
+                        if kernel_dim(P, F):
+                            continue
+                        element = principal_element(P, F)
+                        assert element.half_convention == "negatives-plus-half"
+                        nonsingular += 1
+        assert nonsingular >= 50
+
     def test_fixed_point_property(self, triangle_poset):
         F = frobenius_functional(triangle_poset)
         element = principal_element(triangle_poset, F)
@@ -204,6 +229,41 @@ class TestSpectrum:
         s1 = spectrum(triangle_poset, principal_element(triangle_poset, F1))
         s2 = spectrum(triangle_poset, principal_element(triangle_poset, F2))
         assert s1.eigenvalues == s2.eigenvalues
+
+    @pytest.mark.parametrize("family", ["C", "D", "B"])
+    def test_diagonal_support_gives_binary_spectrum(self, family):
+        # a weight on a diagonal position forces a nilradical part into
+        # the principal element: ad of it is triangular, not diagonal
+        P = build_poset(family, 3, [(-1, 2), (-1, 3), (-2, 3)])
+        F = functional(P, {(-1, 2): 1, (-1, 3): 1, (-2, 3): 1, (1, 1): 1})
+        element = principal_element(P, F)
+        assert element.half_convention == "other" and element.diagonal is None
+        standard = spectrum(P, principal_element(P, frobenius_functional(P)))
+        assert standard.is_binary
+        assert spectrum(P, element) == standard
+
+    @pytest.mark.parametrize("tangled", [(1,), (0, 1)], ids=["one-way", "cycle"])
+    def test_only_triangular_ad_gives_eigenvalues(self, triangle_poset, monkeypatch, tangled):
+        # give column k of ad an extra entry in row 1 - k, for k in tangled:
+        # one such entry leaves ad triangular with the same diagonal, two
+        # make the columns depend on each other
+        element = principal_element(triangle_poset, frobenius_functional(triangle_poset))
+        expected = spectrum(triangle_poset, element)
+        real = frobenius.combo_bracket
+
+        def combo_bracket(P, u, v):
+            out = real(P, u, v)
+            (k,) = v
+            if k in tangled:
+                out[1 - k] = out.get(1 - k, 0) + 1
+            return out
+
+        monkeypatch.setattr(frobenius, "combo_bracket", combo_bracket)
+        if len(tangled) == 1:
+            assert spectrum(triangle_poset, element) == expected
+        else:
+            with pytest.raises(NonEigenbasis):
+                spectrum(triangle_poset, element)
 
     def test_binary_on_full_frobenius_corpus_n3(self):
         for n in (1, 2, 3):

@@ -154,6 +154,53 @@ def test_default_report_bytes_pinned_under_optimize():
     ]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
+    # a ZeroDivisionError from one check on one poset becomes that result's
+    # failure; the campaign finishes and every other result is unchanged
+    plan = (("C", 2), ("D", 2))
+    clean = run_campaign(CampaignConfig(plan=plan, seed=7, jobs=jobs))
+    work = [
+        (family, n, mask)
+        for family, n_max in plan
+        for n in range(1, n_max + 1)
+        for mask in range(1 << sum(map(len, h01_slots(family, n))))
+    ]
+    clean_results = [run_checks_on_poset(*w, tuple(CHECKS), 7, 5) for w in work]
+    target = poset_from_mask("C", 2, 5)
+    check = CHECKS["dimension_formula"]
+
+    def faulty(P, ctx):
+        if P == target:
+            raise ZeroDivisionError("injected")
+        return check(P, ctx)
+
+    monkeypatch.setitem(CHECKS, "dimension_formula", faulty)
+    report = run_campaign(CampaignConfig(plan=plan, seed=7, jobs=jobs))
+    assert clean["failures"] == []
+    assert report["failures"] == [
+        {
+            "poset": {"family": "C", "n": 2, "mask": 5},
+            "check": "dimension_formula",
+            "status": "fail",
+            "witness": {"error": "ZeroDivisionError", "message": "injected"},
+        }
+    ]
+    summary = {name: dict(cell) for name, cell in clean["summary"].items()}
+    summary["dimension_formula"]["pass"] -= 1
+    summary["dimension_formula"]["fail"] += 1
+    assert report["summary"] == summary
+    assert report["config"] == clean["config"] and report["posets"] == clean["posets"]
+    for w, before in zip(work, clean_results):
+        after = run_checks_on_poset(*w, tuple(CHECKS), 7, 5)
+        changed = [(a, b) for a, b in zip(after, before) if a != b]
+        if w == ("C", 2, 5):
+            ((result, _),) = changed
+            assert result.check == "dimension_formula" and result.status == "fail"
+        else:
+            assert changed == []
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(plan=(("C", 1),), checks=("nope",)))

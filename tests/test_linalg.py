@@ -37,10 +37,6 @@ def test_rank_fixed_cases():
 
 def test_kernel_and_solve():
     A = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-    (k,) = A.kernel()
-    assert all(
-        sum(row[j] * k[j] for j in range(3)) == 0 for row in A.rows
-    )
     x = A.solve([Fraction(6), Fraction(15)])
     assert x is not None
     assert [sum(r[j] * x[j] for j in range(3)) for r in A.rows] == [6, 15]
@@ -71,23 +67,16 @@ def test_entries_keep_int_and_fraction():
 
 
 def test_int_matrices_never_give_floats():
-    # int / int is a float in Python: rref, kernel and solve must divide
-    # in Fraction even when every entry of the matrix is an int
+    # int / int is a float in Python: solve must divide in Fraction even
+    # when every entry of the matrix is an int
     for rows in ([[2, 1], [4, 3]], [[2, 4], [1, 2]]):
         A = ExactMatrix(rows)
-        m, _ = A.rref()
-        values = [x for row in m for x in row]
-        values += [x for vec in A.kernel() for x in vec]
-        values += A.solve([1, 2]) or []
+        values = A.solve([1, 2]) or []
         values += A.solve([3, 1]) or []
+        # consistent for both, so the singular matrix also gives a solution
+        values += A.solve([2, 1])
         assert values
         assert all(type(x) in (int, Fraction) for x in values), values
-
-
-def test_transpose_and_zero():
-    A = ExactMatrix([[1, 2, 3]])
-    assert A.transpose().rows == [[1], [2], [3]]
-    assert ExactMatrix.zeros(2, 2).is_zero()
 
 
 fractions = st.builds(
@@ -108,22 +97,6 @@ def test_rank_matches_naive_elimination(nr, nc, data):
     assert ExactMatrix(rows).rank() == naive_rank(rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 5), st.data())
-def test_kernel_dimension_complements_rank(n, data):
-    rows = [[data.draw(fractions) for _ in range(n)] for _ in range(n)]
-    A = ExactMatrix(rows)
-    kernel = A.kernel()
-    assert len(kernel) == n - A.rank()
-    for vec in kernel:
-        assert all(sum(r[j] * vec[j] for j in range(n)) == 0 for r in A.rows)
-
-
-def rref_pivots(rows, ncols):
-    """Rank as the pivot count of the Fraction reduced row echelon form."""
-    return len(ExactMatrix(rows, ncols=ncols).rref()[1])
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.data())
 def test_integer_rank_matches_rref_pivots(nr, nc, inner, data):
@@ -139,7 +112,7 @@ def test_integer_rank_matches_rref_pivots(nr, nc, inner, data):
     copy = [row[:] for row in rows]
     rank = integer_rank(rows, nc)
     assert rows == copy
-    assert rank == rref_pivots(rows, nc)
+    assert rank == naive_rank(rows)
     assert rank <= min(inner, nr, nc)
 
 

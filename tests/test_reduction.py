@@ -1,12 +1,10 @@
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
 from lieposet import (
     UnsupportedPoset,
-    b_block,
     build_poset,
     commutator_matrix,
     enumerate_h01,
@@ -20,51 +18,54 @@ from lieposet import index_engine
 from lieposet.formats import reduction_trace_json_obj
 
 
+def y_z_by_h_block(C):
+    """The lower-left block B of a height-(0,1) commutator matrix.
+
+    Returns (row positions, column positions, entries): rows are the Y
+    and Z basis elements, columns the H elements, both in basis order.
+    """
+    rows = [k for k, b in enumerate(C.basis) if b.kind in ("Y", "Z")]
+    cols = [k for k, b in enumerate(C.basis) if b.kind == "H"]
+    return rows, cols, [[C.entries[r][c] for c in cols] for r in rows]
+
+
 class TestBBlock:
     def test_path_row_supports(self, path_poset):
-        B = b_block(path_poset)
-        assert [repr(b) for b in B.rows] == ["Y(1,2)", "Y(2,3)"]
-        assert [repr(b) for b in B.cols] == ["H(1)", "H(2)", "H(3)"]
+        C = commutator_matrix(path_poset)
+        rows, cols, entries = y_z_by_h_block(C)
+        assert [repr(C.basis[k]) for k in rows] == ["Y(1,2)", "Y(2,3)"]
+        assert [repr(C.basis[k]) for k in cols] == ["H(1)", "H(2)", "H(3)"]
         # row for the edge {i,j} holds -Y(i,j) in columns i and j
         supports = [
-            {c for c, terms in enumerate(row) if terms} for row in B.entries
+            {c for c, terms in enumerate(row) if terms} for row in entries
         ]
         assert supports == [{0, 1}, {1, 2}]
-        y12 = B.rows[0]
-        pos = B.basis.index(y12)
-        assert dict(B.entries[0][0]) == {pos: -1}
+        assert dict(entries[0][0]) == {rows[0]: -1}
 
     def test_self_loop_block(self, sl2_like_poset):
-        B = b_block(sl2_like_poset)
-        assert [repr(b) for b in B.rows] == ["Z(1)"]
-        pos = B.basis.index(B.rows[0])
-        assert dict(B.entries[0][0]) == {pos: -2}
+        C = commutator_matrix(sl2_like_poset)
+        rows, _, entries = y_z_by_h_block(C)
+        assert [repr(C.basis[k]) for k in rows] == ["Z(1)"]
+        assert dict(entries[0][0]) == {rows[0]: -2}
 
     def test_triangle_block_pattern(self, triangle_poset):
-        B = b_block(triangle_poset)
-        assert len(B.rows) == 3 and len(B.cols) == 3
+        rows, cols, entries = y_z_by_h_block(commutator_matrix(triangle_poset))
+        assert len(rows) == 3 and len(cols) == 3
         supports = [
-            {c for c, terms in enumerate(row) if terms} for row in B.entries
+            {c for c, terms in enumerate(row) if terms} for row in entries
         ]
         assert supports == [{0, 1}, {0, 2}, {1, 2}]
 
     def test_assembles_commutator_matrix(self, looped_path_poset):
         # the full matrix is ((0, -B^T), (B, 0)) in the canonical order
         C = commutator_matrix(looped_path_poset)
-        B = b_block(looped_path_poset)
-        h = len(B.cols)
-        for r in range(len(B.rows)):
-            for c in range(h):
-                assert C.entries[h + r][c] == B.entries[r][c]
-                assert C.entry(c, h + r) == {
-                    k: -v for k, v in dict(B.entries[r][c]).items()
-                }
-
-    def test_rejects_wrong_family_or_height(self):
-        with pytest.raises(UnsupportedPoset):
-            b_block(build_poset("D", 2, [(-1, 2)]))
-        with pytest.raises(UnsupportedPoset):
-            b_block(build_poset("C", 2, [(-2, -1)]))
+        rows, cols, entries = y_z_by_h_block(C)
+        assert cols + rows == list(range(C.dim))
+        for r, row in zip(rows, entries):
+            for c, terms in zip(cols, row):
+                assert C.entry(c, r) == {k: -v for k, v in dict(terms).items()}
+        for block in (rows, cols):
+            assert all(C.entry(i, j) == {} for i in block for j in block)
 
 
 class TestReduce:
@@ -100,18 +101,31 @@ class TestReduce:
         assert all(k == "SelfLoopElim" for k in (s.kind for s in trace.steps))
         assert trace.final_rank == 3
 
-    def test_rank_constant_and_matches_initial_block(self, triangle_poset):
-        trace = reduce(triangle_poset, seed=7)
-        assert len(set(trace.ranks)) == 1
-        B = b_block(triangle_poset)
-        point = {b: Fraction(1) for b in B.basis}
-        for b in B.basis:
-            if b.kind == "Y":
-                pair = (min(b.i, b.j), max(b.i, b.j))
-                point[b] = dict(trace.edge_values)[pair]
-            elif b.kind == "Z":
-                point[b] = dict(trace.loop_values)[b.i]
-        assert list(map(list, trace.initial.matrix)) == B.evaluate(point).rows
+    def test_rank_constant_and_matches_initial_block(self):
+        # the replay's first matrix is B of the commutator matrix at the
+        # trace's edge and loop values, on every connected C<=4 poset
+        posets = [
+            P for n in (1, 2, 3, 4) for P in enumerate_h01("C", n) if rg_connected(P)
+        ]
+        assert len(posets) == 646
+        for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
+            trace = reduce(P, seed=seed)
+            assert len(set(trace.ranks)) == 1
+            C = commutator_matrix(P)
+            edge_values = dict(trace.edge_values)
+            loop_values = dict(trace.loop_values)
+            point = {}
+            for b in C.basis:
+                if b.kind == "Y":
+                    point[b] = edge_values[(min(b.i, b.j), max(b.i, b.j))]
+                elif b.kind == "Z":
+                    point[b] = loop_values[b.i]
+                else:
+                    point[b] = 1
+            rows, cols, _ = y_z_by_h_block(C)
+            M = C.evaluate(point).rows
+            block = [[M[r][c] for c in cols] for r in rows]
+            assert list(map(list, trace.initial.matrix)) == block
 
     def test_deterministic_given_seed(self, triangle_poset):
         t1 = reduce(triangle_poset, seed=13)
