@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedHeight,
     UnsupportedPoset,
 )
-from .linalg import ExactMatrix, integer_rank
+from .linalg import integer_rank
 from .posets import (
     FAMILIES,
     GraphComponent,

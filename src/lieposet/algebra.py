@@ -287,27 +287,26 @@ def structure_constants(P):
     return basis, table
 
 
-def bracket_positions(P, i, j):
-    """Bracket of the i-th and j-th basis elements as {position: coefficient}."""
-    _, table = structure_constants(P)
-    if i == j:
-        return {}
-    if i < j:
-        return dict(table.get((i, j), ()))
-    return {k: -c for k, c in table.get((j, i), ())}
-
-
 def combo_bracket(P, u, v):
-    """Bilinear extension of the bracket to {position: coefficient} maps."""
+    """Bilinear extension of the bracket to {position: coefficient} maps.
+
+    The table is read once per call: [i, j] is table[(i, j)] for i < j
+    and minus table[(j, i)] for i > j.
+    """
+    _, table = structure_constants(P)
     out = {}
     for i, a in u.items():
         if not a:
             continue
         for j, b in v.items():
-            if not b:
+            if not b or i == j:
                 continue
-            for k, c in bracket_positions(P, i, j).items():
-                out[k] = out.get(k, 0) + a * b * c
+            if i < j:
+                ab, terms = a * b, table.get((i, j), ())
+            else:
+                ab, terms = -a * b, table.get((j, i), ())
+            for k, c in terms:
+                out[k] = out.get(k, 0) + ab * c
     return {k: c for k, c in out.items() if c}
 
 

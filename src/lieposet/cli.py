@@ -15,7 +15,7 @@ import sys
 import click
 
 from . import __version__, formats
-from .algebra import verify_B_reduction, verify_CD_isomorphism
+from .algebra import matrix_form, verify_B_reduction, verify_CD_isomorphism
 from .errors import InputParseError, LiePosetError, PosetConstructionError
 from .frobenius import (
     frobenius_functional,
@@ -87,6 +87,16 @@ def run_command(fn):
     return wrapper
 
 
+def _echo_matrix_form(P, fmt):
+    """The permitted-entry pattern as JSON positions or a text grid."""
+    if fmt == "json":
+        click.echo(json.dumps(
+            {"positions": [list(c) for c in sorted(matrix_form(P))]},
+            sort_keys=True))
+    else:
+        click.echo(formats.matrix_form_text(P), nl=False)
+
+
 def format_option(*choices, default="text"):
     def deco(fn):
         return click.option(
@@ -124,15 +134,7 @@ def validate_cmd(inline, path, strict, fmt):
 @run_command
 def matrix_form_cmd(inline, path, fmt):
     """Print the permitted-entry pattern of the encoded matrix algebra."""
-    from .algebra import matrix_form
-
-    P = _load_poset(inline, path)
-    if fmt == "json":
-        cells = sorted(matrix_form(P))
-        click.echo(json.dumps({"positions": [list(c) for c in cells]},
-                              sort_keys=True))
-    else:
-        click.echo(formats.matrix_form_text(P), nl=False)
+    _echo_matrix_form(_load_poset(inline, path), fmt)
 
 
 @main.command()
@@ -342,14 +344,7 @@ def export(inline, path, what, fmt):
     elif what == "relation-graph":
         click.echo(formats.relation_graph_dot(relation_graph(P)), nl=False)
     elif what == "matrix-form":
-        if fmt == "json":
-            from .algebra import matrix_form
-
-            click.echo(json.dumps(
-                {"positions": [list(c) for c in sorted(matrix_form(P))]},
-                sort_keys=True))
-        else:
-            click.echo(formats.matrix_form_text(P), nl=False)
+        _echo_matrix_form(P, fmt)
     elif what == "commutator":
         C = commutator_matrix(P)
         if fmt == "json":

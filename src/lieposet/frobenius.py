@@ -11,7 +11,9 @@ orientations of the half-integer diagonal both occur in print.
 Everything up to that solution is an integer: the standard functional has
 weight 1, realizations have entries +/-1 and the structure constants are
 ints, so the point, the Kirillov form and its elimination stay in ints
-(`linalg`'s Bareiss loop).  Only the solution x has a denominator.  The
+(`linalg`'s Bareiss loop).  The form is evaluated and eliminated once per
+query: `linalg.solve` gives its rank and the solution x from the same
+pivots.  Only the solution x has a denominator.  The
 fixed-point identity and the spectrum are computed on the integer
 multiple d*x, d the lcm of its denominators, and divided by d at the end:
 the identity on its realized matrix, the spectrum on the columns of
@@ -33,6 +35,7 @@ from .algebra import (
 )
 from .errors import InvariantViolation, NonEigenbasis, NotFrobenius, SingularForm
 from .index_engine import commutator_matrix
+from .linalg import solve
 from .posets import graph_components, relation_graph
 
 
@@ -90,10 +93,22 @@ def frobenius_functional(P):
     return functional(P, coeffs)
 
 
+def _solve_kirillov(P, F):
+    """(basis, F's point, rank, x) for the Kirillov form B_F at F's point.
+
+    x solves B_F(x, -) = F, or is None when no solution exists; one
+    evaluation and one elimination give both the rank and x.
+    """
+    C = commutator_matrix(P)
+    point = F.point(P)
+    rank, x = solve(C.evaluate(point), [-point[b] for b in C.basis], C.dim)
+    return C.basis, point, rank, x
+
+
 def kernel_dim(P, F):
     """Exact kernel dimension of the Kirillov form of F."""
-    C = commutator_matrix(P)
-    return C.dim - C.evaluate(F.point(P)).rank()
+    basis, _, rank, _ = _solve_kirillov(P, F)
+    return len(basis) - rank
 
 
 @dataclass(frozen=True)
@@ -121,16 +136,9 @@ class PrincipalElement:
 
 
 def principal_element(P, F):
-    basis, _ = structure_constants(P)
-    C = commutator_matrix(P)
-    point = F.point(P)
-    B = C.evaluate(point)
-    if B.rank() < C.dim:
+    basis, point, rank, solution = _solve_kirillov(P, F)
+    if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
-    rhs = [-point[b] for b in basis]
-    solution = B.solve(rhs)
-    if solution is None:
-        raise SingularForm("the Kirillov form of F has no solution for -F")
     coefficients = tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v)
     d, x = _integer_multiple(coefficients)
     xmat = realize_combination(x)

@@ -24,6 +24,7 @@ from .frobenius import (
 )
 from .index_engine import index_formula, index_oracle, reduce
 from .posets import (
+    SIGNED_FAMILIES,
     build_poset,
     graph_components,
     h01_slots,
@@ -52,7 +53,8 @@ def poset_seed(base_seed, family, n, mask):
 class CampaignConfig:
     """What to enumerate and how: ((family, n_max), ...), checks, seed.
 
-    trials and jobs below 1 raise ValueError, before any poset runs.
+    A plan family outside B/C/D or repeated, n_max below 1, and trials or
+    jobs below 1 raise ValueError, before any poset runs.
     """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
@@ -62,6 +64,14 @@ class CampaignConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        families = [family for family, _ in self.plan]
+        for family, n_max in self.plan:
+            if family not in SIGNED_FAMILIES:
+                raise ValueError(f"family {family!r} is not one of B, C, D")
+            if families.count(family) > 1:
+                raise ValueError(f"family {family!r} appears more than once in the plan")
+            if n_max < 1:
+                raise ValueError(f"n_max of family {family!r} must be >= 1, got {n_max}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:

@@ -10,10 +10,10 @@ The oracle never leaves the integers: the structure constants are stored
 as ints, the evaluation points are ints, one row evaluator
 (`_evaluate_rows`) builds the integer matrix, and `linalg.integer_rank`
 takes its rank.  `CommutatorMatrix.evaluate` is the only other caller
-of `_evaluate_rows`: it wraps the same rows in an `ExactMatrix` for the
-Frobenius path (kernel dimension and principal element); at the integer
-point of a functional with integral weights they stay ints, and rank and
-solve run the same Bareiss loop.
+of `_evaluate_rows`: it returns the same rows for the Frobenius path,
+where `linalg.solve` gives the kernel dimension and the principal element
+in one Bareiss pass; at the integer point of a functional with integral
+weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEvaluation, InvariantViolation, UnsupportedPoset
-from .linalg import ExactMatrix, integer_rank
+from .linalg import integer_rank, rational_rank
 from .posets import (
     graph_components,
     height,
@@ -61,9 +61,9 @@ class CommutatorMatrix:
         return dict(self.entries[i][j])
 
     def evaluate(self, point):
-        """Exact matrix of the Kirillov form at a basis-symbol assignment."""
+        """Rows of the Kirillov form at a basis-symbol assignment."""
         values = [point[b] for b in self.basis]
-        return ExactMatrix(_evaluate_rows(self.entries, values), ncols=self.dim)
+        return _evaluate_rows(self.entries, values)
 
 
 def _evaluate_rows(entries, values):
@@ -341,7 +341,7 @@ def _reduce_once(P, G, seed):
         raise DegenerateEvaluation(f"missing row {label}")
 
     def rank_now():
-        return ExactMatrix([r.values for r in rows], ncols=n).rank()
+        return rational_rank([r.values for r in rows], n)
 
     def snapshot(kind, detail, edges, loops, rank):
         return ReductionStep(

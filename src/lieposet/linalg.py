@@ -6,11 +6,11 @@ pivoting on magnitude, so intermediate entries stay minors of the input
 instead of growing freely.  A row with a zero entry in the pivot column
 is not rewritten at that step; the scale Bareiss would have given it is
 applied when the row is next used, so sparse rows cost only the steps
-that change them.  The index oracle calls `integer_rank` directly
-on integer evaluations.  `ExactMatrix` keeps int entries as ints;
-`ExactMatrix.rank` and `ExactMatrix.solve` rescale each row to integers
-and run the same loop, and solve back-substitutes in Fraction.  Every
-result is exact.
+that change them.  Matrices are plain lists of rows.  The index oracle
+calls `integer_rank` on integer evaluations; `rational_rank` and `solve`
+take rows of ints and Fractions, scale each row to integers and run the
+same loop, and `solve` reads the rank off the same pivots it
+back-substitutes from, in Fraction.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def integer_rank(rows, ncols):
     return len(_bareiss([list(row) for row in rows], ncols))
 
 
-# entry types ExactMatrix keeps as they are; anything else goes through Fraction
-_EXACT = (int, Fraction)
-
-
 def _integer_row(row):
     """The row scaled by the lcm of its Fraction denominators, as ints."""
     scale = 1
@@ -111,74 +107,33 @@ def _integer_row(row):
     ]
 
 
-class ExactMatrix:
-    """A dense exact matrix of ints and Fractions with rank and solve.
+def rational_rank(rows, ncols):
+    """Exact rank of a matrix given as rows of ints and Fractions."""
+    return len(_bareiss([_integer_row(row) for row in rows], ncols))
 
-    int and Fraction entries are kept as they are; anything else goes
-    through Fraction.
+
+def solve(rows, rhs, ncols):
+    """(rank, x): the rank of A and one exact solution of A x = rhs.
+
+    A is given as rows of ints and Fractions.  The augmented rows are
+    scaled to ints and eliminated once; the rank is the number of pivots
+    left of the rhs column, and x is None exactly when the rhs column is
+    a pivot (the system is inconsistent).  Back-substitution runs in
+    Fraction with free variables set to zero, so x is the solution the
+    reduced row echelon form gives.
     """
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows, ncols=None):
-        self.rows = [
-            [x if isinstance(x, _EXACT) else Fraction(x) for x in row] for row in rows
-        ]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise ValueError("ragged rows")
-        else:
-            self.ncols = int(ncols or 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
-
-    def integer_rows(self):
-        """Copy of the rows with each row scaled by the lcm of its denominators."""
-        return [_integer_row(row) for row in self.rows]
-
-    def rank(self):
-        return integer_rank(self.integer_rows(), self.ncols)
-
-    def solve(self, rhs):
-        """One exact solution of A x = rhs, or None when inconsistent.
-
-        The augmented rows are scaled to ints and eliminated by the same
-        Bareiss loop as `rank`; the system is inconsistent exactly when
-        the rhs column is a pivot.  Back-substitution runs in Fraction
-        with free variables set to zero, so the solution is the one the
-        reduced row echelon form gives.
-        """
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        n = self.ncols
-        if self.nrows == 0:
-            return [Fraction(0)] * n
-        m = [
-            _integer_row(row + [b if isinstance(b, _EXACT) else Fraction(b)])
-            for row, b in zip(self.rows, rhs)
-        ]
-        pivots = _bareiss(m, n + 1)
-        if pivots and pivots[-1] == n:
-            return None
-        x = [Fraction(0)] * n
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            row = m[k]
-            acc = Fraction(row[n])
-            for j in pivots[k + 1:]:
-                if row[j]:
-                    acc -= row[j] * x[j]
-            x[c] = acc / row[c]
-        return x
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length mismatch")
+    m = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    pivots = _bareiss(m, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return len(pivots) - 1, None
+    x = [Fraction(0)] * ncols
+    for k in reversed(range(len(pivots))):
+        row = m[k]
+        acc = Fraction(row[ncols])
+        for j in pivots[k + 1:]:
+            if row[j]:
+                acc -= row[j] * x[j]
+        x[pivots[k]] = acc / row[pivots[k]]
+    return len(pivots), x

@@ -175,6 +175,31 @@ class TestBracket:
                                 total[pos] = total.get(pos, Fraction(0)) + coeff
                         assert not any(total.values())
 
+    def test_combo_bracket_reads_the_table_once(self, triangle_poset, monkeypatch):
+        # a sum over several pairs, in both orders, against the bracket of
+        # the realized combinations; one table lookup per call
+        P = triangle_poset
+        basis, _ = structure_constants(P)
+        u = {0: 2, 3: Fraction(-1, 2), len(basis) - 1: 1}
+        v = {1: 1, 3: 5, len(basis) - 2: -3}
+        expected = decompose(
+            realize_combination({basis[k]: c for k, c in u.items()}).commutator(
+                realize_combination({basis[k]: c for k, c in v.items()})
+            ),
+            P,
+        )
+        calls = []
+        true_table = algebra.structure_constants
+
+        def counted(poset):
+            calls.append(poset)
+            return true_table(poset)
+
+        monkeypatch.setattr(algebra, "structure_constants", counted)
+        out = combo_bracket(P, u, v)
+        assert len(calls) == 1
+        assert out == {basis.index(b): c for b, c in expected.items() if c}
+
 
 class TestMatrixForm:
     def test_path_poset_pattern(self, path_poset):

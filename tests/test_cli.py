@@ -135,6 +135,17 @@ def test_matrix_form_command(runner):
     assert len(positions) == 10
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("poset", [TRIANGLE, LOOPED_PATH, "B;2;-1<=2", "D;3;-1<=2,-2<=3"])
+def test_matrix_form_and_export_print_the_same(runner, poset, fmt):
+    direct = runner.invoke(main, ["matrix-form", "-p", poset, "--format", fmt])
+    exported = runner.invoke(
+        main, ["export", "-p", poset, "--what", "matrix-form", "--format", fmt]
+    )
+    assert direct.exit_code == exported.exit_code == 0
+    assert direct.output and direct.output == exported.output
+
+
 def test_export_commands(runner):
     hasse = runner.invoke(main, ["export", "-p", TRIANGLE, "--what", "hasse",
                                  "--format", "dot"])
@@ -182,6 +193,15 @@ def test_verify_rejects_nonpositive_trials_and_jobs(runner, flag):
     # checked before any poset runs, even when no check reads the value
     argv = ["verify", "--families", "C:1", "--checks", "dimension_formula", flag, "0"]
     assert runner.invoke(main, argv).exit_code == 2
+
+
+@pytest.mark.parametrize("families", ["C:2,C:1", "C:0", "C:-1", "A:2", "C:2,E:1"])
+def test_verify_rejects_plans_it_cannot_report(runner, families):
+    # a repeated family would be counted twice, an empty range would
+    # pass vacuously, and A or E has no height-(0,1) corpus
+    result = runner.invoke(main, ["verify", "--families", families, "--format", "json"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == "InputParseError"
 
 
 def test_env_var_override(runner):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from lieposet import (
-    ExactMatrix,
     InvariantViolation,
     NonEigenbasis,
     NotFrobenius,
@@ -30,7 +29,7 @@ from lieposet import (
     spectrum,
 )
 
-from lieposet import frobenius
+from lieposet import frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 
 HALF = Fraction(1, 2)
@@ -123,7 +122,11 @@ class TestPrincipalElement:
             principal_element(path_poset, F)
 
     def test_missing_solution_raises_singular_form(self, triangle_poset, monkeypatch):
-        monkeypatch.setattr(ExactMatrix, "solve", lambda self, rhs: None)
+        true_solve = frobenius.solve
+        # full rank but no solution: the form is still rejected
+        monkeypatch.setattr(
+            frobenius, "solve", lambda rows, rhs, ncols: (true_solve(rows, rhs, ncols)[0], None)
+        )
         with pytest.raises(SingularForm):
             principal_element(triangle_poset, frobenius_functional(triangle_poset))
 
@@ -138,14 +141,14 @@ class TestPrincipalElement:
     def test_wrong_solution_raises_invariant_violation(self, monkeypatch):
         # the fixed-point identity, checked on d*x, must catch a solution
         # that is off in a single coordinate
-        true_solve = ExactMatrix.solve
+        true_solve = frobenius.solve
 
-        def off_by_one(self, rhs):
-            x = true_solve(self, rhs)
+        def off_by_one(rows, rhs, ncols):
+            rank, x = true_solve(rows, rhs, ncols)
             x[0] += 1
-            return x
+            return rank, x
 
-        monkeypatch.setattr(ExactMatrix, "solve", off_by_one)
+        monkeypatch.setattr(frobenius, "solve", off_by_one)
         for P in (
             build_poset("C", 3, [(-1, 2), (-1, 3), (-2, 3)]),
             poset_from_graph("C", 4, [(1, 2), (2, 3), (3, 4)], [1]),
@@ -288,7 +291,7 @@ class TestIntegerPath:
         point = F.point(P)
         assert point and all(type(v) is int for v in point.values())
         B = commutator_matrix(P).evaluate(point)
-        assert all(type(x) is int for row in B.rows for x in row)
+        assert all(type(x) is int for row in B for x in row)
 
     @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])
     def test_solution_and_eigenvalues_are_fractions(self, P):
@@ -297,6 +300,24 @@ class TestIntegerPath:
         assert all(type(v) is Fraction for _, v in element.coefficients)
         report = spectrum(P, element)
         assert all(type(v) is Fraction for v in report.eigenvalues)
+
+    @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])
+    def test_one_elimination_per_query(self, P, monkeypatch):
+        # the rank and the solution come from the same pivots, so each
+        # query evaluates and eliminates the Kirillov form once
+        calls = []
+        true_bareiss = linalg._bareiss
+
+        def counted(m, ncols):
+            calls.append(ncols)
+            return true_bareiss(m, ncols)
+
+        monkeypatch.setattr(linalg, "_bareiss", counted)
+        F = frobenius_functional(P)
+        assert kernel_dim(P, F) == 0
+        assert len(calls) == 1
+        principal_element(P, F)
+        assert len(calls) == 2
 
     def test_outputs_pinned(self):
         # principal element and spectrum of every Frobenius poset of

@@ -206,6 +206,20 @@ def test_unknown_check_rejected():
         run_campaign(CampaignConfig(plan=(("C", 1),), checks=("nope",)))
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [(("C", 2), ("C", 1)), (("D", 1), ("B", 2), ("D", 3)), (("C", 0),), (("B", -1),),
+     (("A", 2),), (("E", 1),)],
+    ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown"],
+)
+def test_plan_rejected_before_any_poset_runs(plan, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "_worker", lambda item: ran.append(item) or [])
+    with pytest.raises(ValueError):
+        run_campaign(CampaignConfig(plan=plan))
+    assert ran == []
+
+
 def test_report_text_renders():
     report = run_campaign(CampaignConfig(plan=(("C", 1),), seed=0))
     text = report_text(report)

@@ -3,8 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieposet import ExactMatrix, integer_rank
-from lieposet.linalg import _bareiss
+from lieposet import integer_rank
+from lieposet.linalg import _bareiss, _integer_row, rational_rank, solve
 
 
 def naive_rank(rows):
@@ -28,53 +28,59 @@ def naive_rank(rows):
 
 
 def test_rank_fixed_cases():
-    assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
-    assert ExactMatrix([[0, 2], [-2, 0]]).rank() == 2
-    assert ExactMatrix([[0, 0], [0, 0]]).rank() == 0
-    assert ExactMatrix([], ncols=3).rank() == 0
-    assert ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]).rank() == 1
+    for rows, ncols, rank in (
+        ([[1, 2], [2, 4]], 2, 1),
+        ([[0, 2], [-2, 0]], 2, 2),
+        ([[0, 0], [0, 0]], 2, 0),
+        ([], 3, 0),
+    ):
+        assert integer_rank(rows, ncols) == rank
+        assert rational_rank(rows, ncols) == rank
+        assert solve(rows, [0] * len(rows), ncols)[0] == rank
+    assert rational_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], 2) == 1
+    assert solve([], [], 3) == (0, [0, 0, 0])
 
 
 def test_kernel_and_solve():
-    A = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-    x = A.solve([Fraction(6), Fraction(15)])
-    assert x is not None
-    assert [sum(r[j] * x[j] for j in range(3)) for r in A.rows] == [6, 15]
+    A = [[1, 2, 3], [4, 5, 6]]
+    rank, x = solve(A, [Fraction(6), Fraction(15)], 3)
+    assert rank == 2 and x is not None
+    assert [sum(r[j] * x[j] for j in range(3)) for r in A] == [6, 15]
     # rank 2 in 2 rows: every rhs is consistent
-    y = A.solve([1, 0])
-    assert y is not None
-    assert [sum(r[j] * y[j] for j in range(3)) for r in A.rows] == [1, 0]
+    rank, y = solve(A, [1, 0], 3)
+    assert rank == 2 and y is not None
+    assert [sum(r[j] * y[j] for j in range(3)) for r in A] == [1, 0]
 
 
 def test_solve_inconsistent():
-    A = ExactMatrix([[1, 1], [1, 1]])
-    assert A.solve([0, 1]) is None
+    # the rhs column is a pivot; the rank counts only the columns of A
+    assert solve([[1, 1], [1, 1]], [0, 1], 2) == (1, None)
 
 
 def test_solve_unique():
-    A = ExactMatrix([[0, 2], [-2, 0]])
-    x = A.solve([2, -1])
-    assert x == [Fraction(1, 2), Fraction(1)]
+    assert solve([[0, 2], [-2, 0]], [2, -1], 2) == (2, [Fraction(1, 2), Fraction(1)])
 
 
 def test_entries_keep_int_and_fraction():
-    A = ExactMatrix([[1, Fraction(1, 2)], ["3/4", 0.5]])
-    assert [[type(x) for x in row] for row in A.rows] == [
-        [int, Fraction],
-        [Fraction, Fraction],
-    ]
-    assert A.rows == [[1, Fraction(1, 2)], [Fraction(3, 4), Fraction(1, 2)]]
+    # mixed int and Fraction rows are read as they are and never modified;
+    # the elimination sees each row scaled to ints
+    rows = [[1, Fraction(1, 2)], [Fraction(3, 4), Fraction(1, 2)]]
+    copy = [row[:] for row in rows]
+    assert [_integer_row(row) for row in rows] == [[2, 1], [3, 2]]
+    assert all(type(x) is int for row in rows for x in _integer_row(row))
+    assert rational_rank(rows, 2) == 2
+    assert solve(rows, [1, Fraction(1, 4)], 2) == (2, [3, -4])
+    assert rows == copy
 
 
 def test_int_matrices_never_give_floats():
     # int / int is a float in Python: solve must divide in Fraction even
     # when every entry of the matrix is an int
     for rows in ([[2, 1], [4, 3]], [[2, 4], [1, 2]]):
-        A = ExactMatrix(rows)
-        values = A.solve([1, 2]) or []
-        values += A.solve([3, 1]) or []
+        values = solve(rows, [1, 2], 2)[1] or []
+        values += solve(rows, [3, 1], 2)[1] or []
         # consistent for both, so the singular matrix also gives a solution
-        values += A.solve([2, 1])
+        values += solve(rows, [2, 1], 2)[1]
         assert values
         assert all(type(x) in (int, Fraction) for x in values), values
 
@@ -94,7 +100,7 @@ def test_rank_matches_naive_elimination(nr, nc, data):
     rows = [
         [data.draw(fractions) for _ in range(nc)] for _ in range(nr)
     ]
-    assert ExactMatrix(rows).rank() == naive_rank(rows)
+    assert rational_rank(rows, nc) == naive_rank(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +125,7 @@ def test_integer_rank_matches_rref_pivots(nr, nc, inner, data):
 
 def reference_solve(rows, rhs, ncols):
     """Fraction Gauss-Jordan solve with free variables 0, or None when
-    inconsistent; independent of ExactMatrix."""
+    inconsistent; independent of linalg."""
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots = []
     for col in range(ncols + 1):
@@ -168,8 +174,9 @@ def test_solve_matches_reference_solve(nr, nc, inner, use_fractions, consistent,
     else:
         rhs = [data.draw(entries) for _ in range(nr)]
     expected = reference_solve(rows, rhs, nc)
-    x = ExactMatrix(rows, ncols=nc).solve(rhs)
+    rank, x = solve(rows, rhs, nc)
     assert x == expected
+    assert rank == naive_rank(rows)
     if consistent:
         assert x is not None
     if x is not None:
@@ -248,15 +255,15 @@ def test_sparse_rank_and_solve_match_reference(
     zero = data.draw(st.integers(0, nr))
     if zero < nr:
         rows[zero] = [0] * nc
-    A = ExactMatrix(rows, ncols=nc)
-    assert integer_rank(A.integer_rows(), nc) == naive_rank(rows)
-    assert_pivot_rows_are_minors(A.integer_rows(), nc)
+    scaled = [_integer_row(row) for row in rows]
+    assert integer_rank(scaled, nc) == rational_rank(rows, nc) == naive_rank(rows)
+    assert_pivot_rows_are_minors(scaled, nc)
     if consistent:
         y = sparse_row(nc)
         rhs = [sum((r[j] * y[j] for j in range(nc)), 0) for r in rows]
     else:
         rhs = sparse_row(nr)
     expected = reference_solve(rows, rhs, nc)
-    assert A.solve(rhs) == expected
+    assert solve(rows, rhs, nc) == (naive_rank(rows), expected)
     if consistent:
         assert expected is not None

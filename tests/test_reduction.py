@@ -123,7 +123,7 @@ class TestReduce:
                 else:
                     point[b] = 1
             rows, cols, _ = y_z_by_h_block(C)
-            M = C.evaluate(point).rows
+            M = C.evaluate(point)
             block = [[M[r][c] for c in cols] for r in rows]
             assert list(map(list, trace.initial.matrix)) == block
 
