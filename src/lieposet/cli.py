@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -20,7 +21,6 @@ from .errors import InputParseError, LiePosetError, PosetConstructionError
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
-    kernel_dim,
     principal_element,
     spectrum,
 )
@@ -46,6 +46,14 @@ def _echo_error(exc, as_json):
         click.echo(f"error[{exc.code}]: {exc}", err=True)
 
 
+def _open(path, mode, **kwargs):
+    """open(), with a file that cannot be opened reported as an input error."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise InputParseError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
 def _load_poset(inline, path, strict=False):
     if (inline is None) == (path is None):
         raise InputParseError("give exactly one of --poset or --input")
@@ -53,7 +61,7 @@ def _load_poset(inline, path, strict=False):
         return formats.parse_inline(inline, strict=strict)
     if path == "-":
         return formats.parse_poset(sys.stdin.read(), strict=strict)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open(path, "r", encoding="utf-8") as handle:
         return formats.parse_poset(handle.read(), strict=strict)
 
 
@@ -231,7 +239,9 @@ def principal(inline, path, check_closed_form, fmt):
     F = frobenius_functional(P)
     element = principal_element(P, F)
     obj = formats.principal_element_json_obj(element)
-    obj["kernel_dim"] = kernel_dim(P, F)
+    # principal_element raises SingularForm unless the Kirillov form has
+    # full rank, so its kernel is 0 and need not be eliminated again
+    obj["kernel_dim"] = 0
     if check_closed_form:
         obj["half_entries"] = element.diagonal is not None and all(
             abs(v) * 2 == 1 for e, v in element.diagonal if e != 0
@@ -301,15 +311,15 @@ def verify(families, checks, seed, trials, jobs, output, fmt):
     except ValueError:
         raise InputParseError(f"bad --families value {families!r}") from None
     chosen = tuple(c for c in (s.strip() for s in checks.split(",")) if c)
-    try:
-        cfg = CampaignConfig(plan=tuple(plan), checks=chosen, seed=seed,
-                             trials=trials, jobs=jobs)
+    cfg = CampaignConfig(plan=tuple(plan), checks=chosen, seed=seed,
+                         trials=trials, jobs=jobs)
+    # check the names and open the output before any poset runs, so a bad
+    # check or an unwritable path exits 2 at once
+    cfg.enabled_checks()
+    with _open(output, "wb") if output else nullcontext() as handle:
         report = run_campaign(cfg)
-    except ValueError as exc:
-        raise InputParseError(str(exc)) from None
-    payload = report_json_bytes(report)
-    if output:
-        with open(output, "wb") as handle:
+        payload = report_json_bytes(report)
+        if handle:
             handle.write(payload)
     if fmt == "json":
         click.echo(payload.decode(), nl=False)

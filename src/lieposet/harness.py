@@ -294,10 +294,13 @@ def run_campaign(cfg):
     """Run every enabled check over the configured corpora; returns a report."""
     checks = cfg.enabled_checks()
     work = []
+    counts = {}
     for family, n_max in cfg.plan:
         for n in range(1, n_max + 1):
             edges, loops = h01_slots(family, n)
-            for mask in range(1 << (len(edges) + len(loops))):
+            size = 1 << (len(edges) + len(loops))
+            counts[f"{family}{n}"] = size
+            for mask in range(size):
                 work.append((family, n, mask, checks, cfg.seed, cfg.trials))
     if cfg.jobs > 1 and len(work) > 1:
         with get_context("fork").Pool(cfg.jobs) as pool:
@@ -306,12 +309,6 @@ def run_campaign(cfg):
     else:
         per_poset = [_worker(item) for item in work]
     results = [res for batch in per_poset for res in batch]
-
-    counts = {}
-    for family, n_max in cfg.plan:
-        for n in range(1, n_max + 1):
-            edges, loops = h01_slots(family, n)
-            counts[f"{family}{n}"] = 1 << (len(edges) + len(loops))
     summary = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in checks}
     for res in results:
         summary[res.check][res.status] += 1

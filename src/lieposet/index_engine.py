@@ -17,7 +17,10 @@ weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
-proves the prediction, checking the rank after every step.
+proves the prediction.  Its one row operation reads its factor off the
+two rows, and a row that takes a new label is checked against it
+(InvariantViolation otherwise, never retried).  The rank is checked after
+every step; a rank change or a missing row triggers a reseeded retry.
 """
 
 from __future__ import annotations
@@ -287,18 +290,22 @@ def reduce(P, seed=0, retries=5):
     """Run the relation-graph guided row reduction at a seeded generic point.
 
     P must be a connected type-C poset of height (0,0) or (0,1).  All
-    basis symbols are instantiated with nonzero integers up front, the
-    printed row operations are applied with those rational coefficients,
-    and the exact rank is recomputed after every step; a rank change or a
-    vanishing divisor triggers a reseeded retry and finally
-    DegenerateEvaluation.
+    basis symbols are instantiated with nonzero integers up front.  The
+    one row operation clears a column of one row against another, with the
+    factor read off the two rows.  The graph is read off the row labels:
+    the Y rows are its edges and the Z rows its loops.  A relabelled row
+    must be what its label says, Z(v) = -2*L_v*e_v or the zero row for 0,
+    else InvariantViolation is raised, which is not retried.  The exact
+    rank is recomputed after every step; a rank change or a missing row
+    triggers a reseeded retry and finally DegenerateEvaluation.
 
-    The simple cycles are enumerated once, when the replay first reaches
-    the cycle phase.  An even-cycle step removes its closing edge e and
-    drops the cycles through e: the simple cycles of G - e are exactly
-    the cycles of G that avoid e, so each step picks the cycle a fresh
-    search would pick.  An odd-cycle step adds a loop, after which only
-    loop steps and no cycle search follow.
+    A graph with a loop takes only loop steps.  A loop-free graph with an
+    odd cycle turns the closing edge of its longest odd cycle into a loop,
+    then takes loop steps.  A bipartite graph zeroes the closing edge of
+    its longest even cycle until it is a tree, then sweeps the tree.  The
+    simple cycles are enumerated once; an even-cycle step drops the cycles
+    through the edge it removes, so each step picks the cycle a fresh
+    search would pick.
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
@@ -323,16 +330,18 @@ def _reduce_once(P, G, seed):
     edge_values = {e: Fraction(_nonzero_int(rng)) for e in sorted(G.edges)}
     loop_values = {v: Fraction(_nonzero_int(rng)) for v in range(1, n + 1)}
 
+    def loop_row(v):
+        values = [Fraction(0)] * n
+        values[v - 1] = -2 * loop_values[v]
+        return values
+
     rows = []
     for i, j in sorted(G.edges):
         values = [Fraction(0)] * n
         values[i - 1] = -edge_values[(i, j)]
         values[j - 1] = -edge_values[(i, j)]
         rows.append(_Row(("Y", i, j), values))
-    for v in sorted(G.loops):
-        values = [Fraction(0)] * n
-        values[v - 1] = -2 * loop_values[v]
-        rows.append(_Row(("Z", v), values))
+    rows += [_Row(("Z", v), loop_row(v)) for v in sorted(G.loops)]
 
     def row_for(label):
         for row in rows:
@@ -340,132 +349,112 @@ def _reduce_once(P, G, seed):
                 return row
         raise DegenerateEvaluation(f"missing row {label}")
 
-    def rank_now():
-        return rational_rank([r.values for r in rows], n)
+    def eliminate(target, source, col):
+        """Clear column `col` (a vertex) of target with a multiple of source."""
+        factor = -target.values[col - 1] / source.values[col - 1]
+        target.values = [a + factor * b for a, b in zip(target.values, source.values)]
 
-    def snapshot(kind, detail, edges, loops, rank):
-        return ReductionStep(
-            kind=kind,
-            detail=detail,
-            edges=tuple(sorted(edges)),
-            loops=tuple(sorted(loops)),
-            row_labels=tuple(_label_str(r.label) for r in rows),
-            matrix=tuple(tuple(r.values) for r in rows),
-            rank=rank,
-        )
+    def clear_path(edge, path):
+        """Clear the row of `edge` along a vertex path; return that row.
 
-    def add_scaled(target, source, factor):
-        target.values = [
-            a + factor * b for a, b in zip(target.values, source.values)
-        ]
+        Each vertex of the path but the last has its column cleared
+        against the row of the path edge leaving it.
+        """
+        target = row_for(("Y",) + edge)
+        for a, b in zip(path, path[1:]):
+            eliminate(target, row_for(("Y",) + _pair(a, b)), a)
+        return target
 
-    edges = set(G.edges)
-    loops = set(G.loops)
-    cycles = None  # canonical cycle -> its edge set, enumerated on first use
-    base_rank = rank_now()
-    initial = snapshot("Init", "instantiated block", edges, loops, base_rank)
-    steps = []
+    def relabel(row, v):
+        """Label row Z(v), as -2*L_v*e_v, or 0 for v None.
+
+        Raises InvariantViolation unless the row is a nonzero multiple of
+        e_v, or zero for 0.
+        """
+        label = ("0",) if v is None else ("Z", v)
+        rest = [x for k, x in enumerate(row.values, start=1) if k != v]
+        if any(rest) or (v is not None and not row.values[v - 1]):
+            values = ", ".join(map(str, row.values))
+            raise InvariantViolation(
+                f"{_label_str(row.label)} row [{values}] is no {_label_str(label)} row"
+            )
+        row.label = label
+        if v is not None:
+            row.values = loop_row(v)
+
+    snapshots = []
 
     def record(kind, detail):
-        rank = rank_now()
-        if rank != base_rank:
+        rank = rational_rank([r.values for r in rows], n)
+        if snapshots and rank != snapshots[0].rank:
             raise DegenerateEvaluation(
-                f"rank drifted from {base_rank} to {rank} after {detail}"
+                f"rank drifted from {snapshots[0].rank} to {rank} after {detail}"
             )
-        steps.append(snapshot(kind, detail, edges, loops, rank))
+        labels = [r.label for r in rows]
+        snapshots.append(ReductionStep(
+            kind=kind,
+            detail=detail,
+            edges=tuple(sorted(label[1:] for label in labels if label[0] == "Y")),
+            loops=tuple(sorted(label[1] for label in labels if label[0] == "Z")),
+            row_labels=tuple(_label_str(label) for label in labels),
+            matrix=tuple(tuple(r.values) for r in rows),
+            rank=rank,
+        ))
 
-    def loop_adjacent():
-        for i in sorted(loops):
-            nbrs = sorted(
-                (j if a == i else a) for (a, j) in edges if i in (a, j)
-            )
-            if nbrs:
-                return i, nbrs[0]
-        return None
-
-    while True:
-        if loops:
-            pick = loop_adjacent()
-            if pick is None:
-                break  # every loop vertex is isolated: halt
-            i, j = pick
-            edge = _pair(i, j)
-            erow = row_for(("Y",) + edge)
-            zrow = row_for(("Z", i))
-            v_edge = edge_values[edge]
-            add_scaled(erow, zrow, v_edge / (2 * loop_values[i]))
-            if j not in loops:
-                factor = (2 * loop_values[j]) / v_edge
-                erow.values = [factor * x for x in erow.values]
-                erow.label = ("Z", j)
-                loops.add(j)
-                edges.remove(edge)
-                record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
-            else:
-                add_scaled(erow, row_for(("Z", j)), v_edge / (2 * loop_values[j]))
-                erow.label = ("0",)
-                edges.remove(edge)
-                record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
-            continue
-
-        if cycles is None:
-            cycles = {c: _cycle_edges(c) for c in _simple_cycles(edges)}
+    record("Init", "instantiated block")
+    if not G.loops:
+        cycles = _simple_cycles(G.edges)
         cycle = _select_cycle(cycles, odd=True)
         if cycle is not None:
-            _cycle_rowop(cycle, row_for, add_scaled, edge_values)
-            first, last = cycle[0], cycle[-1]
-            closing = _pair(first, last)
-            trow = row_for(("Y",) + closing)
-            trow.values = [
-                (loop_values[last] / edge_values[closing]) * x for x in trow.values
-            ]
-            trow.label = ("Z", last)
-            edges.remove(closing)
-            loops.add(last)
-            record(STEP_ODD_CYCLE, f"odd cycle {cycle}: edge {closing} became loop {last}")
-            continue
-
-        cycle = _select_cycle(cycles, odd=False)
-        if cycle is not None:
-            _cycle_rowop(cycle, row_for, add_scaled, edge_values)
             closing = _pair(cycle[0], cycle[-1])
-            trow = row_for(("Y",) + closing)
-            if any(trow.values):
-                raise DegenerateEvaluation(f"even cycle row {closing} did not vanish")
-            trow.label = ("0",)
-            edges.remove(closing)
-            # the simple cycles of G - e are the cycles of G that avoid e
-            cycles = {c: es for c, es in cycles.items() if closing not in es}
-            record(STEP_EVEN_CYCLE, f"even cycle {cycle}: edge {closing} zeroed")
-            continue
+            relabel(clear_path(closing, cycle), cycle[-1])
+            record(
+                STEP_ODD_CYCLE,
+                f"odd cycle {cycle}: edge {closing} became loop {cycle[-1]}",
+            )
+        else:
+            cycles = {c: _cycle_edges(c) for c in cycles}
+            while (cycle := _select_cycle(cycles, odd=False)) is not None:
+                closing = _pair(cycle[0], cycle[-1])
+                relabel(clear_path(closing, cycle), None)
+                # the simple cycles of G - e are the cycles of G that avoid e
+                cycles = {c: es for c, es in cycles.items() if closing not in es}
+                record(STEP_EVEN_CYCLE, f"even cycle {cycle}: edge {closing} zeroed")
+            record(STEP_PATH_SWEEP, _path_sweep(snapshots[-1].edges, clear_path))
 
-        detail = _path_sweep(edges, n, row_for, add_scaled, edge_values)
-        record(STEP_PATH_SWEEP, detail)
-        break
+    while (pick := _loop_edge(snapshots[-1])) is not None:
+        i, j = pick
+        edge = _pair(i, j)
+        erow = row_for(("Y",) + edge)
+        eliminate(erow, row_for(("Z", i)), i)
+        if j in snapshots[-1].loops:
+            eliminate(erow, row_for(("Z", j)), j)
+            relabel(erow, None)
+            record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
+        else:
+            relabel(erow, j)
+            record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
 
     return ReductionTrace(
         poset=P,
         seed=seed,
         edge_values=tuple(sorted(edge_values.items())),
         loop_values=tuple(sorted(loop_values.items())),
-        initial=initial,
-        steps=tuple(steps),
+        initial=snapshots[0],
+        steps=tuple(snapshots[1:]),
     )
 
 
-def _cycle_rowop(cycle, row_for, add_scaled, edge_values):
-    """Clear the row of the edge closing the cycle against the path rows."""
-    closing = _pair(cycle[0], cycle[-1])
-    target = row_for(("Y",) + closing)
-    t_value = edge_values[closing]
-    sign = -1
-    for k in range(1, len(cycle)):
-        edge = _pair(cycle[k - 1], cycle[k])
-        add_scaled(target, row_for(("Y",) + edge), sign * t_value / edge_values[edge])
-        sign = -sign
+def _loop_edge(step):
+    """The least loop vertex with an edge and its least neighbour, or None."""
+    for i in step.loops:
+        nbrs = sorted((j if a == i else a) for (a, j) in step.edges if i in (a, j))
+        if nbrs:
+            return i, nbrs[0]
+    return None
 
 
-def _path_sweep(edges, n, row_for, add_scaled, edge_values):
+def _path_sweep(edges, clear_path):
     """Sweep a tree from its least leaf, clearing interior columns.
 
     Rows are rewritten deepest first, so the shallower rows they consume
@@ -500,13 +489,6 @@ def _path_sweep(edges, n, row_for, add_scaled, edge_values):
         chain = [v]
         while parent[chain[-1]] is not None:
             chain.append(parent[chain[-1]])
-        chain.reverse()  # root .. v
-        target_edge = _pair(chain[-2], chain[-1])
-        target = row_for(("Y",) + target_edge)
-        t_value = edge_values[target_edge]
-        sign = -1
-        for back in range(len(chain) - 2, 0, -1):
-            edge = _pair(chain[back - 1], chain[back])
-            add_scaled(target, row_for(("Y",) + edge), sign * t_value / edge_values[edge])
-            sign = -sign
+        # v, its parent, ..., root: clear every column but the two ends
+        clear_path(_pair(chain[0], chain[1]), chain[1:])
     return f"tree sweep from leaf {root}"

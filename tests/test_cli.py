@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from lieposet import cli, linalg
 from lieposet.cli import main
 from lieposet.formats import poset_to_text
 
@@ -45,6 +46,20 @@ def test_version_without_installed_metadata(runner):
 def test_missing_input_is_exit_2(runner):
     result = runner.invoke(main, ["index"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["missing.poset", "."])
+def test_unreadable_input_file_is_exit_2(runner, tmp_path, name, fmt):
+    # a missing file or a directory is an input error, not a traceback
+    result = runner.invoke(
+        main, ["index", "-i", str(tmp_path / name), "--format", fmt]
+    )
+    assert result.exit_code == 2
+    if fmt == "json":
+        assert json.loads(result.output)["error"] == "InputParseError"
+    else:
+        assert "error[InputParseError]" in result.output
 
 
 def test_index_both_methods(runner):
@@ -96,6 +111,23 @@ def test_principal_check_closed_form(runner):
     out = json.loads(result.output)
     assert out["half_convention"] == "negatives-plus-half"
     assert out["half_entries"] is True and out["kernel_dim"] == 0
+
+
+def test_principal_eliminates_the_form_once(runner, monkeypatch):
+    # a returned principal element proves the kernel is 0, so the CLI
+    # does not eliminate the Kirillov form a second time for kernel_dim
+    calls = []
+    inner = linalg._bareiss
+
+    def counted(m, ncols):
+        calls.append(ncols)
+        return inner(m, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    result = runner.invoke(main, ["principal", "-p", TRIANGLE, "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["kernel_dim"] == 0
+    assert len(calls) == 1
 
 
 def test_frobenius_with_oracle(runner):
@@ -178,6 +210,23 @@ def test_verify_campaign(runner, tmp_path):
     assert "failures: 0" in result.output
     report = json.loads(out.read_text())
     assert report["posets"] == {"C1": 2, "C2": 8, "D1": 1, "D2": 2}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_unwritable_output_exits_2_before_the_campaign(runner, monkeypatch,
+                                                              tmp_path, fmt):
+    campaigns = []
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: campaigns.append(cfg))
+    out = tmp_path / "missing" / "report.json"
+    result = runner.invoke(
+        main, ["verify", "--families", "C:1", "--output", str(out), "--format", fmt]
+    )
+    assert result.exit_code == 2
+    assert campaigns == []
+    if fmt == "json":
+        assert json.loads(result.output)["error"] == "InputParseError"
+    else:
+        assert "error[InputParseError]" in result.output
 
 
 def test_verify_rejects_bad_flags(runner):

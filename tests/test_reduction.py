@@ -185,9 +185,32 @@ class TestReduceReplay:
         assert kinds.count("EvenCycleElim") == (a - 1) * (b - 1)
         assert calls == [a * b]
 
+    def test_rows_match_labels(self):
+        # after every step a Z(v) row is exactly -2*L_v*e_v and a 0 row is
+        # zero, whatever row operations led there; elementary row
+        # operations keep the rank, so the rank check alone cannot see a
+        # wrong factor
+        posets = [
+            P for n in (1, 2, 3, 4) for P in enumerate_h01("C", n) if rg_connected(P)
+        ]
+        for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
+            trace = reduce(P, seed=seed)
+            loop_values = dict(trace.loop_values)
+            for step in (trace.initial,) + trace.steps:
+                for label, row in zip(step.row_labels, step.matrix):
+                    if label == "0":
+                        assert not any(row), (P, seed, step.detail)
+                    elif label.startswith("Z("):
+                        v = int(label[2:-1])
+                        expected = [0] * P.n
+                        expected[v - 1] = -2 * loop_values[v]
+                        assert list(row) == expected, (P, seed, step.detail, label)
+
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
-        # and K4,4: the replay picks the same cycle at every step
+        # and K4,4: the replay picks the same cycle at every step.  The
+        # digest before the loop steps were corrected recorded Z rows with
+        # an entry outside their own column
         posets = [
             P
             for n in (1, 2, 3, 4)
@@ -201,5 +224,5 @@ class TestReduceReplay:
             digest.update(json.dumps(obj, sort_keys=True).encode())
         assert len(posets) == 649
         assert digest.hexdigest() == (
-            "cd3cc3928c8fa7240b3b1a6710c00981a0c8cbbcf0e1f5b92902e350a6acead6"
+            "164c77975d777e67b27a79665354847ac25c77345c6dfac7a52a1dea874023b1"
         )
