@@ -14,7 +14,6 @@ from .errors import (
     Condition1Violation,
     Condition2Violation,
     Condition3Violation,
-    DegenerateEvaluation,
     InputParseError,
     InvariantViolation,
     LiePosetError,

@@ -71,9 +71,5 @@ class InvariantViolation(LiePosetError):
     fixed-point identity F(ad(x)(b)) = F(b)."""
 
 
-class DegenerateEvaluation(LiePosetError):
-    """A pivot coefficient vanished at the sampled point; retries exhausted."""
-
-
 class InputParseError(LiePosetError):
     """Malformed poset file, inline description, or flag combination."""

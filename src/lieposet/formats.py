@@ -72,10 +72,17 @@ def parse_poset_json(obj, strict=False):
             raise InputParseError(f"bad JSON: {exc}") from None
     try:
         family = obj["family"]
-        n = int(obj["n"])
+        n = obj["n"]
         generators = [tuple(pair) for pair in obj.get("relations", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"bad poset object: {exc}") from None
+    # JSON reads 2.5 as a float and true as a bool, which int() would
+    # quietly take as 2 and 1
+    if type(n) is not int:
+        raise InputParseError(f"n must be an integer, got {n!r}")
+    for pair in generators:
+        if any(type(x) is not int for x in pair):
+            raise InputParseError(f"relation entries must be integers: {list(pair)}")
     return build_poset(family, n, generators, strict=strict)
 
 

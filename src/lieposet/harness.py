@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
-from .errors import LiePosetError
+from .errors import LiePosetError, SingularForm
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
@@ -53,8 +53,9 @@ def poset_seed(base_seed, family, n, mask):
 class CampaignConfig:
     """What to enumerate and how: ((family, n_max), ...), checks, seed.
 
-    A plan family outside B/C/D or repeated, n_max below 1, and trials or
-    jobs below 1 raise ValueError, before any poset runs.
+    A plan family outside B/C/D or repeated, a repeated check, n_max
+    below 1, and trials or jobs below 1 raise ValueError, before any
+    poset runs.
     """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
@@ -72,6 +73,9 @@ class CampaignConfig:
                 raise ValueError(f"family {family!r} appears more than once in the plan")
             if n_max < 1:
                 raise ValueError(f"n_max of family {family!r} must be >= 1, got {n_max}")
+        for name in self.checks:
+            if self.checks.count(name) > 1:
+                raise ValueError(f"check {name!r} appears more than once")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -180,7 +184,13 @@ def check_frobenius_criterion(P, ctx):
 def check_frobenius_kernel(P, ctx):
     if not is_frobenius_by_graph(P):
         return "skipped", _witness(reason="not Frobenius")
-    dim = kernel_dim(P, frobenius_functional(P))
+    try:
+        # a principal element exists only for a nonsingular Kirillov form,
+        # so its solve already shows kernel 0
+        ctx.principal(P)
+        dim = 0
+    except SingularForm:
+        dim = kernel_dim(P, frobenius_functional(P))
     return ("pass" if dim == 0 else "fail"), _witness(kernel_dim=dim)
 
 

@@ -17,20 +17,20 @@ weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
-proves the prediction.  Its one row operation reads its factor off the
-two rows, and a row that takes a new label is checked against it
-(InvariantViolation otherwise, never retried).  The rank is checked after
-every step; a rank change or a missing row triggers a reseeded retry.
+proves the prediction, in Python ints.  Its one row operation reads its
+factor off the two rows and divides exactly or raises, a row that takes
+a new label is checked against it, and `integer_rank` checks the rank
+after every step.  Each of these faults raises InvariantViolation; none
+is retried, since exact row operations keep the rank at any point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DegenerateEvaluation, InvariantViolation, UnsupportedPoset
-from .linalg import integer_rank, rational_rank
+from .errors import InvariantViolation, UnsupportedPoset
+from .linalg import integer_rank
 from .posets import (
     graph_components,
     height,
@@ -72,8 +72,8 @@ class CommutatorMatrix:
 def _evaluate_rows(entries, values):
     """Rows of the matrix whose cell is the linear form sum(values[k] * c).
 
-    The number type of values is kept: int values give int rows, Fraction
-    values give Fraction (or int zero) entries.
+    The number type of values is kept: int values give int rows, rational
+    values give rational (or int zero) entries.
     """
     return [[sum(values[k] * c for k, c in cell) for cell in row] for row in entries]
 
@@ -286,18 +286,19 @@ def _select_cycle(cycles, odd):
     return min(c for c in matching if len(c) == size)
 
 
-def reduce(P, seed=0, retries=5):
+def reduce(P, seed=0):
     """Run the relation-graph guided row reduction at a seeded generic point.
 
     P must be a connected type-C poset of height (0,0) or (0,1).  All
-    basis symbols are instantiated with nonzero integers up front.  The
-    one row operation clears a column of one row against another, with the
-    factor read off the two rows.  The graph is read off the row labels:
-    the Y rows are its edges and the Z rows its loops.  A relabelled row
-    must be what its label says, Z(v) = -2*L_v*e_v or the zero row for 0,
-    else InvariantViolation is raised, which is not retried.  The exact
-    rank is recomputed after every step; a rank change or a missing row
-    triggers a reseeded retry and finally DegenerateEvaluation.
+    basis symbols are instantiated with nonzero integers up front, and
+    every entry stays an int.  The one row operation clears a column of
+    one row against another, with the factor read off the two rows.  The
+    graph is read off the row labels: the Y rows are its edges and the Z
+    rows its loops.  A relabelled row must be what its label says, Z(v) =
+    -2*L_v*e_v or the zero row for 0.  The exact rank is recomputed after
+    every step.  A division with a remainder, a wrong relabelled row, a
+    rank change or a missing row raises InvariantViolation; no other seed
+    is tried, since exact row operations keep the rank at any point.
 
     A graph with a loop takes only loop steps.  A loop-free graph with an
     odd cycle turns the closing edge of its longest odd cycle into a loop,
@@ -315,29 +316,19 @@ def reduce(P, seed=0, retries=5):
     G = relation_graph(P)
     if len(graph_components(G)) != 1:
         raise UnsupportedPoset("relation graph is not connected")
-    last = None
-    for attempt in range(retries):
-        try:
-            return _reduce_once(P, G, seed + 1000003 * attempt)
-        except DegenerateEvaluation as exc:
-            last = exc
-    raise DegenerateEvaluation(f"retries exhausted: {last}")
-
-
-def _reduce_once(P, G, seed):
     rng = random.Random(seed)
     n = P.n
-    edge_values = {e: Fraction(_nonzero_int(rng)) for e in sorted(G.edges)}
-    loop_values = {v: Fraction(_nonzero_int(rng)) for v in range(1, n + 1)}
+    edge_values = {e: _nonzero_int(rng) for e in sorted(G.edges)}
+    loop_values = {v: _nonzero_int(rng) for v in range(1, n + 1)}
 
     def loop_row(v):
-        values = [Fraction(0)] * n
+        values = [0] * n
         values[v - 1] = -2 * loop_values[v]
         return values
 
     rows = []
     for i, j in sorted(G.edges):
-        values = [Fraction(0)] * n
+        values = [0] * n
         values[i - 1] = -edge_values[(i, j)]
         values[j - 1] = -edge_values[(i, j)]
         rows.append(_Row(("Y", i, j), values))
@@ -347,12 +338,19 @@ def _reduce_once(P, G, seed):
         for row in rows:
             if row.label == label:
                 return row
-        raise DegenerateEvaluation(f"missing row {label}")
+        raise InvariantViolation(f"missing row {_label_str(label)}")
 
     def eliminate(target, source, col):
-        """Clear column `col` (a vertex) of target with a multiple of source."""
-        factor = -target.values[col - 1] / source.values[col - 1]
-        target.values = [a + factor * b for a, b in zip(target.values, source.values)]
+        """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly."""
+        t = target.values[col - 1]
+        s = source.values[col - 1]
+        for k, b in enumerate(source.values):
+            if b:
+                q, r = divmod(t * b, s)
+                if r:
+                    label = _label_str(target.label)
+                    raise InvariantViolation(f"inexact step in column {col} of {label}")
+                target.values[k] -= q
 
     def clear_path(edge, path):
         """Clear the row of `edge` along a vertex path; return that row.
@@ -385,9 +383,9 @@ def _reduce_once(P, G, seed):
     snapshots = []
 
     def record(kind, detail):
-        rank = rational_rank([r.values for r in rows], n)
+        rank = integer_rank([r.values for r in rows], n)
         if snapshots and rank != snapshots[0].rank:
-            raise DegenerateEvaluation(
+            raise InvariantViolation(
                 f"rank drifted from {snapshots[0].rank} to {rank} after {detail}"
             )
         labels = [r.label for r in rows]

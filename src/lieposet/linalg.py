@@ -7,10 +7,10 @@ instead of growing freely.  A row with a zero entry in the pivot column
 is not rewritten at that step; the scale Bareiss would have given it is
 applied when the row is next used, so sparse rows cost only the steps
 that change them.  Matrices are plain lists of rows.  The index oracle
-calls `integer_rank` on integer evaluations; `rational_rank` and `solve`
-take rows of ints and Fractions, scale each row to integers and run the
-same loop, and `solve` reads the rank off the same pivots it
-back-substitutes from, in Fraction.  Every result is exact.
+and the reduction replay call `integer_rank` on int rows.  `solve` takes
+rows of ints and Fractions, scales each row to integers, runs the same
+loop once, and reads the rank off the same pivots it back-substitutes
+from, in Fraction.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -105,11 +105,6 @@ def _integer_row(row):
         x * scale if type(x) is int else x.numerator * (scale // x.denominator)
         for x in row
     ]
-
-
-def rational_rank(rows, ncols):
-    """Exact rank of a matrix given as rows of ints and Fractions."""
-    return len(_bareiss([_integer_row(row) for row in rows], ncols))
 
 
 def solve(rows, rhs, ncols):

@@ -35,6 +35,19 @@ def test_validate_reads_stdin(runner, path_poset):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"family": "C", "n": 2.5}', '{"family": "C", "n": true}',
+     '{"family": "C", "n": 2, "relations": [[-2, 1.0]]}'],
+    ids=["float-n", "bool-n", "float-entry"],
+)
+def test_json_poset_needs_integers(runner, text):
+    # a float or a bool is no integer, though int() takes 2.5 as 2 and true as 1
+    result = runner.invoke(main, ["validate", "-i", "-", "--format", "json"], input=text)
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == "InputParseError"
+
+
 def test_version_without_installed_metadata(runner):
     # the package runs from the source tree, where no distribution
     # metadata exists; the version comes from lieposet.__version__
@@ -244,11 +257,18 @@ def test_verify_rejects_nonpositive_trials_and_jobs(runner, flag):
     assert runner.invoke(main, argv).exit_code == 2
 
 
-@pytest.mark.parametrize("families", ["C:2,C:1", "C:0", "C:-1", "A:2", "C:2,E:1"])
-def test_verify_rejects_plans_it_cannot_report(runner, families):
-    # a repeated family would be counted twice, an empty range would
-    # pass vacuously, and A or E has no height-(0,1) corpus
-    result = runner.invoke(main, ["verify", "--families", families, "--format", "json"])
+@pytest.mark.parametrize(
+    "families, checks",
+    [("C:2,C:1", ""), ("C:0", ""), ("C:-1", ""), ("A:2", ""), ("C:2,E:1", ""),
+     ("C:2", "dimension_formula,dimension_formula")],
+    ids=["C:2,C:1", "C:0", "C:-1", "A:2", "C:2,E:1", "repeated-check"],
+)
+def test_verify_rejects_plans_it_cannot_report(runner, families, checks):
+    # a repeated family or check would be counted twice, an empty range
+    # would pass vacuously, and A or E has no height-(0,1) corpus
+    result = runner.invoke(
+        main, ["verify", "--families", families, "--checks", checks, "--format", "json"]
+    )
     assert result.exit_code == 2
     assert json.loads(result.output)["error"] == "InputParseError"
 

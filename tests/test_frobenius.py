@@ -22,6 +22,7 @@ from lieposet import (
     index_oracle,
     is_frobenius_by_graph,
     kernel_dim,
+    mask_of_poset,
     matrix_form,
     poset_from_graph,
     principal_element,
@@ -31,6 +32,7 @@ from lieposet import (
 
 from lieposet import frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
+from lieposet.harness import run_checks_on_poset
 
 HALF = Fraction(1, 2)
 
@@ -318,6 +320,23 @@ class TestIntegerPath:
         assert len(calls) == 1
         principal_element(P, F)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])
+    def test_one_elimination_per_campaign_poset(self, P, monkeypatch):
+        # frobenius_kernel reads kernel 0 off the principal element that
+        # the other two checks share
+        calls = []
+        true_bareiss = linalg._bareiss
+
+        def counted(m, ncols):
+            calls.append(ncols)
+            return true_bareiss(m, ncols)
+
+        monkeypatch.setattr(linalg, "_bareiss", counted)
+        checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
+        results = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0, 5)
+        assert [r.status for r in results] == ["pass"] * 3
+        assert len(calls) == 1
 
     def test_outputs_pinned(self):
         # principal element and spectrum of every Frobenius poset of

@@ -11,6 +11,7 @@ from lieposet import (
     CampaignConfig,
     CheckResult,
     build_poset,
+    functional,
     graph_components,
     h01_slots,
     index_formula,
@@ -201,22 +202,33 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
             assert changed == []
 
 
+def test_frobenius_kernel_keeps_singular_witness(monkeypatch):
+    # the zero functional has no principal element; the check then
+    # eliminates its Kirillov form for the kernel it reports
+    monkeypatch.setattr(harness, "frobenius_functional", lambda P: functional(P, {}))
+    (result,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0, 5)
+    assert result.status == "fail"
+    assert result.witness == (("kernel_dim", "2"),)
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(plan=(("C", 1),), checks=("nope",)))
 
 
 @pytest.mark.parametrize(
-    "plan",
-    [(("C", 2), ("C", 1)), (("D", 1), ("B", 2), ("D", 3)), (("C", 0),), (("B", -1),),
-     (("A", 2),), (("E", 1),)],
-    ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown"],
+    "plan, checks",
+    [((("C", 2), ("C", 1)), ()), ((("D", 1), ("B", 2), ("D", 3)), ()),
+     ((("C", 0),), ()), ((("B", -1),), ()), ((("A", 2),), ()), ((("E", 1),), ()),
+     ((("C", 2),), ("dimension_formula", "dimension_formula"))],
+    ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown",
+         "repeated-check"],
 )
-def test_plan_rejected_before_any_poset_runs(plan, monkeypatch):
+def test_plan_rejected_before_any_poset_runs(plan, checks, monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "_worker", lambda item: ran.append(item) or [])
     with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(plan=plan))
+        run_campaign(CampaignConfig(plan=plan, checks=checks))
     assert ran == []
 
 

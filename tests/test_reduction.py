@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lieposet import (
+    InvariantViolation,
     UnsupportedPoset,
     build_poset,
     commutator_matrix,
@@ -189,14 +190,19 @@ class TestReduceReplay:
         # after every step a Z(v) row is exactly -2*L_v*e_v and a 0 row is
         # zero, whatever row operations led there; elementary row
         # operations keep the rank, so the rank check alone cannot see a
-        # wrong factor
+        # wrong factor.  Every value and entry of the replay is an int
         posets = [
             P for n in (1, 2, 3, 4) for P in enumerate_h01("C", n) if rg_connected(P)
         ]
         for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
             trace = reduce(P, seed=seed)
+            values = trace.edge_values + trace.loop_values
+            assert all(type(x) is int for _, x in values), (P, seed)
             loop_values = dict(trace.loop_values)
             for step in (trace.initial,) + trace.steps:
+                assert all(type(x) is int for row in step.matrix for x in row), (
+                    P, seed, step.detail
+                )
                 for label, row in zip(step.row_labels, step.matrix):
                     if label == "0":
                         assert not any(row), (P, seed, step.detail)
@@ -205,6 +211,21 @@ class TestReduceReplay:
                         expected = [0] * P.n
                         expected[v - 1] = -2 * loop_values[v]
                         assert list(row) == expected, (P, seed, step.detail, label)
+
+    def test_rank_drift_raises_without_reseed(self, monkeypatch, path_poset):
+        # exact row operations keep the rank, so a drift is a fault in the
+        # replay: it raises at the first step, and no other seed is tried
+        calls = []
+        true_rank = index_engine.integer_rank
+
+        def drifting(rows, ncols):
+            calls.append(ncols)
+            return true_rank(rows, ncols) + (len(calls) == 2)
+
+        monkeypatch.setattr(index_engine, "integer_rank", drifting)
+        with pytest.raises(InvariantViolation, match="rank drifted"):
+            reduce(path_poset, seed=0)
+        assert len(calls) == 2
 
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
