@@ -14,16 +14,17 @@ symbolic kinds:
     EA(i,j) E(i,j)                 with i < j    family A
 
 Brackets are computed on the sparse realizations and decomposed back into
-the basis by reading coefficients off block positions; basis elements have
-disjoint leading supports, so the decomposition is exact and any nonzero
-residual signals an invalid poset/basis pair.
+the basis by one triangular pass: each realization leads with a position
+that no later basis element touches, so reading coefficients there in
+basis order and subtracting is exact, and any nonzero remainder signals
+an invalid poset/basis pair.
 
 Realizations have entries 0 and +-1, and sparse matrices keep int entries
 as ints, so every structure constant is an int and no Fraction is built
-while the table is computed.  `structure_constants` builds the basis once
-per poset and hands its membership set to `decompose`; its cache is
-bounded, since reuse across posets is short range (a type-D table next to
-the type-C one on the same relations, type B next to type D).
+while the table is computed.  `structure_constants` builds the basis and
+its realizations once per poset and hands them to `decompose`; its cache
+is bounded, since reuse across posets is short range (a type-D table next
+to the type-C one on the same relations, type B next to type D).
 """
 
 from __future__ import annotations
@@ -164,7 +165,14 @@ def build_basis(P):
 
 
 def realize(b):
-    """Sparse matrix realization of a basis element."""
+    """Sparse matrix realization of a basis element.
+
+    The first entry is the element's leading position, with coefficient 1,
+    and no element later in basis order has an entry there: the first
+    position in each row of the module docstring's table (both Y
+    orientations included).  `decompose` reads coefficients off these
+    positions and nowhere else.
+    """
     kind, i, j = b.kind, b.i, b.j
     if kind == "H":
         return SparseMatrixQ({(-i, -i): 1, (i, i): -1})
@@ -193,67 +201,34 @@ def realize_combination(terms):
     return out
 
 
-def decompose(mat, P, members=None):
+def decompose(mat, P, realized=None):
     """Write a sparse matrix as a combination of the basis of P.
 
-    Coefficients are read off the leading block positions; the claimed
-    combination is then re-realized and compared entry by entry, so a
-    nonzero residual (or a position with no basis element) raises
-    NotInSpan rather than returning a wrong answer.  `members` is the set
-    of basis elements of P, built here when the caller has none.
+    One triangular pass in basis order: the coefficient of each element is
+    what is left of `mat` at its leading position (see `realize`), and
+    that multiple of its realization is subtracted.  A nonzero remainder
+    raises NotInSpan.  `realized` lists (element, realization entries) in
+    basis order, built here when the caller has none.
     """
-    if members is None:
-        members = set(build_basis(P))
-    fam = P.family
+    if realized is None:
+        realized = [(b, realize(b).entries) for b in build_basis(P)]
+    rest = dict(mat.entries)
     combo = {}
-    if fam == "A":
-        diag = {e: 0 for e in P.elements}
-        for (r, c), v in mat.entries.items():
-            if r == c:
-                diag[r] = v
+    for b, entries in realized:
+        if not rest:
+            break
+        v = rest.get(next(iter(entries)))
+        if not v:
+            continue
+        combo[b] = v
+        for key, w in entries.items():
+            left = rest.get(key, 0) - v * w
+            if left:
+                rest[key] = left
             else:
-                key = BasisElement("A", "EA", r, c)
-                if key not in members:
-                    raise NotInSpan(f"position ({r},{c}) is outside the matrix form")
-                combo[key] = v
-        if any(diag.values()):
-            if sum(diag.values()) != 0:
-                raise NotInSpan("diagonal part has nonzero trace")
-            prefix = 0
-            for i in range(1, P.n):
-                prefix += diag[i]
-                if prefix:
-                    combo[BasisElement("A", "DA", i)] = prefix
-    else:
-        for (r, c), v in sorted(mat.entries.items()):
-            if r >= 0:
-                continue  # mirror halves are implied by the leading block
-            i = -r
-            if c < 0:
-                j = -c
-                key = (
-                    BasisElement(fam, "H", i)
-                    if i == j
-                    else BasisElement(fam, "X", i, j)
-                )
-            elif c == 0:
-                key = BasisElement(fam, "U", i)
-            elif c == i:
-                key = BasisElement(fam, "Z", i)
-            elif fam == "C":
-                if i > c:
-                    continue  # coefficient is read at (-min, max)
-                key = BasisElement(fam, "Y", i, c)
-            else:
-                if i < c:
-                    continue  # coefficient is read at (-max, min)
-                key = BasisElement(fam, "Y", i, c)
-            if key not in members:
-                raise NotInSpan(f"position ({r},{c}) matches no basis element")
-            combo[key] = v
-    residual = mat - realize_combination(combo)
-    if residual:
-        raise NotInSpan(f"nonzero residual {residual!r}")
+                del rest[key]
+    if rest:
+        raise NotInSpan(f"nonzero residual {SparseMatrixQ(rest)!r}")
     return combo
 
 
@@ -271,16 +246,16 @@ def structure_constants(P):
     mean a zero bracket and the skew entries follow by antisymmetry.
     """
     basis = build_basis(P)
-    members = set(basis)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
+    realized = [(b, m.entries) for b, m in zip(basis, mats)]
     table = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             com = mats[i].commutator(mats[j])
             if not com:
                 continue
-            combo = decompose(com, P, members)
+            combo = decompose(com, P, realized)
             table[(i, j)] = tuple(
                 sorted((position[b], c) for b, c in combo.items())
             )

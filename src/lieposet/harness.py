@@ -312,9 +312,10 @@ def run_campaign(cfg):
             counts[f"{family}{n}"] = size
             for mask in range(size):
                 work.append((family, n, mask, checks, cfg.seed, cfg.trials))
-    if cfg.jobs > 1 and len(work) > 1:
-        with get_context("fork").Pool(cfg.jobs) as pool:
-            chunk = max(1, len(work) // (cfg.jobs * 8))
+    jobs = min(cfg.jobs, len(work))
+    if jobs > 1:
+        with get_context("fork").Pool(jobs) as pool:
+            chunk = max(1, len(work) // (jobs * 8))
             per_poset = pool.map(_worker, work, chunksize=chunk)
     else:
         per_poset = [_worker(item) for item in work]

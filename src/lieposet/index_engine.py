@@ -268,22 +268,9 @@ def _simple_cycles(edges):
     return found
 
 
-def _cycle_edges(cycle):
-    """The edges of a canonical cycle tuple, closing edge included."""
-    return frozenset(_pair(cycle[k - 1], cycle[k]) for k in range(len(cycle)))
-
-
-def _select_cycle(cycles, odd):
-    """The longest cycle of the wanted parity, then the least tuple; or None.
-
-    `cycles` iterates over canonical cycle tuples, as `_simple_cycles`
-    returns them.
-    """
-    matching = [c for c in cycles if (len(c) % 2 == 1) == odd]
-    if not matching:
-        return None
-    size = max(len(c) for c in matching)
-    return min(c for c in matching if len(c) == size)
+def _longest_first(cycle):
+    """Sort key of the cycle search: longest, then the least tuple."""
+    return (-len(cycle), cycle)
 
 
 def reduce(P, seed=0):
@@ -304,9 +291,9 @@ def reduce(P, seed=0):
     odd cycle turns the closing edge of its longest odd cycle into a loop,
     then takes loop steps.  A bipartite graph zeroes the closing edge of
     its longest even cycle until it is a tree, then sweeps the tree.  The
-    simple cycles are enumerated once; an even-cycle step drops the cycles
-    through the edge it removes, so each step picks the cycle a fresh
-    search would pick.
+    simple cycles are enumerated and sorted once; each even-cycle step
+    takes the next one with all its edges left, the cycle a fresh search
+    would pick.
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
@@ -402,8 +389,9 @@ def reduce(P, seed=0):
     record("Init", "instantiated block")
     if not G.loops:
         cycles = _simple_cycles(G.edges)
-        cycle = _select_cycle(cycles, odd=True)
-        if cycle is not None:
+        odd = [c for c in cycles if len(c) % 2]
+        if odd:
+            cycle = min(odd, key=_longest_first)
             closing = _pair(cycle[0], cycle[-1])
             relabel(clear_path(closing, cycle), cycle[-1])
             record(
@@ -411,12 +399,16 @@ def reduce(P, seed=0):
                 f"odd cycle {cycle}: edge {closing} became loop {cycle[-1]}",
             )
         else:
-            cycles = {c: _cycle_edges(c) for c in cycles}
-            while (cycle := _select_cycle(cycles, odd=False)) is not None:
+            # the simple cycles of G - e are the cycles of G that avoid e,
+            # and edges are only removed, so the first intact cycle in
+            # this order is the one a fresh search would pick
+            zeroed = set()
+            for cycle in sorted(cycles, key=_longest_first):
+                if not zeroed.isdisjoint(map(_pair, cycle, cycle[1:] + cycle[:1])):
+                    continue
                 closing = _pair(cycle[0], cycle[-1])
                 relabel(clear_path(closing, cycle), None)
-                # the simple cycles of G - e are the cycles of G that avoid e
-                cycles = {c: es for c, es in cycles.items() if closing not in es}
+                zeroed.add(closing)
                 record(STEP_EVEN_CYCLE, f"even cycle {cycle}: edge {closing} zeroed")
             record(STEP_PATH_SWEEP, _path_sweep(snapshots[-1].edges, clear_path))
 

@@ -99,6 +99,25 @@ class TestRealize:
         assert realize(BasisElement("C", "Z", 1)).entries == {(-1, 1): 1}
         assert realize(BasisElement("B", "U", 2)).entries == {(-2, 0): 1, (0, 2): -1}
 
+    def test_leading_position_contract(self):
+        # decompose reads each coefficient at the first entry of the
+        # element's realization: it must be 1, and no element later in
+        # basis order may touch it.  B posets with relations through 0
+        # cover U, and posets of larger height reach X
+        posets = itertools.chain(
+            _structure_constant_corpus(4, 4, 3), _general_posets("BD", 3, 2)
+        )
+        kinds = set()
+        for P in posets:
+            basis = build_basis(P)
+            realized = [realize(b).entries for b in basis]
+            for k, entries in enumerate(realized):
+                lead, coefficient = next(iter(entries.items()))
+                assert coefficient == 1, (P, basis[k])
+                assert all(lead not in later for later in realized[k + 1:]), (P, basis[k])
+            kinds.update(b.kind for b in basis)
+        assert kinds == {"H", "X", "Y", "Z", "U", "DA", "EA"}
+
     def test_upper_triangular_in_signed_order(self):
         for n in (1, 2, 3):
             for P in enumerate_h01("C", n):
@@ -147,6 +166,10 @@ class TestBracket:
         stray = SparseMatrixQ({(-1, 3): 1, (-3, 1): 1})
         with pytest.raises(NotInSpan):
             decompose(stray, path_poset)
+        # the mirror half of Y(1,2) without its leading entry
+        half = SparseMatrixQ({(-2, 1): 1})
+        with pytest.raises(NotInSpan):
+            decompose(half, path_poset)
 
     def test_decompose_family_a_diagonal(self):
         P = build_poset("A", 3, [(1, 2)])
@@ -271,14 +294,35 @@ class TestIsomorphisms:
             verify_B_reduction(build_poset("B", 1, [(-1, 0)]))
 
 
+def _general_generators(family, n):
+    """Every x < y of the ground set; B and D leave out -i < i, which may
+    not be a cover there (the closure adds it when something lies between)."""
+    ground = ground_set(family, n)
+    return [
+        (x, y) for x in ground for y in ground
+        if x < y and (family == "C" or x != -y)
+    ]
+
+
+def _general_posets(families, n_max, max_gens):
+    """Every poset closed from at most max_gens generators, per family."""
+    for family in families:
+        for n in range(1, n_max + 1):
+            candidates = _general_generators(family, n)
+            for k in range(max_gens + 1):
+                for gens in itertools.combinations(candidates, k):
+                    yield build_poset(family, n, gens)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.data())
-def test_bracket_closure_on_general_type_c_posets(n, data):
-    candidates = [
-        (x, y) for x in ground_set("C", n) for y in ground_set("C", n) if x < y
-    ]
-    gens = data.draw(st.lists(st.sampled_from(candidates), max_size=5))
-    P = build_poset("C", n, gens)
+def test_bracket_closure_on_general_posets(family, n, data):
+    candidates = _general_generators(family, n)
+    gens = []
+    if candidates:  # D1 has none: its one poset is the antichain
+        gens = data.draw(st.lists(st.sampled_from(candidates), max_size=5))
+    P = build_poset(family, n, gens)
     basis = build_basis(P)
     for a, b in itertools.combinations(basis, 2):
         bracket(a, b, P)  # must never raise NotInSpan

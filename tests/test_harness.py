@@ -57,6 +57,39 @@ def test_report_deterministic_across_runs_and_jobs():
     assert b1 == b2 == b3
 
 
+@pytest.mark.parametrize(
+    "plan, jobs, sizes",
+    [((("C", 1),), 8, [2]), ((("C", 2),), 3, [3]), ((("C", 2),), 1, [])],
+    ids=["C1-jobs8", "C2-jobs3", "C2-jobs1"],
+)
+def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes):
+    # C:1 holds two posets, so --jobs 8 forks two workers, not eight; the
+    # fake pool maps in this process, so no process is started
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            opened.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: Context)
+    serial = report_json_bytes(run_campaign(CampaignConfig(plan=plan, seed=7)))
+    pooled = report_json_bytes(run_campaign(CampaignConfig(plan=plan, seed=7, jobs=jobs)))
+    assert opened == sizes
+    assert pooled == serial
+
+
 def test_seed_changes_report_config_only_on_pass():
     r1 = run_campaign(CampaignConfig(plan=(("C", 2),), seed=1))
     r2 = run_campaign(CampaignConfig(plan=(("C", 2),), seed=2))

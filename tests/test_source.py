@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import lieposet
@@ -17,4 +18,25 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_stdlib_and_click():
+    # click is the one declared runtime dependency; numpy, sympy and
+    # networkx may be installed but must never become required
+    allowed = set(sys.stdlib_module_names) | {"click", "lieposet"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert found == []
