@@ -22,8 +22,11 @@ an invalid poset/basis pair.
 Realizations have entries 0 and +-1, and sparse matrices keep int entries
 as ints, so every structure constant is an int and no Fraction is built
 while the table is computed.  `structure_constants` builds the basis and
-its realizations once per poset and hands them to `decompose`; its cache
-is bounded, since reuse across posets is short range (a type-D table next
+its realizations once per poset, indexes them by row and by column, and
+brackets only the pairs where a column of one realization is a row of
+the other: A*B is zero otherwise, so every skipped bracket is zero in
+every family.  The realizations are handed to `decompose`; the cache is
+bounded, since reuse across posets is short range (a type-D table next
 to the type-C one on the same relations, type B next to type D).
 """
 
@@ -244,15 +247,25 @@ def structure_constants(P):
     Returns (basis, table) where table maps (i, j) with i < j to a sorted
     tuple of (k, coefficient) pairs with int coefficients; absent keys
     mean a zero bracket and the skew entries follow by antisymmetry.
+    Only pairs that meet through the row and column indexes are bracketed.
     """
     basis = build_basis(P)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
     realized = [(b, m.entries) for b, m in zip(basis, mats)]
+    by_row, by_col = {}, {}
+    for k, m in enumerate(mats):
+        for r, c in m.entries:
+            by_row.setdefault(r, set()).add(k)
+            by_col.setdefault(c, set()).add(k)
     table = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            com = mats[i].commutator(mats[j])
+    for i, m in enumerate(mats):
+        meets = set()
+        for r, c in m.entries:
+            meets.update(by_row.get(c, ()))
+            meets.update(by_col.get(r, ()))
+        for j in sorted(k for k in meets if k > i):
+            com = m.commutator(mats[j])
             if not com:
                 continue
             combo = decompose(com, P, realized)

@@ -188,10 +188,7 @@ def linear_form_str(terms):
 
 
 def commutator_matrix_text(C):
-    cells = [
-        [linear_form_str(C.entries[i][j]) for j in range(C.dim)]
-        for i in range(C.dim)
-    ]
+    cells = [[linear_form_str(terms) for terms in row] for row in C.grid()]
     width = max((len(cell) for row in cells for cell in row), default=1)
     lines = [
         "basis: " + ", ".join(f"x{k + 1}={b!r}" for k, b in enumerate(C.basis))
@@ -205,8 +202,8 @@ def commutator_matrix_json_obj(C):
     return {
         "basis": [repr(b) for b in C.basis],
         "entries": [
-            [[[k, fraction_str(c)] for k, c in C.entries[i][j]] for j in range(C.dim)]
-            for i in range(C.dim)
+            [[[k, fraction_str(c)] for k, c in terms] for terms in row]
+            for row in C.grid()
         ],
     }
 

@@ -17,7 +17,7 @@ pivots.  Only the solution x has a denominator.  The
 fixed-point identity and the spectrum are computed on the integer
 multiple d*x, d the lcm of its denominators, and divided by d at the end:
 the identity on its realized matrix, the spectrum on the columns of
-ad(d*x) that the structure constants give.
+ad(d*x) that one pass over the structure constants gives.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
-    combo_bracket,
     matrix_form,
     realize,
     realize_combination,
@@ -188,11 +187,11 @@ def spectrum(P, fhat):
     entries, over d, are the eigenvalues; otherwise NonEigenbasis is
     raised.  A diagonal fhat gives a graph with no edges.
     """
-    basis, _ = structure_constants(P)
+    basis, table = structure_constants(P)
     position = {b: k for k, b in enumerate(basis)}
     d, x = _integer_multiple(fhat.coefficients)
     x = {position[b]: c for b, c in x.items()}
-    columns = [combo_bracket(P, x, {k: 1}) for k in range(len(basis))]
+    columns = _ad_columns(x, table, len(basis))
     # repeatedly drop the columns that depend on no other remaining one;
     # the digraph is acyclic exactly when every column goes
     pending = {
@@ -221,6 +220,25 @@ def spectrum(P, fhat):
         zero_count=zero,
         one_count=one,
     )
+
+
+def _ad_columns(x, table, dim):
+    """Columns of ad(x) as {row: coefficient} maps, zeros dropped, for x a
+    {position: coefficient} map and table the structure constants.
+
+    One pass over the table: [b_i, b_j] = terms adds x_i * terms to
+    column j and, as [b_j, b_i] = -terms, -x_j * terms to column i.
+    """
+    columns = [{} for _ in range(dim)]
+    for (i, j), terms in table.items():
+        for source, column, sign in ((i, j, 1), (j, i, -1)):
+            a = x.get(source)
+            if not a:
+                continue
+            out = columns[column]
+            for k, c in terms:
+                out[k] = out.get(k, 0) + sign * a * c
+    return [{k: c for k, c in out.items() if c} for out in columns]
 
 
 def _integer_multiple(coefficients):

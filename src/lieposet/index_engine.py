@@ -6,14 +6,16 @@ generic rank is obtained exactly as the maximum rank over seeded random
 integer evaluations; entries are linear forms, so the failure probability
 after t trials is below dim^2 * (dim/2001)^t.
 
-The oracle never leaves the integers: the structure constants are stored
-as ints, the evaluation points are ints, one row evaluator
-(`_evaluate_rows`) builds the integer matrix, and `linalg.integer_rank`
-takes its rank.  `CommutatorMatrix.evaluate` is the only other caller
-of `_evaluate_rows`: it returns the same rows for the Frobenius path,
-where `linalg.solve` gives the kernel dimension and the principal element
-in one Bareiss pass; at the integer point of a functional with integral
-weights the rows stay ints.
+The commutator matrix keeps only its nonzero cells above the diagonal,
+one per nonzero bracket of the structure-constant table.  The oracle
+never leaves the integers: the structure constants are stored as ints,
+the evaluation points are ints, one row evaluator (`_evaluate_rows`)
+fills a zero matrix from the cells, v above the diagonal and -v below,
+and `linalg.integer_rank` takes its rank.  `CommutatorMatrix.evaluate`
+is the only other caller of `_evaluate_rows`: it returns the same rows
+for the Frobenius path, where `linalg.solve` gives the kernel dimension
+and the principal element in one Bareiss pass; at the integer point of a
+functional with integral weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -49,45 +51,60 @@ ORACLE_TRIALS = 5
 class CommutatorMatrix:
     """Skew matrix of brackets [x_i, x_j] written in basis coordinates.
 
-    entries[i][j] is a sorted tuple of (position, coefficient) pairs with
-    int coefficients.
+    cells lists each nonzero entry above the diagonal once, as (i, j,
+    terms) with i < j and terms a sorted tuple of (position, coefficient)
+    pairs with int coefficients.  Entry (j, i) is the negation of entry
+    (i, j), and every entry not named by a cell is zero.
     """
 
     basis: tuple
-    entries: tuple
+    cells: tuple
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def grid(self):
+        """Every entry as a sorted tuple of (position, coefficient) pairs."""
+        grid = [[() for _ in self.basis] for _ in self.basis]
+        for i, j, terms in self.cells:
+            grid[i][j] = terms
+            grid[j][i] = tuple((k, -c) for k, c in terms)
+        return grid
+
     def entry(self, i, j):
-        return dict(self.entries[i][j])
+        return dict(self.grid()[i][j])
 
     def evaluate(self, point):
         """Rows of the Kirillov form at a basis-symbol assignment."""
         values = [point[b] for b in self.basis]
-        return _evaluate_rows(self.entries, values)
+        return _evaluate_rows(self.cells, values)
 
 
-def _evaluate_rows(entries, values):
-    """Rows of the matrix whose cell is the linear form sum(values[k] * c).
+def _evaluate_rows(cells, values):
+    """Rows of the skew matrix whose cell (i, j, terms) holds the linear
+    form sum(values[k] * c): v at (i, j), -v at (j, i), 0 elsewhere.
 
     The number type of values is kept: int values give int rows, rational
     values give rational (or int zero) entries.
     """
-    return [[sum(values[k] * c for k, c in cell) for cell in row] for row in entries]
+    dim = len(values)
+    rows = [[0] * dim for _ in range(dim)]
+    for i, j, terms in cells:
+        v = sum(values[k] * c for k, c in terms)
+        rows[i][j] = v
+        rows[j][i] = -v
+    return rows
 
 
 def commutator_matrix(P):
     basis, table = structure_constants(P)
-    dim = len(basis)
-    grid = [[() for _ in range(dim)] for _ in range(dim)]
-    for (i, j), terms in table.items():
+    for terms in table.values():
         if any(type(c) is not int for _, c in terms):
             raise InvariantViolation(f"non-integral structure constant in {terms}")
-        grid[i][j] = terms
-        grid[j][i] = tuple((k, -c) for k, c in terms)
-    return CommutatorMatrix(basis, tuple(tuple(row) for row in grid))
+    return CommutatorMatrix(
+        basis, tuple((i, j, terms) for (i, j), terms in table.items())
+    )
 
 
 def _nonzero_int(rng):
@@ -110,7 +127,7 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     best = 0
     for _ in range(trials):
         values = [_nonzero_int(rng) for _ in C.basis]
-        rank = integer_rank(_evaluate_rows(C.entries, values), C.dim)
+        rank = integer_rank(_evaluate_rows(C.cells, values), C.dim)
         if rank % 2:
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
         best = max(best, rank)

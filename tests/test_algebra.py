@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from lieposet import (
     decompose,
     enumerate_h01,
     ground_set,
+    height,
     matrix_form,
     realize,
     realize_combination,
@@ -383,3 +385,73 @@ class TestIntegerStructureConstants:
 
     def test_cache_is_bounded(self):
         assert structure_constants.cache_info().maxsize is not None
+
+
+def _all_pairs_table(P):
+    """Reference table: every pair of basis elements is bracketed."""
+    basis = build_basis(P)
+    position = {b: k for k, b in enumerate(basis)}
+    table = {}
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        com = realize(basis[i]).commutator(realize(basis[j]))
+        if com:
+            combo = decompose(com, P)
+            table[(i, j)] = tuple(sorted((position[b], c) for b, c in combo.items()))
+    return table
+
+
+def _meeting_pairs(P):
+    """Pairs i < j where a column of one realization is a row of the other."""
+    supports = [realize(b).entries for b in build_basis(P)]
+    return sum(
+        1
+        for a, b in itertools.combinations(supports, 2)
+        if any(c == r2 or c2 == r for r, c in a for r2, c2 in b)
+    )
+
+
+class TestRowIndexedTable:
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_equals_all_pairs_reference(self, family):
+        # random posets closed from up to 6 generators on n <= 4 points,
+        # heights above (0, 1) included; same table, same key order.  B, C
+        # and D realizations are antitranspose-symmetric, so there a column
+        # of A meets a row of B exactly when a column of B meets a row of
+        # A; only family A tells a one-sided index from the full one
+        rng = random.Random(11)
+        heights = set()
+        for _ in range(40):
+            n = rng.randint(1 if family != "A" else 2, 4)
+            candidates = _general_generators(family, n)
+            gens = rng.sample(candidates, min(len(candidates), rng.randint(0, 6)))
+            P = build_poset(family, n, gens)
+            if family != "A":
+                heights.add(height(P))
+            _, table = structure_constants(P)
+            assert list(table.items()) == list(_all_pairs_table(P).items()), P
+        if family != "A":
+            assert any(h > (0, 1) for h in heights), heights
+
+    @pytest.mark.parametrize(
+        "P, calls",
+        [
+            (build_poset("C", 4, []), 0),  # H(i) and H(j) share no row or column
+            (build_poset("C", 3, _general_generators("C", 3)), None),
+        ],
+        ids=["C4-antichain", "C3-full"],
+    )
+    def test_no_commutator_for_pairs_that_cannot_meet(self, monkeypatch, P, calls):
+        counted = []
+        commutator = SparseMatrixQ.commutator
+
+        def counting(self, other):
+            counted.append(other)
+            return commutator(self, other)
+
+        monkeypatch.setattr(SparseMatrixQ, "commutator", counting)
+        structure_constants.cache_clear()
+        structure_constants(P)
+        structure_constants.cache_clear()
+        dim = len(build_basis(P))
+        assert len(counted) == (_meeting_pairs(P) if calls is None else calls)
+        assert len(counted) < dim * (dim - 1) // 2

@@ -1,8 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
-from lieposet import InputParseError, build_poset, commutator_matrix, reduce, relation_graph
+from lieposet import (
+    InputParseError,
+    build_poset,
+    commutator_matrix,
+    enumerate_h01,
+    reduce,
+    relation_graph,
+)
 from lieposet.formats import (
     commutator_matrix_json_obj,
     commutator_matrix_text,
@@ -109,6 +117,25 @@ class TestTables:
         obj = commutator_matrix_json_obj(commutator_matrix(sl2_like_poset))
         assert obj["basis"] == ["H(1)", "Z(1)"]
         assert obj["entries"][0][1] == [[1, "2"]]
+
+    def test_commutator_exports_pinned(self):
+        # json and text of every commutator matrix of the acceptance plan
+        # C:4,D:4,B:3 in enumeration order; the matrix keeps only its
+        # nonzero cells above the diagonal, so this guards the dense export
+        digest = hashlib.sha256()
+        count = 0
+        for family, top in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, top + 1):
+                for P in enumerate_h01(family, n):
+                    C = commutator_matrix(P)
+                    obj = commutator_matrix_json_obj(C)
+                    digest.update(json.dumps(obj, sort_keys=True).encode())
+                    digest.update(commutator_matrix_text(C).encode())
+                    count += 1
+        assert count == 1184
+        assert digest.hexdigest() == (
+            "1dfa007a2c4b4cc94d92dea92d47042acd45f1fd185a871a47c59cf8d6708aee"
+        )
 
     def test_matrix_form_grid(self, path_poset):
         grid = matrix_form_text(path_poset)

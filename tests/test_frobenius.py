@@ -15,6 +15,7 @@ from lieposet import (
     UnsupportedHeight,
     build_basis,
     build_poset,
+    combo_bracket,
     commutator_matrix,
     enumerate_h01,
     frobenius_functional,
@@ -28,6 +29,7 @@ from lieposet import (
     principal_element,
     realize,
     spectrum,
+    structure_constants,
 )
 
 from lieposet import frobenius, linalg
@@ -254,16 +256,15 @@ class TestSpectrum:
         # make the columns depend on each other
         element = principal_element(triangle_poset, frobenius_functional(triangle_poset))
         expected = spectrum(triangle_poset, element)
-        real = frobenius.combo_bracket
+        real = frobenius._ad_columns
 
-        def combo_bracket(P, u, v):
-            out = real(P, u, v)
-            (k,) = v
-            if k in tangled:
-                out[1 - k] = out.get(1 - k, 0) + 1
-            return out
+        def ad_columns(x, table, dim):
+            columns = real(x, table, dim)
+            for k in tangled:
+                columns[k][1 - k] = columns[k].get(1 - k, 0) + 1
+            return columns
 
-        monkeypatch.setattr(frobenius, "combo_bracket", combo_bracket)
+        monkeypatch.setattr(frobenius, "_ad_columns", ad_columns)
         if len(tangled) == 1:
             assert spectrum(triangle_poset, element) == expected
         else:
@@ -279,6 +280,18 @@ class TestSpectrum:
                 report = spectrum(P, element)
                 assert report.is_binary
                 assert report.zero_count == report.one_count == report.dim // 2
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_ad_columns_in_one_pass(self, family):
+        # every column of ad(x) from one pass over the table equals the
+        # bracket of x with that basis element, for random sparse int x
+        rng = random.Random(3)
+        for P in enumerate_h01(family, 3):
+            basis, table = structure_constants(P)
+            dim = len(basis)
+            x = {k: rng.randint(-3, 3) for k in rng.sample(range(dim), min(dim, 4))}
+            expected = [combo_bracket(P, x, {k: 1}) for k in range(dim)]
+            assert frobenius._ad_columns(x, table, dim) == expected, P
 
 
 class TestIntegerPath:

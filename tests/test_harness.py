@@ -350,3 +350,12 @@ def test_type_a_height_one_enumeration():
         assert type_a_height(P) == 1 and hasse_connected(P)
     disconnected = list(type_a_height_one_posets(3, connected_only=False))
     assert len(disconnected) > len(posets)
+
+
+def test_acceptance_report_bytes_pinned():
+    # the acceptance plan C:4,D:4,B:3 at seed 0, the campaign the bench times
+    cfg = CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)), seed=0)
+    payload = report_json_bytes(run_campaign(cfg))
+    assert hashlib.sha256(payload).hexdigest() == (
+        "13c5722d03d12cca19d0627440c537805b59f3daff573f1d14b8229d06210b92"
+    )

@@ -104,8 +104,9 @@ class TestEvaluateAndRank:
             assert generic_rank(commutator_matrix(P), trials=3, seed=1) % 2 == 0
 
     def test_odd_rank_raises_invariant_violation(self):
-        # a 1x1 matrix holding the symbol itself is not skew: rank 1
-        C = CommutatorMatrix(basis=("x",), entries=((((0, 1),),),))
+        # a cell on the diagonal breaks the i < j contract: it evaluates
+        # to the 1x1 matrix holding minus the symbol, of rank 1
+        C = CommutatorMatrix(basis=("x",), cells=((0, 0, ((0, 1),)),))
         with pytest.raises(InvariantViolation):
             generic_rank(C, trials=1, seed=0)
 

@@ -27,7 +27,7 @@ def y_z_by_h_block(C):
     """
     rows = [k for k, b in enumerate(C.basis) if b.kind in ("Y", "Z")]
     cols = [k for k, b in enumerate(C.basis) if b.kind == "H"]
-    return rows, cols, [[C.entries[r][c] for c in cols] for r in rows]
+    return rows, cols, [[C.entry(r, c) for c in cols] for r in rows]
 
 
 class TestBBlock:
