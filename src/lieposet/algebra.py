@@ -21,13 +21,16 @@ an invalid poset/basis pair.
 
 Realizations have entries 0 and +-1, and sparse matrices keep int entries
 as ints, so every structure constant is an int and no Fraction is built
-while the table is computed.  `structure_constants` builds the basis and
-its realizations once per poset, indexes them by row and by column, and
-brackets only the pairs where a column of one realization is a row of
-the other: A*B is zero otherwise, so every skipped bracket is zero in
-every family.  The realizations are handed to `decompose`; the cache is
-bounded, since reuse across posets is short range (a type-D table next
-to the type-C one on the same relations, type B next to type D).
+while the table is computed.  A bracket builds one object:
+`SparseMatrixQ.commutator` sums A*B - B*A in one pass over the pairs of
+entries of A and B, which have at most two entries each as realizations.
+`structure_constants` builds the basis and its realizations once per
+poset, indexes them by row and by column, and brackets only the pairs
+where a column of one realization is a row of the other: A*B is zero
+otherwise, so every skipped bracket is zero in every family.  The
+realizations are handed to `decompose`; the cache is bounded, since
+reuse across posets is short range (a type-D table next to the type-C
+one on the same relations, type B next to type D).
 """
 
 from __future__ import annotations
@@ -102,31 +105,16 @@ class SparseMatrixQ:
     def get(self, r, c):
         return self.entries.get((r, c), 0)
 
-    def scaled(self, factor):
-        return SparseMatrixQ({k: v * factor for k, v in self.entries.items()})
-
-    def add_scaled(self, other, factor=1):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v * factor
-        return SparseMatrixQ(out)
-
-    def __sub__(self, other):
-        return self.add_scaled(other, -1)
-
-    def matmul(self, other):
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+    def commutator(self, other):
+        """self*other - other*self, accumulated in one pass over pairs of entries."""
         out = {}
         for (r, c), v in self.entries.items():
-            for c2, w in by_row.get(c, ()):
-                key = (r, c2)
-                out[key] = out.get(key, 0) + v * w
+            for (r2, c2), w in other.entries.items():
+                if c == r2:
+                    out[(r, c2)] = out.get((r, c2), 0) + v * w
+                if c2 == r:
+                    out[(r2, c)] = out.get((r2, c), 0) - w * v
         return SparseMatrixQ(out)
-
-    def commutator(self, other):
-        return self.matmul(other) - other.matmul(self)
 
 
 def build_basis(P):
@@ -198,10 +186,11 @@ def realize(b):
 
 def realize_combination(terms):
     """Realize a {BasisElement: coefficient} combination as one sparse matrix."""
-    out = SparseMatrixQ()
+    out = {}
     for b, c in terms.items():
-        out = out.add_scaled(realize(b), c)
-    return out
+        for key, v in realize(b).entries.items():
+            out[key] = out.get(key, 0) + v * c
+    return SparseMatrixQ(out)
 
 
 def decompose(mat, P, realized=None):

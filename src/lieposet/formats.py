@@ -26,6 +26,18 @@ def poset_to_text(P):
     return "\n".join(lines) + "\n"
 
 
+def _generator(text, label, shown):
+    """(x, y) from ``x <= y``; for anything else InputParseError names the
+    input as ``label 'shown'``."""
+    left, sep, right = text.partition("<=")
+    if sep:
+        try:
+            return int(left), int(right)
+        except ValueError:
+            pass
+    raise InputParseError(f"{label} {shown!r}")
+
+
 def parse_poset_text(text, strict=False):
     header = None
     generators = []
@@ -44,13 +56,7 @@ def parse_poset_text(text, strict=False):
             except ValueError:
                 raise InputParseError(f"bad n in header {raw!r}") from None
             continue
-        if "<=" not in line:
-            raise InputParseError(f"bad relation line {raw!r}")
-        left, right = line.split("<=", 1)
-        try:
-            generators.append((int(left), int(right)))
-        except ValueError:
-            raise InputParseError(f"bad relation line {raw!r}") from None
+        generators.append(_generator(line, "bad relation line", raw))
     if header is None:
         raise InputParseError("missing header line 'family=<F> n=<int>'")
     return build_poset(header[0], header[1], generators, strict=strict)
@@ -111,13 +117,7 @@ def parse_inline(text, strict=False):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "<=" not in chunk:
-            raise InputParseError(f"bad generator {chunk!r}")
-        left, right = chunk.split("<=", 1)
-        try:
-            generators.append((int(left), int(right)))
-        except ValueError:
-            raise InputParseError(f"bad generator {chunk!r}") from None
+        generators.append(_generator(chunk, "bad generator", chunk))
     return build_poset(family, n, generators, strict=strict)
 
 

@@ -146,11 +146,13 @@ def principal_element(P, F):
         # X = d*x as F(ad(X)(b)) == d*F(b); point[b] is F(b)
         if F.value_on(xmat.commutator(realize(b))) != d * point[b]:
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
-    fmat = xmat.scaled(Fraction(1, d))
     diagonal = None
     convention = "other"
-    if all(r == c for (r, c) in fmat.entries):
-        diagonal = tuple((e, fmat.get(e, e)) for e in P.elements)
+    if all(r == c for (r, c) in xmat.entries):
+        # x is xmat / d: a Fraction where xmat has an entry, 0 elsewhere
+        diagonal = tuple(
+            (e, Fraction(v, d) if (v := xmat.get(e, e)) else 0) for e in P.elements
+        )
         diag = dict(diagonal)
         half = Fraction(1, 2)
         if all(diag[-e] == half and diag[e] == -half for e in P.elements if e > 0):

@@ -31,6 +31,7 @@ from .posets import (
     induced_subposet,
     poset_from_mask,
     relation_graph,
+    rg_connected,
 )
 
 _FAMILY_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
@@ -241,9 +242,9 @@ def check_b_reduction(P, ctx):
 def check_reduction_trace(P, ctx):
     if P.family != "C":
         return "skipped", _witness(reason="family is not C")
-    G = relation_graph(P)
-    if len(graph_components(G)) != 1:
+    if not rg_connected(P):
         return "skipped", _witness(reason="relation graph not connected")
+    G = relation_graph(P)
     trace = reduce(P, seed=ctx.seed)
     constant = len(set(trace.ranks)) == 1
     has_odd = any(c.has_odd_cycle for c in graph_components(G))

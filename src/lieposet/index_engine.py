@@ -3,8 +3,12 @@
 The index of the algebra equals its dimension minus the rank of the
 commutator matrix over the fraction field of its symmetric algebra.  That
 generic rank is obtained exactly as the maximum rank over seeded random
-integer evaluations; entries are linear forms, so the failure probability
-after t trials is below dim^2 * (dim/2001)^t.
+integer evaluations.  A rank at a point never exceeds the generic rank,
+so the oracle index can only overstate the true index.  Entries are
+linear forms, so a nonvanishing minor of full generic rank has degree
+<= dim; each trial draws from the 2000 nonzero integers in [-1000, 1000],
+so by Schwartz (1980) the oracle index overstates after t trials with
+probability <= (dim/2000)^t.
 
 The commutator matrix keeps only its nonzero cells above the diagonal,
 one per nonzero bracket of the structure-constant table.  The oracle
@@ -40,6 +44,7 @@ from .posets import (
     is_separable,
     positive_part,
     relation_graph,
+    rg_connected,
     type_a_height,
 )
 from .algebra import structure_constants
@@ -317,9 +322,9 @@ def reduce(P, seed=0):
     hp = height(P)
     if hp.plus_height != 0 or hp.total_height > 1:
         raise UnsupportedPoset(f"height {tuple(hp)} is not (0,0) or (0,1)")
-    G = relation_graph(P)
-    if len(graph_components(G)) != 1:
+    if not rg_connected(P):
         raise UnsupportedPoset("relation graph is not connected")
+    G = relation_graph(P)
     rng = random.Random(seed)
     n = P.n
     edge_values = {e: _nonzero_int(rng) for e in sorted(G.edges)}

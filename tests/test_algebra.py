@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieposet import (
@@ -455,3 +455,76 @@ class TestRowIndexedTable:
         dim = len(build_basis(P))
         assert len(counted) == (_meeting_pairs(P) if calls is None else calls)
         assert len(counted) < dim * (dim - 1) // 2
+
+
+# Dense references for the sparse products: matrices indexed by the signed
+# labels, multiplied and added entry by entry in the test.
+_LABELS = (-2, -1, 0, 1, 2)
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+_sparse = st.dictionaries(
+    st.tuples(st.sampled_from(_LABELS), st.sampled_from(_LABELS)), _values, max_size=8
+).map(SparseMatrixQ)
+
+
+def _dense(mat, labels):
+    return [[mat.get(r, c) for c in labels] for r in labels]
+
+
+def _nonzero_cells(rows, labels):
+    return {
+        (labels[i], labels[j]): v
+        for i, row in enumerate(rows)
+        for j, v in enumerate(row)
+        if v
+    }
+
+
+@st.composite
+def _commutator_pairs(draw):
+    a = draw(_sparse)
+    # a multiple of a commutes with a, so its bracket must cancel to nothing
+    multiple = _values.map(lambda c: SparseMatrixQ({k: c * v for k, v in a.entries.items()}))
+    return a, draw(st.one_of(_sparse, multiple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_commutator_pairs())
+@example((SparseMatrixQ({(1, 1): 1}), SparseMatrixQ({(2, 2): Fraction(1, 2)})))  # disjoint
+@example((SparseMatrixQ({(1, 2): 1, (0, 1): 3}), SparseMatrixQ({(2, 0): 2})))  # overlapping
+# b = 3a, so the two products cancel
+@example((SparseMatrixQ({(1, 2): 1, (2, 1): -2}), SparseMatrixQ({(1, 2): 3, (2, 1): -6})))
+def test_commutator_matches_dense_reference(pair):
+    a, b = pair
+    A, B = _dense(a, _LABELS), _dense(b, _LABELS)
+    n = len(_LABELS)
+    expected = [
+        [sum(A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    com = a.commutator(b)
+    assert com.entries == _nonzero_cells(expected, _LABELS)
+    if all(type(v) is int for m in (a, b) for v in m.entries.values()):
+        assert all(type(v) is int for v in com.entries.values())
+
+
+_FULL_BASES = [
+    build_basis(build_poset(family, n, _general_generators(family, n)))
+    for family, n in (("A", 3), ("B", 2), ("C", 2), ("D", 3))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_realize_combination_matches_dense_sum(data):
+    basis = data.draw(st.sampled_from(_FULL_BASES))
+    terms = data.draw(st.dictionaries(st.sampled_from(basis), _values, max_size=6))
+    labels = range(-3, 4)
+    total = [[0] * len(labels) for _ in labels]
+    for b, c in terms.items():
+        for i, row in enumerate(_dense(realize(b), labels)):
+            for j, v in enumerate(row):
+                total[i][j] += c * v
+    assert realize_combination(terms).entries == _nonzero_cells(total, labels)

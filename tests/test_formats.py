@@ -86,6 +86,24 @@ class TestInline:
             parse_inline("C;2;1<2")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_poset_text, "family=C n=2\n 1 < 2  # x\n", "bad relation line ' 1 < 2  # x'"),
+        (parse_poset_text, "family=C n=2\n-2 <= one\n", "bad relation line '-2 <= one'"),
+        (parse_inline, "C;2; 1<2 ,-2<=1", "bad generator '1<2'"),
+        (parse_inline, "C;2;-2<=1, x <= 2", "bad generator 'x <= 2'"),
+    ],
+    ids=["text-no-sign", "text-not-int", "inline-no-sign", "inline-not-int"],
+)
+def test_generator_error_messages(parse, text, message):
+    with pytest.raises(InputParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    # no chained ValueError in the traceback
+    assert info.value.__context__ is None or info.value.__suppress_context__
+
+
 class TestDot:
     def test_hasse_deterministic(self, path_poset):
         d1, d2 = hasse_dot(path_poset), hasse_dot(path_poset)
