@@ -149,7 +149,8 @@ def matrix_form_cmd(inline, path, fmt):
 @poset_options
 @click.option("--method", type=click.Choice(["formula", "oracle", "both"]),
               default="both", show_default=True)
-@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True)
+@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True,
+              metavar="N", help="at most N evaluations")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--fallback", type=click.Choice(["oracle"]), default=None,
               help="fall back to the oracle when no formula applies")
@@ -204,7 +205,8 @@ def reduce_cmd(inline, path, seed, fmt):
 
 @main.command()
 @poset_options
-@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True)
+@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True,
+              metavar="N", help="at most N evaluations")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--check-oracle", is_flag=True,
               help="also compare against the index oracle")
@@ -295,7 +297,8 @@ def enumerate(family, n, up_to_iso, fmt):
               help="comma list of FAMILY:N_MAX pairs")
 @click.option("--checks", default="", help="comma list of checks (default: all)")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True)
+@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True,
+              metavar="N", help="at most N evaluations")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--output", type=click.Path(), default=None,
               help="write the JSON report here")

@@ -1,10 +1,15 @@
 """Index computation: commutator matrices, generic rank, and formulas.
 
 The index of the algebra equals its dimension minus the rank of the
-commutator matrix over the fraction field of its symmetric algebra.  That
-generic rank is obtained exactly as the maximum rank over seeded random
-integer evaluations.  A rank at a point never exceeds the generic rank,
-so the oracle index can only overstate the true index.  Entries are
+commutator matrix over the fraction field of its symmetric algebra.  The
+oracle takes the maximum rank over seeded random integer evaluations.  A
+rank at a point never exceeds the generic rank, so the oracle index can
+only overstate the true index.  The generic rank in turn never exceeds
+2*nu, nu the size of a maximum matching of the graph of nonzero cells
+(Tutte 1947; found by Edmonds' blossom algorithm, 1965).  The oracle stops
+at the first trial that reaches 2*nu: that rank is the generic rank,
+proved, and the trials it skips could not have raised the maximum.  Only
+where every trial stays below 2*nu is the result sampled: entries are
 linear forms, so a nonvanishing minor of full generic rank has degree
 <= dim; each trial draws from the 2000 nonzero integers in [-1000, 1000],
 so by Schwartz (1980) the oracle index overstates after t trials with
@@ -119,15 +124,103 @@ def _nonzero_int(rng):
     return value
 
 
+def _matching_number(n, edges):
+    """Size of a maximum matching of the graph on range(n) with these edges.
+
+    Edmonds' blossom algorithm (1965): grow an alternating tree from each
+    unmatched vertex by breadth-first search, contract an odd cycle (a
+    blossom) into its base when two even vertices meet, and flip the
+    path when the search reaches an unmatched vertex.  A pair (i, i) is
+    no edge of a matching and is ignored.
+    """
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            adj[i].append(j)
+            adj[j].append(i)
+    match = [-1] * n
+
+    def augment(root):
+        """Flip an augmenting path from the unmatched root; False if none."""
+        parent = [-1] * n
+        base = list(range(n))
+        even = [False] * n
+        even[root] = True
+        queue = [root]
+
+        def common_base(a, b):
+            on_path = set()
+            while True:
+                a = base[a]
+                on_path.add(a)
+                if match[a] < 0:
+                    break
+                a = parent[match[a]]
+            while base[b] not in on_path:
+                b = parent[match[base[b]]]
+            return base[b]
+
+        def mark(v, top, child, blossom):
+            while base[v] != top:
+                blossom.add(base[v])
+                blossom.add(base[match[v]])
+                parent[v] = child
+                child = match[v]
+                v = parent[child]
+
+        for v in queue:
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or (match[w] >= 0 and parent[match[w]] >= 0):
+                    top = common_base(v, w)
+                    blossom = set()
+                    mark(v, top, w, blossom)
+                    mark(w, top, v, blossom)
+                    for u in range(n):
+                        if base[u] in blossom:
+                            base[u] = top
+                            if not even[u]:
+                                even[u] = True
+                                queue.append(u)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    if match[w] < 0:
+                        while w >= 0:
+                            v = parent[w]
+                            nxt = match[v]
+                            match[w], match[v] = v, w
+                            w = nxt
+                        return True
+                    even[match[w]] = True
+                    queue.append(match[w])
+        return False
+
+    return sum(1 for root in range(n) if match[root] < 0 and augment(root))
+
+
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     """Max rank over seeded evaluations at nonzero integers in [-1000, 1000].
 
     Each trial draws one value per basis element, in basis order.  An
     evaluated skew matrix has even rank, so an odd rank raises
     InvariantViolation.
+
+    The loop stops at the first trial whose rank reaches the ceiling
+    2*nu, nu the size of a maximum matching of the graph S on range(dim)
+    whose edges are the nonzero cells.  The ceiling bounds the generic
+    rank: a skew matrix of rank r has a nonsingular principal r x r
+    submatrix, whose determinant is the square of its Pfaffian.  So the
+    Pfaffian has a nonzero term, and that term is a perfect matching of
+    those r rows in S.  Every trial's rank is at most the generic rank,
+    so a trial at the ceiling has found the generic rank, proved, and the
+    later trials could not raise the maximum: the result equals that of
+    all `trials` evaluations.  A rank above the ceiling raises
+    InvariantViolation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    ceiling = 2 * _matching_number(C.dim, ((i, j) for i, j, _ in C.cells))
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
@@ -135,7 +228,13 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
         rank = integer_rank(_evaluate_rows(C.cells, values), C.dim)
         if rank % 2:
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
+        if rank > ceiling:
+            raise InvariantViolation(
+                f"evaluated rank {rank} exceeds the matching ceiling {ceiling}"
+            )
         best = max(best, rank)
+        if best == ceiling:
+            break
     return best
 
 
@@ -152,7 +251,10 @@ def index_formula(P):
     (|E| - |V| + 2 * number of components of the relation graph without
     an odd cycle, a self loop counting as an odd cycle), and separable
     posets of any height (index of the type-A algebra on P+ plus one,
-    with the type-A index taken from the oracle at fixed seed).  Raises
+    with the type-A index taken from the oracle at fixed seed: proved
+    where the oracle reaches the matching ceiling of `generic_rank`, and
+    elsewhere an upper bound, equal with the probability the module
+    docstring gives).  Raises
     UnsupportedPoset otherwise; there is no silent oracle fallback.
 
     The index is dim minus the even rank of a skew matrix, so a value

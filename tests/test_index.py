@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet import (
+    CampaignConfig,
     CommutatorMatrix,
     InvariantViolation,
+    PosetConstructionError,
     RelationGraph,
     UnsupportedPoset,
     build_basis,
@@ -15,19 +18,23 @@ from lieposet import (
     commutator_matrix,
     enumerate_h01,
     generic_rank,
+    ground_set,
     h01_slots,
+    height,
     index_formula,
     index_oracle,
     poset_from_mask,
     positive_part,
     random_separable_poset,
     relation_graph,
+    run_campaign,
+    type_a_height,
     type_a_height_one_index,
     type_a_height_one_posets,
 )
 from lieposet import index_engine
-from lieposet.index_engine import ORACLE_TRIALS
-from lieposet.linalg import solve
+from lieposet.index_engine import ORACLE_TRIALS, _matching_number
+from lieposet.linalg import integer_rank, solve
 
 
 class TestCommutatorMatrix:
@@ -134,6 +141,177 @@ class TestEvaluateAndRank:
                 for P in enumerate_h01(fam, n):
                     C = commutator_matrix(P)
                     assert generic_rank(C, seed=seed) == reference(C, ORACLE_TRIALS), P
+
+
+def brute_matching_number(n, edges):
+    """Maximum matching size by trying, for the least vertex left, to
+    leave it out or to match it with each neighbour left."""
+    adj = {v: set() for v in range(n)}
+    for i, j in edges:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    memo = {}
+
+    def best(left):
+        if not left:
+            return 0
+        if left not in memo:
+            v = min(left)
+            rest = left - {v}
+            memo[left] = max(
+                [best(rest)] + [1 + best(rest - {w}) for w in adj[v] & rest]
+            )
+        return memo[left]
+
+    return best(frozenset(range(n)))
+
+
+def _cycle(*vertices):
+    return [(min(a, b), max(a, b)) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+# Graphs with odd cycles that a maximum matching has to run through, each
+# edge list sorted.  On the two-triangle graphs the augmenting path from
+# the last unmatched vertex passes a triangle: a search that does not
+# contract blossoms stops one edge short there.
+BLOSSOM_CASES = {
+    name: (n, sorted(edges), nu)
+    for name, (n, edges, nu) in {
+        "five_cycle_with_stem": (7, _cycle(0, 1, 2, 3, 4) + [(0, 5), (5, 6)], 3),
+        "triangles_joined_by_an_edge": (6, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 3)], 3),
+        "triangles_joined_by_a_path": (
+            8, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 6), (6, 7), (3, 7)], 4,
+        ),
+        "K5": (5, list(itertools.combinations(range(5), 2)), 2),
+        "K7": (7, list(itertools.combinations(range(7), 2)), 3),
+        "petersen": (
+            10,
+            _cycle(0, 1, 2, 3, 4) + [(i, i + 5) for i in range(5)] + _cycle(5, 7, 9, 6, 8),
+            5,
+        ),
+    }.items()
+}
+
+
+class TestMatchingNumber:
+    @pytest.mark.parametrize("name", sorted(BLOSSOM_CASES))
+    def test_blossom_cases(self, name):
+        n, edges, nu = BLOSSOM_CASES[name]
+        assert brute_matching_number(n, edges) == nu
+        assert _matching_number(n, edges) == nu
+        assert _matching_number(n, [(j, i) for i, j in reversed(edges)]) == nu
+
+    def test_loops_and_empty_graph(self):
+        assert _matching_number(0, []) == 0
+        assert _matching_number(3, [(0, 0), (1, 1)]) == 0
+        assert _matching_number(3, [(0, 0), (0, 1), (1, 2)]) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=36),
+    )))
+    def test_matches_brute_force(self, graph):
+        n, edges = graph
+        assert _matching_number(n, edges) == brute_matching_number(n, edges)
+
+
+def _full_loop_ranks(C, trials, seed):
+    """The rank of every one of `trials` seeded evaluations, none skipped,
+    drawn as the oracle draws them: one nonzero integer in [-1000, 1000]
+    per basis element, in basis order."""
+    rng = random.Random(seed)
+    ranks = []
+    for _ in range(trials):
+        point = {}
+        for b in C.basis:
+            value = 0
+            while value == 0:
+                value = rng.randint(-1000, 1000)
+            point[b] = value
+        ranks.append(integer_rank(C.evaluate(point), C.dim))
+    return ranks
+
+
+def _random_low_posets(rng, family, count):
+    """Seeded random build_poset posets of height at most (1,1), or at
+    most one in family A."""
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 4)
+        pairs = list(itertools.combinations(ground_set(family, n), 2))
+        try:
+            P = build_poset(family, n, rng.sample(pairs, rng.randint(0, min(4, len(pairs)))))
+        except PosetConstructionError:
+            continue
+        if (type_a_height(P) if family == "A" else max(height(P))) <= 1:
+            found.append(P)
+    return found
+
+
+class TestEarlyStop:
+    """generic_rank stops at the first trial that reaches the matching
+    ceiling, and returns what all its trials would."""
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    def test_acceptance_plan_equals_full_loop(self, seed):
+        for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, n_max + 1):
+                edges, loops = h01_slots(fam, n)
+                for mask in range(1 << (len(edges) + len(loops))):
+                    C = commutator_matrix(poset_from_mask(fam, n, mask))
+                    ranks = _full_loop_ranks(C, 5, seed)
+                    for trials in (1, 2, 5):
+                        got = generic_rank(C, trials=trials, seed=seed)
+                        assert got == max(ranks[:trials]), (fam, n, mask, trials)
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_random_posets_equal_full_loop(self, family):
+        rng = random.Random(1300 + ord(family))
+        for P in _random_low_posets(rng, family, 25):
+            C = commutator_matrix(P)
+            seed = rng.randrange(2**20)
+            ranks = _full_loop_ranks(C, 5, seed)
+            for trials in (1, 2, 5):
+                assert generic_rank(C, trials=trials, seed=seed) == max(ranks[:trials]), P
+
+    def _count_ranks(self, monkeypatch):
+        calls = []
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return integer_rank(rows, ncols)
+
+        monkeypatch.setattr(index_engine, "integer_rank", counted)
+        return calls
+
+    def test_tight_poset_takes_one_trial(self, path_poset, monkeypatch):
+        calls = self._count_ranks(monkeypatch)
+        C = commutator_matrix(path_poset)
+        assert generic_rank(C, trials=5) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_four_cycle_runs_every_trial(self, four_cycle_poset, trials, monkeypatch):
+        # dim 8 and rank 6, while the nonzero cells hold a perfect matching
+        calls = self._count_ranks(monkeypatch)
+        C = commutator_matrix(four_cycle_poset)
+        assert 2 * _matching_number(C.dim, [(i, j) for i, j, _ in C.cells]) == C.dim == 8
+        assert generic_rank(C, trials=trials) == 6
+        assert len(calls) == trials
+
+    def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
+        low = lambda n, edges: _matching_number(n, edges) - 1  # noqa: E731
+        monkeypatch.setattr(index_engine, "_matching_number", low)
+        with pytest.raises(InvariantViolation, match="ceiling"):
+            generic_rank(commutator_matrix(path_poset))
+        report = run_campaign(
+            CampaignConfig(plan=(("C", 2),), checks=("formula_vs_oracle",), jobs=1)
+        )
+        summary = report["summary"]["formula_vs_oracle"]
+        assert summary["pass"] == 0 and summary["fail"] == sum(report["posets"].values())
+        assert {f["witness"]["error"] for f in report["failures"]} == {"InvariantViolation"}
 
 
 class TestIndexOracle:
