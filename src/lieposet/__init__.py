@@ -57,10 +57,10 @@ from .posets import (
 )
 from .algebra import (
     BasisElement,
-    SparseMatrixQ,
     bracket,
     build_basis,
     combo_bracket,
+    commutator,
     decompose,
     matrix_form,
     realize,

@@ -19,24 +19,24 @@ that no later basis element touches, so reading coefficients there in
 basis order and subtracting is exact, and any nonzero remainder signals
 an invalid poset/basis pair.
 
-Realizations have entries 0 and +-1, and sparse matrices keep int entries
-as ints, so every structure constant is an int and no Fraction is built
-while the table is computed.  A bracket builds one object:
-`SparseMatrixQ.commutator` sums A*B - B*A in one pass over the pairs of
-entries of A and B, which have at most two entries each as realizations.
-`structure_constants` builds the basis and its realizations once per
-poset, indexes them by row and by column, and brackets only the pairs
-where a column of one realization is a row of the other: A*B is zero
-otherwise, so every skipped bracket is zero in every family.  The
-realizations are handed to `decompose`; the cache is bounded, since
-reuse across posets is short range (a type-D table next to the type-C
-one on the same relations, type B next to type D).
+A sparse matrix is a plain dict {(row, col): value} keyed by signed
+labels.  It stores no zero entries, and its values are ints or Fractions;
+every function here that builds one keeps both rules.  Realizations have
+entries +-1, so every structure constant is an int and no Fraction is
+built while the table is computed.  `commutator` sums A*B - B*A in one
+pass over the pairs of entries of A and B, which have at most two
+entries each as realizations.  `structure_constants` builds the basis
+and its realizations once per poset, indexes them by row and by column,
+and brackets only the pairs where a column of one realization is a row
+of the other: A*B is zero otherwise, so every skipped bracket is zero in
+every family.  The realizations are handed to `decompose`; the cache is
+bounded, since reuse across posets is short range (a type-D table next
+to the type-C one on the same relations, type B next to type D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NoSignRescaling, NotInSpan, UnsupportedPoset
@@ -71,50 +71,21 @@ class BasisElement:
         return f"{self.kind}({self.i})"
 
 
-class SparseMatrixQ:
-    """Sparse exact matrix keyed by signed row/column labels.
+def commutator(a, b):
+    """a*b - b*a for sparse matrices, as a sparse matrix.
 
-    Entries are ints or Fractions: int input stays int, anything else goes
-    through Fraction, and arithmetic keeps whichever type it produces.
+    One pass over the pairs of entries of a and b accumulates both
+    products; sums that cancel to zero are dropped.  Int entries give int
+    entries, and Fractions stay Fractions.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=()):
-        data = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for key, value in items:
-            if not isinstance(value, int):
-                value = Fraction(value)
-            if value:
-                data[key] = value
-        self.entries = data
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseMatrixQ) and self.entries == other.entries
-
-    def __repr__(self):
-        body = ", ".join(
-            f"({r},{c}):{v}" for (r, c), v in sorted(self.entries.items())
-        )
-        return f"SparseMatrixQ({{{body}}})"
-
-    def get(self, r, c):
-        return self.entries.get((r, c), 0)
-
-    def commutator(self, other):
-        """self*other - other*self, accumulated in one pass over pairs of entries."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            for (r2, c2), w in other.entries.items():
-                if c == r2:
-                    out[(r, c2)] = out.get((r, c2), 0) + v * w
-                if c2 == r:
-                    out[(r2, c)] = out.get((r2, c), 0) - w * v
-        return SparseMatrixQ(out)
+    out = {}
+    for (r, c), v in a.items():
+        for (r2, c2), w in b.items():
+            if c == r2:
+                out[(r, c2)] = out.get((r, c2), 0) + v * w
+            if c2 == r:
+                out[(r2, c)] = out.get((r2, c), 0) - w * v
+    return {key: v for key, v in out.items() if v}
 
 
 def build_basis(P):
@@ -158,53 +129,59 @@ def build_basis(P):
 def realize(b):
     """Sparse matrix realization of a basis element.
 
-    The first entry is the element's leading position, with coefficient 1,
-    and no element later in basis order has an entry there: the first
-    position in each row of the module docstring's table (both Y
-    orientations included).  `decompose` reads coefficients off these
-    positions and nowhere else.
+    Its entries are +-1, so it holds ints and no zeros.  The first entry
+    is the element's leading position, with coefficient 1, and no element
+    later in basis order has an entry there: the first position in each
+    row of the module docstring's table (both Y orientations included).
+    `decompose` reads coefficients off these positions and nowhere else.
     """
     kind, i, j = b.kind, b.i, b.j
     if kind == "H":
-        return SparseMatrixQ({(-i, -i): 1, (i, i): -1})
+        return {(-i, -i): 1, (i, i): -1}
     if kind == "X":
-        return SparseMatrixQ({(-i, -j): 1, (j, i): -1})
+        return {(-i, -j): 1, (j, i): -1}
     if kind == "Y":
         if b.family == "C":
-            return SparseMatrixQ({(-i, j): 1, (-j, i): 1})
-        return SparseMatrixQ({(-i, j): 1, (-j, i): -1})
+            return {(-i, j): 1, (-j, i): 1}
+        return {(-i, j): 1, (-j, i): -1}
     if kind == "Z":
-        return SparseMatrixQ({(-i, i): 1})
+        return {(-i, i): 1}
     if kind == "U":
-        return SparseMatrixQ({(-i, 0): 1, (0, i): -1})
+        return {(-i, 0): 1, (0, i): -1}
     if kind == "DA":
-        return SparseMatrixQ({(i, i): 1, (i + 1, i + 1): -1})
+        return {(i, i): 1, (i + 1, i + 1): -1}
     if kind == "EA":
-        return SparseMatrixQ({(i, j): 1})
+        return {(i, j): 1}
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def realize_combination(terms):
-    """Realize a {BasisElement: coefficient} combination as one sparse matrix."""
+    """Realize a {BasisElement: coefficient} combination as one sparse matrix.
+
+    Coefficients are ints or Fractions; sums that cancel to zero are
+    dropped.
+    """
     out = {}
     for b, c in terms.items():
-        for key, v in realize(b).entries.items():
+        for key, v in realize(b).items():
             out[key] = out.get(key, 0) + v * c
-    return SparseMatrixQ(out)
+    return {key: v for key, v in out.items() if v}
 
 
 def decompose(mat, P, realized=None):
     """Write a sparse matrix as a combination of the basis of P.
 
-    One triangular pass in basis order: the coefficient of each element is
-    what is left of `mat` at its leading position (see `realize`), and
-    that multiple of its realization is subtracted.  A nonzero remainder
-    raises NotInSpan.  `realized` lists (element, realization entries) in
-    basis order, built here when the caller has none.
+    `mat` is a {(row, col): value} dict with int or Fraction values; zero
+    entries in it are ignored.  One triangular pass in basis order: the
+    coefficient of each element is what is left of `mat` at its leading
+    position (see `realize`), and that multiple of its realization is
+    subtracted.  A nonzero remainder raises NotInSpan.  `realized` lists
+    (element, realization) pairs in basis order, built here when the
+    caller has none.
     """
     if realized is None:
-        realized = [(b, realize(b).entries) for b in build_basis(P)]
-    rest = dict(mat.entries)
+        realized = [(b, realize(b)) for b in build_basis(P)]
+    rest = {key: v for key, v in mat.items() if v}
     combo = {}
     for b, entries in realized:
         if not rest:
@@ -220,13 +197,13 @@ def decompose(mat, P, realized=None):
             else:
                 del rest[key]
     if rest:
-        raise NotInSpan(f"nonzero residual {SparseMatrixQ(rest)!r}")
+        raise NotInSpan(f"nonzero residual {dict(sorted(rest.items()))}")
     return combo
 
 
 def bracket(a, b, P):
     """Commutator [a, b] decomposed in the basis of P."""
-    return decompose(realize(a).commutator(realize(b)), P)
+    return decompose(commutator(realize(a), realize(b)), P)
 
 
 @lru_cache(maxsize=256)
@@ -241,20 +218,20 @@ def structure_constants(P):
     basis = build_basis(P)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
-    realized = [(b, m.entries) for b, m in zip(basis, mats)]
+    realized = list(zip(basis, mats))
     by_row, by_col = {}, {}
     for k, m in enumerate(mats):
-        for r, c in m.entries:
+        for r, c in m:
             by_row.setdefault(r, set()).add(k)
             by_col.setdefault(c, set()).add(k)
     table = {}
     for i, m in enumerate(mats):
         meets = set()
-        for r, c in m.entries:
+        for r, c in m:
             meets.update(by_row.get(c, ()))
             meets.update(by_col.get(r, ()))
         for j in sorted(k for k in meets if k > i):
-            com = m.commutator(mats[j])
+            com = commutator(m, mats[j])
             if not com:
                 continue
             combo = decompose(com, P, realized)

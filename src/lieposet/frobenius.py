@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
+    commutator,
     matrix_form,
     realize,
     realize_combination,
@@ -49,7 +50,8 @@ class Functional:
         return dict(self.support)
 
     def value_on(self, mat):
-        return sum(weight * mat.get(r, c) for (r, c), weight in self.support)
+        """F applied to a sparse {(row, col): value} matrix."""
+        return sum(weight * mat.get(key, 0) for key, weight in self.support)
 
     def point(self, P):
         """Induced assignment basis element -> value on its realization."""
@@ -131,6 +133,7 @@ class PrincipalElement:
         return dict(self.coefficients)
 
     def realized(self):
+        """x as a sparse {(row, col): Fraction} matrix with no zero entries."""
         return realize_combination(self.as_combination())
 
 
@@ -144,14 +147,14 @@ def principal_element(P, F):
     for b in basis:
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
         # X = d*x as F(ad(X)(b)) == d*F(b); point[b] is F(b)
-        if F.value_on(xmat.commutator(realize(b))) != d * point[b]:
+        if F.value_on(commutator(xmat, realize(b))) != d * point[b]:
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
     diagonal = None
     convention = "other"
-    if all(r == c for (r, c) in xmat.entries):
+    if all(r == c for (r, c) in xmat):
         # x is xmat / d: a Fraction where xmat has an entry, 0 elsewhere
         diagonal = tuple(
-            (e, Fraction(v, d) if (v := xmat.get(e, e)) else 0) for e in P.elements
+            (e, Fraction(v, d) if (v := xmat.get((e, e))) else 0) for e in P.elements
         )
         diag = dict(diagonal)
         half = Fraction(1, 2)

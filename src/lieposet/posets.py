@@ -30,6 +30,7 @@ from .errors import (
     Condition3Violation,
     PosetConstructionError,
     UnsupportedHeight,
+    UnsupportedPoset,
 )
 
 FAMILIES = ("A", "B", "C", "D")
@@ -79,7 +80,7 @@ class SignedPoset:
     def height_pair(self):
         """The HeightPair of a signed poset; read it through :func:`height`."""
         if self.family == "A":
-            raise ValueError("height pairs apply to families B, C, D")
+            raise UnsupportedPoset("height pairs apply to families B, C, D")
         positives = [x for x in self.elements if x > 0]
         plus = _longest_chain(positives, self.relations) - 1
         total = _longest_chain(self.elements, self.relations) - 1
@@ -93,7 +94,7 @@ class SignedPoset:
         since a property that raises caches nothing.
         """
         if self.family == "A":
-            raise ValueError("relation graphs apply to families B, C, D")
+            raise UnsupportedPoset("relation graphs apply to families B, C, D")
         hp = self.height_pair
         if hp.plus_height != 0 or hp.total_height > 1:
             raise UnsupportedHeight(f"height {tuple(hp)} is not (0,0) or (0,1)")
@@ -322,7 +323,10 @@ def _longest_chain(elements, relations):
 
 
 def height(P):
-    """Height pair (longest chain in P+ minus one, longest chain minus one)."""
+    """Height pair (longest chain in P+ minus one, longest chain minus one).
+
+    Raises UnsupportedPoset for family A.
+    """
     return P.height_pair
 
 
@@ -347,7 +351,8 @@ def is_separable(P):
 def relation_graph(P):
     """Relation graph of a height-(0,0)/(0,1) signed poset.
 
-    Raises UnsupportedHeight for any other height, on every call.
+    Raises UnsupportedPoset for family A and UnsupportedHeight for any
+    other height, on every call.
     """
     return P.relation_graph
 

@@ -91,6 +91,42 @@ def test_index_formula_unsupported_without_fallback(runner):
     assert "UnsupportedPoset" in result.output
 
 
+FAMILY_A = "A;3;1<=2"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["frobenius", "--check-oracle", "--format", "json"],
+     ["spectrum", "--format", "json"],
+     ["principal", "--format", "json"]],
+    ids=["frobenius-check-oracle", "spectrum", "principal"],
+)
+def test_family_a_without_relation_graph_exits_1(runner, args):
+    result = runner.invoke(main, [args[0], "-p", FAMILY_A, *args[1:]])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "UnsupportedPoset",
+        "message": "relation graphs apply to families B, C, D",
+    }
+
+
+def test_family_a_relation_graph_export_exits_1(runner):
+    result = runner.invoke(main, ["export", "-p", FAMILY_A, "--what", "relation-graph",
+                                  "--format", "dot"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "error[UnsupportedPoset]: relation graphs apply to families B, C, D\n"
+    )
+
+
+def test_family_a_index_both_reports_the_formula_error(runner):
+    result = runner.invoke(main, ["index", "-p", FAMILY_A, "--format", "json"])
+    assert result.exit_code == 0
+    out = json.loads(result.output)
+    assert out["formula_error"] == "UnsupportedPoset" and "formula" not in out
+    assert "agreement" not in out
+
+
 def test_index_fallback_oracle(runner):
     result = runner.invoke(
         main,

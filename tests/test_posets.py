@@ -11,6 +11,7 @@ from lieposet import (
     HeightPair,
     SignedPoset,
     UnsupportedHeight,
+    UnsupportedPoset,
     build_poset,
     canonical_graph_key,
     covering_relations,
@@ -260,6 +261,16 @@ class TestGraphBijection:
         P = poset_from_graph("C", 3, edges, loops)
         G = relation_graph(P)
         assert set(G.edges) == set(edges) and set(G.loops) == set(loops)
+
+    def test_family_a_has_no_relation_graph(self):
+        # a failed precondition, not an input error: UnsupportedPoset on
+        # every access, for the graph and for the height pair behind it
+        P = build_poset("A", 3, [(1, 2)])
+        for _ in range(2):
+            with pytest.raises(UnsupportedPoset, match="relation graphs"):
+                relation_graph(P)
+            with pytest.raises(UnsupportedPoset, match="height pairs"):
+                height(P)
 
     def test_round_trip_from_poset(self, path_poset):
         G = relation_graph(path_poset)

@@ -21,22 +21,34 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _absolute_imports(path):
+    """(line, module) for every absolute import statement in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_package_imports_only_stdlib_and_click():
     # click is the one declared runtime dependency; numpy, sympy and
     # networkx may be installed but must never become required
     allowed = set(sys.stdlib_module_names) | {"click", "lieposet"}
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in allowed
-            ]
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in _absolute_imports(path)
+        if name.split(".")[0] not in allowed
+    ]
+    assert found == []
+
+
+def test_algebra_imports_nothing_from_fractions():
+    # structure constants are computed in ints: the module that computes
+    # them has no Fraction to build
+    found = [
+        f"{line} {name}"
+        for line, name in _absolute_imports(PACKAGE / "algebra.py")
+        if name.split(".")[0] == "fractions"
+    ]
     assert found == []
