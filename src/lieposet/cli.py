@@ -105,6 +105,15 @@ def _echo_matrix_form(P, fmt):
         click.echo(formats.matrix_form_text(P), nl=False)
 
 
+def _echo_fields(out, fmt):
+    """out as one JSON object, or one `key: value` line per key, keys sorted."""
+    if fmt == "json":
+        click.echo(json.dumps(out, sort_keys=True))
+    else:
+        for key in sorted(out):
+            click.echo(f"{key}: {out[key]}")
+
+
 def format_option(*choices, default="text"):
     def deco(fn):
         return click.option(
@@ -176,11 +185,7 @@ def index(inline, path, method, trials, seed, fallback, fmt):
         out["oracle"] = index_oracle(P, trials=trials, seed=seed)
     if "formula" in out and "oracle" in out:
         out["agreement"] = out["formula"] == out["oracle"]
-    if fmt == "json":
-        click.echo(json.dumps(out, sort_keys=True))
-    else:
-        for key in sorted(out):
-            click.echo(f"{key}: {out[key]}")
+    _echo_fields(out, fmt)
     if not out.get("agreement", True):
         sys.exit(COMPUTE_EXIT)
 
@@ -220,11 +225,7 @@ def frobenius(inline, path, trials, seed, check_oracle, fmt):
         out["oracle_index"] = index_oracle(P, trials=trials, seed=seed)
         out["seed"] = seed
         out["agreement"] = (out["oracle_index"] == 0) == out["frobenius"]
-    if fmt == "json":
-        click.echo(json.dumps(out, sort_keys=True))
-    else:
-        for key in sorted(out):
-            click.echo(f"{key}: {out[key]}")
+    _echo_fields(out, fmt)
     if not out.get("agreement", True):
         sys.exit(COMPUTE_EXIT)
 
@@ -389,11 +390,7 @@ def isomorphism(inline, path, fmt):
             raise LiePosetError("structure constants differ")
     else:
         raise InputParseError("isomorphism checks apply to families B and D")
-    if fmt == "json":
-        click.echo(json.dumps(out, sort_keys=True))
-    else:
-        for key in sorted(out):
-            click.echo(f"{key}: {out[key]}")
+    _echo_fields(out, fmt)
 
 
 def entry():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .algebra import matrix_form, structure_constants
 from .errors import InputParseError
 from .posets import build_poset, covering_relations, relation_graph
 
@@ -146,8 +147,6 @@ def relation_graph_dot(G, name="relation_graph"):
 
 def matrix_form_text(P):
     """The permitted-entry pattern as a grid of '*' and '.'."""
-    from .algebra import matrix_form
-
     allowed = matrix_form(P)
     labels = P.elements
     width = max(len(str(e)) for e in labels)
@@ -209,8 +208,6 @@ def commutator_matrix_json_obj(C):
 
 
 def structure_constants_text(P):
-    from .algebra import structure_constants
-
     basis, table = structure_constants(P)
     lines = ["basis: " + ", ".join(repr(b) for b in basis)]
     for (i, j), terms in sorted(table.items()):
@@ -223,8 +220,6 @@ def structure_constants_text(P):
 
 
 def structure_constants_json_obj(P):
-    from .algebra import structure_constants
-
     basis, table = structure_constants(P)
     return {
         "basis": [repr(b) for b in basis],

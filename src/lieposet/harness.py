@@ -2,14 +2,17 @@
 
 A campaign enumerates every height-(0,0)/(0,1) poset of the configured
 families (one per labeled relation graph, identified by its slot bitmask)
-and runs each enabled check, collecting pass/fail/skipped results with
-exact witnesses.  Failures are data, never exceptions; with a fixed seed
-the JSON report is byte identical across runs and worker counts.
+and runs each enabled check.  Each poset's pass/fail/skipped results are
+counted as they arrive and only failures are kept, with exact witnesses,
+so memory does not grow with the plan.  Failures are data, never
+exceptions; with a fixed seed the JSON report is byte identical across
+runs and worker counts.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -28,6 +31,7 @@ from .posets import (
     build_poset,
     graph_components,
     h01_slots,
+    hasse_connected,
     induced_subposet,
     poset_from_mask,
     relation_graph,
@@ -304,27 +308,30 @@ def _worker(args):
 def run_campaign(cfg):
     """Run every enabled check over the configured corpora; returns a report."""
     checks = cfg.enabled_checks()
-    work = []
-    counts = {}
-    for family, n_max in cfg.plan:
-        for n in range(1, n_max + 1):
-            edges, loops = h01_slots(family, n)
-            size = 1 << (len(edges) + len(loops))
-            counts[f"{family}{n}"] = size
-            for mask in range(size):
-                work.append((family, n, mask, checks, cfg.seed, cfg.trials))
-    jobs = min(cfg.jobs, len(work))
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            chunk = max(1, len(work) // (jobs * 8))
-            per_poset = pool.map(_worker, work, chunksize=chunk)
-    else:
-        per_poset = [_worker(item) for item in work]
-    results = [res for batch in per_poset for res in batch]
+    sizes = [
+        (family, n, 1 << sum(map(len, h01_slots(family, n))))
+        for family, n_max in cfg.plan
+        for n in range(1, n_max + 1)
+    ]
+    total = sum(size for _, _, size in sizes)
+    work = (
+        (family, n, mask, checks, cfg.seed, cfg.trials)
+        for family, n, size in sizes
+        for mask in range(size)
+    )
+    jobs = min(cfg.jobs, total)
     summary = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in checks}
-    for res in results:
-        summary[res.check][res.status] += 1
-    failures = [res.to_obj() for res in results if res.status == "fail"]
+    failures = []
+    with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        if pool is None:
+            batches = map(_worker, work)
+        else:
+            batches = pool.imap(_worker, work, max(1, total // (jobs * 8)))
+        for batch in batches:
+            for res in batch:
+                summary[res.check][res.status] += 1
+                if res.status == "fail":
+                    failures.append(res.to_obj())
     return {
         "config": {
             "plan": [[family, n_max] for family, n_max in cfg.plan],
@@ -332,7 +339,7 @@ def run_campaign(cfg):
             "seed": cfg.seed,
             "trials": cfg.trials,
         },
-        "posets": counts,
+        "posets": {f"{family}{n}": size for family, n, size in sizes},
         "summary": summary,
         "failures": failures,
     }
@@ -361,24 +368,21 @@ def report_text(report):
     return "\n".join(lines) + "\n"
 
 
-def minimize_failure(result, cfg=None, check_fn=None):
+def minimize_failure(result, cfg=None):
     """Greedily drop relation-graph slots while the failure persists.
 
-    check_fn overrides the registered check (used by fault-injection
-    tests).  Pass results are returned unchanged.
+    Each candidate mask is re-run through run_checks_on_poset with the
+    failed check alone.  Pass results are returned unchanged.
     """
     if result.status != "fail":
         return result
     cfg = cfg or CampaignConfig()
-    fn = check_fn or CHECKS[result.check]
 
     def run(mask):
-        P = poset_from_mask(result.family, result.n, mask)
-        ctx = CheckContext(
-            seed=poset_seed(cfg.seed, result.family, result.n, mask),
-            trials=cfg.trials,
+        (res,) = run_checks_on_poset(
+            result.family, result.n, mask, (result.check,), cfg.seed, cfg.trials
         )
-        return _run_check(fn, P, ctx)
+        return res
 
     mask = result.mask
     shrunk = True
@@ -388,13 +392,11 @@ def minimize_failure(result, cfg=None, check_fn=None):
             if not mask >> bit & 1:
                 continue
             candidate = mask & ~(1 << bit)
-            status, _ = run(candidate)
-            if status == "fail":
+            if run(candidate).status == "fail":
                 mask = candidate
                 shrunk = True
                 break
-    status, witness = run(mask)
-    return CheckResult(result.family, result.n, mask, result.check, status, witness)
+    return run(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +417,6 @@ def random_separable_poset(rng, max_positive=4):
 
 def type_a_height_one_posets(n, connected_only=True):
     """All height-one family-A posets on {1..n}, optionally Hasse connected."""
-    from .posets import hasse_connected
-
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for mask in range(1, 1 << len(pairs)):
         chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]

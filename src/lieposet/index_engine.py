@@ -371,15 +371,15 @@ def _simple_cycles(edges):
         adj.setdefault(j, []).append(i)
     for v in adj:
         adj[v].sort()
-    found = set()
+    found = []
 
     def walk(path, seen):
         u = path[-1]
         for w in adj[u]:
-            if w == path[0] and len(path) >= 3:
-                forward = tuple(path)
-                backward = (path[0],) + tuple(reversed(path[1:]))
-                found.add(min(forward, backward))
+            if w == path[0] and len(path) >= 3 and path[1] < u:
+                # each cycle closes once per direction; this is the
+                # canonical one
+                found.append(tuple(path))
             elif w > path[0] and w not in seen:
                 path.append(w)
                 seen.add(w)

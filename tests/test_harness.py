@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -58,13 +59,15 @@ def test_report_deterministic_across_runs_and_jobs():
 
 
 @pytest.mark.parametrize(
-    "plan, jobs, sizes",
-    [((("C", 1),), 8, [2]), ((("C", 2),), 3, [3]), ((("C", 2),), 1, [])],
-    ids=["C1-jobs8", "C2-jobs3", "C2-jobs1"],
+    "plan, jobs, sizes, posets",
+    [((("C", 1),), 8, [2], {"C1": 2}), ((("C", 2),), 3, [3], {"C1": 2, "C2": 8}),
+     ((("C", 2),), 1, [], {"C1": 2, "C2": 8}), ((), 1, [], {}), ((), 3, [], {})],
+    ids=["C1-jobs8", "C2-jobs3", "C2-jobs1", "empty-jobs1", "empty-jobs3"],
 )
-def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes):
+def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes, posets):
     # C:1 holds two posets, so --jobs 8 forks two workers, not eight; the
-    # fake pool maps in this process, so no process is started
+    # fake pool maps in this process, so no process is started.  An empty
+    # plan opens no pool and reports zero counts.
     opened = []
 
     class InProcessPool:
@@ -80,6 +83,9 @@ def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes):
         def map(self, fn, items, chunksize=1):
             return [fn(item) for item in items]
 
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
     class Context:
         Pool = InProcessPool
 
@@ -88,6 +94,27 @@ def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes):
     pooled = report_json_bytes(run_campaign(CampaignConfig(plan=plan, seed=7, jobs=jobs)))
     assert opened == sizes
     assert pooled == serial
+    report = json.loads(serial)
+    assert report["posets"] == posets and report["failures"] == []
+    total = sum(posets.values())
+    assert all(sum(cell.values()) == total for cell in report["summary"].values())
+
+
+def test_serial_campaign_releases_results(monkeypatch):
+    # results are counted as they arrive: while poset k runs, no result of
+    # posets before k - 1 is still alive
+    inner = harness.run_checks_on_poset
+    refs = []
+
+    def tracked(*args):
+        assert all(ref() is None for earlier in refs[:-1] for ref in earlier)
+        results = inner(*args)
+        refs.append([weakref.ref(res) for res in results])
+        return results
+
+    monkeypatch.setattr(harness, "run_checks_on_poset", tracked)
+    report = run_campaign(CampaignConfig(plan=(("C", 3),), seed=0))
+    assert len(refs) == sum(report["posets"].values()) == 74
 
 
 def test_seed_changes_report_config_only_on_pass():
@@ -278,7 +305,7 @@ class TestMinimizeFailure:
         res = CheckResult("C", 2, 3, "formula_vs_oracle", "pass", ())
         assert minimize_failure(res) is res
 
-    def test_off_by_one_formula_minimizes_to_one_edge(self):
+    def test_off_by_one_formula_minimizes_to_one_edge(self, monkeypatch):
         # inject a fault: any nonempty graph has its edge count over-read by
         # one, so the empty graph still passes and one slot is the minimum
         from lieposet import graph_components, relation_graph
@@ -297,11 +324,12 @@ class TestMinimizeFailure:
 
         start = mask_of_poset(build_poset("C", 3, [(-1, 2), (-1, 3), (-2, 3)]))
         res = CheckResult("C", 3, start, "formula_vs_oracle", "fail", ())
-        shrunk = minimize_failure(res, check_fn=broken)
+        monkeypatch.setitem(CHECKS, "formula_vs_oracle", broken)
+        shrunk = minimize_failure(res)
         assert shrunk.status == "fail"
         assert bin(shrunk.mask).count("1") == 1  # a single slot already fails
 
-    def test_wrong_odd_cycle_detector_minimizes_to_triangle(self):
+    def test_wrong_odd_cycle_detector_minimizes_to_triangle(self, monkeypatch):
         # inject a fault: odd cycles are detected only as self loops, so the
         # eta term of the index formula is wrong on loop-less odd components
         from lieposet import graph_components, mask_of_poset, relation_graph
@@ -320,7 +348,8 @@ class TestMinimizeFailure:
         # triangle plus a pendant edge fails; the pendant should shrink away
         P = build_poset("C", 4, [(-1, 2), (-1, 3), (-2, 3), (-3, 4)])
         res = CheckResult("C", 4, mask_of_poset(P), "formula_vs_oracle", "fail", ())
-        shrunk = minimize_failure(res, check_fn=broken)
+        monkeypatch.setitem(CHECKS, "formula_vs_oracle", broken)
+        shrunk = minimize_failure(res)
         assert shrunk.status == "fail"
         assert bin(shrunk.mask).count("1") == 3  # exactly the triangle remains
         G = relation_graph(poset_from_mask("C", 4, shrunk.mask))
