@@ -94,7 +94,6 @@ from .frobenius import (
 from .harness import (
     CampaignConfig,
     CheckResult,
-    minimize_failure,
     random_separable_poset,
     report_json_bytes,
     report_text,

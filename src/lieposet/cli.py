@@ -17,7 +17,12 @@ import click
 
 from . import __version__, formats
 from .algebra import matrix_form, verify_B_reduction, verify_CD_isomorphism
-from .errors import InputParseError, LiePosetError, PosetConstructionError
+from .errors import (
+    InputParseError,
+    LiePosetError,
+    PosetConstructionError,
+    UnsupportedPoset,
+)
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
@@ -389,7 +394,7 @@ def isomorphism(inline, path, fmt):
         if not out["equal"]:
             raise LiePosetError("structure constants differ")
     else:
-        raise InputParseError("isomorphism checks apply to families B and D")
+        raise UnsupportedPoset("isomorphism checks apply to families B and D")
     _echo_fields(out, fmt)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
 from .errors import LiePosetError, SingularForm
@@ -301,6 +300,17 @@ def run_checks_on_poset(family, n, mask, checks, seed, trials):
     return results
 
 
+def get_context(method):
+    """multiprocessing.get_context, imported on the first pool.
+
+    Only a campaign with jobs > 1 opens a pool, so no other command or
+    import of the package pays for loading multiprocessing.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
+
+
 def _worker(args):
     return run_checks_on_poset(*args)
 
@@ -366,37 +376,6 @@ def report_text(report):
     for failure in report["failures"][:20]:
         lines.append(f"    {failure}")
     return "\n".join(lines) + "\n"
-
-
-def minimize_failure(result, cfg=None):
-    """Greedily drop relation-graph slots while the failure persists.
-
-    Each candidate mask is re-run through run_checks_on_poset with the
-    failed check alone.  Pass results are returned unchanged.
-    """
-    if result.status != "fail":
-        return result
-    cfg = cfg or CampaignConfig()
-
-    def run(mask):
-        (res,) = run_checks_on_poset(
-            result.family, result.n, mask, (result.check,), cfg.seed, cfg.trials
-        )
-        return res
-
-    mask = result.mask
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for bit in range(mask.bit_length()):
-            if not mask >> bit & 1:
-                continue
-            candidate = mask & ~(1 << bit)
-            if run(candidate).status == "fail":
-                mask = candidate
-                shrunk = True
-                break
-    return run(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ functional with integral weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
-proves the prediction, in Python ints.  Its one row operation reads its
+proves the prediction, in Python ints.  The replay follows one BFS
+spanning tree of the graph and enumerates no cycles: a chord whose ends
+have depths of the same parity closes the odd cycle the proof needs, and
+otherwise the chords are the closing edges whose removal leaves the tree
+to sweep.  Its one row operation reads its
 factor off the two rows and divides exactly or raises, a row that takes
 a new label is checked against it, and `integer_rank` checks the rank
 after every step.  Each of these faults raises InvariantViolation; none
@@ -359,42 +363,38 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _simple_cycles(edges):
-    """All simple cycles with >= 3 vertices, as canonical tuples.
+def _bfs_tree(n, edges):
+    """Parent and depth of every vertex of the BFS spanning tree from 1.
 
-    A canonical tuple starts at the cycle's least vertex and runs in the
-    lexicographically smaller of the two directions.
+    The graph on 1..n must be connected.  Neighbours are visited in
+    ascending order, so the tree depends on the edges alone.
     """
-    adj = {}
+    adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    for v in adj:
-        adj[v].sort()
-    found = []
-
-    def walk(path, seen):
-        u = path[-1]
-        for w in adj[u]:
-            if w == path[0] and len(path) >= 3 and path[1] < u:
-                # each cycle closes once per direction; this is the
-                # canonical one
-                found.append(tuple(path))
-            elif w > path[0] and w not in seen:
-                path.append(w)
-                seen.add(w)
-                walk(path, seen)
-                path.pop()
-                seen.remove(w)
-
-    for start in sorted(adj):
-        walk([start], {start})
-    return found
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = {1: None}
+    depth = {1: 0}
+    queue = [1]
+    for u in queue:
+        for w in sorted(adj[u]):
+            if w not in depth:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    return parent, depth
 
 
-def _longest_first(cycle):
-    """Sort key of the cycle search: longest, then the least tuple."""
-    return (-len(cycle), cycle)
+def _tree_path(parent, depth, u, w):
+    """Vertices of the tree path from u to w, through their deepest common
+    ancestor."""
+    up, down = [u], [w]
+    while up[-1] != down[-1]:
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def reduce(P, seed=0):
@@ -411,13 +411,21 @@ def reduce(P, seed=0):
     rank change or a missing row raises InvariantViolation; no other seed
     is tried, since exact row operations keep the rank at any point.
 
-    A graph with a loop takes only loop steps.  A loop-free graph with an
-    odd cycle turns the closing edge of its longest odd cycle into a loop,
-    then takes loop steps.  A bipartite graph zeroes the closing edge of
-    its longest even cycle until it is a tree, then sweeps the tree.  The
-    simple cycles are enumerated and sorted once; each even-cycle step
-    takes the next one with all its edges left, the cycle a fresh search
-    would pick.
+    A graph with a loop takes only loop steps.  A loop-free graph is
+    reduced along one BFS spanning tree, rooted at vertex 1 with
+    neighbours taken in ascending order; each chord (an edge not in the
+    tree) closes one fundamental cycle with its tree path.  A chord whose
+    ends have depths of the same parity closes an odd cycle: the first
+    such chord in sorted order is cleared along its tree path, which
+    leaves a nonzero multiple of e_j at its far end j, and becomes the
+    loop Z(j); loop steps follow.  With no such chord the graph is
+    bipartite, every chord closes an even cycle, and clearing each chord
+    in sorted order along its tree path leaves the zero row.  What
+    remains is the tree, and sweeping it deepest first toward vertex 1
+    leaves the row of each tree edge with entries only in the column of
+    its deeper end and in column 1: rank |V| - 1.  Tree edges are never
+    zeroed, so every row a path clears against still holds its two
+    original entries.
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
@@ -512,29 +520,35 @@ def reduce(P, seed=0):
 
     record("Init", "instantiated block")
     if not G.loops:
-        cycles = _simple_cycles(G.edges)
-        odd = [c for c in cycles if len(c) % 2]
+        parent, depth = _bfs_tree(n, G.edges)
+        chords = [
+            (i, j) for i, j in sorted(G.edges) if i != parent[j] and j != parent[i]
+        ]
+        odd = [(i, j) for i, j in chords if depth[i] % 2 == depth[j] % 2]
         if odd:
-            cycle = min(odd, key=_longest_first)
-            closing = _pair(cycle[0], cycle[-1])
-            relabel(clear_path(closing, cycle), cycle[-1])
+            i, j = odd[0]
+            path = _tree_path(parent, depth, i, j)
+            relabel(clear_path((i, j), path), j)
             record(
                 STEP_ODD_CYCLE,
-                f"odd cycle {cycle}: edge {closing} became loop {cycle[-1]}",
+                f"odd cycle {tuple(path)}: edge {(i, j)} became loop {j}",
             )
         else:
-            # the simple cycles of G - e are the cycles of G that avoid e,
-            # and edges are only removed, so the first intact cycle in
-            # this order is the one a fresh search would pick
-            zeroed = set()
-            for cycle in sorted(cycles, key=_longest_first):
-                if not zeroed.isdisjoint(map(_pair, cycle, cycle[1:] + cycle[:1])):
-                    continue
-                closing = _pair(cycle[0], cycle[-1])
-                relabel(clear_path(closing, cycle), None)
-                zeroed.add(closing)
-                record(STEP_EVEN_CYCLE, f"even cycle {cycle}: edge {closing} zeroed")
-            record(STEP_PATH_SWEEP, _path_sweep(snapshots[-1].edges, clear_path))
+            for i, j in chords:
+                path = _tree_path(parent, depth, i, j)
+                relabel(clear_path((i, j), path), None)
+                record(
+                    STEP_EVEN_CYCLE, f"even cycle {tuple(path)}: edge {(i, j)} zeroed"
+                )
+            for v in sorted(depth, key=lambda v: (-depth[v], v)):
+                if depth[v] >= 2:
+                    # the row of (v, parent) ends with entries in columns v and 1
+                    path = _tree_path(parent, depth, parent[v], 1)
+                    clear_path(_pair(v, parent[v]), path)
+            record(
+                STEP_PATH_SWEEP,
+                "tree sweep toward vertex 1" if G.edges else "trivial sweep (no edges)",
+            )
 
     while (pick := _loop_edge(snapshots[-1])) is not None:
         i, j = pick
@@ -567,42 +581,3 @@ def _loop_edge(step):
             return i, nbrs[0]
     return None
 
-
-def _path_sweep(edges, clear_path):
-    """Sweep a tree from its least leaf, clearing interior columns.
-
-    Rows are rewritten deepest first, so the shallower rows they consume
-    are still in their original two-entry form.
-    """
-    if not edges:
-        return "trivial sweep (no edges)"
-    degree = {}
-    adj = {}
-    for i, j in edges:
-        degree[i] = degree.get(i, 0) + 1
-        degree[j] = degree.get(j, 0) + 1
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    root = min(v for v, d in degree.items() if d == 1)
-    parent = {root: None}
-    dist = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(adj[u]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    order = sorted(dist, key=lambda v: (-dist[v], v))
-    for v in order:
-        if dist[v] < 2:
-            continue
-        chain = [v]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        # v, its parent, ..., root: clear every column but the two ends
-        clear_path(_pair(chain[0], chain[1]), chain[1:])
-    return f"tree sweep from leaf {root}"

@@ -247,6 +247,11 @@ def test_isomorphism_command(runner):
     assert json.loads(d.output) == {"kind": "D=C", "eps": [1, 1, 1]}
     b = runner.invoke(main, ["isomorphism", "-p", "B;2;-1<=2", "--format", "json"])
     assert json.loads(b.output) == {"kind": "B=D0", "equal": True}
+    # a valid poset of another family is unsupported input, exit 1
+    for poset in ("A;3;1<=2", "C;2;-1<=2"):
+        other = runner.invoke(main, ["isomorphism", "-p", poset, "--format", "json"])
+        assert other.exit_code == 1
+        assert json.loads(other.output)["error"] == "UnsupportedPoset"
 
 
 def test_verify_campaign(runner, tmp_path):

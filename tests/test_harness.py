@@ -10,14 +10,11 @@ import pytest
 
 from lieposet import (
     CampaignConfig,
-    CheckResult,
-    build_poset,
     functional,
     graph_components,
     h01_slots,
     index_formula,
     index_oracle,
-    minimize_failure,
     poset_from_mask,
     random_separable_poset,
     relation_graph,
@@ -27,7 +24,7 @@ from lieposet import (
     type_a_height_one_posets,
 )
 from lieposet import harness
-from lieposet.harness import CHECKS, _witness, run_checks_on_poset
+from lieposet.harness import CHECKS, run_checks_on_poset
 
 
 def test_small_campaign_all_pass():
@@ -298,64 +295,6 @@ def test_report_text_renders():
     assert "formula_vs_oracle" in text and "failures: 0" in text
     payload = json.loads(report_json_bytes(report).decode())
     assert payload["summary"] == report["summary"]
-
-
-class TestMinimizeFailure:
-    def test_pass_result_unchanged(self):
-        res = CheckResult("C", 2, 3, "formula_vs_oracle", "pass", ())
-        assert minimize_failure(res) is res
-
-    def test_off_by_one_formula_minimizes_to_one_edge(self, monkeypatch):
-        # inject a fault: any nonempty graph has its edge count over-read by
-        # one, so the empty graph still passes and one slot is the minimum
-        from lieposet import graph_components, relation_graph
-
-        def broken(P, ctx):
-            G = relation_graph(P)
-            eta = sum(
-                1 for c in graph_components(G) if not c.has_odd_cycle
-            )
-            bump = 1 if G.edge_count else 0
-            f = G.edge_count + bump - G.n + 2 * eta
-            o = index_oracle(P, trials=ctx.trials, seed=ctx.seed)
-            return ("pass" if f == o else "fail"), _witness(formula=f, oracle=o)
-
-        from lieposet import mask_of_poset
-
-        start = mask_of_poset(build_poset("C", 3, [(-1, 2), (-1, 3), (-2, 3)]))
-        res = CheckResult("C", 3, start, "formula_vs_oracle", "fail", ())
-        monkeypatch.setitem(CHECKS, "formula_vs_oracle", broken)
-        shrunk = minimize_failure(res)
-        assert shrunk.status == "fail"
-        assert bin(shrunk.mask).count("1") == 1  # a single slot already fails
-
-    def test_wrong_odd_cycle_detector_minimizes_to_triangle(self, monkeypatch):
-        # inject a fault: odd cycles are detected only as self loops, so the
-        # eta term of the index formula is wrong on loop-less odd components
-        from lieposet import graph_components, mask_of_poset, relation_graph
-
-        def broken(P, ctx):
-            G = relation_graph(P)
-            eta_broken = sum(
-                1
-                for c in graph_components(G)
-                if not any(v in G.loops for v in c.vertices)
-            )
-            f = G.edge_count - G.n + 2 * eta_broken
-            o = index_oracle(P, trials=ctx.trials, seed=ctx.seed)
-            return ("pass" if f == o else "fail"), _witness(formula=f, oracle=o)
-
-        # triangle plus a pendant edge fails; the pendant should shrink away
-        P = build_poset("C", 4, [(-1, 2), (-1, 3), (-2, 3), (-3, 4)])
-        res = CheckResult("C", 4, mask_of_poset(P), "formula_vs_oracle", "fail", ())
-        monkeypatch.setitem(CHECKS, "formula_vs_oracle", broken)
-        shrunk = minimize_failure(res)
-        assert shrunk.status == "fail"
-        assert bin(shrunk.mask).count("1") == 3  # exactly the triangle remains
-        G = relation_graph(poset_from_mask("C", 4, shrunk.mask))
-        assert len(G.edges) == 3 and not G.loops
-        (comp,) = [c for c in graph_components(G) if c.edge_count]
-        assert comp.has_odd_cycle and comp.is_unicyclic
 
 
 def test_random_separable_poset_is_separable():

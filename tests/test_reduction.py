@@ -170,21 +170,42 @@ def complete_bipartite(a, b):
 
 
 class TestReduceReplay:
-    @pytest.mark.parametrize("a, b", [(3, 4), (4, 4)])
-    def test_cycles_enumerated_once(self, monkeypatch, a, b):
-        calls = []
-        enumerate_cycles = index_engine._simple_cycles
-
-        def counted(edges):
-            calls.append(len(edges))
-            return enumerate_cycles(edges)
-
-        monkeypatch.setattr(index_engine, "_simple_cycles", counted)
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 4), (6, 6)])
+    def test_bipartite_zeroes_each_chord_then_sweeps(self, a, b):
+        # K_{a,b} has ab edges and its spanning tree a + b - 1, so
+        # (a-1)(b-1) chords are zeroed and the tree is swept once
         trace = reduce(complete_bipartite(a, b), seed=0)
         kinds = [s.kind for s in trace.steps]
-        # (a-1)(b-1) even-cycle steps leave a spanning tree to sweep
-        assert kinds.count("EvenCycleElim") == (a - 1) * (b - 1)
-        assert calls == [a * b]
+        assert kinds == ["EvenCycleElim"] * ((a - 1) * (b - 1)) + ["PathSweep"]
+        assert trace.final_rank == a + b - 1
+        edges, loops = trace.final_graph
+        assert len(edges) == a + b - 1 and loops == ()
+
+    def test_complete_graph_one_odd_step(self):
+        # loop-free K12: the chord (2, 3) closes a triangle through vertex
+        # 1 and becomes a loop, which then absorbs the other 65 edges
+        edges = [(i, j) for i in range(1, 13) for j in range(i + 1, 13)]
+        trace = reduce(poset_from_graph("C", 12, edges), seed=0)
+        kinds = [s.kind for s in trace.steps]
+        assert kinds == ["OddCycleElim"] + ["SelfLoopElim"] * 65
+        assert trace.steps[0].detail == (
+            "odd cycle (2, 1, 3): edge (2, 3) became loop 3"
+        )
+        assert trace.final_rank == 12
+        assert trace.final_graph == ((), tuple(range(1, 13)))
+
+    def test_path_off_the_tree_raises(self, monkeypatch):
+        # a path that skips a vertex steps between two vertices on the
+        # same side of K3,4, where no edge row exists
+        tree_path = index_engine._tree_path
+
+        def skipping(parent, depth, u, w):
+            path = tree_path(parent, depth, u, w)
+            return path[:1] + path[2:]
+
+        monkeypatch.setattr(index_engine, "_tree_path", skipping)
+        with pytest.raises(InvariantViolation, match="missing row"):
+            reduce(complete_bipartite(3, 4), seed=0)
 
     def test_rows_match_labels(self):
         # after every step a Z(v) row is exactly -2*L_v*e_v and a 0 row is
@@ -229,9 +250,7 @@ class TestReduceReplay:
 
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
-        # and K4,4: the replay picks the same cycle at every step.  The
-        # digest before the loop steps were corrected recorded Z rows with
-        # an entry outside their own column
+        # and K4,4: the replay takes the same tree, chords and steps
         posets = [
             P
             for n in (1, 2, 3, 4)
@@ -245,5 +264,5 @@ class TestReduceReplay:
             digest.update(json.dumps(obj, sort_keys=True).encode())
         assert len(posets) == 649
         assert digest.hexdigest() == (
-            "164c77975d777e67b27a79665354847ac25c77345c6dfac7a52a1dea874023b1"
+            "b40824934fca04902ef2318e9609f393b0dbce72daae7307b29c7817924b5974"
         )

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +53,17 @@ def test_algebra_imports_nothing_from_fractions():
         if name.split(".")[0] == "fractions"
     ]
     assert found == []
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a campaign with jobs > 1 opens a pool; every other command and
+    # every import of the package must not pay for multiprocessing
+    code = "import sys, lieposet.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "False"
