@@ -94,11 +94,9 @@ from .frobenius import (
 from .harness import (
     CampaignConfig,
     CheckResult,
-    random_separable_poset,
     report_json_bytes,
     report_text,
     run_campaign,
-    type_a_height_one_posets,
 )
 
 __version__ = "0.1.0"

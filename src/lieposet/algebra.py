@@ -29,9 +29,11 @@ entries each as realizations.  `structure_constants` builds the basis
 and its realizations once per poset, indexes them by row and by column,
 and brackets only the pairs where a column of one realization is a row
 of the other: A*B is zero otherwise, so every skipped bracket is zero in
-every family.  The realizations are handed to `decompose`; the cache is
-bounded, since reuse across posets is short range (a type-D table next
-to the type-C one on the same relations, type B next to type D).
+every family.  The realizations are handed to `decompose`.  The cache is
+bounded: most of its hits are one poset's checks reading its table
+again, and the rest are component subposets that recur across posets,
+plus the few tables `verify_B_reduction` and `verify_CD_isomorphism`
+find still cached.
 """
 
 from __future__ import annotations

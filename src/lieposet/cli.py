@@ -186,7 +186,9 @@ def index(inline, path, method, trials, seed, fallback, fmt):
                 raise
             else:
                 out["formula_error"] = exc.code
-    if method in ("oracle", "both"):
+    if "fallback" in out and method == "both":
+        out["oracle"] = out["formula"]  # the fallback ran the oracle already
+    elif method in ("oracle", "both"):
         out["oracle"] = index_oracle(P, trials=trials, seed=seed)
     if "formula" in out and "oracle" in out:
         out["agreement"] = out["formula"] == out["oracle"]

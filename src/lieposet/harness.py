@@ -27,10 +27,8 @@ from .frobenius import (
 from .index_engine import index_formula, index_oracle, reduce
 from .posets import (
     SIGNED_FAMILIES,
-    build_poset,
     graph_components,
     h01_slots,
-    hasse_connected,
     induced_subposet,
     poset_from_mask,
     relation_graph,
@@ -38,6 +36,10 @@ from .posets import (
 )
 
 _FAMILY_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
+
+# posets per pool task: a constant, so that the results a chunk holds in
+# a worker and in the parent do not grow with the plan
+POOL_CHUNK = 32
 
 
 def _mix(*parts):
@@ -336,7 +338,7 @@ def run_campaign(cfg):
         if pool is None:
             batches = map(_worker, work)
         else:
-            batches = pool.imap(_worker, work, max(1, total // (jobs * 8)))
+            batches = pool.imap(_worker, work, POOL_CHUNK)
         for batch in batches:
             for res in batch:
                 summary[res.check][res.status] += 1
@@ -376,34 +378,3 @@ def report_text(report):
     for failure in report["failures"][:20]:
         lines.append(f"    {failure}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Extra corpora used by the verification suite
-# ---------------------------------------------------------------------------
-
-
-def random_separable_poset(rng, max_positive=4):
-    """A random separable type-C poset: only mirror pairs of same-sign relations."""
-    size = rng.randint(1, max_positive)
-    generators = []
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            if rng.random() < 0.5:
-                generators.append((i, j))
-    return build_poset("C", size, generators)
-
-
-def type_a_height_one_posets(n, connected_only=True):
-    """All height-one family-A posets on {1..n}, optionally Hasse connected."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for mask in range(1, 1 << len(pairs)):
-        chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        sources = {x for x, _ in chosen}
-        targets = {y for _, y in chosen}
-        if sources & targets:
-            continue  # a composable pair would force a three-element chain
-        P = build_poset("A", n, chosen)
-        if connected_only and not hasse_connected(P):
-            continue
-        yield P

@@ -5,11 +5,12 @@ commutator matrix over the fraction field of its symmetric algebra.  The
 oracle takes the maximum rank over seeded random integer evaluations.  A
 rank at a point never exceeds the generic rank, so the oracle index can
 only overstate the true index.  The generic rank in turn never exceeds
-2*nu, nu the size of a maximum matching of the graph of nonzero cells
-(Tutte 1947; found by Edmonds' blossom algorithm, 1965).  The oracle stops
-at the first trial that reaches 2*nu: that rank is the generic rank,
-proved, and the trials it skips could not have raised the maximum.  Only
-where every trial stays below 2*nu is the result sampled: entries are
+the term rank of the pattern of nonzero cells, the most nonzero cells no
+two in one row or column (Frobenius-Koenig), rounded down to even; Kuhn's
+augmenting paths (1955) find it.  The oracle stops at the first trial
+that reaches this ceiling: that rank is the generic rank, proved, and the
+trials it skips could not have raised the maximum.  Only where every
+trial stays below the ceiling is the result sampled: entries are
 linear forms, so a nonvanishing minor of full generic rank has degree
 <= dim; each trial draws from the 2000 nonzero integers in [-1000, 1000],
 so by Schwartz (1980) the oracle index overstates after t trials with
@@ -28,15 +29,15 @@ functional with integral weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
-proves the prediction, in Python ints.  The replay follows one BFS
-spanning tree of the graph and enumerates no cycles: a chord whose ends
-have depths of the same parity closes the odd cycle the proof needs, and
-otherwise the chords are the closing edges whose removal leaves the tree
-to sweep.  Its one row operation reads its
-factor off the two rows and divides exactly or raises, a row that takes
-a new label is checked against it, and `integer_rank` checks the rank
-after every step.  Each of these faults raises InvariantViolation; none
-is retried, since exact row operations keep the rank at any point.
+proves the prediction, in Python ints.  The replay follows the BFS
+spanning tree of the graph: a chord whose ends have depths of the same
+parity closes the odd cycle the proof needs, and otherwise the chords
+are the closing edges whose removal leaves the tree to sweep.  Its one
+row operation reads its factor off the two rows and divides exactly or
+raises, a row that takes a new label is checked against it, and
+`integer_rank` checks the rank after every step.  Each of these faults
+raises InvariantViolation; none is retried, since exact row operations
+keep the rank at any point.
 """
 
 from __future__ import annotations
@@ -128,79 +129,46 @@ def _nonzero_int(rng):
     return value
 
 
-def _matching_number(n, edges):
-    """Size of a maximum matching of the graph on range(n) with these edges.
+def _term_rank(n, pairs):
+    """Term rank of the n x n pattern with cells (i, j) and (j, i) per pair.
 
-    Edmonds' blossom algorithm (1965): grow an alternating tree from each
-    unmatched vertex by breadth-first search, contract an odd cycle (a
-    blossom) into its base when two even vertices meet, and flip the
-    path when the search reaches an unmatched vertex.  A pair (i, i) is
-    no edge of a matching and is ignored.
+    That is the most cells no two of which share a row or a column.
+    Kuhn's augmenting paths (1955): a row with a free column takes it;
+    otherwise a depth-first search runs on an explicit stack of (row,
+    untried columns, column the row was reached through).  When the top
+    row reaches a free column it takes it, and each row below takes the
+    column the row above it was reached through.
     """
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        if i != j:
-            adj[i].append(j)
-            adj[j].append(i)
-    match = [-1] * n
-
-    def augment(root):
-        """Flip an augmenting path from the unmatched root; False if none."""
-        parent = [-1] * n
-        base = list(range(n))
-        even = [False] * n
-        even[root] = True
-        queue = [root]
-
-        def common_base(a, b):
-            on_path = set()
-            while True:
-                a = base[a]
-                on_path.add(a)
-                if match[a] < 0:
-                    break
-                a = parent[match[a]]
-            while base[b] not in on_path:
-                b = parent[match[base[b]]]
-            return base[b]
-
-        def mark(v, top, child, blossom):
-            while base[v] != top:
-                blossom.add(base[v])
-                blossom.add(base[match[v]])
-                parent[v] = child
-                child = match[v]
-                v = parent[child]
-
-        for v in queue:
-            for w in adj[v]:
-                if base[v] == base[w] or match[v] == w:
+    cols = [[] for _ in range(n)]
+    for i, j in pairs:
+        cols[i].append(j)
+        cols[j].append(i)
+    owner = [-1] * n
+    seen = [-1] * n  # the last root whose search reached each column
+    size = 0
+    for root in range(n):
+        for col in cols[root]:
+            if owner[col] < 0:
+                owner[col] = root
+                size += 1
+                break
+        else:
+            stack = [(root, iter(cols[root]), None)]
+            while stack:
+                for col in stack[-1][1]:
+                    if seen[col] != root:
+                        break
+                else:
+                    stack.pop()
                     continue
-                if w == root or (match[w] >= 0 and parent[match[w]] >= 0):
-                    top = common_base(v, w)
-                    blossom = set()
-                    mark(v, top, w, blossom)
-                    mark(w, top, v, blossom)
-                    for u in range(n):
-                        if base[u] in blossom:
-                            base[u] = top
-                            if not even[u]:
-                                even[u] = True
-                                queue.append(u)
-                elif parent[w] < 0:
-                    parent[w] = v
-                    if match[w] < 0:
-                        while w >= 0:
-                            v = parent[w]
-                            nxt = match[v]
-                            match[w], match[v] = v, w
-                            w = nxt
-                        return True
-                    even[match[w]] = True
-                    queue.append(match[w])
-        return False
-
-    return sum(1 for root in range(n) if match[root] < 0 and augment(root))
+                seen[col] = root
+                if owner[col] < 0:
+                    for row, _, reached in reversed(stack):
+                        owner[col], col = row, reached
+                    size += 1
+                    break
+                stack.append((owner[col], iter(cols[owner[col]]), col))
+    return size
 
 
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
@@ -210,21 +178,19 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     evaluated skew matrix has even rank, so an odd rank raises
     InvariantViolation.
 
-    The loop stops at the first trial whose rank reaches the ceiling
-    2*nu, nu the size of a maximum matching of the graph S on range(dim)
-    whose edges are the nonzero cells.  The ceiling bounds the generic
-    rank: a skew matrix of rank r has a nonsingular principal r x r
-    submatrix, whose determinant is the square of its Pfaffian.  So the
-    Pfaffian has a nonzero term, and that term is a perfect matching of
-    those r rows in S.  Every trial's rank is at most the generic rank,
-    so a trial at the ceiling has found the generic rank, proved, and the
-    later trials could not raise the maximum: the result equals that of
-    all `trials` evaluations.  A rank above the ceiling raises
-    InvariantViolation.
+    The loop stops at the first trial whose rank reaches the ceiling: the
+    term rank of the pattern of nonzero cells, rounded down to even.  A
+    nonzero r x r minor has a nonzero term in its Leibniz expansion, r
+    nonzero cells in distinct rows and columns, so the generic rank is at
+    most the term rank, and even.  Every trial's rank is at most the
+    generic rank, so a trial at the ceiling has found the generic rank,
+    proved, and the later trials could not raise the maximum: the result
+    equals that of all `trials` evaluations.  A rank above the ceiling
+    raises InvariantViolation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ceiling = 2 * _matching_number(C.dim, ((i, j) for i, j, _ in C.cells))
+    ceiling = _term_rank(C.dim, ((i, j) for i, j, _ in C.cells)) // 2 * 2
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
@@ -234,7 +200,7 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
         if rank > ceiling:
             raise InvariantViolation(
-                f"evaluated rank {rank} exceeds the matching ceiling {ceiling}"
+                f"evaluated rank {rank} exceeds the term-rank ceiling {ceiling}"
             )
         best = max(best, rank)
         if best == ceiling:
@@ -256,7 +222,7 @@ def index_formula(P):
     an odd cycle, a self loop counting as an odd cycle), and separable
     posets of any height (index of the type-A algebra on P+ plus one,
     with the type-A index taken from the oracle at fixed seed: proved
-    where the oracle reaches the matching ceiling of `generic_rank`, and
+    where the oracle reaches the term-rank ceiling of `generic_rank`, and
     elsewhere an upper bound, equal with the probability the module
     docstring gives).  Raises
     UnsupportedPoset otherwise; there is no silent oracle fallback.
@@ -363,28 +329,6 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _bfs_tree(n, edges):
-    """Parent and depth of every vertex of the BFS spanning tree from 1.
-
-    The graph on 1..n must be connected.  Neighbours are visited in
-    ascending order, so the tree depends on the edges alone.
-    """
-    adj = {v: [] for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = {1: None}
-    depth = {1: 0}
-    queue = [1]
-    for u in queue:
-        for w in sorted(adj[u]):
-            if w not in depth:
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return parent, depth
-
-
 def _tree_path(parent, depth, u, w):
     """Vertices of the tree path from u to w, through their deepest common
     ancestor."""
@@ -412,13 +356,13 @@ def reduce(P, seed=0):
     is tried, since exact row operations keep the rank at any point.
 
     A graph with a loop takes only loop steps.  A loop-free graph is
-    reduced along one BFS spanning tree, rooted at vertex 1 with
-    neighbours taken in ascending order; each chord (an edge not in the
-    tree) closes one fundamental cycle with its tree path.  A chord whose
-    ends have depths of the same parity closes an odd cycle: the first
-    such chord in sorted order is cleared along its tree path, which
-    leaves a nonzero multiple of e_j at its far end j, and becomes the
-    loop Z(j); loop steps follow.  With no such chord the graph is
+    reduced along its BFS spanning tree (`RelationGraph.forest`), rooted
+    at vertex 1 with neighbours taken in ascending order; each chord (an
+    edge not in the tree) closes one fundamental cycle with its tree
+    path.  A chord whose ends have depths of the same parity closes an
+    odd cycle: the first such chord in sorted order is cleared along its
+    tree path, which leaves a nonzero multiple of e_j at its far end j,
+    and becomes the loop Z(j); loop steps follow.  With no such chord the graph is
     bipartite, every chord closes an even cycle, and clearing each chord
     in sorted order along its tree path leaves the zero row.  What
     remains is the tree, and sweeping it deepest first toward vertex 1
@@ -520,7 +464,7 @@ def reduce(P, seed=0):
 
     record("Init", "instantiated block")
     if not G.loops:
-        parent, depth = _bfs_tree(n, G.edges)
+        parent, depth, _ = G.forest
         chords = [
             (i, j) for i, j in sorted(G.edges) if i != parent[j] and j != parent[i]
         ]

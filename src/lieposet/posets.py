@@ -8,16 +8,15 @@ respect the integer order.  For the signed families, every relation
 (x, y) with x != -y comes with its mirror (-y, -x).
 
 Posets and relation graphs are frozen, so the objects derived from them
-(the height pair, the relation graph, its components) are computed once
-per object and cached on it; `height`, `relation_graph` and
-`graph_components` read those caches.  The caches live outside the
+(the height pair, the relation graph, its BFS forest and its components)
+are computed once per object and cached on it; `height`, `relation_graph`
+and `graph_components` read those caches.  The caches live outside the
 dataclass fields, so equality and hashing ignore them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -147,38 +146,56 @@ class RelationGraph:
         return tuple(sorted(self.loops))
 
     @cached_property
-    def components(self):
-        """GraphComponents in vertex order; read them through :func:`graph_components`."""
+    def forest(self):
+        """BFS spanning forest as (parent, depth, root) dicts on the vertices.
+
+        Each component is searched from its least vertex, its root, whose
+        parent is None; neighbours are taken in ascending order, so the
+        forest depends on the edges alone.
+        """
         adj = {v: [] for v in self.vertices}
         for i, j in sorted(self.edges):
             adj[i].append(j)
             adj[j].append(i)
-        seen = set()
-        components = []
-        for root in self.vertices:
-            if root in seen:
+        parent, depth, root = {}, {}, {}
+        for r in self.vertices:
+            if r in root:
                 continue
-            color = {root: 0}
-            queue = deque([root])
-            odd = False
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if v not in color:
-                        color[v] = color[u] ^ 1
-                        queue.append(v)
-                    elif color[v] == color[u]:
-                        odd = True
-            seen.update(color)
-            verts = tuple(sorted(color))
-            in_comp = set(verts)
-            edge_count = sum(1 for (i, j) in self.edges if i in in_comp)
-            edge_count += sum(1 for v in self.loops if v in in_comp)
-            has_odd = odd or any(v in self.loops for v in verts)
-            components.append(
-                GraphComponent(verts, edge_count, has_odd, edge_count == len(verts))
+            parent[r], depth[r], root[r] = None, 0, r
+            queue = [r]
+            for u in queue:
+                for w in adj[u]:
+                    if w not in root:
+                        parent[w], depth[w], root[w] = u, depth[u] + 1, r
+                        queue.append(w)
+        return parent, depth, root
+
+    @cached_property
+    def components(self):
+        """GraphComponents in vertex order; read them through :func:`graph_components`.
+
+        A component has an odd cycle when it has a loop or an edge whose
+        ends have depths of the same parity in the forest.
+        """
+        _, depth, root = self.forest
+        members = {}
+        for v in self.vertices:
+            members.setdefault(root[v], []).append(v)
+        edge_count = dict.fromkeys(members, 0)
+        odd = set()
+        for i, j in self.edges:
+            edge_count[root[i]] += 1
+            if depth[i] % 2 == depth[j] % 2:
+                odd.add(root[i])
+        for v in self.loops:
+            edge_count[root[v]] += 1
+            odd.add(root[v])
+        return tuple(
+            GraphComponent(
+                tuple(verts), edge_count[r], r in odd, edge_count[r] == len(verts)
             )
-        return tuple(components)
+            for r, verts in members.items()
+        )
 
 
 @dataclass(frozen=True)

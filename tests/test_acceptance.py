@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import random_separable_poset, type_a_height_one_posets
 from lieposet import (
     CampaignConfig,
     build_basis,
@@ -30,7 +31,6 @@ from lieposet import (
     matrix_form,
     positive_part,
     principal_element,
-    random_separable_poset,
     reduce,
     relation_graph,
     report_json_bytes,
@@ -39,7 +39,6 @@ from lieposet import (
     spectrum,
     structure_constants,
     type_a_height_one_index,
-    type_a_height_one_posets,
     verify_B_reduction,
     verify_CD_isomorphism,
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpora import type_a_height_one_posets
 from lieposet import (
     BasisElement,
     NoSignRescaling,
@@ -28,7 +29,6 @@ from lieposet import (
     realize_combination,
     relation_graph,
     structure_constants,
-    type_a_height_one_posets,
     validate,
     verify_B_reduction,
     verify_CD_isomorphism,

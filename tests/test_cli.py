@@ -138,6 +138,26 @@ def test_index_fallback_oracle(runner):
     assert out["fallback"] == "oracle" and "formula" in out
 
 
+def test_index_fallback_runs_the_oracle_once(runner, monkeypatch):
+    # under --method both the fallback value is also the oracle's answer
+    inner = cli.index_oracle
+    calls = []
+
+    def counted(P, trials, seed):
+        calls.append((P, trials, seed))
+        return inner(P, trials=trials, seed=seed)
+
+    monkeypatch.setattr(cli, "index_oracle", counted)
+    result = runner.invoke(
+        main, ["index", "-p", "C;2;-2<=1,1<=2", "--fallback", "oracle", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    assert out["fallback"] == "oracle" and out["formula"] == out["oracle"]
+    assert out["agreement"] is True
+    assert len(calls) == 1
+
+
 def test_spectrum_triangle(runner):
     result = runner.invoke(main, ["spectrum", "-p", TRIANGLE])
     assert result.exit_code == 0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from corpora import random_separable_poset, type_a_height_one_posets
 from lieposet import (
     CampaignConfig,
     functional,
@@ -16,12 +17,10 @@ from lieposet import (
     index_formula,
     index_oracle,
     poset_from_mask,
-    random_separable_poset,
     relation_graph,
     report_json_bytes,
     report_text,
     run_campaign,
-    type_a_height_one_posets,
 )
 from lieposet import harness
 from lieposet.harness import CHECKS, run_checks_on_poset
@@ -95,6 +94,33 @@ def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes, posets):
     assert report["posets"] == posets and report["failures"] == []
     total = sum(posets.values())
     assert all(sum(cell.values()) == total for cell in report["summary"].values())
+
+
+def test_pool_chunk_does_not_grow_with_the_plan(monkeypatch):
+    # the results a chunk holds, in a worker and in the parent, stay bounded
+    chunks = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
+            return iter(())
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: Context)
+    for plan in ((("C", 2),), (("C", 5),)):
+        run_campaign(CampaignConfig(plan=plan, jobs=2))
+    assert chunks[0] == chunks[1] == harness.POOL_CHUNK
 
 
 def test_serial_campaign_releases_results(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpora import random_separable_poset, type_a_height_one_posets
 from lieposet import (
     CampaignConfig,
     CommutatorMatrix,
@@ -25,15 +26,13 @@ from lieposet import (
     index_oracle,
     poset_from_mask,
     positive_part,
-    random_separable_poset,
     relation_graph,
     run_campaign,
     type_a_height,
     type_a_height_one_index,
-    type_a_height_one_posets,
 )
 from lieposet import index_engine
-from lieposet.index_engine import ORACLE_TRIALS, _matching_number
+from lieposet.index_engine import ORACLE_TRIALS, _term_rank
 from lieposet.linalg import integer_rank, solve
 
 
@@ -167,54 +166,96 @@ def brute_matching_number(n, edges):
     return best(frozenset(range(n)))
 
 
+def brute_term_rank(n, pairs):
+    """Term rank by trying, row by row, to leave the row out or to give it
+    each free column of its cells."""
+    cols = [set() for _ in range(n)]
+    for i, j in pairs:
+        cols[i].add(j)
+        cols[j].add(i)
+    memo = {}
+
+    def best(row, used):
+        if row == n:
+            return 0
+        if (row, used) not in memo:
+            memo[row, used] = max(
+                [best(row + 1, used)]
+                + [1 + best(row + 1, used | 1 << c) for c in cols[row] if not used >> c & 1]
+            )
+        return memo[row, used]
+
+    return best(0, 0)
+
+
 def _cycle(*vertices):
     return [(min(a, b), max(a, b)) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
 
 
-# Graphs with odd cycles that a maximum matching has to run through, each
-# edge list sorted.  On the two-triangle graphs the augmenting path from
-# the last unmatched vertex passes a triangle: a search that does not
-# contract blossoms stops one edge short there.
-BLOSSOM_CASES = {
-    name: (n, sorted(edges), nu)
-    for name, (n, edges, nu) in {
-        "five_cycle_with_stem": (7, _cycle(0, 1, 2, 3, 4) + [(0, 5), (5, 6)], 3),
-        "triangles_joined_by_an_edge": (6, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 3)], 3),
-        "triangles_joined_by_a_path": (
-            8, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 6), (6, 7), (3, 7)], 4,
-        ),
-        "K5": (5, list(itertools.combinations(range(5), 2)), 2),
-        "K7": (7, list(itertools.combinations(range(7), 2)), 3),
-        "petersen": (
-            10,
-            _cycle(0, 1, 2, 3, 4) + [(i, i + 5) for i in range(5)] + _cycle(5, 7, 9, 6, 8),
-            5,
-        ),
-    }.items()
+# Symmetric patterns with odd cycles, each as (n, pairs, term rank).  An
+# odd cycle is a permutation of its vertices, so the term rank can exceed
+# twice the largest matching: 3 against 2 on a triangle.
+TERM_RANK_CASES = {
+    "triangle": (3, _cycle(0, 1, 2), 3),
+    "K5": (5, list(itertools.combinations(range(5), 2)), 5),
+    "petersen": (
+        10,
+        _cycle(0, 1, 2, 3, 4) + [(i, i + 5) for i in range(5)] + _cycle(5, 7, 9, 6, 8),
+        10,
+    ),
+    "triangles_joined_by_an_edge": (6, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 3)], 6),
 }
 
 
-class TestMatchingNumber:
-    @pytest.mark.parametrize("name", sorted(BLOSSOM_CASES))
-    def test_blossom_cases(self, name):
-        n, edges, nu = BLOSSOM_CASES[name]
-        assert brute_matching_number(n, edges) == nu
-        assert _matching_number(n, edges) == nu
-        assert _matching_number(n, [(j, i) for i, j in reversed(edges)]) == nu
+class TestTermRank:
+    @pytest.mark.parametrize("name", sorted(TERM_RANK_CASES))
+    def test_named_cases(self, name):
+        n, pairs, rank = TERM_RANK_CASES[name]
+        assert brute_term_rank(n, pairs) == rank
+        assert _term_rank(n, pairs) == rank
+        assert _term_rank(n, [(j, i) for i, j in reversed(pairs)]) == rank
 
-    def test_loops_and_empty_graph(self):
-        assert _matching_number(0, []) == 0
-        assert _matching_number(3, [(0, 0), (1, 1)]) == 0
-        assert _matching_number(3, [(0, 0), (0, 1), (1, 2)]) == 1
+    def test_diagonal_cells_and_empty_pattern(self):
+        assert _term_rank(0, []) == 0
+        assert _term_rank(3, [(0, 0), (1, 1)]) == 2
+        assert _term_rank(3, [(0, 0), (0, 1)]) == 2
+        assert _term_rank(3, [(0, 1), (0, 2)]) == 2
+
+    def test_long_path_needs_no_recursion(self):
+        # listed from its far end, the path needs a search 1,250 rows deep,
+        # past the default recursion limit
+        n = 2500
+        assert _term_rank(n, [(v, v + 1) for v in range(n - 1)]) == n
+        assert _term_rank(n, [(v + 1, v) for v in reversed(range(n - 1))]) == n
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=36),
     )))
-    def test_matches_brute_force(self, graph):
-        n, edges = graph
-        assert _matching_number(n, edges) == brute_matching_number(n, edges)
+    def test_matches_brute_force(self, pattern):
+        n, pairs = pattern
+        assert _term_rank(n, pairs) == brute_term_rank(n, pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda a: st.integers(1, 5).flatmap(lambda b: st.tuples(
+        st.just(a),
+        st.just(b),
+        st.lists(st.tuples(st.integers(0, a - 1), st.integers(a, a + b - 1)), max_size=20),
+    ))))
+    def test_bipartite_is_twice_the_matching_number(self, graph):
+        a, b, edges = graph
+        assert _term_rank(a + b, edges) == 2 * brute_matching_number(a + b, edges)
+
+    def test_acceptance_cells_join_h_to_the_nilradical(self):
+        # so the cell graph of the paper's class is bipartite, where the
+        # term rank is twice the largest matching
+        for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, n_max + 1):
+                for P in enumerate_h01(fam, n):
+                    C = commutator_matrix(P)
+                    for i, j, _ in C.cells:
+                        assert (C.basis[i].kind == "H") != (C.basis[j].kind == "H"), P
 
 
 def _full_loop_ranks(C, trials, seed):
@@ -251,7 +292,7 @@ def _random_low_posets(rng, family, count):
 
 
 class TestEarlyStop:
-    """generic_rank stops at the first trial that reaches the matching
+    """generic_rank stops at the first trial that reaches the term-rank
     ceiling, and returns what all its trials would."""
 
     @pytest.mark.parametrize("seed", [0, 77])
@@ -294,16 +335,16 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_four_cycle_runs_every_trial(self, four_cycle_poset, trials, monkeypatch):
-        # dim 8 and rank 6, while the nonzero cells hold a perfect matching
+        # dim 8 and rank 6, while the nonzero cells have term rank 8
         calls = self._count_ranks(monkeypatch)
         C = commutator_matrix(four_cycle_poset)
-        assert 2 * _matching_number(C.dim, [(i, j) for i, j, _ in C.cells]) == C.dim == 8
+        assert _term_rank(C.dim, [(i, j) for i, j, _ in C.cells]) == C.dim == 8
         assert generic_rank(C, trials=trials) == 6
         assert len(calls) == trials
 
     def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
-        low = lambda n, edges: _matching_number(n, edges) - 1  # noqa: E731
-        monkeypatch.setattr(index_engine, "_matching_number", low)
+        low = lambda n, pairs: _term_rank(n, pairs) - 2  # noqa: E731
+        monkeypatch.setattr(index_engine, "_term_rank", low)
         with pytest.raises(InvariantViolation, match="ceiling"):
             generic_rank(commutator_matrix(path_poset))
         report = run_campaign(

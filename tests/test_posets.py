@@ -9,6 +9,7 @@ from lieposet import (
     Condition2Violation,
     Condition3Violation,
     HeightPair,
+    RelationGraph,
     SignedPoset,
     UnsupportedHeight,
     UnsupportedPoset,
@@ -178,6 +179,41 @@ class TestComponents:
     def test_even_cycle_has_no_odd_cycle(self, four_cycle_poset):
         (comp,) = graph_components(relation_graph(four_cycle_poset))
         assert not comp.has_odd_cycle and comp.is_unicyclic
+
+    def test_forest_roots_each_component_at_its_least_vertex(self):
+        # an edge {1,4} and a triangle 2-3-5
+        G = RelationGraph(5, frozenset({(1, 4), (2, 3), (2, 5), (3, 5)}), frozenset())
+        assert G.forest is G.forest
+        parent, depth, root = G.forest
+        assert parent == {1: None, 4: 1, 2: None, 3: 2, 5: 2}
+        assert depth == {1: 0, 4: 1, 2: 0, 3: 1, 5: 1}
+        assert root == {1: 1, 4: 1, 2: 2, 3: 2, 5: 2}
+        edge, triangle = graph_components(G)
+        assert (edge.vertices, edge.edge_count, edge.has_odd_cycle) == ((1, 4), 1, False)
+        assert (triangle.vertices, triangle.edge_count) == ((2, 3, 5), 3)
+        assert triangle.has_odd_cycle and triangle.is_unicyclic
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                .filter(lambda e: e[0] < e[1]), max_size=12),
+        st.sets(st.integers(1, n), max_size=2),
+    )))
+    def test_odd_cycle_iff_no_two_colouring(self, graph):
+        n, edges, loops = graph
+        G = RelationGraph(n, frozenset(edges), frozenset(loops))
+        for comp in graph_components(G):
+            verts = comp.vertices
+            inner = [(i, j) for i, j in edges if i in verts]
+            two_colourable = any(
+                all((mask >> verts.index(i) & 1) != (mask >> verts.index(j) & 1) for i, j in inner)
+                for mask in range(1 << len(verts))
+            )
+            looped = any(v in loops for v in verts)
+            assert comp.has_odd_cycle == (looped or not two_colourable)
+            assert comp.edge_count == len(inner) + sum(v in loops for v in verts)
+        assert sorted(v for c in graph_components(G) for v in c.vertices) == list(range(1, n + 1))
 
 
 class TestEnumeration:
