@@ -23,9 +23,10 @@ A sparse matrix is a plain dict {(row, col): value} keyed by signed
 labels.  It stores no zero entries, and its values are ints or Fractions;
 every function here that builds one keeps both rules.  Realizations have
 entries +-1, so every structure constant is an int and no Fraction is
-built while the table is computed.  `commutator` sums A*B - B*A in one
-pass over the pairs of entries of A and B, which have at most two
-entries each as realizations.  `structure_constants` builds the basis
+built while the table is computed; `structure_constants` checks each
+constant as it stores it, so every reader of the table gets ints.
+`commutator` sums A*B - B*A in one pass over the pairs of entries of A
+and B, which have at most two entries each as realizations.  `structure_constants` builds the basis
 and its realizations once per poset, indexes them by row and by column,
 and brackets only the pairs where a column of one realization is a row
 of the other: A*B is zero otherwise, so every skipped bracket is zero in
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NoSignRescaling, NotInSpan, UnsupportedPoset
+from .errors import InvariantViolation, NoSignRescaling, NotInSpan, UnsupportedPoset
 from .posets import SignedPoset, induced_subposet, validate
 
 _KIND_ORDER = {"H": 0, "X": 1, "Y": 2, "Z": 3, "U": 4, "DA": 0, "EA": 1}
@@ -216,6 +217,8 @@ def structure_constants(P):
     tuple of (k, coefficient) pairs with int coefficients; absent keys
     mean a zero bracket and the skew entries follow by antisymmetry.
     Only pairs that meet through the row and column indexes are bracketed.
+    A coefficient that is not an int (a Fraction, or a bool) raises
+    InvariantViolation.
     """
     basis = build_basis(P)
     position = {b: k for k, b in enumerate(basis)}
@@ -237,9 +240,10 @@ def structure_constants(P):
             if not com:
                 continue
             combo = decompose(com, P, realized)
-            table[(i, j)] = tuple(
-                sorted((position[b], c) for b, c in combo.items())
-            )
+            terms = tuple(sorted((position[b], c) for b, c in combo.items()))
+            if any(type(c) is not int for _, c in terms):
+                raise InvariantViolation(f"non-integral structure constant in {terms}")
+            table[(i, j)] = terms
     return basis, table
 
 

@@ -14,7 +14,6 @@ files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebra import matrix_form, structure_constants
 from .errors import InputParseError
@@ -47,10 +46,10 @@ def parse_poset_text(text, strict=False):
         if not line:
             continue
         if header is None:
-            fields = dict(
-                token.split("=", 1) for token in line.split() if "=" in token
-            )
-            if set(fields) != {"family", "n"}:
+            tokens = [token.partition("=") for token in line.split()]
+            fields = {key: value for key, sep, value in tokens if sep}
+            # exactly two key=value tokens, family and n, each once
+            if len(tokens) != 2 or sorted(fields) != ["family", "n"]:
                 raise InputParseError(f"bad header line {raw!r}")
             try:
                 header = (fields["family"], int(fields["n"]))
@@ -122,9 +121,9 @@ def parse_inline(text, strict=False):
     return build_poset(family, n, generators, strict=strict)
 
 
-def hasse_dot(P, name="hasse"):
+def hasse_dot(P):
     """Hasse diagram in DOT, edges pointing upward in the order."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in P.elements:
         lines.append(f'  "{e}";')
     for x, y in covering_relations(P):
@@ -133,13 +132,13 @@ def hasse_dot(P, name="hasse"):
     return "\n".join(lines) + "\n"
 
 
-def relation_graph_dot(G, name="relation_graph"):
-    lines = [f"graph {name} {{"]
+def relation_graph_dot(G):
+    lines = ["graph relation_graph {"]
     for v in G.vertices:
         lines.append(f'  "{v}";')
-    for i, j in G.sorted_edges():
+    for i, j in sorted(G.edges):
         lines.append(f'  "{i}" -- "{j}";')
-    for v in G.sorted_loops():
+    for v in sorted(G.loops):
         lines.append(f'  "{v}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -160,10 +159,6 @@ def matrix_form_text(P):
     return "\n".join(lines) + "\n"
 
 
-def fraction_str(value):
-    return str(Fraction(value))
-
-
 def linear_form_str(terms):
     """Render ((position, coeff), ...) as a sum of x<k+1> symbols."""
     if not terms:
@@ -176,7 +171,7 @@ def linear_form_str(terms):
         elif coeff == -1:
             chunk = f"-{symbol}"
         else:
-            chunk = f"{fraction_str(coeff)}*{symbol}"
+            chunk = f"{coeff}*{symbol}"
         if parts and not chunk.startswith("-"):
             parts.append(f"+ {chunk}")
         elif parts:
@@ -201,7 +196,7 @@ def commutator_matrix_json_obj(C):
     return {
         "basis": [repr(b) for b in C.basis],
         "entries": [
-            [[[k, fraction_str(c)] for k, c in terms] for terms in row]
+            [[[k, str(c)] for k, c in terms] for terms in row]
             for row in C.grid()
         ],
     }
@@ -212,7 +207,7 @@ def structure_constants_text(P):
     lines = ["basis: " + ", ".join(repr(b) for b in basis)]
     for (i, j), terms in sorted(table.items()):
         rhs = " + ".join(
-            (f"{fraction_str(c)}*{basis[k]!r}" if c != 1 else repr(basis[k]))
+            (f"{c}*{basis[k]!r}" if c != 1 else repr(basis[k]))
             for k, c in terms
         )
         lines.append(f"[{basis[i]!r}, {basis[j]!r}] = {rhs}")
@@ -224,7 +219,7 @@ def structure_constants_json_obj(P):
     return {
         "basis": [repr(b) for b in basis],
         "brackets": [
-            {"i": i, "j": j, "terms": [[k, fraction_str(c)] for k, c in terms]}
+            {"i": i, "j": j, "terms": [[k, str(c)] for k, c in terms]}
             for (i, j), terms in sorted(table.items())
         ],
     }
@@ -237,7 +232,7 @@ def reduction_step_json_obj(step):
         "edges": [list(e) for e in step.edges],
         "loops": list(step.loops),
         "rows": [
-            {"label": label, "values": [fraction_str(v) for v in values]}
+            {"label": label, "values": [str(v) for v in values]}
             for label, values in zip(step.row_labels, step.matrix)
         ],
         "rank": step.rank,
@@ -248,8 +243,8 @@ def reduction_trace_json_obj(trace):
     return {
         "poset": poset_to_json_obj(trace.poset),
         "seed": trace.seed,
-        "edge_values": [[list(e), fraction_str(v)] for e, v in trace.edge_values],
-        "loop_values": [[v, fraction_str(x)] for v, x in trace.loop_values],
+        "edge_values": [[list(e), str(v)] for e, v in trace.edge_values],
+        "loop_values": [[v, str(x)] for v, x in trace.loop_values],
         "initial": reduction_step_json_obj(trace.initial),
         "steps": [reduction_step_json_obj(s) for s in trace.steps],
         "final_rank": trace.final_rank,
@@ -294,7 +289,7 @@ def reduction_trace_dot(trace):
 def spectrum_json_obj(report):
     return {
         "eigenvalues": {
-            fraction_str(v): m for v, m in sorted(report.multiplicities().items())
+            str(v): m for v, m in sorted(report.multiplicities().items())
         },
         "dim": report.dim,
         "is_binary": report.is_binary,
@@ -305,9 +300,9 @@ def spectrum_json_obj(report):
 
 def principal_element_json_obj(element):
     return {
-        "coefficients": {repr(b): fraction_str(v) for b, v in element.coefficients},
+        "coefficients": {repr(b): str(v) for b, v in element.coefficients},
         "diagonal": None
         if element.diagonal is None
-        else {str(e): fraction_str(v) for e, v in element.diagonal},
+        else {str(e): str(v) for e, v in element.diagonal},
         "half_convention": element.half_convention,
     }

@@ -45,10 +45,6 @@ class Functional:
 
     support: tuple  # sorted ((row, col), weight) pairs
 
-    @property
-    def coefficients(self):
-        return dict(self.support)
-
     def value_on(self, mat):
         """F applied to a sparse {(row, col): value} matrix."""
         return sum(weight * mat.get(key, 0) for key, weight in self.support)
@@ -102,7 +98,8 @@ def _solve_kirillov(P, F):
     """
     C = commutator_matrix(P)
     point = F.point(P)
-    rank, x = solve(C.evaluate(point), [-point[b] for b in C.basis], C.dim)
+    values = [point[b] for b in C.basis]
+    rank, x = solve(C.evaluate(values), [-v for v in values], C.dim)
     return C.basis, point, rank, x
 
 
@@ -128,13 +125,6 @@ class PrincipalElement:
     coefficients: tuple  # (BasisElement, Fraction) pairs in basis order
     diagonal: tuple
     half_convention: str
-
-    def as_combination(self):
-        return dict(self.coefficients)
-
-    def realized(self):
-        """x as a sparse {(row, col): Fraction} matrix with no zero entries."""
-        return realize_combination(self.as_combination())
 
 
 def principal_element(P, F):
@@ -211,13 +201,10 @@ def spectrum(P, fhat):
         for rows in pending.values():
             rows.difference_update(free)
     eigenvalues = tuple(sorted(Fraction(c.get(k, 0), d) for k, c in enumerate(columns)))
-    counts = {}
-    for value in eigenvalues:
-        counts[value] = counts.get(value, 0) + 1
     dim = len(basis)
-    zero = counts.get(Fraction(0), 0)
-    one = counts.get(Fraction(1), 0)
-    is_binary = dim % 2 == 0 and zero == one == dim // 2 and zero + one == dim
+    zero = eigenvalues.count(0)
+    one = eigenvalues.count(1)
+    is_binary = zero == one and zero + one == dim
     return SpectrumReport(
         eigenvalues=eigenvalues,
         dim=dim,

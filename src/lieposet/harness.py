@@ -59,9 +59,9 @@ def poset_seed(base_seed, family, n, mask):
 class CampaignConfig:
     """What to enumerate and how: ((family, n_max), ...), checks, seed.
 
-    A plan family outside B/C/D or repeated, a repeated check, n_max
-    below 1, and trials or jobs below 1 raise ValueError, before any
-    poset runs.
+    A plan family outside B/C/D or repeated, a repeated or unknown
+    check, n_max below 1, and trials or jobs below 1 raise ValueError,
+    before any poset runs.
     """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
@@ -86,13 +86,12 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-
-    def enabled_checks(self):
-        names = self.checks or tuple(CHECKS)
-        unknown = [name for name in names if name not in CHECKS]
+        unknown = [name for name in self.checks if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
-        return names
+
+    def enabled_checks(self):
+        return self.checks or tuple(CHECKS)
 
 
 @dataclass(frozen=True)

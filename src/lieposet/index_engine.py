@@ -18,14 +18,14 @@ probability <= (dim/2000)^t.
 
 The commutator matrix keeps only its nonzero cells above the diagonal,
 one per nonzero bracket of the structure-constant table.  The oracle
-never leaves the integers: the structure constants are stored as ints,
-the evaluation points are ints, one row evaluator (`_evaluate_rows`)
-fills a zero matrix from the cells, v above the diagonal and -v below,
-and `linalg.integer_rank` takes its rank.  `CommutatorMatrix.evaluate`
-is the only other caller of `_evaluate_rows`: it returns the same rows
-for the Frobenius path, where `linalg.solve` gives the kernel dimension
-and the principal element in one Bareiss pass; at the integer point of a
-functional with integral weights the rows stay ints.
+never leaves the integers: `structure_constants` raises on any constant
+that is not an int as it builds the table, the evaluation points are
+ints, `CommutatorMatrix.evaluate` fills a zero matrix from the cells, v
+above the diagonal and -v below, and `linalg.integer_rank` takes its
+rank.  The Frobenius path evaluates through the same method, and
+`linalg.solve` gives the kernel dimension and the principal element in
+one Bareiss pass; at the integer point of a functional with integral
+weights the rows stay ints.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -87,36 +87,25 @@ class CommutatorMatrix:
             grid[j][i] = tuple((k, -c) for k, c in terms)
         return grid
 
-    def entry(self, i, j):
-        return dict(self.grid()[i][j])
+    def evaluate(self, values):
+        """Rows of the skew matrix at values given in basis order.
 
-    def evaluate(self, point):
-        """Rows of the Kirillov form at a basis-symbol assignment."""
-        values = [point[b] for b in self.basis]
-        return _evaluate_rows(self.cells, values)
-
-
-def _evaluate_rows(cells, values):
-    """Rows of the skew matrix whose cell (i, j, terms) holds the linear
-    form sum(values[k] * c): v at (i, j), -v at (j, i), 0 elsewhere.
-
-    The number type of values is kept: int values give int rows, rational
-    values give rational (or int zero) entries.
-    """
-    dim = len(values)
-    rows = [[0] * dim for _ in range(dim)]
-    for i, j, terms in cells:
-        v = sum(values[k] * c for k, c in terms)
-        rows[i][j] = v
-        rows[j][i] = -v
-    return rows
+        Cell (i, j, terms) holds the linear form sum(values[k] * c): v at
+        (i, j), -v at (j, i), 0 elsewhere.  The number type of values is
+        kept: int values give int rows, rational values give rational (or
+        int zero) entries.
+        """
+        dim = len(values)
+        rows = [[0] * dim for _ in range(dim)]
+        for i, j, terms in self.cells:
+            v = sum(values[k] * c for k, c in terms)
+            rows[i][j] = v
+            rows[j][i] = -v
+        return rows
 
 
 def commutator_matrix(P):
     basis, table = structure_constants(P)
-    for terms in table.values():
-        if any(type(c) is not int for _, c in terms):
-            raise InvariantViolation(f"non-integral structure constant in {terms}")
     return CommutatorMatrix(
         basis, tuple((i, j, terms) for (i, j), terms in table.items())
     )
@@ -195,7 +184,7 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     best = 0
     for _ in range(trials):
         values = [_nonzero_int(rng) for _ in C.basis]
-        rank = integer_rank(_evaluate_rows(C.cells, values), C.dim)
+        rank = integer_rank(C.evaluate(values), C.dim)
         if rank % 2:
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
         if rank > ceiling:

@@ -70,11 +70,6 @@ class SignedPoset:
     def strict_relations(self):
         return tuple(sorted((x, y) for (x, y) in self.relations if x != y))
 
-    @property
-    def rel_pm(self):
-        """Relations running from a negative element to a positive one."""
-        return tuple(sorted((x, y) for (x, y) in self.relations if x < 0 < y))
-
     @cached_property
     def height_pair(self):
         """The HeightPair of a signed poset; read it through :func:`height`."""
@@ -138,12 +133,6 @@ class RelationGraph:
     def edge_count(self):
         """Number of edges, counting each self loop as one edge."""
         return len(self.edges) + len(self.loops)
-
-    def sorted_edges(self):
-        return tuple(sorted(self.edges))
-
-    def sorted_loops(self):
-        return tuple(sorted(self.loops))
 
     @cached_property
     def forest(self):

@@ -101,11 +101,12 @@ def test_criterion_01_two_dim_fixture():
         P = build_poset("C", 1, [(-1, 1)])
         C = commutator_matrix(P)
         assert C.dim == 2
-        assert C.entry(0, 0) == {} and C.entry(1, 1) == {}
-        assert C.entry(0, 1) == {1: 2}
-        assert C.entry(1, 0) == {1: -2}
+        grid = C.grid()
+        assert dict(grid[0][0]) == {} and dict(grid[1][1]) == {}
+        assert dict(grid[0][1]) == {1: 2}
+        assert dict(grid[1][0]) == {1: -2}
         for value in (1, -1, 7, Fraction(3, 5), -1000):
-            M = C.evaluate({C.basis[0]: 0, C.basis[1]: value})
+            M = C.evaluate([0, value])
             assert solve(M, [0] * len(M), C.dim)[0] == 2
         assert index_oracle(P) == 0
         best = float("inf")

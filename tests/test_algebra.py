@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corpora import type_a_height_one_posets
 from lieposet import (
     BasisElement,
+    InvariantViolation,
     NoSignRescaling,
     NotInSpan,
     SignedPoset,
@@ -299,7 +300,7 @@ class TestIsomorphisms:
     def test_b_reduction_examples(self, path_poset):
         assert verify_B_reduction(build_poset("B", 2, [(-1, 2)]))
         assert verify_B_reduction(build_poset("B", 1, []))
-        gens = [(x, y) for x, y in path_poset.rel_pm]
+        gens = sorted((x, y) for (x, y) in path_poset.relations if x < 0 < y)
         assert verify_B_reduction(build_poset("B", 3, gens))
 
     def test_b_reduction_rejects_related_zero(self):
@@ -362,6 +363,19 @@ class TestIntegerStructureConstants:
             _, table = structure_constants(P)
             for terms in table.values():
                 assert all(type(c) is int for _, c in terms), (P, terms)
+
+    def test_non_int_constant_raises_where_the_table_is_built(self, monkeypatch):
+        # every reader of the table (commutator matrix, spectrum,
+        # combo_bracket, exports) relies on this one check
+        inner = algebra.decompose
+
+        def as_fractions(mat, P, realized=None):
+            return {b: Fraction(c) for b, c in inner(mat, P, realized).items()}
+
+        monkeypatch.setattr(algebra, "decompose", as_fractions)
+        structure_constants.cache_clear()
+        with pytest.raises(InvariantViolation, match="non-integral"):
+            structure_constants(build_poset("C", 2, [(-1, 2)]))
 
     def test_outputs_pinned(self):
         # the json and text renderings of every table, in enumeration order;

@@ -22,6 +22,16 @@ def test_validate_ok(runner):
     assert json.loads(result.output)["valid"] is True
 
 
+@pytest.mark.parametrize("header", ["family=C n=2 junk", "family=C n=2 n=3"],
+                         ids=["junk", "repeated-key"])
+def test_validate_rejects_a_bad_header_exit_2(runner, tmp_path, header):
+    bad = tmp_path / "bad.poset"
+    bad.write_text(header + "\n-2 <= 1\n")
+    result = runner.invoke(main, ["validate", "-i", str(bad), "--format", "json"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == "InputParseError"
+
+
 def test_validate_condition1_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.poset"
     bad.write_text("family=C n=2\n2 <= 1\n")

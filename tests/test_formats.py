@@ -51,6 +51,16 @@ class TestTextFormat:
         with pytest.raises(InputParseError):
             parse_poset("")
 
+    @pytest.mark.parametrize(
+        "header",
+        ["family=C n=2 junk", "junk family=C n=2", "family=C n=2 n=1",
+         "family=C family=D n=2"],
+        ids=["trailing-junk", "leading-junk", "repeated-n", "repeated-family"],
+    )
+    def test_header_takes_each_key_once_and_nothing_else(self, header):
+        with pytest.raises(InputParseError, match="bad header line"):
+            parse_poset_text(header + "\n-2 <= 1\n")
+
 
 class TestJsonFormat:
     def test_round_trip(self, looped_path_poset):

@@ -299,6 +299,11 @@ def test_unknown_check_rejected():
         run_campaign(CampaignConfig(plan=(("C", 1),), checks=("nope",)))
 
 
+def test_config_rejects_unknown_check_like_every_other_field():
+    with pytest.raises(ValueError, match="unknown checks"):
+        CampaignConfig(plan=(("C", 1),), checks=("dimension_formula", "nope"))
+
+
 @pytest.mark.parametrize(
     "plan, checks",
     [((("C", 2), ("C", 1)), ()), ((("D", 1), ("B", 2), ("D", 3)), ()),

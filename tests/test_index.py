@@ -40,29 +40,31 @@ class TestCommutatorMatrix:
     def test_two_dim_symbolic(self, sl2_like_poset):
         C = commutator_matrix(sl2_like_poset)
         assert C.dim == 2
-        assert C.entry(0, 1) == {1: 2}
-        assert C.entry(1, 0) == {1: -2}
-        assert C.entry(0, 0) == {} and C.entry(1, 1) == {}
+        grid = C.grid()
+        assert dict(grid[0][1]) == {1: 2}
+        assert dict(grid[1][0]) == {1: -2}
+        assert dict(grid[0][0]) == {} and dict(grid[1][1]) == {}
 
     def test_abelian_antichain(self):
         C = commutator_matrix(build_poset("C", 2, []))
         assert C.dim == 2
-        assert all(C.entry(i, j) == {} for i in range(2) for j in range(2))
+        assert all(dict(terms) == {} for row in C.grid() for terms in row)
 
     def test_block_form_on_path(self, path_poset):
         C = commutator_matrix(path_poset)
         assert C.dim == 5
+        grid = C.grid()
         h = 3  # H block size, then the Y rows
         for i in range(h):
             for j in range(h):
-                assert C.entry(i, j) == {}
+                assert dict(grid[i][j]) == {}
         for i in range(h, 5):
             for j in range(h, 5):
-                assert C.entry(i, j) == {}
+                assert dict(grid[i][j]) == {}
         for i in range(5):
             for j in range(5):
-                lhs = C.entry(i, j)
-                rhs = {k: -c for k, c in C.entry(j, i).items()}
+                lhs = dict(grid[i][j])
+                rhs = {k: -c for k, c in grid[j][i]}
                 assert lhs == rhs  # skew symmetry
 
     def test_entries_match_brackets(self, looped_path_poset):
@@ -71,25 +73,25 @@ class TestCommutatorMatrix:
         C = commutator_matrix(looped_path_poset)
         basis = C.basis
         pos = {b: k for k, b in enumerate(basis)}
+        grid = C.grid()
         for i in range(C.dim):
             for j in range(C.dim):
                 if i == j:
                     continue
                 combo = bracket(basis[i], basis[j], looped_path_poset)
-                assert C.entry(i, j) == {pos[b]: c for b, c in combo.items()}
+                assert dict(grid[i][j]) == {pos[b]: c for b, c in combo.items()}
 
 
 class TestEvaluateAndRank:
     def test_evaluate_at_unit_point(self, sl2_like_poset):
         C = commutator_matrix(sl2_like_poset)
-        point = {C.basis[0]: Fraction(0), C.basis[1]: Fraction(1)}
-        M = C.evaluate(point)
+        M = C.evaluate([Fraction(0), Fraction(1)])
         assert M == [[0, 2], [-2, 0]]
         assert solve(M, [0] * len(M), C.dim)[0] == 2
 
     def test_evaluate_zero_point(self, path_poset):
         C = commutator_matrix(path_poset)
-        M = C.evaluate({b: 0 for b in C.basis})
+        M = C.evaluate([0] * C.dim)
         assert all(x == 0 for row in M for x in row)
 
     def test_generic_rank_examples(self, sl2_like_poset, path_poset):
@@ -125,12 +127,12 @@ class TestEvaluateAndRank:
             rng = random.Random(seed)
             best = 0
             for _ in range(trials):
-                point = {}
-                for b in C.basis:
+                point = []
+                for _ in C.basis:
                     value = 0
                     while value == 0:
                         value = rng.randint(-1000, 1000)
-                    point[b] = Fraction(value)
+                    point.append(Fraction(value))
                 M = C.evaluate(point)
                 best = max(best, solve(M, [0] * len(M), C.dim)[0])
             return best
@@ -265,12 +267,12 @@ def _full_loop_ranks(C, trials, seed):
     rng = random.Random(seed)
     ranks = []
     for _ in range(trials):
-        point = {}
-        for b in C.basis:
+        point = []
+        for _ in C.basis:
             value = 0
             while value == 0:
                 value = rng.randint(-1000, 1000)
-            point[b] = value
+            point.append(value)
         ranks.append(integer_rank(C.evaluate(point), C.dim))
     return ranks
 
@@ -326,6 +328,18 @@ class TestEarlyStop:
 
         monkeypatch.setattr(index_engine, "integer_rank", counted)
         return calls
+
+    def test_oracle_evaluates_through_the_commutator_matrix(self, path_poset, monkeypatch):
+        calls = []
+        inner = CommutatorMatrix.evaluate
+
+        def counted(C, values):
+            calls.append(values)
+            return inner(C, values)
+
+        monkeypatch.setattr(CommutatorMatrix, "evaluate", counted)
+        index_oracle(path_poset)
+        assert len(calls) >= 1
 
     def test_tight_poset_takes_one_trial(self, path_poset, monkeypatch):
         calls = self._count_ranks(monkeypatch)
@@ -472,7 +486,6 @@ def test_skewness_at_random_points(n, mask, seed):
     P = poset_from_mask("C", n, mask % (1 << (len(edges) + len(loops))))
     C = commutator_matrix(P)
     rng = random.Random(seed)
-    point = {b: Fraction(rng.randint(-50, 50)) for b in C.basis}
-    M = C.evaluate(point)
+    M = C.evaluate([Fraction(rng.randint(-50, 50)) for _ in C.basis])
     transpose = [[row[i] for row in M] for i in range(C.dim)]
     assert transpose == [[-x for x in row] for row in M]

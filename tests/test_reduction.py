@@ -27,7 +27,8 @@ def y_z_by_h_block(C):
     """
     rows = [k for k, b in enumerate(C.basis) if b.kind in ("Y", "Z")]
     cols = [k for k, b in enumerate(C.basis) if b.kind == "H"]
-    return rows, cols, [[C.entry(r, c) for c in cols] for r in rows]
+    grid = C.grid()
+    return rows, cols, [[dict(grid[r][c]) for c in cols] for r in rows]
 
 
 class TestBBlock:
@@ -62,11 +63,12 @@ class TestBBlock:
         C = commutator_matrix(looped_path_poset)
         rows, cols, entries = y_z_by_h_block(C)
         assert cols + rows == list(range(C.dim))
+        grid = C.grid()
         for r, row in zip(rows, entries):
             for c, terms in zip(cols, row):
-                assert C.entry(c, r) == {k: -v for k, v in dict(terms).items()}
+                assert dict(grid[c][r]) == {k: -v for k, v in dict(terms).items()}
         for block in (rows, cols):
-            assert all(C.entry(i, j) == {} for i in block for j in block)
+            assert all(dict(grid[i][j]) == {} for i in block for j in block)
 
 
 class TestReduce:
@@ -124,7 +126,7 @@ class TestReduce:
                 else:
                     point[b] = 1
             rows, cols, _ = y_z_by_h_block(C)
-            M = C.evaluate(point)
+            M = C.evaluate([point[b] for b in C.basis])
             block = [[M[r][c] for c in cols] for r in rows]
             assert list(map(list, trace.initial.matrix)) == block
 

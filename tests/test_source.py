@@ -46,10 +46,12 @@ def test_package_imports_only_stdlib_and_click():
 
 def test_algebra_imports_nothing_from_fractions():
     # structure constants are computed in ints: the module that computes
-    # them has no Fraction to build
+    # them has no Fraction to build, and the module that renders them
+    # writes every int and Fraction with str
     found = [
-        f"{line} {name}"
-        for line, name in _absolute_imports(PACKAGE / "algebra.py")
+        f"{module} {line} {name}"
+        for module in ("algebra.py", "formats.py")
+        for line, name in _absolute_imports(PACKAGE / module)
         if name.split(".")[0] == "fractions"
     ]
     assert found == []
