@@ -56,11 +56,7 @@ class BasisElement:
     j: int = 0
 
     def sort_key(self):
-        if self.kind == "Y":
-            pair = (min(self.i, self.j), max(self.i, self.j))
-        else:
-            pair = (self.i, self.j)
-        return (_KIND_ORDER[self.kind], pair)
+        return (_KIND_ORDER[self.kind], self.index_key()[1:])
 
     def index_key(self):
         """Kind plus indices, with Y keyed by its unordered pair."""

@@ -34,10 +34,11 @@ spanning tree of the graph: a chord whose ends have depths of the same
 parity closes the odd cycle the proof needs, and otherwise the chords
 are the closing edges whose removal leaves the tree to sweep.  Its one
 row operation reads its factor off the two rows and divides exactly or
-raises, a row that takes a new label is checked against it, and
-`integer_rank` checks the rank after every step.  Each of these faults
-raises InvariantViolation; none is retried, since exact row operations
-keep the rank at any point.
+raises, and a row that takes a new label is checked against it.  So no
+step can change the rank, and `integer_rank` takes it only at the two
+ends: a different rank after the last step than on the instantiated
+block raises too.  Each of these faults raises InvariantViolation; none
+is retried, since exact row operations keep the rank at any point.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .posets import (
     rg_connected,
     type_a_height,
 )
-from .algebra import structure_constants
+from .algebra import build_basis, structure_constants
 
 ORACLE_TRIALS = 5
 
@@ -234,7 +235,7 @@ def index_formula(P):
         raise UnsupportedPoset(
             f"no formula for a non-separable poset of height {tuple(hp)}"
         )
-    dim = len(structure_constants(P)[0])
+    dim = len(build_basis(P))
     if (index - dim) % 2:
         raise InvariantViolation(
             f"formula index {index} and dimension {dim} differ in parity"
@@ -330,6 +331,19 @@ def _tree_path(parent, depth, u, w):
     return up + down[-2::-1]
 
 
+def _eliminate(target, source, col):
+    """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly."""
+    t = target.values[col - 1]
+    s = source.values[col - 1]
+    for k, b in enumerate(source.values):
+        if b:
+            q, r = divmod(t * b, s)
+            if r:
+                label = _label_str(target.label)
+                raise InvariantViolation(f"inexact step in column {col} of {label}")
+            target.values[k] -= q
+
+
 def reduce(P, seed=0):
     """Run the relation-graph guided row reduction at a seeded generic point.
 
@@ -339,10 +353,14 @@ def reduce(P, seed=0):
     one row against another, with the factor read off the two rows.  The
     graph is read off the row labels: the Y rows are its edges and the Z
     rows its loops.  A relabelled row must be what its label says, Z(v) =
-    -2*L_v*e_v or the zero row for 0.  The exact rank is recomputed after
-    every step.  A division with a remainder, a wrong relabelled row, a
-    rank change or a missing row raises InvariantViolation; no other seed
-    is tried, since exact row operations keep the rank at any point.
+    -2*L_v*e_v or the zero row for 0.  Neither step changes the rank: the
+    row operation subtracts a multiple of another row, and a relabelled
+    row is replaced by a nonzero multiple of itself or stays zero.  So
+    every step carries the rank of the instantiated block, and the exact
+    rank is taken only there and after the last step.  A division with a
+    remainder, a wrong relabelled row, a missing row or a different end
+    rank raises InvariantViolation; no other seed is tried, since exact
+    row operations keep the rank at any point.
 
     A graph with a loop takes only loop steps.  A loop-free graph is
     reduced along its BFS spanning tree (`RelationGraph.forest`), rooted
@@ -392,18 +410,6 @@ def reduce(P, seed=0):
                 return row
         raise InvariantViolation(f"missing row {_label_str(label)}")
 
-    def eliminate(target, source, col):
-        """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly."""
-        t = target.values[col - 1]
-        s = source.values[col - 1]
-        for k, b in enumerate(source.values):
-            if b:
-                q, r = divmod(t * b, s)
-                if r:
-                    label = _label_str(target.label)
-                    raise InvariantViolation(f"inexact step in column {col} of {label}")
-                target.values[k] -= q
-
     def clear_path(edge, path):
         """Clear the row of `edge` along a vertex path; return that row.
 
@@ -412,7 +418,7 @@ def reduce(P, seed=0):
         """
         target = row_for(("Y",) + edge)
         for a, b in zip(path, path[1:]):
-            eliminate(target, row_for(("Y",) + _pair(a, b)), a)
+            _eliminate(target, row_for(("Y",) + _pair(a, b)), a)
         return target
 
     def relabel(row, v):
@@ -433,13 +439,9 @@ def reduce(P, seed=0):
             row.values = loop_row(v)
 
     snapshots = []
+    rank = integer_rank([r.values for r in rows], n)
 
     def record(kind, detail):
-        rank = integer_rank([r.values for r in rows], n)
-        if snapshots and rank != snapshots[0].rank:
-            raise InvariantViolation(
-                f"rank drifted from {snapshots[0].rank} to {rank} after {detail}"
-            )
         labels = [r.label for r in rows]
         snapshots.append(ReductionStep(
             kind=kind,
@@ -487,15 +489,20 @@ def reduce(P, seed=0):
         i, j = pick
         edge = _pair(i, j)
         erow = row_for(("Y",) + edge)
-        eliminate(erow, row_for(("Z", i)), i)
+        _eliminate(erow, row_for(("Z", i)), i)
         if j in snapshots[-1].loops:
-            eliminate(erow, row_for(("Z", j)), j)
+            _eliminate(erow, row_for(("Z", j)), j)
             relabel(erow, None)
             record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
         else:
             relabel(erow, j)
             record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
 
+    final_rank = integer_rank([r.values for r in rows], n)
+    if final_rank != rank:
+        raise InvariantViolation(
+            f"rank drifted from {rank} to {final_rank} by the end of the replay"
+        )
     return ReductionTrace(
         poset=P,
         seed=seed,

@@ -249,11 +249,8 @@ def build_poset(family, n, generators, strict=False):
             succ[x].add(y)
     closed = set()
     for x in ground:
-        above = _reachable(succ, x)
-        if x in above:
-            raise AntisymmetryViolation(f"closure creates a cycle through {x}")
         closed.add((x, x))
-        closed.update((x, y) for y in above)
+        closed.update((x, y) for y in _reachable(succ, x))
     poset = SignedPoset(family, n, frozenset(closed))
     validate(poset)
     return poset

@@ -416,6 +416,14 @@ class TestIndexFormula:
         with pytest.raises(InvariantViolation):
             index_formula(path_poset)
 
+    def test_height_01_builds_no_table(self, four_cycle_poset, monkeypatch):
+        # the parity check reads dim off the basis, not off the table
+        def no_table(P):
+            raise AssertionError("index_formula built a structure-constant table")
+
+        monkeypatch.setattr(index_engine, "structure_constants", no_table)
+        assert index_formula(four_cycle_poset) == 2
+
     def test_formula_oracle_agreement_small(self):
         for fam, n_max in (("C", 3), ("D", 3), ("B", 3)):
             for n in range(1, n_max + 1):

@@ -17,6 +17,7 @@ from lieposet import (
 )
 from lieposet import index_engine
 from lieposet.formats import reduction_trace_json_obj
+from lieposet.linalg import integer_rank
 
 
 def y_z_by_h_block(C):
@@ -106,14 +107,18 @@ class TestReduce:
 
     def test_rank_constant_and_matches_initial_block(self):
         # the replay's first matrix is B of the commutator matrix at the
-        # trace's edge and loop values, on every connected C<=4 poset
+        # trace's edge and loop values, on every connected C<=4 poset, and
+        # the rank every step carries is that of its first and last matrix
         posets = [
             P for n in (1, 2, 3, 4) for P in enumerate_h01("C", n) if rg_connected(P)
         ]
         assert len(posets) == 646
         for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
             trace = reduce(P, seed=seed)
-            assert len(set(trace.ranks)) == 1
+            last = (trace.steps or (trace.initial,))[-1]
+            assert set(trace.ranks) == {
+                integer_rank(trace.initial.matrix, P.n), integer_rank(last.matrix, P.n)
+            }
             C = commutator_matrix(P)
             edge_values = dict(trace.edge_values)
             loop_values = dict(trace.loop_values)
@@ -237,7 +242,7 @@ class TestReduceReplay:
 
     def test_rank_drift_raises_without_reseed(self, monkeypatch, path_poset):
         # exact row operations keep the rank, so a drift is a fault in the
-        # replay: it raises at the first step, and no other seed is tried
+        # replay: the end check raises, and no other seed is tried
         calls = []
         true_rank = index_engine.integer_rank
 
@@ -249,6 +254,50 @@ class TestReduceReplay:
         with pytest.raises(InvariantViolation, match="rank drifted"):
             reduce(path_poset, seed=0)
         assert len(calls) == 2
+
+    def test_rank_taken_only_at_the_ends(self, monkeypatch):
+        # K3,4 takes 8 snapshots (Init, 6 chords, the sweep) and 2 ranks;
+        # every step carries the Init rank
+        calls = []
+        true_rank = index_engine.integer_rank
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return true_rank(rows, ncols)
+
+        monkeypatch.setattr(index_engine, "integer_rank", counted)
+        trace = reduce(complete_bipartite(3, 4), seed=0)
+        assert len(trace.ranks) == 8
+        assert calls == [7, 7]
+        assert trace.ranks == (6,) * 8
+
+    def test_zeroed_tree_row_fails_the_end_check(self, monkeypatch):
+        # a sweep step that zeroes its tree row instead of clearing one
+        # column is no row operation; only the end rank can see it
+        eliminate = index_engine._eliminate
+
+        def zeroing(target, source, col):
+            eliminate(target, source, col)
+            if target.label == ("Y", 2, 4):
+                target.values = [0] * len(target.values)
+
+        monkeypatch.setattr(index_engine, "_eliminate", zeroing)
+        with pytest.raises(InvariantViolation, match="rank drifted from 6 to 5"):
+            reduce(complete_bipartite(3, 4), seed=0)
+
+    def test_wrong_relabelled_row_raises(self, monkeypatch, triangle_poset):
+        # an extra entry left in the chord row after its odd-cycle clear:
+        # the row is no multiple of e_3, and relabel refuses it
+        eliminate = index_engine._eliminate
+
+        def smudging(target, source, col):
+            eliminate(target, source, col)
+            if target.label == ("Y", 2, 3):
+                target.values[0] += 1
+
+        monkeypatch.setattr(index_engine, "_eliminate", smudging)
+        with pytest.raises(InvariantViolation, match=r"Y\(2,3\) row .* is no Z\(3\) row"):
+            reduce(triangle_poset, seed=0)
 
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
