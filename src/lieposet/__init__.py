@@ -34,7 +34,6 @@ from .posets import (
     RelationGraph,
     SignedPoset,
     build_poset,
-    canonical_graph_key,
     covering_relations,
     dual,
     enumerate_h01,

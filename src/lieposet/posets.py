@@ -403,22 +403,16 @@ def mask_of_poset(P):
     return mask
 
 
-def canonical_graph_key(n, edges, loops):
-    """Lexicographically least relabeling of an (edges, loops) graph."""
-    best = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        relabel = {v: perm[v - 1] for v in range(1, n + 1)}
-        e = tuple(
-            sorted(
-                (min(relabel[i], relabel[j]), max(relabel[i], relabel[j]))
-                for (i, j) in edges
-            )
-        )
-        l = tuple(sorted(relabel[v] for v in loops))
-        key = (e, l)
-        if best is None or key < best:
-            best = key
-    return best
+def _slot_images(family, n):
+    """For each non-identity relabelling of 1..n, the slot each slot moves to."""
+    edges_all, loops_all = h01_slots(family, n)
+    slot = {e: b for b, e in enumerate(edges_all + loops_all)}
+    images = []
+    for perm in itertools.islice(itertools.permutations(range(1, n + 1)), 1, None):
+        image = [slot[tuple(sorted((perm[i - 1], perm[j - 1])))] for i, j in edges_all]
+        image += [slot[perm[v - 1]] for v in loops_all]
+        images.append(image)
+    return images
 
 
 def enumerate_h01(family, n, up_to_iso=False):
@@ -427,24 +421,21 @@ def enumerate_h01(family, n, up_to_iso=False):
     Family C ranges over all graphs on n vertices with optional self loops
     (2^(n(n+1)/2) posets); families B and D forbid loops (2^(n(n-1)/2)).
     The order is the ascending bitmask order of :func:`poset_from_mask`.
-    With up_to_iso=True only the first representative of each graph
-    isomorphism class is yielded.
+    With up_to_iso=True only the masks that no relabelling of 1..n makes
+    smaller are yielded: the least mask of each orbit, which is the first
+    representative of its graph isomorphism class (Read's orderly criterion).
     """
     if family not in SIGNED_FAMILIES:
         raise ValueError("enumeration applies to families B, C, D")
     if n < 1:
         raise ValueError("n must be >= 1")
-    edges_all, loops_all = h01_slots(family, n)
-    seen = set()
-    for mask in range(1 << (len(edges_all) + len(loops_all))):
-        P = poset_from_mask(family, n, mask)
-        if up_to_iso:
-            G = relation_graph(P)
-            key = canonical_graph_key(n, G.edges, G.loops)
-            if key in seen:
-                continue
-            seen.add(key)
-        yield P
+    slots = range(sum(map(len, h01_slots(family, n))))
+    images = _slot_images(family, n) if up_to_iso else ()
+    for mask in range(1 << len(slots)):
+        bits = [b for b in slots if mask >> b & 1]
+        if any(sum(1 << image[b] for b in bits) < mask for image in images):
+            continue
+        yield poset_from_mask(family, n, mask)
 
 
 def induced_subposet(P, subset, family=None):

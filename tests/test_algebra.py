@@ -303,6 +303,51 @@ class TestIsomorphisms:
         gens = sorted((x, y) for (x, y) in path_poset.relations if x < 0 < y)
         assert verify_B_reduction(build_poset("B", 3, gens))
 
+    def test_cd_constants_differ_in_magnitude(self, monkeypatch):
+        inner = algebra.structure_constants
+
+        def scaled(P):
+            basis, table = inner(P)
+            if P.family == "C":
+                key = min(table)
+                (k, c), *rest = table[key]
+                table = {**table, key: ((k, 2 * c), *rest)}
+            return basis, table
+
+        monkeypatch.setattr(algebra, "structure_constants", scaled)
+        with pytest.raises(NoSignRescaling, match="differ in magnitude"):
+            verify_CD_isomorphism(build_poset("D", 2, [(-1, 2)]))
+
+    def test_cd_inconsistent_parity(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_solve_gf2", lambda equations: None)
+        with pytest.raises(NoSignRescaling, match="parity constraints are inconsistent"):
+            verify_CD_isomorphism(build_poset("D", 2, [(-1, 2)]))
+
+    def test_cd_rechecks_the_rescaled_tables(self, monkeypatch):
+        # this poset needs a sign flip, so the all-plus vector is wrong
+        P = build_poset("D", 3, [(-3, -1), (-1, 2)])
+        monkeypatch.setattr(algebra, "_solve_gf2", lambda equations: [])
+        with pytest.raises(NoSignRescaling, match="rescaled tables still differ"):
+            verify_CD_isomorphism(P)
+
+    def test_solve_gf2_inconsistent(self):
+        # x0 = 0 and x0 = 1
+        assert algebra._solve_gf2([(1, 0), (1, 1)]) is None
+
+    def test_b_reduction_detects_a_changed_d_table(self, monkeypatch):
+        inner = algebra.structure_constants
+
+        def dropped(P):
+            basis, table = inner(P)
+            if P.family == "D":
+                table = {key: terms for key, terms in table.items() if key != min(table)}
+            return basis, table
+
+        P = build_poset("B", 2, [(-1, 2)])
+        assert verify_B_reduction(P)
+        monkeypatch.setattr(algebra, "structure_constants", dropped)
+        assert verify_B_reduction(P) is False
+
     def test_b_reduction_rejects_related_zero(self):
         with pytest.raises(UnsupportedPoset):
             verify_B_reduction(build_poset("B", 1, [(-1, 0)]))

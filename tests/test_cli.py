@@ -1,11 +1,27 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from lieposet import cli, linalg
+from lieposet import (
+    CampaignConfig,
+    commutator_matrix,
+    formats,
+    frobenius_functional,
+    harness,
+    index_formula,
+    linalg,
+    principal_element,
+    reduce,
+    report_json_bytes,
+    report_text,
+    run_campaign,
+    spectrum,
+)
+from lieposet import cli
 from lieposet.cli import main
-from lieposet.formats import poset_to_text
+from lieposet.formats import parse_inline, poset_to_text
 
 LOOPED_PATH = "C;3;-2<=1,-2<=2,-2<=3,-3<=2,-1<=2"
 TRIANGLE = "C;3;-1<=2,-1<=3,-2<=3"
@@ -237,6 +253,44 @@ def test_enumerate_counts(runner):
     assert len(as_json.output.splitlines()) == 2
 
 
+def test_enumerate_up_to_iso_output_pinned(runner):
+    # the least mask of each relabelling orbit, in ascending mask order
+    text = runner.invoke(main, ["enumerate", "--family", "C", "--n", "3", "--up-to-iso"])
+    assert text.exit_code == 0
+    assert text.stdout == """\
+SignedPoset(C;3;)
+SignedPoset(C;3;-2<=1,-1<=2)
+SignedPoset(C;3;-3<=1,-2<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-3<=1,-3<=2,-2<=1,-2<=3,-1<=2,-1<=3)
+SignedPoset(C;3;-1<=1)
+SignedPoset(C;3;-2<=1,-1<=1,-1<=2)
+SignedPoset(C;3;-3<=1,-2<=1,-1<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-3<=2,-2<=3,-1<=1)
+SignedPoset(C;3;-3<=2,-2<=1,-2<=3,-1<=1,-1<=2)
+SignedPoset(C;3;-3<=1,-3<=2,-2<=1,-2<=3,-1<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-2<=2,-1<=1)
+SignedPoset(C;3;-2<=1,-2<=2,-1<=1,-1<=2)
+SignedPoset(C;3;-3<=1,-2<=2,-1<=1,-1<=3)
+SignedPoset(C;3;-3<=1,-2<=1,-2<=2,-1<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-3<=1,-3<=2,-2<=2,-2<=3,-1<=1,-1<=3)
+SignedPoset(C;3;-3<=1,-3<=2,-2<=1,-2<=2,-2<=3,-1<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-3<=3,-2<=2,-1<=1)
+SignedPoset(C;3;-3<=3,-2<=1,-2<=2,-1<=1,-1<=2)
+SignedPoset(C;3;-3<=1,-3<=3,-2<=1,-2<=2,-1<=1,-1<=2,-1<=3)
+SignedPoset(C;3;-3<=1,-3<=2,-3<=3,-2<=1,-2<=2,-2<=3,-1<=1,-1<=2,-1<=3)
+"""
+    as_json = runner.invoke(
+        main, ["enumerate", "--family", "C", "--n", "3", "--up-to-iso", "--format", "json"]
+    )
+    assert as_json.exit_code == 0
+    assert hashlib.sha256(as_json.stdout.encode()).hexdigest() == (
+        "05683a6bde43110b4c0e7f077f16f3b9619f4bfadc9cba782dbcc2cc67afefdd"
+    )
+    assert [
+        repr(formats.parse_poset(line)) for line in as_json.stdout.splitlines()
+    ] == text.stdout.splitlines()
+
+
 def test_matrix_form_command(runner):
     result = runner.invoke(
         main, ["matrix-form", "-p", "C;3;-2<=1,-2<=3,-3<=2,-1<=2", "--format", "json"]
@@ -352,3 +406,122 @@ def test_env_var_override(runner):
         auto_envvar_prefix="LIEPOSET",
     )
     assert json.loads(result.output)["trials"] == 2
+
+
+def _json_line(obj):
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def test_field_commands_print_text_lines(runner):
+    # the text branch of the `key: value` emitter, keys sorted
+    index = runner.invoke(main, ["index", "-p", TRIANGLE])
+    assert index.exit_code == 0
+    assert index.stdout == "agreement: True\nformula: 0\noracle: 0\nseed: 0\ntrials: 5\n"
+    frob = runner.invoke(main, ["frobenius", "-p", TRIANGLE, "--check-oracle"])
+    assert frob.exit_code == 0
+    assert frob.stdout == "agreement: True\nfrobenius: True\noracle_index: 0\nseed: 0\n"
+    iso = runner.invoke(main, ["isomorphism", "-p", "D;2;-1<=2"])
+    assert iso.exit_code == 0
+    assert iso.stdout == "eps: [1, 1, 1]\nkind: D=C\n"
+
+
+def test_reduce_json_is_the_trace_object(runner):
+    result = runner.invoke(main, ["reduce", "-p", TRIANGLE, "--seed", "4",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    trace = reduce(parse_inline(TRIANGLE), seed=4)
+    assert result.stdout == _json_line(formats.reduction_trace_json_obj(trace))
+
+
+def test_principal_text_lines(runner):
+    result = runner.invoke(main, ["principal", "-p", LOOPED_PATH, "--check-closed-form"])
+    assert result.exit_code == 0
+    P = parse_inline(LOOPED_PATH)
+    obj = formats.principal_element_json_obj(principal_element(P, frobenius_functional(P)))
+    assert result.stdout == (
+        f"coefficients: {obj['coefficients']}\n"
+        f"diagonal: {obj['diagonal']}\n"
+        f"half_convention: {obj['half_convention']}\n"
+        "half_entries: True\n"
+    )
+
+
+def test_spectrum_json_is_the_report_object(runner):
+    result = runner.invoke(main, ["spectrum", "-p", TRIANGLE, "--format", "json"])
+    assert result.exit_code == 0
+    P = parse_inline(TRIANGLE)
+    report = spectrum(P, principal_element(P, frobenius_functional(P)))
+    assert result.stdout == _json_line(formats.spectrum_json_obj(report))
+
+
+def test_verify_json_is_the_report_bytes(runner):
+    result = runner.invoke(main, ["verify", "--families", "C:2,D:2", "--seed", "3",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    cfg = CampaignConfig(plan=(("C", 2), ("D", 2)), seed=3)
+    assert result.stdout == report_json_bytes(run_campaign(cfg)).decode()
+
+
+@pytest.mark.parametrize("poset", [TRIANGLE, "B;2;-1<=2"])
+def test_export_tables_match_the_emitters(runner, poset):
+    P = parse_inline(poset)
+    C = commutator_matrix(P)
+    expected = {
+        ("commutator", "text"): formats.commutator_matrix_text(C),
+        ("commutator", "json"): _json_line(formats.commutator_matrix_json_obj(C)),
+        ("structure-constants", "json"): _json_line(
+            formats.structure_constants_json_obj(P)
+        ),
+    }
+    for (what, fmt), text in expected.items():
+        result = runner.invoke(main, ["export", "-p", poset, "--what", what,
+                                      "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stdout == text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_index_disagreement_exits_1(runner, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "index_oracle", lambda P, trials, seed: 2)
+    result = runner.invoke(main, ["index", "-p", TRIANGLE, "--format", fmt])
+    assert result.exit_code == 1
+    out = {"agreement": False, "formula": index_formula(parse_inline(TRIANGLE)),
+           "oracle": 2, "seed": 0, "trials": 5}
+    if fmt == "json":
+        assert result.stdout == _json_line(out)
+    else:
+        assert result.stdout == "".join(f"{k}: {out[k]}\n" for k in sorted(out))
+
+
+def test_frobenius_disagreement_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(cli, "index_oracle", lambda P, trials, seed: 2)
+    result = runner.invoke(main, ["frobenius", "-p", TRIANGLE, "--check-oracle",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    assert result.stdout == _json_line(
+        {"agreement": False, "frobenius": True, "oracle_index": 2, "seed": 0}
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_failing_campaign_exits_1(runner, monkeypatch, fmt):
+    monkeypatch.setitem(harness.CHECKS, "dimension_formula",
+                        lambda P, ctx: ("fail", (("injected", "1"),)))
+    result = runner.invoke(main, ["verify", "--families", "C:1", "--seed", "3",
+                                  "--format", fmt])
+    assert result.exit_code == 1
+    report = run_campaign(CampaignConfig(plan=(("C", 1),), seed=3))
+    assert len(report["failures"]) == 2
+    if fmt == "json":
+        assert result.stdout == report_json_bytes(report).decode()
+    else:
+        assert result.stdout == "seed: 3\n" + report_text(report)
+
+
+def test_isomorphism_b_tables_differ_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(cli, "verify_B_reduction", lambda P: False)
+    result = runner.invoke(main, ["isomorphism", "-p", "B;2;-1<=2", "--format", "json"])
+    assert result.exit_code == 1
+    assert result.stdout == _json_line(
+        {"error": "LiePosetError", "message": "structure constants differ"}
+    )

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,12 @@ from lieposet import (
     Condition2Violation,
     Condition3Violation,
     HeightPair,
+    PosetConstructionError,
     RelationGraph,
     SignedPoset,
     UnsupportedHeight,
     UnsupportedPoset,
     build_poset,
-    canonical_graph_key,
     covering_relations,
     dual,
     enumerate_h01,
@@ -82,6 +85,25 @@ class TestBuild:
         bad = frozenset({(1, 1), (2, 2), (1, 2), (2, 1)})
         with pytest.raises(AntisymmetryViolation):
             validate(SignedPoset("A", 2, bad))
+
+    @pytest.mark.parametrize(
+        "n,relations,error,message",
+        [
+            (1, [(-1, -1), (1, 1), (2, 2)], BadElement, "outside the ground set"),
+            (1, [(-1, -1)], PosetConstructionError, "missing reflexive pair"),
+            (1, [(-1, -1), (1, 1), (1, -1)], Condition1Violation, "has 1 > -1"),
+            (2, [(-2, -2), (-1, -1), (1, 1), (2, 2), (-2, -1), (-1, 1)],
+             PosetConstructionError, "not transitively closed"),
+            (2, [(-2, -2), (-1, -1), (1, 1), (2, 2), (-2, -1)],
+             Condition2Violation, "without"),
+        ],
+        ids=["bad-element", "reflexive", "condition1", "transitive", "condition2"],
+    )
+    def test_validate_rejects_raw_relations(self, n, relations, error, message):
+        # build_poset closes and checks its input first, so these raises of
+        # validate are reached only through a hand-built SignedPoset
+        with pytest.raises(error, match=message):
+            validate(SignedPoset("C", n, frozenset(relations)))
 
     def test_non_cover_loop_is_legal_in_type_d(self):
         # -2 <= 1 and 1 <= 2 compose to -2 <= 2 through 1, not a cover
@@ -242,12 +264,54 @@ class TestEnumeration:
         reps = list(enumerate_h01("C", 3, up_to_iso=True))
         assert {p.relations for p in reps} <= everything
         assert len(reps) < len(everything)
-        # two isomorphic one-edge graphs collapse
-        keys = {
-            canonical_graph_key(3, relation_graph(p).edges, relation_graph(p).loops)
-            for p in reps
-        }
-        assert len(keys) == len(reps)
+        # the 64 labelled graphs with loops on 3 vertices fall into 20 classes
+        assert len(reps) == 20
+
+    @pytest.mark.parametrize(
+        "family,counts",
+        [("C", (2, 6, 20, 90, 544)),  # OEIS A000666, graphs with loops
+         ("D", (1, 2, 4, 11, 34, 156)),  # OEIS A000088, simple graphs
+         ("B", (1, 2, 4, 11, 34, 156))],
+    )
+    def test_up_to_iso_class_counts(self, family, counts):
+        found = tuple(
+            sum(1 for _ in enumerate_h01(family, n, up_to_iso=True))
+            for n in range(1, len(counts) + 1)
+        )
+        assert found == counts
+
+    @pytest.mark.parametrize(
+        "family,n", [("C", n) for n in range(1, 5)] + [("D", n) for n in range(1, 6)]
+    )
+    def test_up_to_iso_yields_each_orbit_minimum(self, family, n):
+        # reference: close each mask's orbit under every relabelling of
+        # 1..n and keep its least element, which is the first of its class
+        edges, loops = h01_slots(family, n)
+        slots = edges + loops
+        minima = set()
+        for mask in range(1 << len(slots)):
+            present = [s for b, s in enumerate(slots) if mask >> b & 1]
+            orbit = []
+            for perm in itertools.permutations(range(1, n + 1)):
+                image = 0
+                for s in present:
+                    moved = (
+                        tuple(sorted((perm[s[0] - 1], perm[s[1] - 1])))
+                        if isinstance(s, tuple)
+                        else perm[s - 1]
+                    )
+                    image |= 1 << slots.index(moved)
+                orbit.append(image)
+            minima.add(min(orbit))
+        reps = [mask_of_poset(P) for P in enumerate_h01(family, n, up_to_iso=True)]
+        assert reps == sorted(minima)
+
+    def test_up_to_iso_c5_representatives_pinned(self):
+        masks = [mask_of_poset(P) for P in enumerate_h01("C", 5, up_to_iso=True)]
+        digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+        assert digest == (
+            "650041e33ad150c8fc5cc333612fcd8c024fd1d7da529951af2c7f100f458d04"
+        )
 
 
 class TestSmallOps:
