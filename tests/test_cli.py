@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from lieposet import (
     CampaignConfig,
+    cli,
     commutator_matrix,
     formats,
     frobenius_functional,
@@ -19,7 +20,6 @@ from lieposet import (
     run_campaign,
     spectrum,
 )
-from lieposet import cli
 from lieposet.cli import main
 from lieposet.formats import parse_inline, poset_to_text
 
