@@ -23,6 +23,7 @@ from .errors import (
     NotInSpan,
     PosetConstructionError,
     SingularForm,
+    TablesDiffer,
     UnsupportedHeight,
     UnsupportedPoset,
 )
@@ -35,30 +36,24 @@ from .posets import (
     SignedPoset,
     build_poset,
     covering_relations,
-    dual,
     enumerate_h01,
     graph_components,
     ground_set,
     h01_slots,
-    hasse_connected,
     height,
     induced_subposet,
     is_separable,
     mask_of_poset,
-    negative_part,
     poset_from_graph,
     poset_from_mask,
     positive_part,
     relation_graph,
     rg_connected,
-    type_a_height,
     validate,
 )
 from .algebra import (
     BasisElement,
-    bracket,
     build_basis,
-    combo_bracket,
     commutator,
     decompose,
     matrix_form,
@@ -77,7 +72,6 @@ from .index_engine import (
     index_formula,
     index_oracle,
     reduce,
-    type_a_height_one_index,
 )
 from .frobenius import (
     Functional,

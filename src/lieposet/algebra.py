@@ -42,7 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, NoSignRescaling, NotInSpan, UnsupportedPoset
+from .errors import (
+    InvariantViolation,
+    NoSignRescaling,
+    NotInSpan,
+    TablesDiffer,
+    UnsupportedPoset,
+)
 from .posets import SignedPoset, induced_subposet, validate
 
 _KIND_ORDER = {"H": 0, "X": 1, "Y": 2, "Z": 3, "U": 4, "DA": 0, "EA": 1}
@@ -200,11 +206,6 @@ def decompose(mat, P, realized=None):
     return combo
 
 
-def bracket(a, b, P):
-    """Commutator [a, b] decomposed in the basis of P."""
-    return decompose(commutator(realize(a), realize(b)), P)
-
-
 @lru_cache(maxsize=256)
 def structure_constants(P):
     """Canonical basis and the table of brackets between its elements.
@@ -241,29 +242,6 @@ def structure_constants(P):
                 raise InvariantViolation(f"non-integral structure constant in {terms}")
             table[(i, j)] = terms
     return basis, table
-
-
-def combo_bracket(P, u, v):
-    """Bilinear extension of the bracket to {position: coefficient} maps.
-
-    The table is read once per call: [i, j] is table[(i, j)] for i < j
-    and minus table[(j, i)] for i > j.
-    """
-    _, table = structure_constants(P)
-    out = {}
-    for i, a in u.items():
-        if not a:
-            continue
-        for j, b in v.items():
-            if not b or i == j:
-                continue
-            if i < j:
-                ab, terms = a * b, table.get((i, j), ())
-            else:
-                ab, terms = -a * b, table.get((j, i), ())
-            for k, c in terms:
-                out[k] = out.get(k, 0) + ab * c
-    return {k: c for k, c in out.items() if c}
 
 
 def matrix_form(P):
@@ -365,7 +343,8 @@ def verify_B_reduction(P):
 
     P must be a type-B poset whose 0 is unrelated to everything else.
     Returns True when the table equals that of the type-D algebra on the
-    induced poset without 0 under the index-matching correspondence.
+    induced poset without 0 under the index-matching correspondence, and
+    raises TablesDiffer when the bases or the tables do not match.
     """
     if P.family != "B":
         raise UnsupportedPoset("expected a type-B poset")
@@ -375,5 +354,11 @@ def verify_B_reduction(P):
     basis_b, table_b = structure_constants(P)
     basis_d, table_d = structure_constants(P0)
     if [b.index_key() for b in basis_b] != [b.index_key() for b in basis_d]:
-        return False
-    return table_b == table_d
+        raise TablesDiffer("bases do not correspond")
+    if table_b != table_d:
+        keys = set(table_b) | set(table_d)
+        i, j = min(k for k in keys if table_b.get(k) != table_d.get(k))
+        raise TablesDiffer(
+            f"structure constants differ at [{basis_b[i]!r},{basis_b[j]!r}]"
+        )
+    return True

@@ -53,6 +53,11 @@ class NoSignRescaling(LiePosetError):
     """No diagonal +/-1 rescaling matches the two structure constant tables."""
 
 
+class TablesDiffer(LiePosetError):
+    """The basis or the structure constants of a type-B poset differ from
+    those of the type-D poset left when 0 is removed."""
+
+
 class NotFrobenius(LiePosetError):
     """The poset does not satisfy the graph criterion for index zero."""
 

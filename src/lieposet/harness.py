@@ -239,8 +239,11 @@ def check_cd_isomorphism(P, ctx):
 def check_b_reduction(P, ctx):
     if P.family != "B":
         return "skipped", _witness(reason="family is not B")
-    ok = verify_B_reduction(P)
-    return ("pass" if ok else "fail"), _witness(equal=ok)
+    try:
+        verify_B_reduction(P)
+    except LiePosetError as exc:
+        return "fail", _witness(error=exc.code, message=exc)
+    return "pass", _witness(equal=True)
 
 
 def check_reduction_trace(P, ctx):

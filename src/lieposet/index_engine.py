@@ -51,12 +51,10 @@ from .linalg import integer_rank
 from .posets import (
     graph_components,
     height,
-    hasse_connected,
     is_separable,
     positive_part,
     relation_graph,
     rg_connected,
-    type_a_height,
 )
 from .algebra import build_basis, structure_constants
 
@@ -215,7 +213,7 @@ def index_formula(P):
     where the oracle reaches the term-rank ceiling of `generic_rank`, and
     elsewhere an upper bound, equal with the probability the module
     docstring gives).  Raises
-    UnsupportedPoset otherwise; there is no silent oracle fallback.
+    UnsupportedPoset otherwise, rather than answering with the oracle.
 
     The index is dim minus the even rank of a skew matrix, so a value
     whose parity differs from dim's raises InvariantViolation.
@@ -241,18 +239,6 @@ def index_formula(P):
             f"formula index {index} and dimension {dim} differ in parity"
         )
     return index
-
-
-def type_a_height_one_index(P):
-    """|E(Hasse)| - |V| + 1 for a connected height-one type-A poset."""
-    if P.family != "A":
-        raise UnsupportedPoset("expected a family-A poset")
-    if type_a_height(P) != 1:
-        raise UnsupportedPoset("poset is not of height one")
-    if not hasse_connected(P):
-        raise UnsupportedPoset("Hasse diagram is not connected")
-    edges = sum(1 for (x, y) in P.strict_relations)
-    return edges - P.n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +274,6 @@ class ReductionTrace:
     @property
     def final_rank(self):
         return (self.steps[-1] if self.steps else self.initial).rank
-
-    @property
-    def final_graph(self):
-        last = self.steps[-1] if self.steps else self.initial
-        return last.edges, last.loops
 
     @property
     def ranks(self):

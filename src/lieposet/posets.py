@@ -333,13 +333,6 @@ def height(P):
     return P.height_pair
 
 
-def type_a_height(P):
-    """Longest chain minus one, for family-A posets."""
-    if P.family != "A":
-        raise ValueError("type_a_height applies to family A")
-    return _longest_chain(P.elements, P.relations) - 1
-
-
 def is_separable(P):
     """True when no relation runs from a negative element to a positive one.
 
@@ -438,7 +431,7 @@ def enumerate_h01(family, n, up_to_iso=False):
         yield poset_from_mask(family, n, mask)
 
 
-def induced_subposet(P, subset, family=None):
+def induced_subposet(P, subset):
     """Induced subposet on `subset`, relabeled onto a standard ground set.
 
     The relabeling is order preserving.  When the subset is mirror
@@ -448,18 +441,13 @@ def induced_subposet(P, subset, family=None):
     S = frozenset(subset)
     if not S <= set(P.elements):
         raise BadElement("subset not contained in the ground set")
-    if family is None:
-        if P.family == "A":
-            family = "A"
-        elif all(-x in S for x in S):
-            family = "D" if (P.family == "B" and 0 not in S) else P.family
-        else:
-            family = "A"
-    if family == "A":
+    if P.family == "A" or not all(-x in S for x in S):
+        family = "A"
         ordered = sorted(S)
         relabel = {x: k for k, x in enumerate(ordered, start=1)}
         size = len(ordered)
     else:
+        family = "D" if (P.family == "B" and 0 not in S) else P.family
         positives = sorted(x for x in S if x > 0)
         relabel = {}
         for k, x in enumerate(positives, start=1):
@@ -480,45 +468,7 @@ def induced_subposet(P, subset, family=None):
 
 def positive_part(P):
     """The induced poset on the positive elements, as a family-A poset."""
-    return induced_subposet(P, [x for x in P.elements if x > 0], family="A")
-
-
-def negative_part(P):
-    return induced_subposet(P, [x for x in P.elements if x < 0], family="A")
-
-
-def dual(P):
-    """Order dual, relabeled back onto the standard ground set.
-
-    Family A uses x -> n + 1 - x; the signed families use negation, under
-    which the mirror condition makes every poset self dual.
-    """
-    if P.family == "A":
-        m = P.n + 1
-        rels = frozenset((m - y, m - x) for (x, y) in P.relations)
-    else:
-        rels = frozenset((-y, -x) for (x, y) in P.relations)
-    Q = SignedPoset(P.family, P.n, rels)
-    validate(Q)
-    return Q
-
-
-def hasse_connected(P):
-    """True when the Hasse diagram is connected (isolated points disconnect)."""
-    elems = P.elements
-    adj = {x: [] for x in elems}
-    for x, y in covering_relations(P):
-        adj[x].append(y)
-        adj[y].append(x)
-    seen = {elems[0]}
-    stack = [elems[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(elems)
+    return induced_subposet(P, [x for x in P.elements if x > 0])
 
 
 def rg_connected(P):

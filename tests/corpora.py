@@ -1,6 +1,6 @@
 """Extra poset corpora that only the test suite walks."""
 
-from lieposet import build_poset, hasse_connected
+from lieposet import build_poset, covering_relations
 
 
 def random_separable_poset(rng, max_positive=4):
@@ -12,6 +12,35 @@ def random_separable_poset(rng, max_positive=4):
             if rng.random() < 0.5:
                 generators.append((i, j))
     return build_poset("C", size, generators)
+
+
+def hasse_connected(P):
+    """True when the Hasse diagram is connected (isolated points disconnect)."""
+    elems = P.elements
+    adj = {x: [] for x in elems}
+    for x, y in covering_relations(P):
+        adj[x].append(y)
+        adj[y].append(x)
+    seen = {elems[0]}
+    stack = [elems[0]]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(elems)
+
+
+def type_a_height_at_most_one(P):
+    """No chain x < y < z: no strict relation starts where another ends."""
+    strict = P.strict_relations
+    return not {y for _, y in strict} & {x for x, _ in strict}
+
+
+def type_a_height_one_index(P):
+    """|E| - |V| + 1, the index of a connected height-one type-A poset."""
+    return len(P.strict_relations) - P.n + 1
 
 
 def type_a_height_one_posets(n, connected_only=True):

@@ -1,0 +1,37 @@
+"""Reference brackets that only the test suite uses.
+
+`bracket` decomposes the commutator of two realized basis elements, and
+`combo_bracket` extends the structure-constant table bilinearly; the
+closure, Jacobi and spectrum tests compare the package against them.
+"""
+
+from lieposet import algebra
+
+
+def bracket(a, b, P):
+    """Commutator [a, b] decomposed in the basis of P."""
+    com = algebra.commutator(algebra.realize(a), algebra.realize(b))
+    return algebra.decompose(com, P)
+
+
+def combo_bracket(P, u, v):
+    """Bilinear extension of the bracket to {position: coefficient} maps.
+
+    The table is read once per call: [i, j] is table[(i, j)] for i < j
+    and minus table[(j, i)] for i > j.
+    """
+    _, table = algebra.structure_constants(P)
+    out = {}
+    for i, a in u.items():
+        if not a:
+            continue
+        for j, b in v.items():
+            if not b or i == j:
+                continue
+            if i < j:
+                ab, terms = a * b, table.get((i, j), ())
+            else:
+                ab, terms = -a * b, table.get((j, i), ())
+            for k, c in terms:
+                out[k] = out.get(k, 0) + ab * c
+    return {k: c for k, c in out.items() if c}

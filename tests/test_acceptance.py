@@ -13,12 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from corpora import random_separable_poset, type_a_height_one_posets
+from corpora import (
+    random_separable_poset,
+    type_a_height_one_index,
+    type_a_height_one_posets,
+)
+from references import combo_bracket
 from lieposet import (
     CampaignConfig,
     build_basis,
     build_poset,
-    combo_bracket,
     commutator_matrix,
     enumerate_h01,
     frobenius_functional,
@@ -38,7 +42,6 @@ from lieposet import (
     run_campaign,
     spectrum,
     structure_constants,
-    type_a_height_one_index,
     verify_B_reduction,
     verify_CD_isomorphism,
 )

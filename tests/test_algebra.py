@@ -9,17 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpora import type_a_height_one_posets
+from references import bracket, combo_bracket
 from lieposet import (
     BasisElement,
     InvariantViolation,
     NoSignRescaling,
     NotInSpan,
     SignedPoset,
+    TablesDiffer,
     UnsupportedPoset,
-    bracket,
     build_basis,
     build_poset,
-    combo_bracket,
     commutator,
     decompose,
     enumerate_h01,
@@ -346,7 +346,8 @@ class TestIsomorphisms:
         P = build_poset("B", 2, [(-1, 2)])
         assert verify_B_reduction(P)
         monkeypatch.setattr(algebra, "structure_constants", dropped)
-        assert verify_B_reduction(P) is False
+        with pytest.raises(TablesDiffer, match=r"differ at \[H\(1\),Y\(2,1\)\]"):
+            verify_B_reduction(P)
 
     def test_b_reduction_rejects_related_zero(self):
         with pytest.raises(UnsupportedPoset):
@@ -410,8 +411,8 @@ class TestIntegerStructureConstants:
                 assert all(type(c) is int for _, c in terms), (P, terms)
 
     def test_non_int_constant_raises_where_the_table_is_built(self, monkeypatch):
-        # every reader of the table (commutator matrix, spectrum,
-        # combo_bracket, exports) relies on this one check
+        # every reader of the table (commutator matrix, spectrum, the
+        # isomorphism verifiers, exports) relies on this one check
         inner = algebra.decompose
 
         def as_fractions(mat, P, realized=None):

@@ -11,7 +11,9 @@ from lieposet import (
     formats,
     frobenius_functional,
     harness,
+    algebra,
     index_formula,
+    index_oracle,
     linalg,
     principal_element,
     reduce,
@@ -115,6 +117,9 @@ def test_index_formula_unsupported_without_fallback(runner):
     result = runner.invoke(main, ["index", "-p", "C;2;-2<=1,1<=2", "--method", "formula"])
     assert result.exit_code == 1
     assert "UnsupportedPoset" in result.output
+    # the oracle is not a formula, and no option passes it off as one
+    gone = runner.invoke(main, ["index", "-p", "C;2;-2<=1,1<=2", "--fallback", "oracle"])
+    assert gone.exit_code == 2
 
 
 FAMILY_A = "A;3;1<=2"
@@ -146,49 +151,23 @@ def test_family_a_relation_graph_export_exits_1(runner):
 
 
 def test_family_a_index_both_reports_the_formula_error(runner):
-    result = runner.invoke(main, ["index", "-p", FAMILY_A, "--format", "json"])
-    assert result.exit_code == 0
-    out = json.loads(result.output)
-    assert out["formula_error"] == "UnsupportedPoset" and "formula" not in out
-    assert "agreement" not in out
-
-
-def test_index_fallback_oracle(runner):
-    result = runner.invoke(
-        main,
-        ["index", "-p", "C;2;-2<=1,1<=2", "--method", "formula",
-         "--fallback", "oracle", "--format", "json"],
-    )
-    assert result.exit_code == 0
-    out = json.loads(result.output)
-    assert out["fallback"] == "oracle" and "formula" in out
-
-
-def test_index_fallback_runs_the_oracle_once(runner, monkeypatch):
-    # under --method both the fallback value is also the oracle's answer
-    inner = cli.index_oracle
-    calls = []
-
-    def counted(P, trials, seed):
-        calls.append((P, trials, seed))
-        return inner(P, trials=trials, seed=seed)
-
-    monkeypatch.setattr(cli, "index_oracle", counted)
-    result = runner.invoke(
-        main, ["index", "-p", "C;2;-2<=1,1<=2", "--fallback", "oracle", "--format", "json"]
-    )
-    assert result.exit_code == 0, result.output
-    out = json.loads(result.output)
-    assert out["fallback"] == "oracle" and out["formula"] == out["oracle"]
-    assert out["agreement"] is True
-    assert len(calls) == 1
+    # where no formula applies (family A, or a non-separable poset of
+    # height (1,2)), --method both prints the formula's error code beside
+    # the oracle, with nothing to agree with
+    for poset in (FAMILY_A, "C;2;-2<=1,1<=2"):
+        result = runner.invoke(main, ["index", "-p", poset, "--format", "json"])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["formula_error"] == "UnsupportedPoset" and "formula" not in out
+        assert out["oracle"] == index_oracle(parse_inline(poset))
+        assert "agreement" not in out
 
 
 def test_spectrum_triangle(runner):
     result = runner.invoke(main, ["spectrum", "-p", TRIANGLE])
     assert result.exit_code == 0
     assert "spectrum: {0: 3, 1: 3}" in result.output
-    assert "binary: true" in result.output
+    assert "binary: True" in result.output
 
 
 def test_spectrum_non_frobenius_exit_1(runner):
@@ -519,9 +498,17 @@ def test_verify_failing_campaign_exits_1(runner, monkeypatch, fmt):
 
 
 def test_isomorphism_b_tables_differ_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(cli, "verify_B_reduction", lambda P: False)
+    inner = algebra.structure_constants
+
+    def dropped(P):
+        basis, table = inner(P)
+        if P.family == "D":
+            table = {key: terms for key, terms in table.items() if key != min(table)}
+        return basis, table
+
+    monkeypatch.setattr(algebra, "structure_constants", dropped)
     result = runner.invoke(main, ["isomorphism", "-p", "B;2;-1<=2", "--format", "json"])
     assert result.exit_code == 1
     assert result.stdout == _json_line(
-        {"error": "LiePosetError", "message": "structure constants differ"}
+        {"error": "TablesDiffer", "message": "structure constants differ at [H(1),Y(2,1)]"}
     )

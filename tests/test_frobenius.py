@@ -14,7 +14,6 @@ from lieposet import (
     UnsupportedHeight,
     build_basis,
     build_poset,
-    combo_bracket,
     commutator,
     commutator_matrix,
     enumerate_h01,
@@ -36,6 +35,7 @@ from lieposet import (
 from lieposet import frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 from lieposet.harness import run_checks_on_poset
+from references import combo_bracket
 
 HALF = Fraction(1, 2)
 

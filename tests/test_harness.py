@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from corpora import random_separable_poset, type_a_height_one_posets
+from corpora import (
+    hasse_connected,
+    random_separable_poset,
+    type_a_height_at_most_one,
+    type_a_height_one_posets,
+)
 from lieposet import (
     CampaignConfig,
     functional,
@@ -343,10 +348,8 @@ def test_type_a_height_one_enumeration():
     posets = list(type_a_height_one_posets(3))
     # connected height-one posets on {1,2,3}: vee, wedge, and paths
     assert all(len(P.strict_relations) >= 2 for P in posets)
-    from lieposet import hasse_connected, type_a_height
-
     for P in posets:
-        assert type_a_height(P) == 1 and hasse_connected(P)
+        assert type_a_height_at_most_one(P) and hasse_connected(P)
     disconnected = list(type_a_height_one_posets(3, connected_only=False))
     assert len(disconnected) > len(posets)
 

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import random_separable_poset, type_a_height_one_posets
+from corpora import (
+    random_separable_poset,
+    type_a_height_at_most_one,
+    type_a_height_one_index,
+    type_a_height_one_posets,
+)
 from lieposet import (
     CampaignConfig,
     CommutatorMatrix,
@@ -28,8 +33,6 @@ from lieposet import (
     positive_part,
     relation_graph,
     run_campaign,
-    type_a_height,
-    type_a_height_one_index,
 )
 from lieposet import index_engine
 from lieposet.index_engine import ORACLE_TRIALS, _term_rank
@@ -68,7 +71,7 @@ class TestCommutatorMatrix:
                 assert lhs == rhs  # skew symmetry
 
     def test_entries_match_brackets(self, looped_path_poset):
-        from lieposet import bracket
+        from references import bracket
 
         C = commutator_matrix(looped_path_poset)
         basis = C.basis
@@ -288,7 +291,7 @@ def _random_low_posets(rng, family, count):
             P = build_poset(family, n, rng.sample(pairs, rng.randint(0, min(4, len(pairs)))))
         except PosetConstructionError:
             continue
-        if (type_a_height(P) if family == "A" else max(height(P))) <= 1:
+        if (type_a_height_at_most_one(P) if family == "A" else max(height(P)) <= 1):
             found.append(P)
     return found
 
@@ -472,14 +475,6 @@ class TestTypeAFormula:
         P = build_poset("A", 4, [(1, 3), (1, 4), (2, 3), (2, 4)])
         assert type_a_height_one_index(P) == 1
         assert index_oracle(P) == 1
-
-    def test_preconditions(self):
-        with pytest.raises(UnsupportedPoset):
-            type_a_height_one_index(build_poset("A", 2, []))  # height zero
-        with pytest.raises(UnsupportedPoset):
-            type_a_height_one_index(build_poset("A", 3, [(1, 2)]))  # disconnected
-        with pytest.raises(UnsupportedPoset):
-            type_a_height_one_index(build_poset("C", 2, [(-1, 2)]))
 
     def test_exhaustive_up_to_four(self):
         for n in (2, 3, 4):

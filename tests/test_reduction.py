@@ -90,8 +90,8 @@ class TestReduce:
         assert all(k == "SelfLoopElim" for k in kinds[1:])
         assert trace.final_rank == 3
         # terminal graph is all loops, no edges
-        edges, loops = trace.final_graph
-        assert edges == () and loops == (1, 2, 3)
+        last = trace.steps[-1]
+        assert last.edges == () and last.loops == (1, 2, 3)
 
     def test_four_cycle_even_elimination(self, four_cycle_poset):
         trace = reduce(four_cycle_poset, seed=0)
@@ -186,8 +186,8 @@ class TestReduceReplay:
         kinds = [s.kind for s in trace.steps]
         assert kinds == ["EvenCycleElim"] * ((a - 1) * (b - 1)) + ["PathSweep"]
         assert trace.final_rank == a + b - 1
-        edges, loops = trace.final_graph
-        assert len(edges) == a + b - 1 and loops == ()
+        last = trace.steps[-1]
+        assert len(last.edges) == a + b - 1 and last.loops == ()
 
     def test_complete_graph_one_odd_step(self):
         # loop-free K12: the chord (2, 3) closes a triangle through vertex
@@ -200,7 +200,8 @@ class TestReduceReplay:
             "odd cycle (2, 1, 3): edge (2, 3) became loop 3"
         )
         assert trace.final_rank == 12
-        assert trace.final_graph == ((), tuple(range(1, 13)))
+        last = trace.steps[-1]
+        assert last.edges == () and last.loops == tuple(range(1, 13))
 
     def test_path_off_the_tree_raises(self, monkeypatch):
         # a path that skips a vertex steps between two vertices on the
