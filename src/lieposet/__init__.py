@@ -86,7 +86,6 @@ from .frobenius import (
 )
 from .harness import (
     CampaignConfig,
-    CheckResult,
     report_json_bytes,
     report_text,
     run_campaign,

@@ -93,8 +93,14 @@ def commutator(a, b):
     return {key: v for key, v in out.items() if v}
 
 
+@lru_cache(maxsize=1)
 def build_basis(P):
-    """The canonical ordered basis of the Lie poset algebra of P."""
+    """The canonical ordered basis of the Lie poset algebra of P.
+
+    The last basis is kept: the table of `structure_constants` and the
+    parity check of `index_formula` ask for the same poset's basis in
+    turn, and share it.
+    """
     out = []
     if P.family == "A":
         for i in range(1, P.n):
@@ -342,7 +348,7 @@ def verify_B_reduction(P):
     """Compare the structure constants of a type-B algebra with 0 removed.
 
     P must be a type-B poset whose 0 is unrelated to everything else.
-    Returns True when the table equals that of the type-D algebra on the
+    Returns None when the table equals that of the type-D algebra on the
     induced poset without 0 under the index-matching correspondence, and
     raises TablesDiffer when the bases or the tables do not match.
     """
@@ -361,4 +367,3 @@ def verify_B_reduction(P):
         raise TablesDiffer(
             f"structure constants differ at [{basis_b[i]!r},{basis_b[j]!r}]"
         )
-    return True

@@ -336,7 +336,9 @@ def verify(families, checks, seed, trials, jobs, output, fmt):
 @click.option("--what", type=click.Choice(
     ["hasse", "relation-graph", "matrix-form", "commutator", "structure-constants"]),
     default="hasse", show_default=True)
-@format_option("text", "json", "dot")
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "dot"]),
+              help="output format  [default: dot for hasse and relation-graph, "
+                   "text otherwise]")
 @run_command
 def export(inline, path, what, fmt):
     """Export diagrams and tables (DOT for graphs, text/JSON for tables)."""
@@ -347,6 +349,7 @@ def export(inline, path, what, fmt):
         "commutator": ("text", "json"),
         "structure-constants": ("text", "json"),
     }[what]
+    fmt = fmt or allowed[0]
     if fmt not in allowed:
         raise InputParseError(f"--what {what} supports formats {allowed}")
     P = _load_poset(inline, path)
@@ -382,7 +385,8 @@ def isomorphism(inline, path, fmt):
         eps = verify_CD_isomorphism(P)
         out = {"kind": "D=C", "eps": list(eps)}
     elif P.family == "B":
-        out = {"kind": "B=D0", "equal": verify_B_reduction(P)}
+        verify_B_reduction(P)
+        out = {"kind": "B=D0"}
     else:
         raise UnsupportedPoset("isomorphism checks apply to families B and D")
     _echo_fields(out, fmt)

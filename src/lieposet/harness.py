@@ -2,11 +2,11 @@
 
 A campaign enumerates every height-(0,0)/(0,1) poset of the configured
 families (one per labeled relation graph, identified by its slot bitmask)
-and runs each enabled check.  Each poset's pass/fail/skipped results are
-counted as they arrive and only failures are kept, with exact witnesses,
-so memory does not grow with the plan.  Failures are data, never
-exceptions; with a fixed seed the JSON report is byte identical across
-runs and worker counts.
+and runs each enabled check.  A check returns None on a pass, SKIPPED
+where it does not apply and a witness dict on a failure, so a pass or a
+skip builds no witness.  Outcomes are counted as they arrive and only
+failures are kept: memory does not grow with the plan, and with a fixed
+seed the JSON report is byte identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
-from .errors import LiePosetError, SingularForm
+from .errors import SingularForm
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
@@ -36,6 +36,9 @@ from .posets import (
 )
 
 _FAMILY_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
+
+# a check's outcome where it does not apply; pooled outcomes are pickled: test with ==
+SKIPPED = "skipped"
 
 # posets per pool task: a constant, so that the results a chunk holds in
 # a worker and in the parent do not grow with the plan
@@ -95,28 +98,6 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    family: str
-    n: int
-    mask: int
-    check: str
-    status: str  # pass | fail | skipped
-    witness: tuple  # sorted (key, value-as-string) pairs
-
-    def to_obj(self):
-        return {
-            "poset": {"family": self.family, "n": self.n, "mask": self.mask},
-            "check": self.check,
-            "status": self.status,
-            "witness": dict(self.witness),
-        }
-
-
-def _witness(**kv):
-    return tuple(sorted((k, str(v)) for k, v in kv.items()))
-
-
-@dataclass(frozen=True)
 class CheckContext:
     """Seed and trials for one poset's checks, plus their memo.
 
@@ -153,14 +134,13 @@ def check_dimension_formula(P, ctx):
     G = relation_graph(P)
     basis, _ = structure_constants(P)
     expected = G.n + G.edge_count
-    status = "pass" if len(basis) == expected else "fail"
-    return status, _witness(dim=len(basis), expected=expected)
+    return None if len(basis) == expected else {"dim": len(basis), "expected": expected}
 
 
 def check_formula_vs_oracle(P, ctx):
     f = index_formula(P)
     o = ctx.oracle(P)
-    return ("pass" if f == o else "fail"), _witness(formula=f, oracle=o, seed=ctx.seed)
+    return None if f == o else {"formula": f, "oracle": o, "seed": ctx.seed}
 
 
 def check_disjoint_additivity(P, ctx):
@@ -168,27 +148,22 @@ def check_disjoint_additivity(P, ctx):
     total = 0
     for comp in comps:
         signed = [v for w in comp.vertices for v in (w, -w)]
-        sub = induced_subposet(P, signed)
-        total += ctx.oracle(sub)
+        total += ctx.oracle(induced_subposet(P, signed))
     whole = ctx.oracle(P)
-    return (
-        ("pass" if total == whole else "fail"),
-        _witness(component_sum=total, whole=whole, components=len(comps)),
-    )
+    if total == whole:
+        return None
+    return {"component_sum": total, "whole": whole, "components": len(comps)}
 
 
 def check_frobenius_criterion(P, ctx):
     by_graph = is_frobenius_by_graph(P)
     by_oracle = ctx.oracle(P) == 0
-    return (
-        ("pass" if by_graph == by_oracle else "fail"),
-        _witness(graph=by_graph, oracle=by_oracle),
-    )
+    return None if by_graph == by_oracle else {"graph": by_graph, "oracle": by_oracle}
 
 
 def check_frobenius_kernel(P, ctx):
     if not is_frobenius_by_graph(P):
-        return "skipped", _witness(reason="not Frobenius")
+        return SKIPPED
     try:
         # a principal element exists only for a nonsingular Kirillov form,
         # so its solve already shows kernel 0
@@ -196,69 +171,57 @@ def check_frobenius_kernel(P, ctx):
         dim = 0
     except SingularForm:
         dim = kernel_dim(P, frobenius_functional(P))
-    return ("pass" if dim == 0 else "fail"), _witness(kernel_dim=dim)
+    return None if dim == 0 else {"kernel_dim": dim}
 
 
 def check_principal_element(P, ctx):
     if not is_frobenius_by_graph(P):
-        return "skipped", _witness(reason="not Frobenius")
+        return SKIPPED
     element = ctx.principal(P)
     if element.diagonal is None:
-        return "fail", _witness(reason="principal element not diagonal")
+        return {"reason": "principal element not diagonal"}
     diag = dict(element.diagonal)
     mirrored = all(diag[e] == -diag[-e] for e in P.elements if e > 0)
     halves = all(abs(v) * 2 == 1 for e, v in element.diagonal if e != 0)
-    return (
-        ("pass" if (mirrored and halves) else "fail"),
-        _witness(convention=element.half_convention, mirrored=mirrored),
-    )
+    if mirrored and halves:
+        return None
+    return {"convention": element.half_convention, "mirrored": mirrored}
 
 
 def check_binary_spectrum(P, ctx):
     if not is_frobenius_by_graph(P):
-        return "skipped", _witness(reason="not Frobenius")
+        return SKIPPED
     report = spectrum(P, ctx.principal(P))
-    return (
-        ("pass" if report.is_binary else "fail"),
-        _witness(
-            zeros=report.zero_count, ones=report.one_count, dim=report.dim
-        ),
-    )
+    if report.is_binary:
+        return None
+    return {"zeros": report.zero_count, "ones": report.one_count, "dim": report.dim}
 
 
 def check_cd_isomorphism(P, ctx):
     if P.family != "D":
-        return "skipped", _witness(reason="family is not D")
-    try:
-        eps = verify_CD_isomorphism(P)
-    except LiePosetError as exc:
-        return "fail", _witness(error=exc.code, message=exc)
-    return "pass", _witness(eps="".join("+" if e > 0 else "-" for e in eps))
+        return SKIPPED
+    verify_CD_isomorphism(P)
+    return None
 
 
 def check_b_reduction(P, ctx):
     if P.family != "B":
-        return "skipped", _witness(reason="family is not B")
-    try:
-        verify_B_reduction(P)
-    except LiePosetError as exc:
-        return "fail", _witness(error=exc.code, message=exc)
-    return "pass", _witness(equal=True)
+        return SKIPPED
+    verify_B_reduction(P)
+    return None
 
 
 def check_reduction_trace(P, ctx):
-    if P.family != "C":
-        return "skipped", _witness(reason="family is not C")
-    if not rg_connected(P):
-        return "skipped", _witness(reason="relation graph not connected")
+    if P.family != "C" or not rg_connected(P):
+        return SKIPPED
     G = relation_graph(P)
     trace = reduce(P, seed=ctx.seed)
     has_odd = any(c.has_odd_cycle for c in graph_components(G))
     expected = G.n if has_odd else G.n - 1
-    return (
-        ("pass" if trace.final_rank == expected else "fail"),
-        _witness(final_rank=trace.final_rank, expected=expected, steps=len(trace.steps)),
-    )
+    if trace.final_rank == expected:
+        return None
+    return {"final_rank": trace.final_rank, "expected": expected,
+            "steps": len(trace.steps)}
 
 
 CHECKS = {
@@ -276,7 +239,7 @@ CHECKS = {
 
 
 def _run_check(fn, P, ctx):
-    """(status, witness) of one check; any exception it raises is a fail.
+    """What one check returns; any exception it raises is a failure.
 
     A fault in one check on one poset is recorded with its type and
     message instead of ending the campaign.
@@ -284,17 +247,25 @@ def _run_check(fn, P, ctx):
     try:
         return fn(P, ctx)
     except Exception as exc:
-        return "fail", _witness(error=type(exc).__name__, message=exc)
+        return {"error": type(exc).__name__, "message": exc}
 
 
 def run_checks_on_poset(family, n, mask, checks, seed, trials):
+    """One outcome per check, in order: None, SKIPPED or a failure object."""
     P = poset_from_mask(family, n, mask)
     ctx = CheckContext(seed=poset_seed(seed, family, n, mask), trials=trials)
-    results = []
+    outcomes = []
     for name in checks:
-        status, witness = _run_check(CHECKS[name], P, ctx)
-        results.append(CheckResult(family, n, mask, name, status, witness))
-    return results
+        outcome = _run_check(CHECKS[name], P, ctx)
+        if outcome is not None and outcome != SKIPPED:
+            outcome = {
+                "poset": {"family": family, "n": n, "mask": mask},
+                "check": name,
+                "status": "fail",
+                "witness": {key: str(value) for key, value in outcome.items()},
+            }
+        outcomes.append(outcome)
+    return outcomes
 
 
 def get_context(method):
@@ -335,10 +306,14 @@ def run_campaign(cfg):
         else:
             batches = pool.imap(_worker, work, POOL_CHUNK)
         for batch in batches:
-            for res in batch:
-                summary[res.check][res.status] += 1
-                if res.status == "fail":
-                    failures.append(res.to_obj())
+            for name, outcome in zip(checks, batch):
+                if outcome is None:
+                    summary[name]["pass"] += 1
+                elif outcome == SKIPPED:
+                    summary[name]["skipped"] += 1
+                else:
+                    summary[name]["fail"] += 1
+                    failures.append(outcome)
     return {
         "config": {
             "plan": [[family, n_max] for family, n_max in cfg.plan],

@@ -260,7 +260,7 @@ def test_criterion_10_isomorphism_theorems(d_corpus):
         count_b = 0
         for n in (1, 2, 3):
             for P in enumerate_h01("B", n):
-                assert verify_B_reduction(P), P
+                assert verify_B_reduction(P) is None, P
                 count_b += 1
         assert count_b == 1 + 2 + 8
 

@@ -298,10 +298,11 @@ class TestIsomorphisms:
                 assert verify_CD_isomorphism(P)
 
     def test_b_reduction_examples(self, path_poset):
-        assert verify_B_reduction(build_poset("B", 2, [(-1, 2)]))
-        assert verify_B_reduction(build_poset("B", 1, []))
+        # a match returns None; a mismatch raises TablesDiffer
+        assert verify_B_reduction(build_poset("B", 2, [(-1, 2)])) is None
+        assert verify_B_reduction(build_poset("B", 1, [])) is None
         gens = sorted((x, y) for (x, y) in path_poset.relations if x < 0 < y)
-        assert verify_B_reduction(build_poset("B", 3, gens))
+        assert verify_B_reduction(build_poset("B", 3, gens)) is None
 
     def test_cd_constants_differ_in_magnitude(self, monkeypatch):
         inner = algebra.structure_constants
@@ -344,7 +345,7 @@ class TestIsomorphisms:
             return basis, table
 
         P = build_poset("B", 2, [(-1, 2)])
-        assert verify_B_reduction(P)
+        assert verify_B_reduction(P) is None
         monkeypatch.setattr(algebra, "structure_constants", dropped)
         with pytest.raises(TablesDiffer, match=r"differ at \[H\(1\),Y\(2,1\)\]"):
             verify_B_reduction(P)

@@ -349,8 +349,8 @@ class TestIntegerPath:
 
         monkeypatch.setattr(linalg, "_bareiss", counted)
         checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
-        results = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0, 5)
-        assert [r.status for r in results] == ["pass"] * 3
+        outcomes = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0, 5)
+        assert outcomes == [None] * 3
         assert len(calls) == 1
 
     def test_outputs_pinned(self):

@@ -28,7 +28,7 @@ from lieposet import (
     run_campaign,
 )
 from lieposet import harness
-from lieposet.harness import CHECKS, run_checks_on_poset
+from lieposet.harness import CHECKS, SKIPPED, run_checks_on_poset
 
 
 def test_small_campaign_all_pass():
@@ -129,16 +129,19 @@ def test_pool_chunk_does_not_grow_with_the_plan(monkeypatch):
 
 
 def test_serial_campaign_releases_results(monkeypatch):
-    # results are counted as they arrive: while poset k runs, no result of
-    # posets before k - 1 is still alive
+    # outcomes are counted as they arrive: while poset k runs, no outcome
+    # list of posets before k - 1 is still alive
     inner = harness.run_checks_on_poset
     refs = []
 
+    class Outcomes(list):
+        """A list that takes weak references."""
+
     def tracked(*args):
-        assert all(ref() is None for earlier in refs[:-1] for ref in earlier)
-        results = inner(*args)
-        refs.append([weakref.ref(res) for res in results])
-        return results
+        assert all(ref() is None for ref in refs[:-1])
+        outcomes = Outcomes(inner(*args))
+        refs.append(weakref.ref(outcomes))
+        return outcomes
 
     monkeypatch.setattr(harness, "run_checks_on_poset", tracked)
     report = run_campaign(CampaignConfig(plan=(("C", 3),), seed=0))
@@ -185,8 +188,8 @@ def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, comp
     monkeypatch.setattr(harness, "index_oracle", counted)
     mask = _mask("C", 4, edges, loops)
     assert len(graph_components(relation_graph(poset_from_mask("C", 4, mask)))) == components
-    results = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
-    assert all(r.status != "fail" for r in results)
+    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    assert all(outcome is None or outcome == SKIPPED for outcome in outcomes)
     # a connected poset is its own component subposet; otherwise each
     # component and the whole poset are computed once
     assert len(calls) == (1 if components == 1 else components + 1)
@@ -194,7 +197,10 @@ def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, comp
 
 def test_derived_objects_computed_once_per_poset(monkeypatch):
     # a connected Frobenius C4 poset: the path 1-2-3-4 with a loop at 4
-    from lieposet import posets
+    from lieposet import algebra, posets
+
+    algebra.structure_constants.cache_clear()
+    algebra.build_basis.cache_clear()
 
     principal_calls = []
     chain_calls = []
@@ -212,10 +218,12 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     monkeypatch.setattr(harness, "principal_element", counted_principal)
     monkeypatch.setattr(posets, "_longest_chain", counted_chain)
     mask = _mask("C", 4, [(1, 2), (2, 3), (3, 4)], (4,))
-    results = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
-    status = {r.check: r.status for r in results}
-    assert status["principal_element"] == status["binary_spectrum"] == "pass"
+    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    by_check = dict(zip(CHECKS, outcomes))
+    assert by_check["principal_element"] is None and by_check["binary_spectrum"] is None
     assert len(principal_calls) == 1
+    # one basis: the table and the parity check of index_formula share it
+    assert algebra.build_basis.cache_info().misses == 1
     # one height pair: the longest chain in P+ and in P
     assert len(chain_calls) == 2
 
@@ -284,8 +292,8 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
         after = run_checks_on_poset(*w, tuple(CHECKS), 7, 5)
         changed = [(a, b) for a, b in zip(after, before) if a != b]
         if w == ("C", 2, 5):
-            ((result, _),) = changed
-            assert result.check == "dimension_formula" and result.status == "fail"
+            ((failure, _),) = changed
+            assert failure["check"] == "dimension_formula" and failure["status"] == "fail"
         else:
             assert changed == []
 
@@ -294,9 +302,9 @@ def test_frobenius_kernel_keeps_singular_witness(monkeypatch):
     # the zero functional has no principal element; the check then
     # eliminates its Kirillov form for the kernel it reports
     monkeypatch.setattr(harness, "frobenius_functional", lambda P: functional(P, {}))
-    (result,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0, 5)
-    assert result.status == "fail"
-    assert result.witness == (("kernel_dim", "2"),)
+    (failure,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0, 5)
+    assert failure["status"] == "fail"
+    assert failure["witness"] == {"kernel_dim": "2"}
 
 
 def test_unknown_check_rejected():
