@@ -13,11 +13,11 @@ symbolic kinds:
     DA(i)   E(i,i) - E(i+1,i+1)                  family A
     EA(i,j) E(i,j)                 with i < j    family A
 
-Brackets are computed on the sparse realizations and decomposed back into
-the basis by one triangular pass: each realization leads with a position
-that no later basis element touches, so reading coefficients there in
-basis order and subtracting is exact, and any nonzero remainder signals
-an invalid poset/basis pair.
+Brackets are computed on the sparse realizations and decomposed back
+into the elements of their family by one triangular pass, `decompose`:
+each realization leads with a position that no later element of its
+family touches, so reading coefficients there in basis order and
+subtracting is exact, and any nonzero remainder raises NotInSpan.
 
 A sparse matrix is a plain dict {(row, col): value} keyed by signed
 labels.  It stores no zero entries, and its values are ints or Fractions;
@@ -26,21 +26,32 @@ entries +-1, so every structure constant is an int and no Fraction is
 built while the table is computed; `structure_constants` checks each
 constant as it stores it, so every reader of the table gets ints.
 `commutator` sums A*B - B*A in one pass over the pairs of entries of A
-and B, which have at most two entries each as realizations.  `structure_constants` builds the basis
-and its realizations once per poset, indexes them by row and by column,
-and brackets only the pairs where a column of one realization is a row
-of the other: A*B is zero otherwise, so every skipped bracket is zero in
-every family.  The realizations are handed to `decompose`.  The cache is
-bounded: most of its hits are one poset's checks reading its table
-again, and the rest are component subposets that recur across posets,
-plus the few tables `verify_B_reduction` and `verify_CD_isomorphism`
-find still cached.
+and B, which have at most two entries each as realizations.
+
+A bracket does not depend on the poset.  Each basis element is a fixed
+signed matrix, and a poset only decides which elements its basis holds,
+so [a, b] is the same in every poset whose basis holds a and b.
+`_bracket(a, b)` computes it once per process, in an lru_cache bounded
+at BRACKET_MEMO_SIZE pairs.  An entry takes about 320 bytes for a zero
+bracket and about 500 for a nonzero one (tracemalloc on the full basis
+of C16, keys included), so a full memo holds about 2 to 2.5 MB.  The acceptance plan
+C:4,D:4,B:3 needs 34 pairs and C:5,D:5,B:4 needs 57.
+
+`structure_constants` keeps the per-poset work: it builds the basis of P,
+indexes the realizations by row and by column, and looks up in the memo
+only the pairs where a column of one realization is a row of the other:
+A*B is zero otherwise, so every skipped bracket is zero in every family.
+It is also where the span check lives: an element of a bracket that is
+not in the basis of P raises NotInSpan.  Its cache is bounded: most of
+its hits are one poset's checks reading its table again, and the rest
+are component subposets that recur across posets, plus the few tables
+`verify_B_reduction` and `verify_CD_isomorphism` find still cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolation,
@@ -52,10 +63,10 @@ from .errors import (
 from .posets import SignedPoset, induced_subposet, validate
 
 _KIND_ORDER = {"H": 0, "X": 1, "Y": 2, "Z": 3, "U": 4, "DA": 0, "EA": 1}
+BRACKET_MEMO_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     family: str
     kind: str
     i: int
@@ -179,28 +190,60 @@ def realize_combination(terms):
     return {key: v for key, v in out.items() if v}
 
 
-def decompose(mat, P, realized=None):
-    """Write a sparse matrix as a combination of the basis of P.
+def _led_at(family, position, top):
+    """The element of `family` whose leading position is `position`, or None.
+
+    The inverse of the leading position of `realize`.  In family A the
+    diagonal position (r, r) leads DA(r) only for r < top, the largest
+    label of the matrix being decomposed: DA(r) moves what is left at
+    (r, r) to (r + 1, r + 1), and a diagonal matrix on the labels up to
+    top is a sum of DA(1)..DA(top - 1) exactly when its trace is 0.
+    """
+    r, c = position
+    if family == "A":
+        if r == c:
+            return BasisElement("A", "DA", r) if 1 <= r < top else None
+        return BasisElement("A", "EA", r, c) if 1 <= r < c else None
+    if r >= 0:
+        return None
+    i = -r
+    if c < 0:
+        if c == r:
+            return BasisElement(family, "H", i)
+        return BasisElement(family, "X", i, -c) if r < c else None
+    if c == 0:
+        return BasisElement(family, "U", i) if family == "B" else None
+    if c == i:
+        return BasisElement(family, "Z", i) if family == "C" else None
+    if (c > i) == (family == "C"):
+        return BasisElement(family, "Y", i, c)
+    return None
+
+
+def decompose(mat, family):
+    """Write a sparse matrix as a combination of elements of `family`.
 
     `mat` is a {(row, col): value} dict with int or Fraction values; zero
-    entries in it are ignored.  One triangular pass in basis order: the
-    coefficient of each element is what is left of `mat` at its leading
-    position (see `realize`), and that multiple of its realization is
-    subtracted.  A nonzero remainder raises NotInSpan.  `realized` lists
-    (element, realization) pairs in basis order, built here when the
-    caller has none.
+    entries in it are ignored.  Returns a tuple of (element, coefficient)
+    pairs in basis order, from one triangular pass: each step takes the
+    first element, in basis order, led at a position still left in the
+    matrix.  No later element touches that position (see `realize`), so
+    what is left there is the element's coefficient, and that multiple
+    of its realization is subtracted.  A nonzero remainder raises
+    NotInSpan.  Whether the elements belong to a poset's basis is for
+    the caller to check.
     """
-    if realized is None:
-        realized = [(b, realize(b)) for b in build_basis(P)]
     rest = {key: v for key, v in mat.items() if v}
-    combo = {}
-    for b, entries in realized:
-        if not rest:
+    top = max((max(key) for key in rest), default=0)
+    combo = []
+    while True:
+        led = [b for key in rest if (b := _led_at(family, key, top)) is not None]
+        if not led:
             break
-        v = rest.get(next(iter(entries)))
-        if not v:
-            continue
-        combo[b] = v
+        b = min(led, key=BasisElement.sort_key)
+        entries = realize(b)
+        v = rest[next(iter(entries))]
+        combo.append((b, v))
         for key, w in entries.items():
             left = rest.get(key, 0) - v * w
             if left:
@@ -209,7 +252,13 @@ def decompose(mat, P, realized=None):
                 del rest[key]
     if rest:
         raise NotInSpan(f"nonzero residual {dict(sorted(rest.items()))}")
-    return combo
+    return tuple(combo)
+
+
+@lru_cache(maxsize=BRACKET_MEMO_SIZE)
+def _bracket(a, b):
+    """[realize(a), realize(b)] decomposed into elements of their family."""
+    return decompose(commutator(realize(a), realize(b)), a.family)
 
 
 @lru_cache(maxsize=256)
@@ -219,14 +268,14 @@ def structure_constants(P):
     Returns (basis, table) where table maps (i, j) with i < j to a sorted
     tuple of (k, coefficient) pairs with int coefficients; absent keys
     mean a zero bracket and the skew entries follow by antisymmetry.
-    Only pairs that meet through the row and column indexes are bracketed.
-    A coefficient that is not an int (a Fraction, or a bool) raises
-    InvariantViolation.
+    Only pairs that meet through the row and column indexes are bracketed,
+    by a lookup in `_bracket`.  An element of a bracket outside the basis
+    of P raises NotInSpan, and a coefficient that is not an int (a
+    Fraction, or a bool) raises InvariantViolation.
     """
     basis = build_basis(P)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
-    realized = list(zip(basis, mats))
     by_row, by_col = {}, {}
     for k, m in enumerate(mats):
         for r, c in m:
@@ -238,15 +287,20 @@ def structure_constants(P):
         for r, c in m:
             meets.update(by_row.get(c, ()))
             meets.update(by_col.get(r, ()))
+        a = basis[i]
         for j in sorted(k for k in meets if k > i):
-            com = commutator(m, mats[j])
-            if not com:
+            combo = _bracket(a, basis[j])
+            if not combo:
                 continue
-            combo = decompose(com, P, realized)
-            terms = tuple(sorted((position[b], c) for b, c in combo.items()))
+            terms = []
+            for b, c in combo:
+                k = position.get(b)
+                if k is None:
+                    raise NotInSpan(f"[{a!r},{basis[j]!r}] has {b!r}, outside the basis")
+                terms.append((k, c))
             if any(type(c) is not int for _, c in terms):
                 raise InvariantViolation(f"non-integral structure constant in {terms}")
-            table[(i, j)] = terms
+            table[(i, j)] = tuple(terms)
     return basis, table
 
 

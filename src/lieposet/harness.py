@@ -145,10 +145,16 @@ def check_formula_vs_oracle(P, ctx):
 
 def check_disjoint_additivity(P, ctx):
     comps = graph_components(relation_graph(P))
-    total = 0
-    for comp in comps:
-        signed = [v for w in comp.vertices for v in (w, -w)]
-        total += ctx.oracle(induced_subposet(P, signed))
+    if len(comps) == 1 and P.family != "B":
+        # one component spans every vertex, so it induces P itself; in
+        # family B the induced subposet would drop 0 and be of type D
+        parts = [P]
+    else:
+        parts = [
+            induced_subposet(P, [v for w in comp.vertices for v in (w, -w)])
+            for comp in comps
+        ]
+    total = sum(ctx.oracle(part) for part in parts)
     whole = ctx.oracle(P)
     if total == whole:
         return None

@@ -1,17 +1,32 @@
 """Reference brackets that only the test suite uses.
 
-`bracket` decomposes the commutator of two realized basis elements, and
+`decompose_in` writes a sparse matrix in the basis of a poset, `bracket`
+decomposes the commutator of two realized basis elements, and
 `combo_bracket` extends the structure-constant table bilinearly; the
 closure, Jacobi and spectrum tests compare the package against them.
 """
 
-from lieposet import algebra
+from lieposet import NotInSpan, algebra
+
+
+def decompose_in(mat, P):
+    """{element: coefficient} of a sparse matrix in the basis of P.
+
+    The package's triangular pass over the family of P, plus the span
+    check of `structure_constants`: an element outside the basis of P
+    raises NotInSpan.
+    """
+    combo = dict(algebra.decompose(mat, P.family))
+    outside = [b for b in combo if b not in algebra.build_basis(P)]
+    if outside:
+        raise NotInSpan(f"{outside} outside the basis")
+    return combo
 
 
 def bracket(a, b, P):
     """Commutator [a, b] decomposed in the basis of P."""
     com = algebra.commutator(algebra.realize(a), algebra.realize(b))
-    return algebra.decompose(com, P)
+    return decompose_in(com, P)
 
 
 def combo_bracket(P, u, v):

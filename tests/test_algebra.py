@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpora import type_a_height_one_posets
-from references import bracket, combo_bracket
+from references import bracket, combo_bracket, decompose_in
 from lieposet import (
     BasisElement,
     InvariantViolation,
@@ -166,32 +166,45 @@ class TestBracket:
         assert bracket(y21, u1, P) == {}
 
     def test_not_in_span_for_foreign_position(self, path_poset):
+        # Y(1,3) is an element of family C but not of the basis of the path
+        # 1-2-3: the pass finds it, and the span check of P rejects it
         stray = {(-1, 3): 1, (-3, 1): 1}
-        with pytest.raises(NotInSpan, match=r"residual \{\(-3, 1\): 1, \(-1, 3\): 1\}"):
-            decompose(stray, path_poset)
-        # the mirror half of Y(1,2) without its leading entry
+        assert decompose(stray, "C") == ((BasisElement("C", "Y", 1, 3), 1),)
+        with pytest.raises(NotInSpan, match=r"Y\(1,3\)\] outside the basis"):
+            decompose_in(stray, path_poset)
+        # the mirror half of Y(1,2) without its leading entry leads nothing
         half = {(-2, 1): 1}
+        with pytest.raises(NotInSpan, match=r"residual \{\(-3, 1\): 1, \(-2, 1\): 1\}"):
+            decompose({(-3, 1): 1, **half}, "C")
         with pytest.raises(NotInSpan):
-            decompose(half, path_poset)
+            decompose(half, "C")
         # a zero at the leading position of Y(1,2) leaves the residual real
         with pytest.raises(NotInSpan):
-            decompose({(-1, 2): 0, **half}, path_poset)
+            decompose({(-1, 2): 0, **half}, "C")
 
     def test_decompose_family_a_diagonal(self):
-        P = build_poset("A", 3, [(1, 2)])
         mat = {(1, 1): 1, (2, 2): 1, (3, 3): -2}
-        combo = decompose(mat, P)
-        assert realize_combination(combo) == mat
+        combo = decompose(mat, "A")
+        assert combo == ((BasisElement("A", "DA", 1), 1), (BasisElement("A", "DA", 2), 2))
+        assert realize_combination(dict(combo)) == mat
         # explicit zeros, at a leading position and at a foreign one, are
         # ignored; the zero matrix is the empty combination
-        assert decompose({(1, 2): 0, **mat, (3, 1): Fraction(0)}, P) == combo
-        assert decompose({}, P) == {}
-        assert decompose({(1, 1): 0, (3, 1): Fraction(0)}, P) == {}
+        assert decompose({(1, 2): 0, **mat, (3, 1): Fraction(0)}, "A") == combo
+        assert decompose({}, "A") == ()
+        assert decompose({(1, 1): 0, (3, 1): Fraction(0)}, "A") == ()
+        # a nonzero trace is in no span, whatever n the poset has
         traceful = {(1, 1): 1}
         with pytest.raises(NotInSpan):
-            decompose(traceful, P)
+            decompose(traceful, "A")
         with pytest.raises(NotInSpan):
-            decompose({(2, 2): 0, **traceful}, P)
+            decompose({(2, 2): 0, **traceful}, "A")
+        with pytest.raises(NotInSpan):
+            decompose({(1, 1): 1, (3, 3): -2}, "A")
+        # a traceless matrix beyond n = 3 decomposes, and P rejects DA(3)
+        wide = {(1, 1): 1, (4, 4): -1}
+        assert [b.i for b, _ in decompose(wide, "A")] == [1, 2, 3]
+        with pytest.raises(NotInSpan):
+            decompose_in(wide, build_poset("A", 3, [(1, 2)]))
 
     def test_antisymmetry_and_jacobi_small_corpora(self):
         for fam, n_max in (("C", 2), ("D", 2), ("B", 2)):
@@ -218,7 +231,7 @@ class TestBracket:
         basis, _ = structure_constants(P)
         u = {0: 2, 3: Fraction(-1, 2), len(basis) - 1: 1}
         v = {1: 1, 3: 5, len(basis) - 2: -3}
-        expected = decompose(
+        expected = decompose_in(
             commutator(
                 realize_combination({basis[k]: c for k, c in u.items()}),
                 realize_combination({basis[k]: c for k, c in v.items()}),
@@ -414,14 +427,27 @@ class TestIntegerStructureConstants:
     def test_non_int_constant_raises_where_the_table_is_built(self, monkeypatch):
         # every reader of the table (commutator matrix, spectrum, the
         # isomorphism verifiers, exports) relies on this one check
-        inner = algebra.decompose
+        inner = algebra._bracket
 
-        def as_fractions(mat, P, realized=None):
-            return {b: Fraction(c) for b, c in inner(mat, P, realized).items()}
+        def as_fractions(a, b):
+            return tuple((e, Fraction(c)) for e, c in inner(a, b))
 
-        monkeypatch.setattr(algebra, "decompose", as_fractions)
+        monkeypatch.setattr(algebra, "_bracket", as_fractions)
         structure_constants.cache_clear()
         with pytest.raises(InvariantViolation, match="non-integral"):
+            structure_constants(build_poset("C", 2, [(-1, 2)]))
+
+    def test_bracket_outside_the_basis_raises_not_in_span(self, monkeypatch):
+        # the memo decomposes over the whole family; the span check of P
+        # is the lookup of each element in P's basis
+        foreign = BasisElement("C", "Z", 2)
+
+        def with_foreign(a, b):
+            return ((foreign, 1),)
+
+        monkeypatch.setattr(algebra, "_bracket", with_foreign)
+        structure_constants.cache_clear()
+        with pytest.raises(NotInSpan, match=r"Z\(2\), outside the basis"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
 
     def test_outputs_pinned(self):
@@ -457,6 +483,31 @@ class TestIntegerStructureConstants:
 
     def test_cache_is_bounded(self):
         assert structure_constants.cache_info().maxsize is not None
+        assert algebra._bracket.cache_info().maxsize == algebra.BRACKET_MEMO_SIZE
+
+    def test_bracket_memo_is_shared_across_posets(self, monkeypatch):
+        # a pair bracketed for one poset is looked up, not recomputed, for
+        # the next poset whose basis holds both elements
+        counted = []
+        true_commutator = algebra.commutator
+
+        def counting(a, b):
+            counted.append(b)
+            return true_commutator(a, b)
+
+        monkeypatch.setattr(algebra, "commutator", counting)
+        algebra._bracket.cache_clear()
+        structure_constants.cache_clear()
+        path = build_poset("C", 3, [(-1, 2), (-2, 3)])
+        structure_constants(path)
+        first = len(counted)
+        assert first > 0
+        # the same edges plus a loop: [H(3), Z(3)] is the one new pair
+        structure_constants(build_poset("C", 3, [(-1, 2), (-2, 3), (-3, 3)]))
+        assert len(counted) == first + 1
+        structure_constants.cache_clear()
+        structure_constants(path)
+        assert len(counted) == algebra._bracket.cache_info().misses
 
 
 def _all_pairs_table(P):
@@ -467,7 +518,7 @@ def _all_pairs_table(P):
     for i, j in itertools.combinations(range(len(basis)), 2):
         com = commutator(realize(basis[i]), realize(basis[j]))
         if com:
-            combo = decompose(com, P)
+            combo = decompose_in(com, P)
             table[(i, j)] = tuple(sorted((position[b], c) for b, c in combo.items()))
     return table
 
@@ -490,6 +541,10 @@ class TestRowIndexedTable:
         # and D realizations are antitranspose-symmetric, so there a column
         # of A meets a row of B exactly when a column of B meets a row of
         # A; only family A tells a one-sided index from the full one
+        # the memo is emptied first, so every bracket of the table is a
+        # fresh commutator as well
+        algebra._bracket.cache_clear()
+        structure_constants.cache_clear()
         rng = random.Random(11)
         heights = set()
         for _ in range(40):
@@ -513,20 +568,29 @@ class TestRowIndexedTable:
         ids=["C4-antichain", "C3-full"],
     )
     def test_no_commutator_for_pairs_that_cannot_meet(self, monkeypatch, P, calls):
-        counted = []
-        true_commutator = algebra.commutator
+        # one memo lookup per meeting pair, and one commutator per lookup
+        # the emptied memo misses
+        looked_up, computed = [], []
+        true_bracket, true_commutator = algebra._bracket, algebra.commutator
 
-        def counting(a, b):
-            counted.append(b)
+        def counting_bracket(a, b):
+            looked_up.append((a, b))
+            return true_bracket(a, b)
+
+        def counting_commutator(a, b):
+            computed.append(b)
             return true_commutator(a, b)
 
-        monkeypatch.setattr(algebra, "commutator", counting)
+        monkeypatch.setattr(algebra, "_bracket", counting_bracket)
+        monkeypatch.setattr(algebra, "commutator", counting_commutator)
+        true_bracket.cache_clear()
         structure_constants.cache_clear()
         structure_constants(P)
         structure_constants.cache_clear()
         dim = len(build_basis(P))
-        assert len(counted) == (_meeting_pairs(P) if calls is None else calls)
-        assert len(counted) < dim * (dim - 1) // 2
+        assert len(looked_up) == (_meeting_pairs(P) if calls is None else calls)
+        assert len(looked_up) < dim * (dim - 1) // 2
+        assert len(computed) == len(set(looked_up)) == true_bracket.cache_info().misses
 
 
 # Dense references for the sparse products: matrices indexed by the signed

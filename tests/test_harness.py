@@ -195,6 +195,25 @@ def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, comp
     assert len(calls) == (1 if components == 1 else components + 1)
 
 
+@pytest.mark.parametrize("family, induced", [("C", 0), ("D", 0), ("B", 1)])
+def test_spanning_component_is_the_poset_itself(monkeypatch, family, induced):
+    # a connected C or D poset is its own component subposet, so no
+    # subposet is built; in B the component drops 0 and is of type D
+    calls = []
+    inner = harness.induced_subposet
+
+    def counted(P, elements):
+        calls.append(elements)
+        return inner(P, elements)
+
+    monkeypatch.setattr(harness, "induced_subposet", counted)
+    P = poset_from_mask(family, 3, _mask(family, 3, [(1, 2), (2, 3)]))
+    ctx = harness.CheckContext(seed=5, trials=5)
+    assert harness.check_disjoint_additivity(P, ctx) is None
+    assert len(calls) == induced
+    assert len(ctx.memo) == 1 + induced
+
+
 def test_derived_objects_computed_once_per_poset(monkeypatch):
     # a connected Frobenius C4 poset: the path 1-2-3-4 with a loop at 4
     from lieposet import algebra, posets

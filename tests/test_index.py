@@ -13,6 +13,7 @@ from corpora import (
     type_a_height_one_posets,
 )
 from lieposet import (
+    BasisElement,
     CampaignConfig,
     CommutatorMatrix,
     InvariantViolation,
@@ -117,7 +118,7 @@ class TestEvaluateAndRank:
     def test_odd_rank_raises_invariant_violation(self):
         # a cell on the diagonal breaks the i < j contract: it evaluates
         # to the 1x1 matrix holding minus the symbol, of rank 1
-        C = CommutatorMatrix(basis=("x",), cells=((0, 0, ((0, 1),)),))
+        C = CommutatorMatrix(basis=(BasisElement("C", "Z", 1),), cells=((0, 0, ((0, 1),)),))
         with pytest.raises(InvariantViolation):
             generic_rank(C, trials=1, seed=0)
 
@@ -350,14 +351,69 @@ class TestEarlyStop:
         assert generic_rank(C, trials=5) == 4
         assert len(calls) == 1
 
+    def _count_draws(self, monkeypatch):
+        draws = []
+        inner = index_engine._nonzero_int
+
+        def counted(rng):
+            draws.append(inner(rng))
+            return draws[-1]
+
+        monkeypatch.setattr(index_engine, "_nonzero_int", counted)
+        return draws
+
     @pytest.mark.parametrize("trials", [1, 2, 5])
-    def test_four_cycle_runs_every_trial(self, four_cycle_poset, trials, monkeypatch):
-        # dim 8 and rank 6, while the nonzero cells have term rank 8
+    def test_four_cycle_takes_one_evaluation(self, four_cycle_poset, trials, monkeypatch):
+        # dim 8 and rank 6, below the term rank 8 of the nonzero cells, so
+        # the ceiling cannot stop the trials; the matrix scales diagonally,
+        # and its rank at the all-ones point is the generic rank
         calls = self._count_ranks(monkeypatch)
+        draws = self._count_draws(monkeypatch)
         C = commutator_matrix(four_cycle_poset)
         assert _term_rank(C.dim, [(i, j) for i, j, _ in C.cells]) == C.dim == 8
         assert generic_rank(C, trials=trials) == 6
-        assert len(calls) == trials
+        assert len(calls) == 1 and draws == []
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            lambda i, j: ((i, 1), (j, 1)),  # a second term, on the H end
+            lambda i, j: ((j, 1), (j + 1, 1)),  # a second term, on another element
+            lambda i, j: ((i, 1),),  # the one term moved to the H end
+        ],
+        ids=["second-term-on-h", "second-term-elsewhere", "term-on-h-end"],
+    )
+    def test_faults_fall_back_to_sampling(self, four_cycle_poset, terms, monkeypatch):
+        C = commutator_matrix(four_cycle_poset)
+        assert index_engine._scales_diagonally(C)
+        (i, j, _), *rest = C.cells
+        faulty = CommutatorMatrix(C.basis, ((i, j, terms(i, j)), *rest))
+        assert not index_engine._scales_diagonally(faulty)
+        draws = self._count_draws(monkeypatch)
+        got = generic_rank(faulty, trials=5, seed=3)
+        assert draws
+        ranks = _full_loop_ranks(faulty, 5, 3)
+        assert got == max(ranks[: len(draws) // faulty.dim])
+
+    def test_paper_class_scales_diagonally(self):
+        # every oracle call of the acceptance plan takes the scaling path
+        for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, n_max + 1):
+                for P in enumerate_h01(fam, n):
+                    assert index_engine._scales_diagonally(commutator_matrix(P)), P
+
+    def test_nonzero_int_reads_the_randint_stream(self):
+        # the draws of getrandbits(11) with 2001..2047 and 1000 rejected are
+        # the nonzero draws of randint(-1000, 1000), and leave the generator
+        # in the same state
+        for seed in range(200):
+            fast, reference = random.Random(seed), random.Random(seed)
+            for _ in range(500):
+                value = 0
+                while value == 0:
+                    value = reference.randint(-1000, 1000)
+                assert index_engine._nonzero_int(fast) == value
+            assert fast.getstate() == reference.getstate()
 
     def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
         low = lambda n, pairs: _term_rank(n, pairs) - 2  # noqa: E731
