@@ -56,6 +56,7 @@ from .algebra import (
     build_basis,
     commutator,
     decompose,
+    evaluate,
     matrix_form,
     realize,
     realize_combination,
@@ -64,10 +65,8 @@ from .algebra import (
     verify_CD_isomorphism,
 )
 from .index_engine import (
-    CommutatorMatrix,
     ReductionStep,
     ReductionTrace,
-    commutator_matrix,
     generic_rank,
     index_formula,
     index_oracle,

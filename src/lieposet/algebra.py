@@ -46,6 +46,11 @@ not in the basis of P raises NotInSpan.  Its cache is bounded: most of
 its hits are one poset's checks reading its table again, and the rest
 are component subposets that recur across posets, plus the few tables
 `verify_B_reduction` and `verify_CD_isomorphism` find still cached.
+
+The pair (basis, table) is the one representation of the brackets of P:
+the commutator matrix ([x_i, x_j]) is the table read skew, and
+`evaluate` fills it at a point for the index oracle and the Kirillov
+form alike.
 """
 
 from __future__ import annotations
@@ -302,6 +307,24 @@ def structure_constants(P):
                 raise InvariantViolation(f"non-integral structure constant in {terms}")
             table[(i, j)] = tuple(terms)
     return basis, table
+
+
+def evaluate(table, values):
+    """Rows of the commutator matrix ([x_i, x_j]) of a structure-constant
+    table at values given in basis order.
+
+    Entry (i, j) of table holds the linear form sum(values[k] * c): v at
+    (i, j), -v at (j, i), 0 where the table has no entry.  The number
+    type of values is kept: int values give int rows, rational values
+    give rational (or int zero) entries.
+    """
+    dim = len(values)
+    rows = [[0] * dim for _ in range(dim)]
+    for (i, j), terms in table.items():
+        v = sum(values[k] * c for k, c in terms)
+        rows[i][j] = v
+        rows[j][i] = -v
+    return rows
 
 
 def matrix_form(P):

@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 computation-level failure (a precondition such
 as Frobeniusness fails, or the two index methods disagree), 2 input
 errors (unparseable input, poset axiom violations, bad flag combinations).
-Every flag can also be set through an environment variable prefixed with
-LIEPOSET, e.g. LIEPOSET_INDEX_TRIALS=7.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .frobenius import (
 from .harness import CampaignConfig, report_json_bytes, report_text, run_campaign
 from .index_engine import (
     ORACLE_TRIALS,
-    commutator_matrix,
     index_formula,
     index_oracle,
     reduce as reduce_poset,
@@ -100,16 +97,6 @@ def run_command(fn):
     return wrapper
 
 
-def _echo_matrix_form(P, fmt):
-    """The permitted-entry pattern as JSON positions or a text grid."""
-    if fmt == "json":
-        click.echo(json.dumps(
-            {"positions": [list(c) for c in sorted(matrix_form(P))]},
-            sort_keys=True))
-    else:
-        click.echo(formats.matrix_form_text(P), nl=False)
-
-
 def _echo_fields(out, fmt):
     """out as one JSON object, or one `key: value` line per key, keys sorted."""
     if fmt == "json":
@@ -148,15 +135,6 @@ def validate_cmd(inline, path, strict, fmt):
                               sort_keys=True))
     else:
         click.echo(f"valid: {P!r}")
-
-
-@main.command(name="matrix-form")
-@poset_options
-@format_option("text", "json")
-@run_command
-def matrix_form_cmd(inline, path, fmt):
-    """Print the permitted-entry pattern of the encoded matrix algebra."""
-    _echo_matrix_form(_load_poset(inline, path), fmt)
 
 
 @main.command()
@@ -358,14 +336,18 @@ def export(inline, path, what, fmt):
     elif what == "relation-graph":
         click.echo(formats.relation_graph_dot(relation_graph(P)), nl=False)
     elif what == "matrix-form":
-        _echo_matrix_form(P, fmt)
-    elif what == "commutator":
-        C = commutator_matrix(P)
         if fmt == "json":
-            click.echo(json.dumps(formats.commutator_matrix_json_obj(C),
+            click.echo(json.dumps(
+                {"positions": [list(c) for c in sorted(matrix_form(P))]},
+                sort_keys=True))
+        else:
+            click.echo(formats.matrix_form_text(P), nl=False)
+    elif what == "commutator":
+        if fmt == "json":
+            click.echo(json.dumps(formats.commutator_matrix_json_obj(P),
                                   sort_keys=True))
         else:
-            click.echo(formats.commutator_matrix_text(C), nl=False)
+            click.echo(formats.commutator_matrix_text(P), nl=False)
     else:
         if fmt == "json":
             click.echo(json.dumps(formats.structure_constants_json_obj(P),
@@ -392,9 +374,5 @@ def isomorphism(inline, path, fmt):
     _echo_fields(out, fmt)
 
 
-def entry():
-    main(auto_envvar_prefix="LIEPOSET")
-
-
 if __name__ == "__main__":
-    entry()
+    main()

@@ -181,23 +181,36 @@ def linear_form_str(terms):
     return " ".join(parts)
 
 
-def commutator_matrix_text(C):
-    cells = [[linear_form_str(terms) for terms in row] for row in C.grid()]
+def _commutator_grid(P):
+    """The basis of P and every entry of its commutator matrix, as a
+    sorted tuple of (position, coefficient) pairs."""
+    basis, table = structure_constants(P)
+    grid = [[() for _ in basis] for _ in basis]
+    for (i, j), terms in table.items():
+        grid[i][j] = terms
+        grid[j][i] = tuple((k, -c) for k, c in terms)
+    return basis, grid
+
+
+def commutator_matrix_text(P):
+    basis, grid = _commutator_grid(P)
+    cells = [[linear_form_str(terms) for terms in row] for row in grid]
     width = max((len(cell) for row in cells for cell in row), default=1)
     lines = [
-        "basis: " + ", ".join(f"x{k + 1}={b!r}" for k, b in enumerate(C.basis))
+        "basis: " + ", ".join(f"x{k + 1}={b!r}" for k, b in enumerate(basis))
     ]
     for row in cells:
         lines.append("  [ " + "  ".join(f"{cell:>{width}}" for cell in row) + " ]")
     return "\n".join(lines) + "\n"
 
 
-def commutator_matrix_json_obj(C):
+def commutator_matrix_json_obj(P):
+    basis, grid = _commutator_grid(P)
     return {
-        "basis": [repr(b) for b in C.basis],
+        "basis": [repr(b) for b in basis],
         "entries": [
             [[[k, str(c)] for k, c in terms] for terms in row]
-            for row in C.grid()
+            for row in grid
         ],
     }
 

@@ -28,13 +28,13 @@ from math import lcm
 
 from .algebra import (
     commutator,
+    evaluate,
     matrix_form,
     realize,
     realize_combination,
     structure_constants,
 )
 from .errors import InvariantViolation, NonEigenbasis, NotFrobenius, SingularForm
-from .index_engine import commutator_matrix
 from .linalg import solve
 from .posets import graph_components, relation_graph
 
@@ -96,11 +96,11 @@ def _solve_kirillov(P, F):
     x solves B_F(x, -) = F, or is None when no solution exists; one
     evaluation and one elimination give both the rank and x.
     """
-    C = commutator_matrix(P)
+    basis, table = structure_constants(P)
     point = F.point(P)
-    values = [point[b] for b in C.basis]
-    rank, x = solve(C.evaluate(values), [-v for v in values], C.dim)
-    return C.basis, point, rank, x
+    values = [point[b] for b in basis]
+    rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
+    return basis, point, rank, x
 
 
 def kernel_dim(P, F):

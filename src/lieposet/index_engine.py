@@ -1,4 +1,4 @@
-"""Index computation: commutator matrices, generic rank, and formulas.
+"""Index computation: generic rank, formulas and the graph-guided reduction.
 
 The index of the algebra equals its dimension minus the rank of the
 commutator matrix over the fraction field of its symmetric algebra.  The
@@ -28,16 +28,14 @@ relation graph, a loop counting 2, whose rank is n minus the number of
 loop-free bipartite components (Grossman, Kulkarni and Schochetman
 1995): that is the (0,1) index formula.
 
-The commutator matrix keeps only its nonzero cells above the diagonal,
-one per nonzero bracket of the structure-constant table.  The oracle
+The commutator matrix is the structure-constant table of
+`algebra.structure_constants`, read skew: its nonzero cells above the
+diagonal are the table's entries, one per nonzero bracket.  The oracle
 never leaves the integers: `structure_constants` raises on any constant
 that is not an int as it builds the table, the evaluation points are
-ints, `CommutatorMatrix.evaluate` fills a zero matrix from the cells, v
-above the diagonal and -v below, and `linalg.integer_rank` takes its
-rank.  The Frobenius path evaluates through the same method, and
-`linalg.solve` gives the kernel dimension and the principal element in
-one Bareiss pass; at the integer point of a functional with integral
-weights the rows stay ints.
+ints, `algebra.evaluate` fills a zero matrix from the table, v above the
+diagonal and -v below, and `linalg.integer_rank` takes its rank.  The
+Frobenius path evaluates the Kirillov form through the same function.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -68,58 +66,9 @@ from .posets import (
     relation_graph,
     rg_connected,
 )
-from .algebra import build_basis, structure_constants
+from .algebra import build_basis, evaluate, structure_constants
 
 ORACLE_TRIALS = 5
-
-
-@dataclass(frozen=True)
-class CommutatorMatrix:
-    """Skew matrix of brackets [x_i, x_j] written in basis coordinates.
-
-    cells lists each nonzero entry above the diagonal once, as (i, j,
-    terms) with i < j and terms a sorted tuple of (position, coefficient)
-    pairs with int coefficients.  Entry (j, i) is the negation of entry
-    (i, j), and every entry not named by a cell is zero.
-    """
-
-    basis: tuple
-    cells: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def grid(self):
-        """Every entry as a sorted tuple of (position, coefficient) pairs."""
-        grid = [[() for _ in self.basis] for _ in self.basis]
-        for i, j, terms in self.cells:
-            grid[i][j] = terms
-            grid[j][i] = tuple((k, -c) for k, c in terms)
-        return grid
-
-    def evaluate(self, values):
-        """Rows of the skew matrix at values given in basis order.
-
-        Cell (i, j, terms) holds the linear form sum(values[k] * c): v at
-        (i, j), -v at (j, i), 0 elsewhere.  The number type of values is
-        kept: int values give int rows, rational values give rational (or
-        int zero) entries.
-        """
-        dim = len(values)
-        rows = [[0] * dim for _ in range(dim)]
-        for i, j, terms in self.cells:
-            v = sum(values[k] * c for k, c in terms)
-            rows[i][j] = v
-            rows[j][i] = -v
-        return rows
-
-
-def commutator_matrix(P):
-    basis, table = structure_constants(P)
-    return CommutatorMatrix(
-        basis, tuple((i, j, terms) for (i, j), terms in table.items())
-    )
 
 
 def _nonzero_int(rng):
@@ -136,7 +85,8 @@ def _nonzero_int(rng):
 
 
 def _term_rank(n, pairs):
-    """Term rank of the n x n pattern with cells (i, j) and (j, i) per pair.
+    """Term rank of the n x n pattern with cells (i, j) and (j, i) per pair
+    (the keys of a structure-constant table).
 
     That is the most cells no two of which share a row or a column.
     Kuhn's augmenting paths (1955): a row with a free column takes it;
@@ -177,11 +127,11 @@ def _term_rank(n, pairs):
     return size
 
 
-def _scales_diagonally(C):
-    """True when every cell joins an H element to a non-H element and
-    holds one term, on its non-H end."""
-    is_h = [b.kind == "H" for b in C.basis]
-    for i, j, terms in C.cells:
+def _scales_diagonally(basis, table):
+    """True when every entry of the table joins an H element to a non-H
+    element and holds one term, on its non-H end."""
+    is_h = [b.kind == "H" for b in basis]
+    for (i, j), terms in table.items():
         if len(terms) != 1 or is_h[i] == is_h[j]:
             return False
         k = terms[0][0]
@@ -193,9 +143,10 @@ def _scales_diagonally(C):
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     """Max rank over seeded evaluations at nonzero integers in [-1000, 1000].
 
-    Each trial draws one value per basis element, in basis order.  An
-    evaluated skew matrix has even rank, so an odd rank raises
-    InvariantViolation.
+    C is the (basis, table) pair of `structure_constants`, and the
+    commutator matrix C(x) is the table evaluated at x.  Each trial draws
+    one value per basis element, in basis order.  An evaluated skew
+    matrix has even rank, so an odd rank raises InvariantViolation.
 
     When C scales diagonally (`_scales_diagonally`), the rank at the
     all-ones point is returned with no draws.  Let C0 be C at that point
@@ -219,15 +170,17 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ceiling = _term_rank(C.dim, ((i, j) for i, j, _ in C.cells)) // 2 * 2
-    if _scales_diagonally(C):
-        points = [[1] * C.dim]
+    basis, table = C
+    dim = len(basis)
+    ceiling = _term_rank(dim, table) // 2 * 2
+    if _scales_diagonally(basis, table):
+        points = [[1] * dim]
     else:
         rng = random.Random(seed)
-        points = ([_nonzero_int(rng) for _ in C.basis] for _ in range(trials))
+        points = ([_nonzero_int(rng) for _ in basis] for _ in range(trials))
     best = 0
     for values in points:
-        rank = integer_rank(C.evaluate(values), C.dim)
+        rank = integer_rank(evaluate(table, values), dim)
         if rank % 2:
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
         if rank > ceiling:
@@ -242,8 +195,8 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
 
 def index_oracle(P, trials=ORACLE_TRIALS, seed=0):
     """dim minus the generic rank of the commutator matrix."""
-    C = commutator_matrix(P)
-    return C.dim - generic_rank(C, trials=trials, seed=seed)
+    basis, table = structure_constants(P)
+    return len(basis) - generic_rank((basis, table), trials=trials, seed=seed)
 
 
 def index_formula(P):
@@ -376,8 +329,8 @@ def reduce(P, seed=0):
     basis symbols are instantiated with nonzero integers up front, and
     every entry stays an int.  The one row operation clears a column of
     one row against another, with the factor read off the two rows.  The
-    graph is read off the row labels: the Y rows are its edges and the Z
-    rows its loops.  A relabelled row must be what its label says, Z(v) =
+    graph is the row labels: the Y rows are its edges and the Z rows its
+    loops, kept up to date as rows are relabelled.  A relabelled row must be what its label says, Z(v) =
     -2*L_v*e_v or the zero row for 0.  Neither step changes the rank: the
     row operation subtracts a multiple of another row, and a relabelled
     row is replaced by a nonzero multiple of itself or stays zero.  So
@@ -428,12 +381,16 @@ def reduce(P, seed=0):
         values[j - 1] = -edge_values[(i, j)]
         rows.append(_Row(("Y", i, j), values))
     rows += [_Row(("Z", v), loop_row(v)) for v in sorted(G.loops)]
+    # the live graph: the Y and Z rows by label, and the edges and loops
+    # they stand for; relabel keeps all three up to date
+    by_label = {row.label: row for row in rows}
+    edges, loops = set(G.edges), set(G.loops)
 
     def row_for(label):
-        for row in rows:
-            if row.label == label:
-                return row
-        raise InvariantViolation(f"missing row {_label_str(label)}")
+        row = by_label.get(label)
+        if row is None:
+            raise InvariantViolation(f"missing row {_label_str(label)}")
+        return row
 
     def clear_path(edge, path):
         """Clear the row of `edge` along a vertex path; return that row.
@@ -459,21 +416,24 @@ def reduce(P, seed=0):
             raise InvariantViolation(
                 f"{_label_str(row.label)} row [{values}] is no {_label_str(label)} row"
             )
+        del by_label[row.label]
+        edges.discard(row.label[1:])
         row.label = label
         if v is not None:
             row.values = loop_row(v)
+            by_label[label] = row
+            loops.add(v)
 
     snapshots = []
     rank = integer_rank([r.values for r in rows], n)
 
     def record(kind, detail):
-        labels = [r.label for r in rows]
         snapshots.append(ReductionStep(
             kind=kind,
             detail=detail,
-            edges=tuple(sorted(label[1:] for label in labels if label[0] == "Y")),
-            loops=tuple(sorted(label[1] for label in labels if label[0] == "Z")),
-            row_labels=tuple(_label_str(label) for label in labels),
+            edges=tuple(sorted(edges)),
+            loops=tuple(sorted(loops)),
+            row_labels=tuple(_label_str(r.label) for r in rows),
             matrix=tuple(tuple(r.values) for r in rows),
             rank=rank,
         ))
@@ -510,12 +470,20 @@ def reduce(P, seed=0):
                 "tree sweep toward vertex 1" if G.edges else "trivial sweep (no edges)",
             )
 
-    while (pick := _loop_edge(snapshots[-1])) is not None:
+    def loop_edge():
+        """The least loop vertex with an edge and its least neighbour, or None."""
+        for i in sorted(loops):
+            nbrs = [b if a == i else a for a, b in edges if i in (a, b)]
+            if nbrs:
+                return i, min(nbrs)
+        return None
+
+    while (pick := loop_edge()) is not None:
         i, j = pick
         edge = _pair(i, j)
         erow = row_for(("Y",) + edge)
         _eliminate(erow, row_for(("Z", i)), i)
-        if j in snapshots[-1].loops:
+        if j in loops:
             _eliminate(erow, row_for(("Z", j)), j)
             relabel(erow, None)
             record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
@@ -536,13 +504,4 @@ def reduce(P, seed=0):
         initial=snapshots[0],
         steps=tuple(snapshots[1:]),
     )
-
-
-def _loop_edge(step):
-    """The least loop vertex with an edge and its least neighbour, or None."""
-    for i in step.loops:
-        nbrs = sorted((j if a == i else a) for (a, j) in step.edges if i in (a, j))
-        if nbrs:
-            return i, nbrs[0]
-    return None
 

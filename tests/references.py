@@ -4,6 +4,7 @@
 decomposes the commutator of two realized basis elements, and
 `combo_bracket` extends the structure-constant table bilinearly; the
 closure, Jacobi and spectrum tests compare the package against them.
+`entry` reads one cell of the commutator matrix off the table.
 """
 
 from lieposet import NotInSpan, algebra
@@ -50,3 +51,12 @@ def combo_bracket(P, u, v):
             for k, c in terms:
                 out[k] = out.get(k, 0) + ab * c
     return {k: c for k, c in out.items() if c}
+
+
+def entry(table, i, j):
+    """{position: coefficient} of cell (i, j) of the commutator matrix of a
+    structure-constant table: table[(i, j)] for i < j, its negation for
+    i > j, and {} where the table has no key."""
+    if i < j:
+        return dict(table.get((i, j), ()))
+    return {k: -c for k, c in table.get((j, i), ())}

@@ -23,8 +23,8 @@ from lieposet import (
     CampaignConfig,
     build_basis,
     build_poset,
-    commutator_matrix,
     enumerate_h01,
+    evaluate,
     frobenius_functional,
     generic_rank,
     graph_components,
@@ -102,21 +102,19 @@ def d_corpus():
 def test_criterion_01_two_dim_fixture():
     with criterion(1, "2-dim commutator matrix [[0,2x2],[-2x2,0]], rank 2, index 0, <1ms"):
         P = build_poset("C", 1, [(-1, 1)])
-        C = commutator_matrix(P)
-        assert C.dim == 2
-        grid = C.grid()
-        assert dict(grid[0][0]) == {} and dict(grid[1][1]) == {}
-        assert dict(grid[0][1]) == {1: 2}
-        assert dict(grid[1][0]) == {1: -2}
+        basis, table = structure_constants(P)
+        assert len(basis) == 2
+        assert table == {(0, 1): ((1, 2),)}
         for value in (1, -1, 7, Fraction(3, 5), -1000):
-            M = C.evaluate([0, value])
-            assert solve(M, [0] * len(M), C.dim)[0] == 2
+            M = evaluate(table, [0, value])
+            assert M == [[0, 2 * value], [-2 * value, 0]]
+            assert solve(M, [0] * len(M), 2)[0] == 2
         assert index_oracle(P) == 0
         best = float("inf")
         for _ in range(5):
             structure_constants.cache_clear()
             t0 = time.perf_counter()
-            commutator_matrix(build_poset("C", 1, [(-1, 1)]))
+            structure_constants(build_poset("C", 1, [(-1, 1)]))
             best = min(best, time.perf_counter() - t0)
         assert best < 0.001, f"fastest build took {best * 1000:.3f} ms"
 

@@ -182,6 +182,15 @@ class TestBracket:
         with pytest.raises(NotInSpan):
             decompose({(-1, 2): 0, **half}, "C")
 
+    def test_decompose_reads_h_on_the_diagonal(self):
+        # H(i) leads at (-i, -i); no bracket of a poset has an H part, so
+        # only a realization reaches this branch
+        h1, h2 = BasisElement("D", "H", 1), BasisElement("D", "H", 2)
+        x21 = BasisElement("D", "X", 2, 1)
+        assert decompose(realize(h2), "D") == ((h2, 1),)
+        mat = realize_combination({h1: 3, h2: -1, x21: 2})
+        assert decompose(mat, "D") == ((h1, 3), (h2, -1), (x21, 2))
+
     def test_decompose_family_a_diagonal(self):
         mat = {(1, 1): 1, (2, 2): 1, (3, 3): -2}
         combo = decompose(mat, "A")
@@ -299,6 +308,12 @@ class TestIsomorphisms:
         P = build_poset("D", 3, [(-3, -1), (-1, 2)])
         eps = verify_CD_isomorphism(P)
         assert any(e < 0 for e in eps)
+
+    def test_verifiers_reject_the_other_families(self):
+        with pytest.raises(UnsupportedPoset, match="expected a type-D poset"):
+            verify_CD_isomorphism(build_poset("C", 2, [(-1, 2)]))
+        with pytest.raises(UnsupportedPoset, match="expected a type-B poset"):
+            verify_B_reduction(build_poset("D", 2, [(-1, 2)]))
 
     def test_cd_rejects_center_pairs(self):
         P = build_poset("D", 2, [(-2, 1), (1, 2)])

@@ -6,7 +6,6 @@ import pytest
 from lieposet import (
     InputParseError,
     build_poset,
-    commutator_matrix,
     enumerate_h01,
     reduce,
     relation_graph,
@@ -50,6 +49,8 @@ class TestTextFormat:
             parse_poset_text("family=C n=2\n1 < 2\n")
         with pytest.raises(InputParseError):
             parse_poset("")
+        with pytest.raises(InputParseError, match="missing header line"):
+            parse_poset("# no header\n\n")
 
     @pytest.mark.parametrize(
         "header",
@@ -73,6 +74,15 @@ class TestJsonFormat:
         as_text = poset_to_text(path_poset)
         assert parse_poset(as_json).relations == path_poset.relations
         assert parse_poset(as_text).relations == path_poset.relations
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"family": "C", "n": 2,', "bad JSON"), ('{"n": 2}', "bad poset object")],
+        ids=["bad-json", "no-family"],
+    )
+    def test_errors(self, text, message):
+        with pytest.raises(InputParseError, match=message):
+            parse_poset(text)
 
     def test_generators_get_closed(self):
         P = parse_poset_json({"family": "C", "n": 3, "relations": [[-2, 1], [-2, 3], [-3, 2]]})
@@ -129,36 +139,43 @@ class TestDot:
         dot = reduction_trace_dot(trace)
         assert dot.count("graph step") == len(trace.steps) + 1
 
+    def test_trace_dot_lists_a_bare_vertex(self):
+        # one vertex, no edge and no loop: each step names it alone
+        trace = reduce(build_poset("C", 1, []), seed=0)
+        assert reduction_trace_dot(trace) == "".join(
+            f'graph step{k} {{\n  label="{kind}";\n  "1";\n}}\n'
+            for k, kind in enumerate(["Init", "PathSweep"])
+        )
+
 
 class TestTables:
     def test_linear_forms(self):
         assert linear_form_str(()) == "0"
         assert linear_form_str(((1, 2),)) == "2*x2"
         assert linear_form_str(((0, -1), (2, 1))) == "-x1 + x3"
+        assert linear_form_str(((0, 1), (2, -2))) == "x1 - 2*x3"
 
     def test_commutator_text(self, sl2_like_poset):
-        C = commutator_matrix(sl2_like_poset)
-        text = commutator_matrix_text(C)
+        text = commutator_matrix_text(sl2_like_poset)
         assert "2*x2" in text and "-2*x2" in text
 
     def test_commutator_json(self, sl2_like_poset):
-        obj = commutator_matrix_json_obj(commutator_matrix(sl2_like_poset))
+        obj = commutator_matrix_json_obj(sl2_like_poset)
         assert obj["basis"] == ["H(1)", "Z(1)"]
         assert obj["entries"][0][1] == [[1, "2"]]
 
     def test_commutator_exports_pinned(self):
         # json and text of every commutator matrix of the acceptance plan
-        # C:4,D:4,B:3 in enumeration order; the matrix keeps only its
+        # C:4,D:4,B:3 in enumeration order; the table keeps only the
         # nonzero cells above the diagonal, so this guards the dense export
         digest = hashlib.sha256()
         count = 0
         for family, top in (("C", 4), ("D", 4), ("B", 3)):
             for n in range(1, top + 1):
                 for P in enumerate_h01(family, n):
-                    C = commutator_matrix(P)
-                    obj = commutator_matrix_json_obj(C)
+                    obj = commutator_matrix_json_obj(P)
                     digest.update(json.dumps(obj, sort_keys=True).encode())
-                    digest.update(commutator_matrix_text(C).encode())
+                    digest.update(commutator_matrix_text(P).encode())
                     count += 1
         assert count == 1184
         assert digest.hexdigest() == (

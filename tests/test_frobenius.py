@@ -15,8 +15,8 @@ from lieposet import (
     build_basis,
     build_poset,
     commutator,
-    commutator_matrix,
     enumerate_h01,
+    evaluate,
     frobenius_functional,
     functional,
     index_oracle,
@@ -306,8 +306,8 @@ class TestIntegerPath:
         F = frobenius_functional(P)
         point = F.point(P)
         assert point and all(type(v) is int for v in point.values())
-        C = commutator_matrix(P)
-        B = C.evaluate([point[b] for b in C.basis])
+        basis, table = structure_constants(P)
+        B = evaluate(table, [point[b] for b in basis])
         assert all(type(x) is int for row in B for x in row)
 
     @pytest.mark.parametrize("P", POSETS, ids=["C4", "B3"])

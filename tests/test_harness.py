@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,13 +17,16 @@ from corpora import (
     type_a_height_one_posets,
 )
 from lieposet import (
+    BasisElement,
     CampaignConfig,
+    PrincipalElement,
     functional,
     graph_components,
     h01_slots,
     index_formula,
     index_oracle,
     poset_from_mask,
+    reduce,
     relation_graph,
     report_json_bytes,
     report_text,
@@ -324,6 +329,47 @@ def test_frobenius_kernel_keeps_singular_witness(monkeypatch):
     (failure,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0, 5)
     assert failure["status"] == "fail"
     assert failure["witness"] == {"kernel_dim": "2"}
+
+
+def _principal(coefficients=(), diagonal=None):
+    """A stand-in for principal_element that returns a fixed element."""
+    return lambda P, F: PrincipalElement(coefficients, diagonal, "other")
+
+
+def _rank_zero_trace(P, seed):
+    """The trace of reduce with no steps and an initial rank of 0."""
+    trace = reduce(P, seed=seed)
+    return replace(trace, initial=replace(trace.initial, rank=0), steps=())
+
+
+@pytest.mark.parametrize(
+    "check, poset, target, fake, witness",
+    [
+        # the oracle gives every poset index 1: two components sum to 2
+        ("disjoint_additivity", ("C", 2, 0), "index_oracle",
+         lambda P, trials, seed: 1,
+         {"component_sum": "2", "whole": "1", "components": "2"}),
+        ("principal_element", ("C", 1, 1), "principal_element", _principal(),
+         {"reason": "principal element not diagonal"}),
+        ("principal_element", ("C", 1, 1), "principal_element",
+         _principal(diagonal=((-1, Fraction(1, 2)), (1, Fraction(1, 2)))),
+         {"convention": "other", "mirrored": "False"}),
+        # ad(H(1)) on H(1), Z(1) has eigenvalues 0 and 2
+        ("binary_spectrum", ("C", 1, 1), "principal_element",
+         _principal(coefficients=((BasisElement("C", "H", 1), Fraction(1)),)),
+         {"zeros": "1", "ones": "0", "dim": "2"}),
+        ("reduction_trace", ("C", 1, 1), "reduce", _rank_zero_trace,
+         {"final_rank": "0", "expected": "1", "steps": "0"}),
+    ],
+    ids=["disjoint_additivity", "principal_element-reason",
+         "principal_element-convention", "binary_spectrum", "reduction_trace"],
+)
+def test_failure_witness(monkeypatch, check, poset, target, fake, witness):
+    # each check's witness, from a fault injected under the check
+    monkeypatch.setattr(harness, target, fake)
+    (failure,) = run_checks_on_poset(*poset, (check,), 0, 5)
+    assert failure["status"] == "fail" and failure["check"] == check
+    assert failure["witness"] == witness
 
 
 def test_unknown_check_rejected():

@@ -15,15 +15,14 @@ from corpora import (
 from lieposet import (
     BasisElement,
     CampaignConfig,
-    CommutatorMatrix,
     InvariantViolation,
     PosetConstructionError,
     RelationGraph,
     UnsupportedPoset,
     build_basis,
     build_poset,
-    commutator_matrix,
     enumerate_h01,
+    evaluate,
     generic_rank,
     ground_set,
     h01_slots,
@@ -34,93 +33,92 @@ from lieposet import (
     positive_part,
     relation_graph,
     run_campaign,
+    structure_constants,
 )
 from lieposet import index_engine
 from lieposet.index_engine import ORACLE_TRIALS, _term_rank
 from lieposet.linalg import integer_rank, solve
+from references import entry
 
 
 class TestCommutatorMatrix:
     def test_two_dim_symbolic(self, sl2_like_poset):
-        C = commutator_matrix(sl2_like_poset)
-        assert C.dim == 2
-        grid = C.grid()
-        assert dict(grid[0][1]) == {1: 2}
-        assert dict(grid[1][0]) == {1: -2}
-        assert dict(grid[0][0]) == {} and dict(grid[1][1]) == {}
+        basis, table = structure_constants(sl2_like_poset)
+        assert len(basis) == 2
+        assert entry(table, 0, 1) == {1: 2}
+        assert entry(table, 1, 0) == {1: -2}
+        assert entry(table, 0, 0) == {} and entry(table, 1, 1) == {}
 
     def test_abelian_antichain(self):
-        C = commutator_matrix(build_poset("C", 2, []))
-        assert C.dim == 2
-        assert all(dict(terms) == {} for row in C.grid() for terms in row)
+        basis, table = structure_constants(build_poset("C", 2, []))
+        assert len(basis) == 2
+        assert table == {}
 
     def test_block_form_on_path(self, path_poset):
-        C = commutator_matrix(path_poset)
-        assert C.dim == 5
-        grid = C.grid()
+        basis, table = structure_constants(path_poset)
+        assert len(basis) == 5
         h = 3  # H block size, then the Y rows
         for i in range(h):
             for j in range(h):
-                assert dict(grid[i][j]) == {}
+                assert entry(table, i, j) == {}
         for i in range(h, 5):
             for j in range(h, 5):
-                assert dict(grid[i][j]) == {}
-        for i in range(5):
-            for j in range(5):
-                lhs = dict(grid[i][j])
-                rhs = {k: -c for k, c in grid[j][i]}
-                assert lhs == rhs  # skew symmetry
+                assert entry(table, i, j) == {}
+        # one key per cell above the diagonal; the skew entries follow
+        assert table and all(i < j for i, j in table)
 
     def test_entries_match_brackets(self, looped_path_poset):
         from references import bracket
 
-        C = commutator_matrix(looped_path_poset)
-        basis = C.basis
+        basis, table = structure_constants(looped_path_poset)
         pos = {b: k for k, b in enumerate(basis)}
-        grid = C.grid()
-        for i in range(C.dim):
-            for j in range(C.dim):
+        for i in range(len(basis)):
+            for j in range(len(basis)):
                 if i == j:
                     continue
                 combo = bracket(basis[i], basis[j], looped_path_poset)
-                assert dict(grid[i][j]) == {pos[b]: c for b, c in combo.items()}
+                assert entry(table, i, j) == {pos[b]: c for b, c in combo.items()}
 
 
 class TestEvaluateAndRank:
     def test_evaluate_at_unit_point(self, sl2_like_poset):
-        C = commutator_matrix(sl2_like_poset)
-        M = C.evaluate([Fraction(0), Fraction(1)])
+        _, table = structure_constants(sl2_like_poset)
+        M = evaluate(table, [Fraction(0), Fraction(1)])
         assert M == [[0, 2], [-2, 0]]
-        assert solve(M, [0] * len(M), C.dim)[0] == 2
+        assert solve(M, [0] * len(M), 2)[0] == 2
 
     def test_evaluate_zero_point(self, path_poset):
-        C = commutator_matrix(path_poset)
-        M = C.evaluate([0] * C.dim)
+        basis, table = structure_constants(path_poset)
+        M = evaluate(table, [0] * len(basis))
         assert all(x == 0 for row in M for x in row)
 
     def test_generic_rank_examples(self, sl2_like_poset, path_poset):
-        assert generic_rank(commutator_matrix(sl2_like_poset)) == 2
-        assert generic_rank(commutator_matrix(build_poset("C", 2, []))) == 0
-        assert generic_rank(commutator_matrix(path_poset)) == 4
+        assert generic_rank(structure_constants(sl2_like_poset)) == 2
+        assert generic_rank(structure_constants(build_poset("C", 2, []))) == 0
+        assert generic_rank(structure_constants(path_poset)) == 4
 
     def test_rank_monotone_and_stable_in_trials(self):
         for mask in (0, 5, 17, 63):
             P = poset_from_mask("C", 3, mask % 64)
-            C = commutator_matrix(P)
+            C = structure_constants(P)
             ranks = [generic_rank(C, trials=t, seed=9) for t in (1, 2, 3, 5, 8)]
             assert ranks == sorted(ranks)
             assert len(set(ranks[2:])) == 1
 
     def test_rank_always_even(self):
         for P in enumerate_h01("C", 3):
-            assert generic_rank(commutator_matrix(P), trials=3, seed=1) % 2 == 0
+            assert generic_rank(structure_constants(P), trials=3, seed=1) % 2 == 0
 
     def test_odd_rank_raises_invariant_violation(self):
-        # a cell on the diagonal breaks the i < j contract: it evaluates
+        # a key on the diagonal breaks the i < j contract: it evaluates
         # to the 1x1 matrix holding minus the symbol, of rank 1
-        C = CommutatorMatrix(basis=(BasisElement("C", "Z", 1),), cells=((0, 0, ((0, 1),)),))
+        C = ((BasisElement("C", "Z", 1),), {(0, 0): ((0, 1),)})
         with pytest.raises(InvariantViolation):
             generic_rank(C, trials=1, seed=0)
+
+    def test_zero_trials_raises(self, path_poset):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            generic_rank(structure_constants(path_poset), trials=0)
 
     @pytest.mark.parametrize("seed", [0, 77])
     def test_generic_rank_matches_fraction_reference(self, seed):
@@ -128,23 +126,24 @@ class TestEvaluateAndRank:
         evaluations at the same seeded points, drawn in basis order."""
 
         def reference(C, trials):
+            basis, table = C
             rng = random.Random(seed)
             best = 0
             for _ in range(trials):
                 point = []
-                for _ in C.basis:
+                for _ in basis:
                     value = 0
                     while value == 0:
                         value = rng.randint(-1000, 1000)
                     point.append(Fraction(value))
-                M = C.evaluate(point)
-                best = max(best, solve(M, [0] * len(M), C.dim)[0])
+                M = evaluate(table, point)
+                best = max(best, solve(M, [0] * len(M), len(basis))[0])
             return best
 
         for fam, n_max in (("C", 3), ("D", 3), ("B", 2)):
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
-                    C = commutator_matrix(P)
+                    C = structure_constants(P)
                     assert generic_rank(C, seed=seed) == reference(C, ORACLE_TRIALS), P
 
 
@@ -259,25 +258,26 @@ class TestTermRank:
         for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
-                    C = commutator_matrix(P)
-                    for i, j, _ in C.cells:
-                        assert (C.basis[i].kind == "H") != (C.basis[j].kind == "H"), P
+                    basis, table = structure_constants(P)
+                    for i, j in table:
+                        assert (basis[i].kind == "H") != (basis[j].kind == "H"), P
 
 
 def _full_loop_ranks(C, trials, seed):
     """The rank of every one of `trials` seeded evaluations, none skipped,
     drawn as the oracle draws them: one nonzero integer in [-1000, 1000]
     per basis element, in basis order."""
+    basis, table = C
     rng = random.Random(seed)
     ranks = []
     for _ in range(trials):
         point = []
-        for _ in C.basis:
+        for _ in basis:
             value = 0
             while value == 0:
                 value = rng.randint(-1000, 1000)
             point.append(value)
-        ranks.append(integer_rank(C.evaluate(point), C.dim))
+        ranks.append(integer_rank(evaluate(table, point), len(basis)))
     return ranks
 
 
@@ -307,7 +307,7 @@ class TestEarlyStop:
             for n in range(1, n_max + 1):
                 edges, loops = h01_slots(fam, n)
                 for mask in range(1 << (len(edges) + len(loops))):
-                    C = commutator_matrix(poset_from_mask(fam, n, mask))
+                    C = structure_constants(poset_from_mask(fam, n, mask))
                     ranks = _full_loop_ranks(C, 5, seed)
                     for trials in (1, 2, 5):
                         got = generic_rank(C, trials=trials, seed=seed)
@@ -317,7 +317,7 @@ class TestEarlyStop:
     def test_random_posets_equal_full_loop(self, family):
         rng = random.Random(1300 + ord(family))
         for P in _random_low_posets(rng, family, 25):
-            C = commutator_matrix(P)
+            C = structure_constants(P)
             seed = rng.randrange(2**20)
             ranks = _full_loop_ranks(C, 5, seed)
             for trials in (1, 2, 5):
@@ -335,19 +335,18 @@ class TestEarlyStop:
 
     def test_oracle_evaluates_through_the_commutator_matrix(self, path_poset, monkeypatch):
         calls = []
-        inner = CommutatorMatrix.evaluate
 
-        def counted(C, values):
+        def counted(table, values):
             calls.append(values)
-            return inner(C, values)
+            return evaluate(table, values)
 
-        monkeypatch.setattr(CommutatorMatrix, "evaluate", counted)
+        monkeypatch.setattr(index_engine, "evaluate", counted)
         index_oracle(path_poset)
         assert len(calls) >= 1
 
     def test_tight_poset_takes_one_trial(self, path_poset, monkeypatch):
         calls = self._count_ranks(monkeypatch)
-        C = commutator_matrix(path_poset)
+        C = structure_constants(path_poset)
         assert generic_rank(C, trials=5) == 4
         assert len(calls) == 1
 
@@ -369,8 +368,8 @@ class TestEarlyStop:
         # and its rank at the all-ones point is the generic rank
         calls = self._count_ranks(monkeypatch)
         draws = self._count_draws(monkeypatch)
-        C = commutator_matrix(four_cycle_poset)
-        assert _term_rank(C.dim, [(i, j) for i, j, _ in C.cells]) == C.dim == 8
+        C = basis, table = structure_constants(four_cycle_poset)
+        assert _term_rank(len(basis), table) == len(basis) == 8
         assert generic_rank(C, trials=trials) == 6
         assert len(calls) == 1 and draws == []
 
@@ -384,23 +383,23 @@ class TestEarlyStop:
         ids=["second-term-on-h", "second-term-elsewhere", "term-on-h-end"],
     )
     def test_faults_fall_back_to_sampling(self, four_cycle_poset, terms, monkeypatch):
-        C = commutator_matrix(four_cycle_poset)
-        assert index_engine._scales_diagonally(C)
-        (i, j, _), *rest = C.cells
-        faulty = CommutatorMatrix(C.basis, ((i, j, terms(i, j)), *rest))
-        assert not index_engine._scales_diagonally(faulty)
+        basis, table = structure_constants(four_cycle_poset)
+        assert index_engine._scales_diagonally(basis, table)
+        i, j = next(iter(table))
+        faulty = {**table, (i, j): terms(i, j)}
+        assert not index_engine._scales_diagonally(basis, faulty)
         draws = self._count_draws(monkeypatch)
-        got = generic_rank(faulty, trials=5, seed=3)
+        got = generic_rank((basis, faulty), trials=5, seed=3)
         assert draws
-        ranks = _full_loop_ranks(faulty, 5, 3)
-        assert got == max(ranks[: len(draws) // faulty.dim])
+        ranks = _full_loop_ranks((basis, faulty), 5, 3)
+        assert got == max(ranks[: len(draws) // len(basis)])
 
     def test_paper_class_scales_diagonally(self):
         # every oracle call of the acceptance plan takes the scaling path
         for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
-                    assert index_engine._scales_diagonally(commutator_matrix(P)), P
+                    assert index_engine._scales_diagonally(*structure_constants(P)), P
 
     def test_nonzero_int_reads_the_randint_stream(self):
         # the draws of getrandbits(11) with 2001..2047 and 1000 rejected are
@@ -419,7 +418,7 @@ class TestEarlyStop:
         low = lambda n, pairs: _term_rank(n, pairs) - 2  # noqa: E731
         monkeypatch.setattr(index_engine, "_term_rank", low)
         with pytest.raises(InvariantViolation, match="ceiling"):
-            generic_rank(commutator_matrix(path_poset))
+            generic_rank(structure_constants(path_poset))
         report = run_campaign(
             CampaignConfig(plan=(("C", 2),), checks=("formula_vs_oracle",), jobs=1)
         )
@@ -543,8 +542,8 @@ class TestTypeAFormula:
 def test_skewness_at_random_points(n, mask, seed):
     edges, loops = h01_slots("C", n)
     P = poset_from_mask("C", n, mask % (1 << (len(edges) + len(loops))))
-    C = commutator_matrix(P)
+    basis, table = structure_constants(P)
     rng = random.Random(seed)
-    M = C.evaluate([Fraction(rng.randint(-50, 50)) for _ in C.basis])
-    transpose = [[row[i] for row in M] for i in range(C.dim)]
+    M = evaluate(table, [Fraction(rng.randint(-50, 50)) for _ in basis])
+    transpose = [[row[i] for row in M] for i in range(len(basis))]
     assert transpose == [[-x for x in row] for row in M]

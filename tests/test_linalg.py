@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,11 @@ def test_kernel_and_solve():
 def test_solve_inconsistent():
     # the rhs column is a pivot; the rank counts only the columns of A
     assert solve([[1, 1], [1, 1]], [0, 1], 2) == (1, None)
+
+
+def test_solve_rejects_rhs_of_wrong_length():
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solve([[1, 0], [0, 1]], [1], 2)
 
 
 def test_solve_unique():

@@ -348,6 +348,12 @@ class TestSmallOps:
         assert Q.family == "C" and Q.n == 2
         assert (-2, 1) in Q.relations  # -3 becomes -2, 1 stays 1
 
+    def test_induced_b_with_zero_stays_b(self):
+        P = build_poset("B", 3, [(-3, 0), (-1, 2)])
+        Q = induced_subposet(P, [-3, 0, 3])
+        assert Q.family == "B" and Q.n == 1
+        assert (-1, 0) in Q.relations and (0, 1) in Q.relations
+
     def test_induced_b_without_zero_is_d(self):
         P = build_poset("B", 2, [(-1, 2)])
         Q = induced_subposet(P, [-2, -1, 1, 2])

@@ -7,37 +7,38 @@ from lieposet import (
     InvariantViolation,
     UnsupportedPoset,
     build_poset,
-    commutator_matrix,
     enumerate_h01,
+    evaluate,
     graph_components,
     poset_from_graph,
     reduce,
     relation_graph,
     rg_connected,
+    structure_constants,
 )
 from lieposet import index_engine
 from lieposet.formats import reduction_trace_json_obj
 from lieposet.linalg import integer_rank
+from references import entry
 
 
-def y_z_by_h_block(C):
+def y_z_by_h_block(basis, table):
     """The lower-left block B of a height-(0,1) commutator matrix.
 
     Returns (row positions, column positions, entries): rows are the Y
     and Z basis elements, columns the H elements, both in basis order.
     """
-    rows = [k for k, b in enumerate(C.basis) if b.kind in ("Y", "Z")]
-    cols = [k for k, b in enumerate(C.basis) if b.kind == "H"]
-    grid = C.grid()
-    return rows, cols, [[dict(grid[r][c]) for c in cols] for r in rows]
+    rows = [k for k, b in enumerate(basis) if b.kind in ("Y", "Z")]
+    cols = [k for k, b in enumerate(basis) if b.kind == "H"]
+    return rows, cols, [[entry(table, r, c) for c in cols] for r in rows]
 
 
 class TestBBlock:
     def test_path_row_supports(self, path_poset):
-        C = commutator_matrix(path_poset)
-        rows, cols, entries = y_z_by_h_block(C)
-        assert [repr(C.basis[k]) for k in rows] == ["Y(1,2)", "Y(2,3)"]
-        assert [repr(C.basis[k]) for k in cols] == ["H(1)", "H(2)", "H(3)"]
+        basis, table = structure_constants(path_poset)
+        rows, cols, entries = y_z_by_h_block(basis, table)
+        assert [repr(basis[k]) for k in rows] == ["Y(1,2)", "Y(2,3)"]
+        assert [repr(basis[k]) for k in cols] == ["H(1)", "H(2)", "H(3)"]
         # row for the edge {i,j} holds -Y(i,j) in columns i and j
         supports = [
             {c for c, terms in enumerate(row) if terms} for row in entries
@@ -46,13 +47,13 @@ class TestBBlock:
         assert dict(entries[0][0]) == {rows[0]: -1}
 
     def test_self_loop_block(self, sl2_like_poset):
-        C = commutator_matrix(sl2_like_poset)
-        rows, _, entries = y_z_by_h_block(C)
-        assert [repr(C.basis[k]) for k in rows] == ["Z(1)"]
+        basis, table = structure_constants(sl2_like_poset)
+        rows, _, entries = y_z_by_h_block(basis, table)
+        assert [repr(basis[k]) for k in rows] == ["Z(1)"]
         assert dict(entries[0][0]) == {rows[0]: -2}
 
     def test_triangle_block_pattern(self, triangle_poset):
-        rows, cols, entries = y_z_by_h_block(commutator_matrix(triangle_poset))
+        rows, cols, entries = y_z_by_h_block(*structure_constants(triangle_poset))
         assert len(rows) == 3 and len(cols) == 3
         supports = [
             {c for c, terms in enumerate(row) if terms} for row in entries
@@ -61,15 +62,14 @@ class TestBBlock:
 
     def test_assembles_commutator_matrix(self, looped_path_poset):
         # the full matrix is ((0, -B^T), (B, 0)) in the canonical order
-        C = commutator_matrix(looped_path_poset)
-        rows, cols, entries = y_z_by_h_block(C)
-        assert cols + rows == list(range(C.dim))
-        grid = C.grid()
+        basis, table = structure_constants(looped_path_poset)
+        rows, cols, entries = y_z_by_h_block(basis, table)
+        assert cols + rows == list(range(len(basis)))
         for r, row in zip(rows, entries):
             for c, terms in zip(cols, row):
-                assert dict(grid[c][r]) == {k: -v for k, v in dict(terms).items()}
+                assert entry(table, c, r) == {k: -v for k, v in terms.items()}
         for block in (rows, cols):
-            assert all(dict(grid[i][j]) == {} for i in block for j in block)
+            assert all(entry(table, i, j) == {} for i in block for j in block)
 
 
 class TestReduce:
@@ -119,19 +119,19 @@ class TestReduce:
             assert set(trace.ranks) == {
                 integer_rank(trace.initial.matrix, P.n), integer_rank(last.matrix, P.n)
             }
-            C = commutator_matrix(P)
+            basis, table = structure_constants(P)
             edge_values = dict(trace.edge_values)
             loop_values = dict(trace.loop_values)
             point = {}
-            for b in C.basis:
+            for b in basis:
                 if b.kind == "Y":
                     point[b] = edge_values[(min(b.i, b.j), max(b.i, b.j))]
                 elif b.kind == "Z":
                     point[b] = loop_values[b.i]
                 else:
                     point[b] = 1
-            rows, cols, _ = y_z_by_h_block(C)
-            M = C.evaluate([point[b] for b in C.basis])
+            rows, cols, _ = y_z_by_h_block(basis, table)
+            M = evaluate(table, [point[b] for b in basis])
             block = [[M[r][c] for c in cols] for r in rows]
             assert list(map(list, trace.initial.matrix)) == block
 

@@ -93,3 +93,39 @@ def test_every_export_is_used_inside_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(exported - used - allowed) == []
+
+
+def _package_imports(module):
+    """Short names of the package modules that a package module imports."""
+    path = PACKAGE / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # from .x import y imports lieposet.x, from . import x too
+            base = node.module or ""
+            if node.level:
+                base = f"lieposet.{base}".rstrip(".")
+            if base == "lieposet":
+                names = [f"lieposet.{alias.name}" for alias in node.names]
+            else:
+                names = [base]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("lieposet."))
+    return found
+
+
+def test_layers_import_only_downward():
+    # algebra is the layer under the index and Frobenius computations;
+    # those two are siblings, and neither reaches up to the campaign, the
+    # emitters or the command line
+    above = {
+        "algebra": {"index_engine", "frobenius", "harness"},
+        "frobenius": {"index_engine", "harness", "formats", "cli"},
+        "index_engine": {"frobenius", "harness", "formats", "cli"},
+    }
+    found = {module: sorted(_package_imports(module) & names)
+             for module, names in above.items()}
+    assert found == {module: [] for module in above}
