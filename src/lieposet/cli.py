@@ -76,11 +76,13 @@ def poset_options(fn):
 
 
 def run_command(fn):
-    """Translate domain errors into the documented exit codes."""
+    """Translate domain errors, and a --trials below 1, into the documented exit codes."""
 
     def wrapper(*args, **kwargs):
         as_json = kwargs.get("fmt") == "json"
         try:
+            if kwargs.get("trials", 1) < 1:
+                raise InputParseError("trials must be >= 1")
             return fn(*args, **kwargs)
         except ValueError as exc:
             _echo_error(InputParseError(str(exc)), as_json)

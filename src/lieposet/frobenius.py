@@ -8,16 +8,17 @@ element is always obtained by solving the linear system of the Kirillov
 form rather than by assuming a closed form, because the two natural sign
 orientations of the half-integer diagonal both occur in print.
 
-Everything up to that solution is an integer: the standard functional has
-weight 1, realizations have entries +/-1 and the structure constants are
-ints, so the point, the Kirillov form and its elimination stay in ints
-(`linalg`'s Bareiss loop).  The form is evaluated and eliminated once per
-query: `linalg.solve` gives its rank and the solution x from the same
-pivots.  Only the solution x has a denominator.  The
-fixed-point identity and the spectrum are computed on the integer
-multiple d*x, d the lcm of its denominators, and divided by d at the end:
-the identity on its realized matrix, the spectrum on the columns of
-ad(d*x) that one pass over the structure constants gives.
+Everything up to that solution is an integer: realizations have entries
++/-1 and the structure constants are ints, so F's point, scaled to ints
+once by the lcm of its denominators (1 for the standard functional, whose
+weights are 1), the Kirillov form and its elimination stay in ints
+(`linalg`'s Bareiss loop).  Scaling F scales the form and the right-hand
+side alike, so the rank and the solution do not change.  The form is
+evaluated and eliminated once per query: `linalg.solve` gives its rank
+and the solution x from the same pivots.  Only the solution x has a
+denominator.  The fixed-point identity and the spectrum are read off the
+columns of ad(d*x), d the lcm of the denominators of x, that one pass
+over the structure constants gives, in ints, and divided by d at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
-    commutator,
     evaluate,
     matrix_form,
     realize,
@@ -91,21 +91,27 @@ def frobenius_functional(P):
 
 
 def _solve_kirillov(P, F):
-    """(basis, F's point, rank, x) for the Kirillov form B_F at F's point.
+    """(basis, table, values, rank, x) for the Kirillov form B_F at F's point.
 
+    values is F's point in basis order, scaled to ints by the lcm c of
+    its denominators: B_cF = c*B_F, so the rank and x are those of B_F.
     x solves B_F(x, -) = F, or is None when no solution exists; one
-    evaluation and one elimination give both the rank and x.
+    evaluation and one elimination give both the rank and x.  A skew
+    matrix has even rank, so an odd rank raises InvariantViolation.
     """
     basis, table = structure_constants(P)
     point = F.point(P)
-    values = [point[b] for b in basis]
+    c = lcm(1, *(v.denominator for v in point.values()))
+    values = [point[b].numerator * (c // point[b].denominator) for b in basis]
     rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
-    return basis, point, rank, x
+    if rank % 2:
+        raise InvariantViolation(f"evaluated Kirillov form has odd rank {rank}")
+    return basis, table, values, rank, x
 
 
 def kernel_dim(P, F):
     """Exact kernel dimension of the Kirillov form of F."""
-    basis, _, rank, _ = _solve_kirillov(P, F)
+    basis, _, _, rank, _ = _solve_kirillov(P, F)
     return len(basis) - rank
 
 
@@ -128,17 +134,18 @@ class PrincipalElement:
 
 
 def principal_element(P, F):
-    basis, point, rank, solution = _solve_kirillov(P, F)
+    basis, table, values, rank, solution = _solve_kirillov(P, F)
     if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
     coefficients = tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v)
-    d, x = _integer_multiple(coefficients)
-    xmat = realize_combination(x)
-    for b in basis:
+    d, x, columns = _integer_ad(basis, table, coefficients)
+    for b, value, column in zip(basis, values, columns):
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
-        # X = d*x as F(ad(X)(b)) == d*F(b); point[b] is F(b)
-        if F.value_on(commutator(xmat, realize(b))) != d * point[b]:
+        # X = d*x as F(ad(X)(b)) == d*F(b), column the coordinates of
+        # ad(X)(b) and values those of F (scaled alike on both sides)
+        if sum(c * values[k] for k, c in column.items()) != d * value:
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
+    xmat = realize_combination(x)
     diagonal = None
     convention = "other"
     if all(r == c for (r, c) in xmat):
@@ -183,10 +190,7 @@ def spectrum(P, fhat):
     raised.  A diagonal fhat gives a graph with no edges.
     """
     basis, table = structure_constants(P)
-    position = {b: k for k, b in enumerate(basis)}
-    d, x = _integer_multiple(fhat.coefficients)
-    x = {position[b]: c for b, c in x.items()}
-    columns = _ad_columns(x, table, len(basis))
+    d, _, columns = _integer_ad(basis, table, fhat.coefficients)
     # repeatedly drop the columns that depend on no other remaining one;
     # the digraph is acyclic exactly when every column goes
     pending = {
@@ -214,29 +218,26 @@ def spectrum(P, fhat):
     )
 
 
-def _ad_columns(x, table, dim):
-    """Columns of ad(x) as {row: coefficient} maps, zeros dropped, for x a
-    {position: coefficient} map and table the structure constants.
+def _integer_ad(basis, table, coefficients):
+    """(d, X, columns) for x given as (element, coefficient) pairs: d the
+    lcm of the coefficient denominators, X = d*x as {element: int}, and
+    the columns of ad(X) in basis coordinates as {row: int} maps, zeros
+    dropped.
 
-    One pass over the table: [b_i, b_j] = terms adds x_i * terms to
-    column j and, as [b_j, b_i] = -terms, -x_j * terms to column i.
+    One pass over the table: [b_i, b_j] = terms adds X_i * terms to
+    column j and, as [b_j, b_i] = -terms, -X_j * terms to column i.
     """
-    columns = [{} for _ in range(dim)]
+    d = lcm(1, *(v.denominator for _, v in coefficients))
+    X = {b: v.numerator * (d // v.denominator) for b, v in coefficients}
+    position = {b: k for k, b in enumerate(basis)}
+    at = {position[b]: c for b, c in X.items()}
+    columns = [{} for _ in basis]
     for (i, j), terms in table.items():
         for source, column, sign in ((i, j, 1), (j, i, -1)):
-            a = x.get(source)
+            a = at.get(source)
             if not a:
                 continue
             out = columns[column]
             for k, c in terms:
                 out[k] = out.get(k, 0) + sign * a * c
-    return [{k: c for k, c in out.items() if c} for out in columns]
-
-
-def _integer_multiple(coefficients):
-    """(d, {element: int coefficient of d*x}) for x given as (element,
-    coefficient) pairs; d is the lcm of the coefficient denominators."""
-    d = 1
-    for _, v in coefficients:
-        d = lcm(d, v.denominator)
-    return d, {b: v.numerator * (d // v.denominator) for b, v in coefficients}
+    return d, X, [{k: c for k, c in out.items() if c} for out in columns]

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the integers and the rationals.
+"""Dense exact linear algebra over the integers.
 
 `_bareiss` is the only elimination loop that rank and solve use:
 fraction-free (Bareiss) elimination on lists of Python ints, with partial
@@ -8,15 +8,14 @@ is not rewritten at that step; the scale Bareiss would have given it is
 applied when the row is next used, so sparse rows cost only the steps
 that change them.  Matrices are plain lists of rows.  The index oracle
 and the reduction replay call `integer_rank` on int rows.  `solve` takes
-rows of ints and Fractions, scales each row to integers, runs the same
-loop once, and reads the rank off the same pivots it back-substitutes
-from, in Fraction.  Every result is exact.
+int rows and an int right-hand side, runs the same loop once, and reads
+the rank off the same pivots it back-substitutes from.  Ints go in; only
+the back-substituted solution x is in Fraction.  Every result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
 def _bareiss(m, ncols):
@@ -95,31 +94,19 @@ def integer_rank(rows, ncols):
     return len(_bareiss([list(row) for row in rows], ncols))
 
 
-def _integer_row(row):
-    """The row scaled by the lcm of its Fraction denominators, as ints."""
-    scale = 1
-    for x in row:
-        if type(x) is not int:
-            scale = lcm(scale, x.denominator)
-    return [
-        x * scale if type(x) is int else x.numerator * (scale // x.denominator)
-        for x in row
-    ]
-
-
 def solve(rows, rhs, ncols):
     """(rank, x): the rank of A and one exact solution of A x = rhs.
 
-    A is given as rows of ints and Fractions.  The augmented rows are
-    scaled to ints and eliminated once; the rank is the number of pivots
-    left of the rhs column, and x is None exactly when the rhs column is
-    a pivot (the system is inconsistent).  Back-substitution runs in
-    Fraction with free variables set to zero, so x is the solution the
-    reduced row echelon form gives.
+    A is given as rows of ints and rhs as ints.  The augmented rows are
+    eliminated once; the rank is the number of pivots left of the rhs
+    column, and x is None exactly when the rhs column is a pivot (the
+    system is inconsistent).  Back-substitution runs in Fraction with free
+    variables set to zero, so x is the solution the reduced row echelon
+    form gives.
     """
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
-    m = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    m = [[*row, b] for row, b in zip(rows, rhs)]
     pivots = _bareiss(m, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return len(pivots) - 1, None

@@ -108,7 +108,10 @@ def test_criterion_01_two_dim_fixture():
         for value in (1, -1, 7, Fraction(3, 5), -1000):
             M = evaluate(table, [0, value])
             assert M == [[0, 2 * value], [-2 * value, 0]]
-            assert solve(M, [0] * len(M), 2)[0] == 2
+            # solve takes ints: the rank of M scaled by the denominator
+            # of the value, 5 for 3/5
+            scale = Fraction(value).denominator
+            assert solve([[int(scale * v) for v in row] for row in M], [0, 0], 2)[0] == 2
         assert index_oracle(P) == 0
         best = float("inf")
         for _ in range(5):

@@ -399,6 +399,25 @@ def test_zero_trials_is_an_input_error(runner):
     assert "trials must be >= 1" in result.output
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["index", "-p", "C;3;-1<=2", "--method", "formula", "--trials", "0"],
+     ["frobenius", "-p", "C;1;-1<=1", "--trials", "-4"]],
+    ids=["index-formula", "frobenius"],
+)
+def test_nonpositive_trials_exit_2_where_unread(runner, argv, fmt):
+    # rejected before the command runs, also where no oracle reads it
+    result = runner.invoke(main, [*argv, "--format", fmt])
+    assert result.exit_code == 2
+    if fmt == "json":
+        assert json.loads(result.output) == {
+            "error": "InputParseError", "message": "trials must be >= 1",
+        }
+    else:
+        assert result.output == "error[InputParseError]: trials must be >= 1\n"
+
+
 def test_env_var_override():
     # flags are set on the command line only: a LIEPOSET_ variable in the
     # environment of `python -m lieposet.cli` changes nothing

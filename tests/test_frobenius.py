@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -34,7 +35,7 @@ from lieposet import (
 
 from lieposet import frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
-from lieposet.harness import run_checks_on_poset
+from lieposet.harness import CampaignConfig, run_campaign, run_checks_on_poset
 from references import combo_bracket
 
 HALF = Fraction(1, 2)
@@ -135,13 +136,57 @@ class TestPrincipalElement:
         with pytest.raises(SingularForm):
             principal_element(triangle_poset, frobenius_functional(triangle_poset))
 
+    def test_odd_kirillov_rank_raises_invariant_violation(self, triangle_poset, monkeypatch):
+        # a skew matrix has even rank: an odd one is a fault in the solve,
+        # raised by both queries and, in a campaign, one failed check
+        true_solve = frobenius.solve
+
+        def odd_rank(rows, rhs, ncols):
+            rank, x = true_solve(rows, rhs, ncols)
+            return rank - 1, x
+
+        monkeypatch.setattr(frobenius, "solve", odd_rank)
+        P = triangle_poset
+        F = frobenius_functional(P)
+        with pytest.raises(InvariantViolation, match="odd rank 5"):
+            kernel_dim(P, F)
+        with pytest.raises(InvariantViolation, match="odd rank 5"):
+            principal_element(P, F)
+        [outcome] = run_checks_on_poset(
+            P.family, P.n, mask_of_poset(P), ("frobenius_kernel",), 0, 5
+        )
+        assert outcome["check"] == "frobenius_kernel"
+        assert outcome["witness"]["error"] == "InvariantViolation"
+        report = run_campaign(CampaignConfig(plan=(("C", 2),), checks=("frobenius_kernel",)))
+        total = sum(report["posets"].values())
+        frobenius_count = sum(is_frobenius_by_graph(Q) for n in (1, 2)
+                              for Q in enumerate_h01("C", n))
+        assert report["summary"]["frobenius_kernel"] == {
+            "pass": 0, "fail": frobenius_count, "skipped": total - frobenius_count,
+        }
+        assert {f["witness"]["error"] for f in report["failures"]} == {"InvariantViolation"}
+
     def test_fixed_point_mismatch_raises_invariant_violation(
         self, triangle_poset, monkeypatch
     ):
-        # realizing the solution as zero breaks F(ad(x)(b)) == F(b)
-        monkeypatch.setattr(frobenius, "realize_combination", lambda combo: {})
-        with pytest.raises(InvariantViolation):
-            principal_element(triangle_poset, frobenius_functional(triangle_poset))
+        # an extra 1 in row k of a column of ad(d*x) moves that column's
+        # F(ad(x)(b)) by F(b_k), so the identity fails where F(b_k) != 0
+        P = triangle_poset
+        F = frobenius_functional(P)
+        point = F.point(P)
+        rows = [k for k, b in enumerate(structure_constants(P)[0]) if point[b]]
+        assert rows
+        real = frobenius._integer_ad
+        for row in rows:
+
+            def integer_ad(basis, table, coefficients):
+                d, x, columns = real(basis, table, coefficients)
+                columns[0][row] = columns[0].get(row, 0) + 1
+                return d, x, columns
+
+            monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
+            with pytest.raises(InvariantViolation, match="fixed-point identity"):
+                principal_element(P, F)
 
     def test_wrong_solution_raises_invariant_violation(self, monkeypatch):
         # the fixed-point identity, checked on d*x, must catch a solution
@@ -257,15 +302,15 @@ class TestSpectrum:
         # make the columns depend on each other
         element = principal_element(triangle_poset, frobenius_functional(triangle_poset))
         expected = spectrum(triangle_poset, element)
-        real = frobenius._ad_columns
+        real = frobenius._integer_ad
 
-        def ad_columns(x, table, dim):
-            columns = real(x, table, dim)
+        def integer_ad(basis, table, coefficients):
+            d, x, columns = real(basis, table, coefficients)
             for k in tangled:
                 columns[k][1 - k] = columns[k].get(1 - k, 0) + 1
-            return columns
+            return d, x, columns
 
-        monkeypatch.setattr(frobenius, "_ad_columns", ad_columns)
+        monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
         if len(tangled) == 1:
             assert spectrum(triangle_poset, element) == expected
         else:
@@ -284,15 +329,69 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     def test_ad_columns_in_one_pass(self, family):
-        # every column of ad(x) from one pass over the table equals the
-        # bracket of x with that basis element, for random sparse int x
+        # every column of ad(d*x) from one pass over the table equals the
+        # bracket of d*x with that basis element, for random sparse
+        # rational x; d is the lcm of the denominators of x
         rng = random.Random(3)
         for P in enumerate_h01(family, 3):
             basis, table = structure_constants(P)
             dim = len(basis)
-            x = {k: rng.randint(-3, 3) for k in rng.sample(range(dim), min(dim, 4))}
-            expected = [combo_bracket(P, x, {k: 1}) for k in range(dim)]
-            assert frobenius._ad_columns(x, table, dim) == expected, P
+            x = {
+                k: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                for k in rng.sample(range(dim), min(dim, 4))
+            }
+            d = lcm(1, *(v.denominator for v in x.values()))
+            X = {k: int(d * v) for k, v in x.items()}
+            expected = [combo_bracket(P, X, {k: 1}) for k in range(dim)]
+            coefficients = tuple((basis[k], v) for k, v in x.items())
+            got = frobenius._integer_ad(basis, table, coefficients)
+            assert got == (d, {basis[k]: v for k, v in X.items()}, expected), P
+
+
+class TestRationalFunctional:
+    def test_one_sixth_of_the_standard_functional(self):
+        # F/6 scales the Kirillov form and the right-hand side alike: the
+        # same kernel, principal element and spectrum as F
+        count = 0
+        for family, top in (("C", 3), ("D", 3), ("B", 3)):
+            for n in range(1, top + 1):
+                for P in enumerate_h01(family, n):
+                    if not is_frobenius_by_graph(P):
+                        continue
+                    F = frobenius_functional(P)
+                    sixth = functional(P, {rc: Fraction(1, 6) for rc, _ in F.support})
+                    assert all(w == Fraction(1, 6) for _, w in sixth.support)
+                    assert kernel_dim(P, sixth) == kernel_dim(P, F) == 0
+                    element = principal_element(P, F)
+                    assert principal_element(P, sixth) == element
+                    assert spectrum(P, principal_element(P, sixth)) == spectrum(P, element)
+                    count += 1
+        assert count == 23
+
+    def test_seeded_rational_weights(self):
+        # the solution for random rational weights satisfies the
+        # fixed-point identity on realized matrices, and clearing the
+        # weights' denominators changes neither the kernel nor the solution
+        rng = random.Random(7)
+        nonsingular = 0
+        for family in ("C", "D", "B"):
+            for P in enumerate_h01(family, 3):
+                off = [(r, c) for r, c in sorted(matrix_form(P)) if r != c]
+                weights = {rc: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for rc in off}
+                F = functional(P, weights)
+                scale = lcm(1, *(w.denominator for w in weights.values()))
+                G = functional(P, {rc: w * scale for rc, w in weights.items()})
+                assert kernel_dim(P, F) == kernel_dim(P, G)
+                if kernel_dim(P, F):
+                    continue
+                element = principal_element(P, F)
+                assert principal_element(P, G) == element
+                xmat = realize_combination(dict(element.coefficients))
+                for b in build_basis(P):
+                    bm = realize(b)
+                    assert F.value_on(commutator(xmat, bm)) == F.value_on(bm)
+                nonsingular += 1
+        assert nonsingular >= 15
 
 
 class TestIntegerPath:

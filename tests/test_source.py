@@ -129,3 +129,25 @@ def test_layers_import_only_downward():
     found = {module: sorted(_package_imports(module) & names)
              for module, names in above.items()}
     assert found == {module: [] for module in above}
+
+
+def test_only_algebra_reads_commutator():
+    # every bracket is read off the structure-constant table, and the
+    # table is the one place that brackets realized matrices; __init__
+    # only re-exports the name
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in ("algebra.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "commutator":
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
