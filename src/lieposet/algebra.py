@@ -21,31 +21,26 @@ subtracting is exact, and any nonzero remainder raises NotInSpan.
 
 A sparse matrix is a plain dict {(row, col): value} keyed by signed
 labels.  It stores no zero entries, and its values are ints or Fractions;
-every function here that builds one keeps both rules.  Realizations have
-entries +-1, so every structure constant is an int and no Fraction is
-built while the table is computed; `structure_constants` checks each
-constant as it stores it, so every reader of the table gets ints.
-`commutator` sums A*B - B*A in one pass over the pairs of entries of A
-and B, which have at most two entries each as realizations.
+every function here that builds one keeps both rules.  `commutator` sums
+A*B - B*A in one pass over the pairs of entries of A and B.
 
-A bracket does not depend on the poset.  Each basis element is a fixed
-signed matrix, and a poset only decides which elements its basis holds,
-so [a, b] is the same in every poset whose basis holds a and b.
-`_bracket(a, b)` computes it once per process, in an lru_cache bounded
-at BRACKET_MEMO_SIZE pairs.  An entry takes about 320 bytes for a zero
-bracket and about 500 for a nonzero one (tracemalloc on the full basis
-of C16, keys included), so a full memo holds about 2 to 2.5 MB.  The acceptance plan
-C:4,D:4,B:3 needs 34 pairs and C:5,D:5,B:4 needs 57.
-
-`structure_constants` keeps the per-poset work: it builds the basis of P,
-indexes the realizations by row and by column, and looks up in the memo
-only the pairs where a column of one realization is a row of the other:
-A*B is zero otherwise, so every skipped bracket is zero in every family.
-It is also where the span check lives: an element of a bracket that is
-not in the basis of P raises NotInSpan.  Its cache is bounded: most of
-its hits are one poset's checks reading its table again, and the rest
-are component subposets that recur across posets, plus the few tables
-`verify_B_reduction` and `verify_CD_isomorphism` find still cached.
+Every poset of (family, n) is contained in the Borel poset of (family,
+n), so its basis is a subsequence of the Borel basis, in the same order.
+A bracket does not depend on the poset: each basis element is a fixed
+signed matrix.  So the table of P is the Borel table restricted to the
+basis of P and re-indexed (the slice lemma).  `_borel` brackets the
+pairs of the Borel basis once per (family, n), and only those where a
+column of one realization is a row of the other (A*B is zero otherwise).
+A bracket of positive roots is a multiple of one root vector, and the
+realizations have entries +-1, so each Borel cell holds one int term;
+that is checked there, once.  `structure_constants` only slices: a term
+outside the basis of P raises NotInSpan.  The Borel tables sit in an
+lru_cache of 32 (family, n) pairs; the 22 sizes C6..C14, D6..D12 and
+B5..B10 hold 14,239 cells in 1.4 MB (tracemalloc).  The per-poset
+tables sit in a cache of 256: most of its hits are one poset's checks
+reading its table again, and the rest are component subposets that
+recur across posets, plus the few tables `verify_B_reduction` and
+`verify_CD_isomorphism` find still cached.
 
 The pair (basis, table) is the one representation of the brackets of P:
 the commutator matrix ([x_i, x_j]) is the table read skew, and
@@ -55,6 +50,7 @@ form alike.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -65,10 +61,9 @@ from .errors import (
     TablesDiffer,
     UnsupportedPoset,
 )
-from .posets import SignedPoset, induced_subposet, validate
+from .posets import SignedPoset, ground_set, induced_subposet, validate
 
 _KIND_ORDER = {"H": 0, "X": 1, "Y": 2, "Z": 3, "U": 4, "DA": 0, "EA": 1}
-BRACKET_MEMO_SIZE = 4096
 
 
 class BasisElement(NamedTuple):
@@ -113,44 +108,19 @@ def commutator(a, b):
 def build_basis(P):
     """The canonical ordered basis of the Lie poset algebra of P.
 
-    The last basis is kept: the table of `structure_constants` and the
-    parity check of `index_formula` ask for the same poset's basis in
-    turn, and share it.
+    An element is in the basis exactly when its leading position (see
+    `realize`) is a relation of P, so the basis is the elements led at
+    the relations of P (`_led_at`), in basis order.  The last basis is
+    kept: the table of `structure_constants` and the parity check of
+    `index_formula` ask for the same poset's basis in turn, and share it.
     """
-    out = []
-    if P.family == "A":
-        for i in range(1, P.n):
-            out.append(BasisElement("A", "DA", i))
-        for x, y in P.strict_relations:
-            out.append(BasisElement("A", "EA", x, y))
-    else:
-        fam = P.family
-        for i in range(1, P.n + 1):
-            out.append(BasisElement(fam, "H", i))
-        for x, y in P.relations:
-            if x < 0 and y < 0 and x != y:
-                out.append(BasisElement(fam, "X", -x, -y))
-        seen_pairs = set()
-        for x, y in P.relations:
-            if x < 0 < y and -x != y:
-                pair = (min(-x, y), max(-x, y))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                if fam == "C":
-                    out.append(BasisElement(fam, "Y", pair[0], pair[1]))
-                else:
-                    out.append(BasisElement(fam, "Y", pair[1], pair[0]))
-        if fam == "C":
-            for i in range(1, P.n + 1):
-                if (-i, i) in P.relations:
-                    out.append(BasisElement(fam, "Z", i))
-        if fam == "B":
-            for j in range(1, P.n + 1):
-                if (-j, 0) in P.relations:
-                    out.append(BasisElement(fam, "U", j))
-    out.sort(key=BasisElement.sort_key)
-    return tuple(out)
+    return _led_by(P.family, P.n, P.relations)
+
+
+def _led_by(family, n, positions):
+    """The elements of (family, n) led at `positions`, in basis order."""
+    led = (_led_at(family, key, n) for key in positions)
+    return tuple(sorted((b for b in led if b is not None), key=BasisElement.sort_key))
 
 
 def realize(b):
@@ -260,25 +230,19 @@ def decompose(mat, family):
     return tuple(combo)
 
 
-@lru_cache(maxsize=BRACKET_MEMO_SIZE)
-def _bracket(a, b):
-    """[realize(a), realize(b)] decomposed into elements of their family."""
-    return decompose(commutator(realize(a), realize(b)), a.family)
+@lru_cache(maxsize=32)
+def _borel(family, n):
+    """(basis, position, rows) of the Borel algebra of (family, n).
 
-
-@lru_cache(maxsize=256)
-def structure_constants(P):
-    """Canonical basis and the table of brackets between its elements.
-
-    Returns (basis, table) where table maps (i, j) with i < j to a sorted
-    tuple of (k, coefficient) pairs with int coefficients; absent keys
-    mean a zero bracket and the skew entries follow by antisymmetry.
-    Only pairs that meet through the row and column indexes are bracketed,
-    by a lookup in `_bracket`.  An element of a bracket outside the basis
-    of P raises NotInSpan, and a coefficient that is not an int (a
-    Fraction, or a bool) raises InvariantViolation.
+    Its basis is the elements led at the pairs x <= y of the ground set:
+    that of the Borel poset, which contains every poset of (family, n).
+    position maps each element to its index, and rows[I] holds one (J,
+    K, c) triple per nonzero bracket [b_I, b_J] = c * b_K with J > I, in
+    ascending J.  A bracket with more than one term, or a coefficient
+    that is not an int (a Fraction, or a bool), raises InvariantViolation.
     """
-    basis = build_basis(P)
+    pairs = itertools.combinations_with_replacement(ground_set(family, n), 2)
+    basis = _led_by(family, n, pairs)
     position = {b: k for k, b in enumerate(basis)}
     mats = [realize(b) for b in basis]
     by_row, by_col = {}, {}
@@ -286,26 +250,48 @@ def structure_constants(P):
         for r, c in m:
             by_row.setdefault(r, set()).add(k)
             by_col.setdefault(c, set()).add(k)
-    table = {}
+    rows = []
     for i, m in enumerate(mats):
         meets = set()
         for r, c in m:
             meets.update(by_row.get(c, ()))
             meets.update(by_col.get(r, ()))
-        a = basis[i]
+        row = []
         for j in sorted(k for k in meets if k > i):
-            combo = _bracket(a, basis[j])
+            combo = decompose(commutator(m, mats[j]), family)
             if not combo:
                 continue
-            terms = []
-            for b, c in combo:
-                k = position.get(b)
-                if k is None:
-                    raise NotInSpan(f"[{a!r},{basis[j]!r}] has {b!r}, outside the basis")
-                terms.append((k, c))
-            if any(type(c) is not int for _, c in terms):
-                raise InvariantViolation(f"non-integral structure constant in {terms}")
-            table[(i, j)] = tuple(terms)
+            if len(combo) != 1:
+                raise InvariantViolation(f"[{basis[i]!r},{basis[j]!r}] is {combo}, not one term")
+            (b, c), = combo
+            if type(c) is not int:
+                raise InvariantViolation(f"non-integral structure constant {c!r} in {combo}")
+            row.append((j, position[b], c))
+        rows.append(tuple(row))
+    return basis, position, tuple(rows)
+
+
+@lru_cache(maxsize=256)
+def structure_constants(P):
+    """Canonical basis and the table of brackets between its elements.
+
+    Returns (basis, table) where table maps (i, j) with i < j to a tuple
+    of (k, coefficient) pairs, one pair with an int coefficient; absent
+    keys mean a zero bracket and the skew entries follow by antisymmetry.
+    The cells are the Borel cells between elements of P, re-indexed, in
+    the Borel order.  A term outside the basis of P raises NotInSpan.
+    """
+    borel, position, rows = _borel(P.family, P.n)
+    basis = build_basis(P)
+    local = {position[b]: i for i, b in enumerate(basis)}  # Borel index -> index in P
+    table = {}
+    for I, i in local.items():
+        for J, K, c in rows[I]:
+            if J not in local:
+                continue
+            if K not in local:
+                raise NotInSpan(f"[{borel[I]!r},{borel[J]!r}] has {borel[K]!r}, outside the basis")
+            table[(i, local[J])] = ((local[K], c),)
     return basis, table
 
 
@@ -393,31 +379,23 @@ def verify_CD_isomorphism(P):
     if [b.index_key() for b in basis_d] != [b.index_key() for b in basis_c]:
         raise NoSignRescaling("bases do not correspond")
     equations = []
-    for key in sorted(set(table_d) | set(table_c)):
-        i, j = key
-        td = dict(table_d.get(key, ()))
-        tc = dict(table_c.get(key, ()))
-        for k in sorted(set(td) | set(tc)):
-            cd = td.get(k, 0)
-            cc = tc.get(k, 0)
-            if cd == 0 or cc == 0 or abs(cd) != abs(cc):
-                raise NoSignRescaling(
-                    f"constants differ in magnitude at [{basis_d[i]!r},{basis_d[j]!r}]"
-                )
-            mask = (1 << i) ^ (1 << j) ^ (1 << k)
-            equations.append((mask, 0 if cd == cc else 1))
+    for i, j in sorted(set(table_d) | set(table_c)):
+        # each cell holds one term; a missing cell reads as (None, 0)
+        ((kd, cd),) = table_d.get((i, j), ((None, 0),))
+        ((kc, cc),) = table_c.get((i, j), ((None, 0),))
+        if kd != kc or abs(cd) != abs(cc):
+            raise NoSignRescaling(
+                f"constants differ in magnitude at [{basis_d[i]!r},{basis_d[j]!r}]"
+            )
+        equations.append(((1 << i) ^ (1 << j) ^ (1 << kd), 0 if cd == cc else 1))
     solution = _solve_gf2(equations)
     if solution is None:
         raise NoSignRescaling("parity constraints are inconsistent")
     solution += [0] * (len(basis_d) - len(solution))
     eps = tuple(1 if v == 0 else -1 for v in solution)
-    for key in set(table_d) | set(table_c):
-        i, j = key
-        td = dict(table_d.get(key, ()))
-        tc = dict(table_c.get(key, ()))
-        for k in set(td) | set(tc):
-            if eps[i] * eps[j] * eps[k] * td.get(k, 0) != tc.get(k, 0):
-                raise NoSignRescaling("rescaled tables still differ")
+    for (i, j), ((k, cd),) in table_d.items():
+        if eps[i] * eps[j] * eps[k] * cd != table_c[(i, j)][0][1]:
+            raise NoSignRescaling("rescaled tables still differ")
     return eps
 
 

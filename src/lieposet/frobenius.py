@@ -24,6 +24,7 @@ over the structure constants gives, in ints, and divided by d at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -45,9 +46,13 @@ class Functional:
 
     support: tuple  # sorted ((row, col), weight) pairs
 
+    @cached_property
+    def weights(self):  # the support as a dict, built once
+        return dict(self.support)
+
     def value_on(self, mat):
         """F applied to a sparse {(row, col): value} matrix."""
-        return sum(weight * mat.get(key, 0) for key, weight in self.support)
+        return sum(self.weights.get(key, 0) * v for key, v in mat.items())
 
     def point(self, P):
         """Induced assignment basis element -> value on its realization."""

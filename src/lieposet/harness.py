@@ -102,8 +102,8 @@ class CheckContext:
     """Seed and trials for one poset's checks, plus their memo.
 
     Build one per poset: the memo holds the oracle of the poset and of
-    its component subposets, and the principal element of the poset, so
-    it stays as small as one poset's work.
+    its component subposets, and the principal element of the poset, or
+    the exception one raised, which each later reader gets again.
     """
 
     seed: int
@@ -112,7 +112,12 @@ class CheckContext:
 
     def _once(self, key, compute):
         if key not in self.memo:
-            self.memo[key] = compute()
+            try:
+                self.memo[key] = compute()
+            except Exception as exc:
+                self.memo[key] = exc
+        if isinstance(self.memo[key], Exception):
+            raise self.memo[key]
         return self.memo[key]
 
     def oracle(self, P):

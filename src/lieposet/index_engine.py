@@ -17,24 +17,22 @@ so by Schwartz (1980) the oracle index overstates after t trials with
 probability <= (dim/2000)^t.
 
 Nothing is sampled where the matrix scales diagonally: every cell joins
-a diagonal element H to a non-H element and holds one term, on the non-H
-end.  Then C(x) = S*C0*S with C0 the matrix at the all-ones point and S
-diagonal and invertible over Q(x) (see `generic_rank`), so rank C0 is the
-generic rank, proved, and it is what every trial would find.  Every
-poset of the paper's class takes this path: all 2,188 oracle calls of
-the plan C:4,D:4,B:3 and all 56,903 of C:5,D:5,B:4.  On C4, D4 and B3
-the H-by-rest block of C0 reads as the unsigned incidence matrix of the
-relation graph, a loop counting 2, whose rank is n minus the number of
-loop-free bipartite components (Grossman, Kulkarni and Schochetman
-1995): that is the (0,1) index formula.
+one of the leading H elements to a non-H element and holds one term, on
+the non-H end.  Then C(x) = S*C0*S with C0 the matrix at the all-ones
+point and S diagonal and invertible over Q(x), and C0 = [[0, B0], [-B0^T,
+0]], so the generic rank is 2 * rank B0, proved, and it is what every
+trial would find; B0 is the H-by-rest block, h x (dim - h), and its
+doubled rank is even by construction (see `generic_rank`).  Every poset
+of the paper's class takes this path: all 2,188 oracle calls of the plan
+C:4,D:4,B:3 and all 56,903 of C:5,D:5,B:4.  There B0 reads as the
+unsigned incidence matrix of the relation graph, a loop counting 2,
+whose rank is n minus the number of loop-free bipartite components
+(Grossman, Kulkarni and Schochetman 1995): that is the (0,1) index
+formula.
 
-The commutator matrix is the structure-constant table of
-`algebra.structure_constants`, read skew: its nonzero cells above the
-diagonal are the table's entries, one per nonzero bracket.  The oracle
-never leaves the integers: `structure_constants` raises on any constant
-that is not an int as it builds the table, the evaluation points are
-ints, `algebra.evaluate` fills a zero matrix from the table, v above the
-diagonal and -v below, and `linalg.integer_rank` takes its rank.  The
+Elsewhere the commutator matrix is the structure-constant table of
+`algebra.structure_constants`, read skew, evaluated in ints at the drawn
+points by `algebra.evaluate` and ranked by `linalg.integer_rank`.  The
 Frobenius path evaluates the Kirillov form through the same function.
 
 For the height-(0,1) signed posets the rank is also predicted by the
@@ -127,17 +125,22 @@ def _term_rank(n, pairs):
     return size
 
 
-def _scales_diagonally(basis, table):
-    """True when every entry of the table joins an H element to a non-H
-    element and holds one term, on its non-H end."""
-    is_h = [b.kind == "H" for b in basis]
+def _h_block(basis, table):
+    """B0, the H rows by non-H columns block of the table at the all-ones
+    point, when the table scales diagonally; otherwise None.
+
+    The table scales diagonally when the H elements lead the basis and
+    every entry joins one of them to a later non-H element and holds one
+    term, on its non-H end; B0 holds that term's coefficient."""
+    h = sum(b.kind == "H" for b in basis)
+    if any(b.kind == "H" for b in basis[h:]):
+        return None
+    block = [[0] * (len(basis) - h) for _ in range(h)]
     for (i, j), terms in table.items():
-        if len(terms) != 1 or is_h[i] == is_h[j]:
-            return False
-        k = terms[0][0]
-        if k not in (i, j) or is_h[k]:
-            return False
-    return True
+        if len(terms) != 1 or not i < h <= j or terms[0][0] != j:
+            return None
+        block[i][j - h] = terms[0][1]
+    return block
 
 
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
@@ -148,15 +151,17 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     one value per basis element, in basis order.  An evaluated skew
     matrix has even rank, so an odd rank raises InvariantViolation.
 
-    When C scales diagonally (`_scales_diagonally`), the rank at the
-    all-ones point is returned with no draws.  Let C0 be C at that point
-    and S = diag(1 on H, x_k on every other element k).  A cell joining
-    h in H to k, with term c*x_k, puts c*x_k at (h, k) and -c*x_k at
-    (k, h); (S*C0*S) has S_hh * c * S_kk = c*x_k and -c*x_k there, and
-    both are zero everywhere else.  So C(x) = S*C0*S with S invertible
-    over Q(x), and the generic rank is rank C0.  Every trial point has
-    nonzero coordinates, so every trial would have rank C0 as well: the
-    result is the one the trials give.
+    When C scales diagonally (`_h_block`), nothing is drawn.  Let C0 be
+    C at the all-ones point and S = diag(1 on H, x_k on every other
+    element k).  A cell joining h in H to k, with term c*x_k, puts c*x_k
+    at (h, k) and -c*x_k at (k, h); (S*C0*S) has S_hh * c * S_kk = c*x_k
+    and -c*x_k there, and both are zero everywhere else.  So C(x) =
+    S*C0*S with S invertible over Q(x), and the generic rank is rank C0.
+    Every trial point has nonzero coordinates, so every trial would have
+    rank C0 as well: the result is the one the trials give.  The H
+    elements lead, so C0 = [[0, B0], [-B0^T, 0]] with B0 the h x (dim -
+    h) block of the cells' coefficients, and rank C0 = 2 * rank B0: the
+    rank is taken on B0 alone, and it is even by construction.
 
     The loop stops at the first trial whose rank reaches the ceiling: the
     term rank of the pattern of nonzero cells, rounded down to even.  A
@@ -166,21 +171,24 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     generic rank, so a trial at the ceiling has found the generic rank,
     proved, and the later trials could not raise the maximum: the result
     equals that of all `trials` evaluations.  A rank above the ceiling
-    raises InvariantViolation.
+    raises InvariantViolation, on either path.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis, table = C
     dim = len(basis)
     ceiling = _term_rank(dim, table) // 2 * 2
-    if _scales_diagonally(basis, table):
-        points = [[1] * dim]
+    block = _h_block(basis, table)
+    if block is not None:
+        ranks = [2 * integer_rank(block, dim - len(block))]
     else:
         rng = random.Random(seed)
-        points = ([_nonzero_int(rng) for _ in basis] for _ in range(trials))
+        ranks = (
+            integer_rank(evaluate(table, [_nonzero_int(rng) for _ in basis]), dim)
+            for _ in range(trials)
+        )
     best = 0
-    for values in points:
-        rank = integer_rank(evaluate(table, values), dim)
+    for rank in ranks:
         if rank % 2:
             raise InvariantViolation(f"evaluated skew matrix has odd rank {rank}")
         if rank > ceiling:

@@ -5,9 +5,13 @@ decomposes the commutator of two realized basis elements, and
 `combo_bracket` extends the structure-constant table bilinearly; the
 closure, Jacobi and spectrum tests compare the package against them.
 `entry` reads one cell of the commutator matrix off the table.
+`table_by_brackets` builds a poset's table the way the package did
+before it sliced the Borel table, and `basis_by_kinds` its basis the way
+the package did before it read each element off its leading position;
+the slice and the basis are compared against them.
 """
 
-from lieposet import NotInSpan, algebra
+from lieposet import InvariantViolation, NotInSpan, algebra
 
 
 def decompose_in(mat, P):
@@ -60,3 +64,80 @@ def entry(table, i, j):
     if i < j:
         return dict(table.get((i, j), ()))
     return {k: -c for k, c in table.get((j, i), ())}
+
+
+def table_by_brackets(P):
+    """(basis, table) of P from its own brackets, with no Borel table.
+
+    The realizations of the basis of P are indexed by row and by column,
+    and a pair (i, j) with i < j is bracketed when a column of one is a
+    row of the other; each bracket is decomposed over the family.  An
+    element outside the basis of P raises NotInSpan and a coefficient
+    that is not an int raises InvariantViolation.
+    """
+    basis = algebra.build_basis(P)
+    position = {b: k for k, b in enumerate(basis)}
+    mats = [algebra.realize(b) for b in basis]
+    by_row, by_col = {}, {}
+    for k, m in enumerate(mats):
+        for r, c in m:
+            by_row.setdefault(r, set()).add(k)
+            by_col.setdefault(c, set()).add(k)
+    table = {}
+    for i, m in enumerate(mats):
+        meets = set()
+        for r, c in m:
+            meets.update(by_row.get(c, ()))
+            meets.update(by_col.get(r, ()))
+        for j in sorted(k for k in meets if k > i):
+            combo = algebra.decompose(algebra.commutator(m, mats[j]), P.family)
+            if not combo:
+                continue
+            terms = []
+            for b, c in combo:
+                if b not in position:
+                    raise NotInSpan(f"[{basis[i]!r},{basis[j]!r}] has {b!r}, outside the basis")
+                if type(c) is not int:
+                    raise InvariantViolation(f"non-integral structure constant {c!r}")
+                terms.append((position[b], c))
+            table[(i, j)] = tuple(terms)
+    return basis, table
+
+
+def basis_by_kinds(P):
+    """The basis of P built kind by kind from its relations, as the
+    package did before it read each element off its leading position."""
+    out = []
+    if P.family == "A":
+        for i in range(1, P.n):
+            out.append(algebra.BasisElement("A", "DA", i))
+        for x, y in P.strict_relations:
+            out.append(algebra.BasisElement("A", "EA", x, y))
+    else:
+        fam = P.family
+        for i in range(1, P.n + 1):
+            out.append(algebra.BasisElement(fam, "H", i))
+        for x, y in P.relations:
+            if x < 0 and y < 0 and x != y:
+                out.append(algebra.BasisElement(fam, "X", -x, -y))
+        seen_pairs = set()
+        for x, y in P.relations:
+            if x < 0 < y and -x != y:
+                pair = (min(-x, y), max(-x, y))
+                if pair in seen_pairs:
+                    continue
+                seen_pairs.add(pair)
+                if fam == "C":
+                    out.append(algebra.BasisElement(fam, "Y", pair[0], pair[1]))
+                else:
+                    out.append(algebra.BasisElement(fam, "Y", pair[1], pair[0]))
+        if fam == "C":
+            for i in range(1, P.n + 1):
+                if (-i, i) in P.relations:
+                    out.append(algebra.BasisElement(fam, "Z", i))
+        if fam == "B":
+            for j in range(1, P.n + 1):
+                if (-j, 0) in P.relations:
+                    out.append(algebra.BasisElement(fam, "U", j))
+    out.sort(key=algebra.BasisElement.sort_key)
+    return tuple(out)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpora import type_a_height_one_posets
-from references import bracket, combo_bracket, decompose_in
+from references import basis_by_kinds, bracket, combo_bracket, decompose_in, table_by_brackets
 from lieposet import (
     BasisElement,
     InvariantViolation,
@@ -441,26 +441,46 @@ class TestIntegerStructureConstants:
 
     def test_non_int_constant_raises_where_the_table_is_built(self, monkeypatch):
         # every reader of the table (commutator matrix, spectrum, the
-        # isomorphism verifiers, exports) relies on this one check
-        inner = algebra._bracket
+        # isomorphism verifiers, exports) relies on this one check, made
+        # once per Borel cell as the Borel row is built
+        inner = algebra.decompose
 
-        def as_fractions(a, b):
-            return tuple((e, Fraction(c)) for e, c in inner(a, b))
+        def as_fractions(mat, family):
+            return tuple((e, Fraction(c)) for e, c in inner(mat, family))
 
-        monkeypatch.setattr(algebra, "_bracket", as_fractions)
+        monkeypatch.setattr(algebra, "decompose", as_fractions)
+        algebra._borel.cache_clear()
         structure_constants.cache_clear()
         with pytest.raises(InvariantViolation, match="non-integral"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
 
+    def test_borel_cell_with_two_terms_raises(self, monkeypatch):
+        # a bracket of positive roots is one root vector: a second term in
+        # a Borel cell is a fault of the decomposition, not a table
+        inner = algebra.decompose
+
+        def doubled(mat, family):
+            combo = inner(mat, family)
+            return combo + combo
+
+        monkeypatch.setattr(algebra, "decompose", doubled)
+        algebra._borel.cache_clear()
+        structure_constants.cache_clear()
+        with pytest.raises(InvariantViolation, match="not one term"):
+            structure_constants(build_poset("C", 2, [(-1, 2)]))
+
     def test_bracket_outside_the_basis_raises_not_in_span(self, monkeypatch):
-        # the memo decomposes over the whole family; the span check of P
-        # is the lookup of each element in P's basis
-        foreign = BasisElement("C", "Z", 2)
+        # the Borel table holds every element of the family; the span
+        # check of P is the lookup of each term in P's basis
+        inner = algebra._borel
 
-        def with_foreign(a, b):
-            return ((foreign, 1),)
+        def with_foreign(family, n):
+            basis, position, rows = inner(family, n)
+            foreign = position[BasisElement("C", "Z", 2)]
+            rows = tuple(tuple((J, foreign, c) for J, _, c in row) for row in rows)
+            return basis, position, rows
 
-        monkeypatch.setattr(algebra, "_bracket", with_foreign)
+        monkeypatch.setattr(algebra, "_borel", with_foreign)
         structure_constants.cache_clear()
         with pytest.raises(NotInSpan, match=r"Z\(2\), outside the basis"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
@@ -482,6 +502,8 @@ class TestIntegerStructureConstants:
     def test_basis_built_once_per_cache_miss(self, monkeypatch):
         calls = []
         inner = algebra.build_basis
+        P = build_poset("C", 4, [(-1, 2), (-2, 3), (-3, 4), (-4, 4)])
+        algebra._borel(P.family, P.n)  # the Borel table builds its own basis
 
         def counted(P):
             calls.append(P)
@@ -489,7 +511,6 @@ class TestIntegerStructureConstants:
 
         monkeypatch.setattr(algebra, "build_basis", counted)
         structure_constants.cache_clear()
-        P = build_poset("C", 4, [(-1, 2), (-2, 3), (-3, 4), (-4, 4)])
         structure_constants(P)
         structure_constants(P)
         info = structure_constants.cache_info()
@@ -498,11 +519,11 @@ class TestIntegerStructureConstants:
 
     def test_cache_is_bounded(self):
         assert structure_constants.cache_info().maxsize is not None
-        assert algebra._bracket.cache_info().maxsize == algebra.BRACKET_MEMO_SIZE
+        assert algebra._borel.cache_info().maxsize is not None
 
     def test_bracket_memo_is_shared_across_posets(self, monkeypatch):
-        # a pair bracketed for one poset is looked up, not recomputed, for
-        # the next poset whose basis holds both elements
+        # the Borel table of (family, n) brackets each pair once; every
+        # poset of that family and size slices it and brackets nothing
         counted = []
         true_commutator = algebra.commutator
 
@@ -511,18 +532,19 @@ class TestIntegerStructureConstants:
             return true_commutator(a, b)
 
         monkeypatch.setattr(algebra, "commutator", counting)
-        algebra._bracket.cache_clear()
+        algebra._borel.cache_clear()
         structure_constants.cache_clear()
         path = build_poset("C", 3, [(-1, 2), (-2, 3)])
         structure_constants(path)
         first = len(counted)
         assert first > 0
-        # the same edges plus a loop: [H(3), Z(3)] is the one new pair
         structure_constants(build_poset("C", 3, [(-1, 2), (-2, 3), (-3, 3)]))
-        assert len(counted) == first + 1
         structure_constants.cache_clear()
         structure_constants(path)
-        assert len(counted) == algebra._bracket.cache_info().misses
+        assert len(counted) == first
+        assert algebra._borel.cache_info().misses == 1
+        structure_constants(build_poset("C", 2, [(-1, 2)]))
+        assert len(counted) > first
 
 
 def _all_pairs_table(P):
@@ -555,10 +577,10 @@ class TestRowIndexedTable:
         # heights above (0, 1) included; same table, same key order.  B, C
         # and D realizations are antitranspose-symmetric, so there a column
         # of A meets a row of B exactly when a column of B meets a row of
-        # A; only family A tells a one-sided index from the full one
-        # the memo is emptied first, so every bracket of the table is a
-        # fresh commutator as well
-        algebra._bracket.cache_clear()
+        # A; only family A tells a one-sided index from the full one.
+        # The Borel tables are emptied first, so every bracket the slices
+        # read is a fresh commutator as well
+        algebra._borel.cache_clear()
         structure_constants.cache_clear()
         rng = random.Random(11)
         heights = set()
@@ -575,37 +597,74 @@ class TestRowIndexedTable:
             assert any(h > (0, 1) for h in heights), heights
 
     @pytest.mark.parametrize(
-        "P, calls",
-        [
-            (build_poset("C", 4, []), 0),  # H(i) and H(j) share no row or column
-            (build_poset("C", 3, _general_generators("C", 3)), None),
-        ],
+        "P",
+        [build_poset("C", 4, []), build_poset("C", 3, _general_generators("C", 3))],
         ids=["C4-antichain", "C3-full"],
     )
-    def test_no_commutator_for_pairs_that_cannot_meet(self, monkeypatch, P, calls):
-        # one memo lookup per meeting pair, and one commutator per lookup
-        # the emptied memo misses
-        looked_up, computed = [], []
-        true_bracket, true_commutator = algebra._bracket, algebra.commutator
-
-        def counting_bracket(a, b):
-            looked_up.append((a, b))
-            return true_bracket(a, b)
+    def test_no_commutator_for_pairs_that_cannot_meet(self, monkeypatch, P):
+        # the Borel table of (family, n) brackets each pair of its basis
+        # that meets, once; the slice for P brackets nothing
+        computed = []
+        true_commutator = algebra.commutator
 
         def counting_commutator(a, b):
             computed.append(b)
             return true_commutator(a, b)
 
-        monkeypatch.setattr(algebra, "_bracket", counting_bracket)
         monkeypatch.setattr(algebra, "commutator", counting_commutator)
-        true_bracket.cache_clear()
+        algebra._borel.cache_clear()
         structure_constants.cache_clear()
         structure_constants(P)
+        borel = build_poset(P.family, P.n, _general_generators(P.family, P.n))
+        dim = len(build_basis(borel))
+        assert len(computed) == _meeting_pairs(borel) < dim * (dim - 1) // 2
         structure_constants.cache_clear()
-        dim = len(build_basis(P))
-        assert len(looked_up) == (_meeting_pairs(P) if calls is None else calls)
-        assert len(looked_up) < dim * (dim - 1) // 2
-        assert len(computed) == len(set(looked_up)) == true_bracket.cache_info().misses
+        structure_constants(P)
+        assert len(computed) == _meeting_pairs(borel)
+
+
+class TestBorelSlice:
+    """structure_constants(P) is the Borel table of (P.family, P.n)
+    restricted to the basis of P: the same basis and the same cells, in
+    the same order, as bracketing the basis of P itself.  The basis, read
+    off the leading positions, is the one built kind by kind."""
+
+    @pytest.mark.parametrize("family, n_max", [("C", 4), ("D", 5), ("B", 4)])
+    def test_every_mask_equals_the_bracket_reference(self, family, n_max):
+        structure_constants.cache_clear()
+        for n in range(1, n_max + 1):
+            for P in enumerate_h01(family, n):
+                basis, table = structure_constants(P)
+                ref_basis, ref_table = table_by_brackets(P)
+                assert basis == ref_basis == basis_by_kinds(P), P
+                assert list(table.items()) == list(ref_table.items()), P
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_seeded_general_posets_equal_the_bracket_reference(self, family):
+        # heights above (0, 1) included, and family A, whose Borel poset is
+        # the chain 1 < ... < n
+        rng = random.Random(2600 + ord(family))
+        structure_constants.cache_clear()
+        for _ in range(60):
+            n = rng.randint(2 if family == "A" else 1, 6)
+            candidates = _general_generators(family, n)
+            gens = rng.sample(candidates, min(len(candidates), rng.randint(0, 8)))
+            P = build_poset(family, n, gens)
+            basis, table = structure_constants(P)
+            ref_basis, ref_table = table_by_brackets(P)
+            assert basis == ref_basis == basis_by_kinds(P), P
+            assert list(table.items()) == list(ref_table.items()), P
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_borel_poset_slices_to_the_whole_table(self, family):
+        # the Borel poset is a poset of its family, and its own slice is
+        # the Borel table itself, one term per cell
+        for n in range(2, 6):
+            borel, _, rows = algebra._borel(family, n)
+            P = build_poset(family, n, _general_generators(family, n))
+            basis, table = structure_constants(P)
+            assert basis == borel
+            assert table == {(I, J): ((K, c),) for I, row in enumerate(rows) for J, K, c in row}
 
 
 # Dense references for the sparse products: matrices indexed by the signed

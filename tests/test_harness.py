@@ -223,6 +223,7 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     # a connected Frobenius C4 poset: the path 1-2-3-4 with a loop at 4
     from lieposet import algebra, posets
 
+    algebra._borel("C", 4)  # built once per process, with its own basis
     algebra.structure_constants.cache_clear()
     algebra.build_basis.cache_clear()
 
@@ -320,6 +321,30 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
             assert failure["check"] == "dimension_formula" and failure["status"] == "fail"
         else:
             assert changed == []
+
+
+def test_failed_kirillov_solve_runs_once_and_fails_each_check(monkeypatch):
+    # the triangle C3 is Frobenius; an odd rank from the solve is one
+    # fault, solved once and recorded by each of the three checks that
+    # read the principal element
+    from lieposet import frobenius
+
+    calls = []
+
+    def odd_rank(rows, rhs, ncols):
+        calls.append(ncols)
+        return 1, None
+
+    monkeypatch.setattr(frobenius, "solve", odd_rank)
+    checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
+    mask = _mask("C", 3, [(1, 2), (1, 3), (2, 3)], ())
+    outcomes = run_checks_on_poset("C", 3, mask, checks, seed=0, trials=5)
+    assert len(calls) == 1
+    assert [o["check"] for o in outcomes] == list(checks)
+    message = "evaluated Kirillov form has odd rank 1"
+    assert all(
+        o["witness"] == {"error": "InvariantViolation", "message": message} for o in outcomes
+    )
 
 
 def test_frobenius_kernel_keeps_singular_witness(monkeypatch):

@@ -334,6 +334,8 @@ class TestEarlyStop:
         return calls
 
     def test_oracle_evaluates_through_the_commutator_matrix(self, path_poset, monkeypatch):
+        # a table that does not scale diagonally is evaluated at the drawn
+        # points; one that does is ranked on its H block, unevaluated
         calls = []
 
         def counted(table, values):
@@ -342,6 +344,8 @@ class TestEarlyStop:
 
         monkeypatch.setattr(index_engine, "evaluate", counted)
         index_oracle(path_poset)
+        assert calls == []
+        index_oracle(build_poset("A", 3, [(1, 2), (2, 3)]))
         assert len(calls) >= 1
 
     def test_tight_poset_takes_one_trial(self, path_poset, monkeypatch):
@@ -384,22 +388,50 @@ class TestEarlyStop:
     )
     def test_faults_fall_back_to_sampling(self, four_cycle_poset, terms, monkeypatch):
         basis, table = structure_constants(four_cycle_poset)
-        assert index_engine._scales_diagonally(basis, table)
+        assert index_engine._h_block(basis, table) is not None
         i, j = next(iter(table))
         faulty = {**table, (i, j): terms(i, j)}
-        assert not index_engine._scales_diagonally(basis, faulty)
+        assert index_engine._h_block(basis, faulty) is None
         draws = self._count_draws(monkeypatch)
         got = generic_rank((basis, faulty), trials=5, seed=3)
         assert draws
         ranks = _full_loop_ranks((basis, faulty), 5, 3)
         assert got == max(ranks[: len(draws) // len(basis)])
 
+    def test_h_block_rank_equals_the_full_evaluation(self):
+        # on every table of the acceptance plan, 2 * rank B0 taken on the
+        # H block is the rank of the whole matrix at the all-ones point
+        for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
+            for n in range(1, n_max + 1):
+                for P in enumerate_h01(fam, n):
+                    C = basis, table = structure_constants(P)
+                    full = integer_rank(evaluate(table, [1] * len(basis)), len(basis))
+                    block = index_engine._h_block(basis, table)
+                    h_rank = 2 * integer_rank(block, len(basis) - len(block))
+                    assert h_rank == full == generic_rank(C), P
+
+    def test_h_block_keeps_each_cells_coefficient(self):
+        # B0 = [[1, 1], [1, -1]] has rank 2; with its signs dropped it
+        # would have rank 1
+        basis = tuple(BasisElement("C", *e) for e in (("H", 1), ("H", 2), ("Y", 1, 2), ("Z", 1)))
+        table = {(0, 2): ((2, 1),), (0, 3): ((3, 1),), (1, 2): ((2, 1),), (1, 3): ((3, -1),)}
+        assert index_engine._h_block(basis, table) == [[1, 1], [1, -1]]
+        full = integer_rank(evaluate(table, [1] * 4), 4)
+        assert generic_rank((basis, table)) == full == 4
+
+    def test_h_block_needs_leading_h_elements(self):
+        # a cell from a later H element to a non-H element does not scale
+        # the block: its H row would not lead the matrix
+        basis = (BasisElement("C", "Z", 1), BasisElement("C", "H", 1))
+        assert index_engine._h_block(basis, {(0, 1): ((1, 2),)}) is None
+        assert index_engine._h_block(basis, {(0, 1): ((0, 2),)}) is None
+
     def test_paper_class_scales_diagonally(self):
         # every oracle call of the acceptance plan takes the scaling path
         for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
-                    assert index_engine._scales_diagonally(*structure_constants(P)), P
+                    assert index_engine._h_block(*structure_constants(P)) is not None, P
 
     def test_nonzero_int_reads_the_randint_stream(self):
         # the draws of getrandbits(11) with 2001..2047 and 1000 rejected are
@@ -415,10 +447,16 @@ class TestEarlyStop:
             assert fast.getstate() == reference.getstate()
 
     def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
+        # on the H-block path, and on the sampling path
         low = lambda n, pairs: _term_rank(n, pairs) - 2  # noqa: E731
         monkeypatch.setattr(index_engine, "_term_rank", low)
+        assert index_engine._h_block(*structure_constants(path_poset)) is not None
         with pytest.raises(InvariantViolation, match="ceiling"):
             generic_rank(structure_constants(path_poset))
+        chain = structure_constants(build_poset("A", 3, [(1, 2), (2, 3)]))
+        assert index_engine._h_block(*chain) is None
+        with pytest.raises(InvariantViolation, match="ceiling"):
+            generic_rank(chain)
         report = run_campaign(
             CampaignConfig(plan=(("C", 2),), checks=("formula_vs_oracle",), jobs=1)
         )

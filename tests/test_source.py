@@ -151,3 +151,37 @@ def test_only_algebra_reads_commutator():
             if name == "commutator":
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+
+def _callable_name(node):
+    """The name a Name or Attribute node reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # memory must not grow without bound over a long run: every
+    # lru_cache of the package names its bound as an int literal, and no
+    # bare @lru_cache (an implicit 128) or functools.cache (unbounded)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and _callable_name(node.func) == "lru_cache":
+                bound = [*node.args, *(k.value for k in node.keywords if k.arg == "maxsize")]
+                if not (
+                    bound and isinstance(bound[0], ast.Constant) and type(bound[0].value) is int
+                ):
+                    found.append(where)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    where for d in node.decorator_list
+                    if _callable_name(d) in ("lru_cache", "cache")
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found.extend(where for alias in node.names if alias.name == "cache")
+    assert found == []
