@@ -14,17 +14,21 @@ once by the lcm of its denominators (1 for the standard functional, whose
 weights are 1), the Kirillov form and its elimination stay in ints
 (`linalg`'s Bareiss loop).  Scaling F scales the form and the right-hand
 side alike, so the rank and the solution do not change.  The form is
-evaluated and eliminated once per query: `linalg.solve` gives its rank
-and the solution x from the same pivots.  Only the solution x has a
-denominator.  The fixed-point identity and the spectrum are read off the
-columns of ad(d*x), d the lcm of the denominators of x, that one pass
-over the structure constants gives, in ints, and divided by d at the end.
+evaluated and eliminated once per (P, F): `linalg.solve` gives its rank
+and the solution x from the same pivots, back-substituting in ints and
+building each entry of x as one Fraction, and `_solve_kirillov` keeps
+the last result, so `kernel_dim` followed by `principal_element` solves
+once.  Only the solution x has a denominator.  The fixed-point identity
+and the spectrum are read off the columns of ad(d*x), d the lcm of the
+denominators of x, that one pass over the structure constants gives, in
+ints: the spectrum sorts and counts the integer diagonal (0 and d) and
+divides each entry by d once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
 
@@ -95,6 +99,7 @@ def frobenius_functional(P):
     return functional(P, coeffs)
 
 
+@lru_cache(maxsize=1)
 def _solve_kirillov(P, F):
     """(basis, table, values, rank, x) for the Kirillov form B_F at F's point.
 
@@ -103,15 +108,19 @@ def _solve_kirillov(P, F):
     x solves B_F(x, -) = F, or is None when no solution exists; one
     evaluation and one elimination give both the rank and x.  A skew
     matrix has even rank, so an odd rank raises InvariantViolation.
+
+    The last (P, F) is cached, so a `kernel_dim` and a `principal_element`
+    on it share one solve; values and x are tuples, so no caller can
+    change the cached entry.  A solve that raises is not cached.
     """
     basis, table = structure_constants(P)
     point = F.point(P)
     c = lcm(1, *(v.denominator for v in point.values()))
-    values = [point[b].numerator * (c // point[b].denominator) for b in basis]
+    values = tuple(point[b].numerator * (c // point[b].denominator) for b in basis)
     rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
     if rank % 2:
         raise InvariantViolation(f"evaluated Kirillov form has odd rank {rank}")
-    return basis, table, values, rank, x
+    return basis, table, values, rank, None if x is None else tuple(x)
 
 
 def kernel_dim(P, F):
@@ -142,7 +151,7 @@ def principal_element(P, F):
     basis, table, values, rank, solution = _solve_kirillov(P, F)
     if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
-    coefficients = tuple((b, Fraction(v)) for b, v in zip(basis, solution) if v)
+    coefficients = tuple((b, v) for b, v in zip(basis, solution) if v)
     d, x, columns = _integer_ad(basis, table, coefficients)
     for b, value, column in zip(basis, values, columns):
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
@@ -192,7 +201,9 @@ def spectrum(P, fhat):
     fhat.  When the digraph of its off-diagonal entries is acyclic the
     matrix is triangular in some ordering of the basis, so its diagonal
     entries, over d, are the eigenvalues; otherwise NonEigenbasis is
-    raised.  A diagonal fhat gives a graph with no edges.
+    raised.  A diagonal fhat gives a graph with no edges.  The integer
+    diagonal is sorted and counted (eigenvalue 0 is entry 0, eigenvalue 1
+    is entry d) before each entry becomes one Fraction over d.
     """
     basis, table = structure_constants(P)
     d, _, columns = _integer_ad(basis, table, fhat.coefficients)
@@ -209,10 +220,12 @@ def spectrum(P, fhat):
             del pending[k]
         for rows in pending.values():
             rows.difference_update(free)
-    eigenvalues = tuple(sorted(Fraction(c.get(k, 0), d) for k, c in enumerate(columns)))
+    # d > 0, so sorting the ints sorts the eigenvalues
+    diagonal = sorted(c.get(k, 0) for k, c in enumerate(columns))
+    eigenvalues = tuple(Fraction(v, d) for v in diagonal)
     dim = len(basis)
-    zero = eigenvalues.count(0)
-    one = eigenvalues.count(1)
+    zero = diagonal.count(0)
+    one = diagonal.count(d)
     is_binary = zero == one and zero + one == dim
     return SpectrumReport(
         eigenvalues=eigenvalues,

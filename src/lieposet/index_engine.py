@@ -22,9 +22,10 @@ the non-H end.  Then C(x) = S*C0*S with C0 the matrix at the all-ones
 point and S diagonal and invertible over Q(x), and C0 = [[0, B0], [-B0^T,
 0]], so the generic rank is 2 * rank B0, proved, and it is what every
 trial would find; B0 is the H-by-rest block, h x (dim - h), and its
-doubled rank is even by construction (see `generic_rank`).  Every poset
-of the paper's class takes this path: all 2,188 oracle calls of the plan
-C:4,D:4,B:3 and all 56,903 of C:5,D:5,B:4.  There B0 reads as the
+doubled rank is even by construction (see `generic_rank`).  The ceiling
+there is twice the largest matching in the pattern of B0 alone.  Every
+poset of the paper's class takes this path: all 2,188 oracle calls of
+the plan C:4,D:4,B:3 and all 56,903 of C:5,D:5,B:4.  There B0 reads as the
 unsigned incidence matrix of the relation graph, a loop counting 2,
 whose rank is n minus the number of loop-free bipartite components
 (Grossman, Kulkarni and Schochetman 1995): that is the (0,1) index
@@ -82,32 +83,27 @@ def _nonzero_int(rng):
             return r - 1000
 
 
-def _term_rank(n, pairs):
-    """Term rank of the n x n pattern with cells (i, j) and (j, i) per pair
-    (the keys of a structure-constant table).
+def _matching(adjacency, ncols):
+    """Maximum matching of rows to columns: adjacency[i] lists the
+    columns of row i, all below ncols.
 
-    That is the most cells no two of which share a row or a column.
     Kuhn's augmenting paths (1955): a row with a free column takes it;
     otherwise a depth-first search runs on an explicit stack of (row,
     untried columns, column the row was reached through).  When the top
     row reaches a free column it takes it, and each row below takes the
     column the row above it was reached through.
     """
-    cols = [[] for _ in range(n)]
-    for i, j in pairs:
-        cols[i].append(j)
-        cols[j].append(i)
-    owner = [-1] * n
-    seen = [-1] * n  # the last root whose search reached each column
+    owner = [-1] * ncols
+    seen = [-1] * ncols  # the last root whose search reached each column
     size = 0
-    for root in range(n):
-        for col in cols[root]:
+    for root, cols in enumerate(adjacency):
+        for col in cols:
             if owner[col] < 0:
                 owner[col] = root
                 size += 1
                 break
         else:
-            stack = [(root, iter(cols[root]), None)]
+            stack = [(root, iter(cols), None)]
             while stack:
                 for col in stack[-1][1]:
                     if seen[col] != root:
@@ -121,8 +117,22 @@ def _term_rank(n, pairs):
                         owner[col], col = row, reached
                     size += 1
                     break
-                stack.append((owner[col], iter(cols[owner[col]]), col))
+                stack.append((owner[col], iter(adjacency[owner[col]]), col))
     return size
+
+
+def _term_rank(n, pairs):
+    """Term rank of the n x n pattern with cells (i, j) and (j, i) per pair
+    (the keys of a structure-constant table).
+
+    That is the most cells no two of which share a row or a column: a
+    maximum matching of rows to columns.
+    """
+    cols = [[] for _ in range(n)]
+    for i, j in pairs:
+        cols[i].append(j)
+        cols[j].append(i)
+    return _matching(cols, n)
 
 
 def _h_block(basis, table):
@@ -171,17 +181,23 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     generic rank, so a trial at the ceiling has found the generic rank,
     proved, and the later trials could not raise the maximum: the result
     equals that of all `trials` evaluations.  A rank above the ceiling
-    raises InvariantViolation, on either path.
+    raises InvariantViolation, on either path.  On the block path the
+    pattern is [[0, B0], [-B0^T, 0]], whose term rank is twice the term
+    rank of B0 (the two off-diagonal blocks match independently), so the
+    ceiling is 2 * nu(B0), a matching on the h x (dim - h) pattern of B0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis, table = C
     dim = len(basis)
-    ceiling = _term_rank(dim, table) // 2 * 2
     block = _h_block(basis, table)
     if block is not None:
-        ranks = [2 * integer_rank(block, dim - len(block))]
+        ncols = dim - len(block)
+        pattern = [[j for j, c in enumerate(row) if c] for row in block]
+        ceiling = 2 * _matching(pattern, ncols)
+        ranks = [2 * integer_rank(block, ncols)]
     else:
+        ceiling = _term_rank(dim, table) // 2 * 2
         rng = random.Random(seed)
         ranks = (
             integer_rank(evaluate(table, [_nonzero_int(rng) for _ in basis]), dim)

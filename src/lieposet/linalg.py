@@ -9,8 +9,11 @@ applied when the row is next used, so sparse rows cost only the steps
 that change them.  Matrices are plain lists of rows.  The index oracle
 and the reduction replay call `integer_rank` on int rows.  `solve` takes
 int rows and an int right-hand side, runs the same loop once, and reads
-the rank off the same pivots it back-substitutes from.  Ints go in; only
-the back-substituted solution x is in Fraction.  Every result is exact.
+the rank off the same pivots it back-substitutes from.  Back-substitution
+is fraction-free too: it finds y = D*x in ints, D the last pivot, with
+one exact division per pivot (Nakos, Turner and Williams 1997), and the
+only Fractions built are the entries y_j / D of x, one each.  Every
+result is exact.
 """
 
 from __future__ import annotations
@@ -100,22 +103,37 @@ def solve(rows, rhs, ncols):
     A is given as rows of ints and rhs as ints.  The augmented rows are
     eliminated once; the rank is the number of pivots left of the rhs
     column, and x is None exactly when the rhs column is a pivot (the
-    system is inconsistent).  Back-substitution runs in Fraction with free
-    variables set to zero, so x is the solution the reduced row echelon
-    form gives.
+    system is inconsistent).  Free variables are set to zero, so x is the
+    solution the reduced row echelon form gives.
+
+    Back-substitution stays in ints.  Pivot row k of `_bareiss` is a
+    nonzero multiple of the echelon row, so U x = c, c the rhs column,
+    has the same solutions.  Let D be the last pivot, the minor on the
+    pivot rows and columns.  By Cramer's rule y = D*x is an integer
+    vector, and from the last pivot row up
+
+        y[p_k] = (D*c_k - sum_{j>k} U[k][p_j] * y[p_j]) / U[k][p_k]
+
+    divides exactly; a nonzero remainder raises ArithmeticError.  Each
+    entry of x is then built once, as Fraction(y_j, D).
     """
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     m = [[*row, b] for row, b in zip(rows, rhs)]
     pivots = _bareiss(m, ncols + 1)
+    rank = len(pivots)
     if pivots and pivots[-1] == ncols:
-        return len(pivots) - 1, None
-    x = [Fraction(0)] * ncols
-    for k in reversed(range(len(pivots))):
+        return rank - 1, None
+    D = m[rank - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
+    for k in reversed(range(rank)):
         row = m[k]
-        acc = Fraction(row[ncols])
+        acc = D * row[ncols]
         for j in pivots[k + 1:]:
             if row[j]:
-                acc -= row[j] * x[j]
-        x[pivots[k]] = acc / row[pivots[k]]
-    return len(pivots), x
+                acc -= row[j] * y[j]
+        q, r = divmod(acc, row[pivots[k]])
+        if r:
+            raise ArithmeticError("fraction-free back-substitution not exact")
+        y[pivots[k]] = q
+    return rank, [Fraction(v, D) for v in y]

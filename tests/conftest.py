@@ -1,6 +1,18 @@
 import pytest
 
-from lieposet import build_poset
+from lieposet import build_poset, frobenius
+
+
+@pytest.fixture(autouse=True)
+def fresh_kirillov_solve():
+    """Empty the one-entry Kirillov solve cache before every test.
+
+    A test that patches `frobenius.solve` or `frobenius._integer_ad`
+    would otherwise read a solve cached before the patch, or leave one
+    made under it for the next test; a test that counts eliminations
+    would count none on a cache hit.
+    """
+    frobenius._solve_kirillov.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from lieposet import (
     structure_constants,
 )
 from lieposet import index_engine
-from lieposet.index_engine import ORACLE_TRIALS, _term_rank
+from lieposet.index_engine import ORACLE_TRIALS, _matching, _term_rank
 from lieposet.linalg import integer_rank, solve
 from references import entry
 
@@ -261,6 +261,12 @@ class TestTermRank:
                     basis, table = structure_constants(P)
                     for i, j in table:
                         assert (basis[i].kind == "H") != (basis[j].kind == "H"), P
+                    # the block path takes that ceiling as 2 * nu(B0), on
+                    # the pattern of B0 alone
+                    block = index_engine._h_block(basis, table)
+                    pattern = [[j for j, c in enumerate(row) if c] for row in block]
+                    nu = _matching(pattern, len(basis) - len(block))
+                    assert 2 * nu == _term_rank(len(basis), table), P
 
 
 def _full_loop_ranks(C, trials, seed):
@@ -447,9 +453,12 @@ class TestEarlyStop:
             assert fast.getstate() == reference.getstate()
 
     def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
-        # on the H-block path, and on the sampling path
-        low = lambda n, pairs: _term_rank(n, pairs) - 2  # noqa: E731
-        monkeypatch.setattr(index_engine, "_term_rank", low)
+        # on the H-block path, and on the sampling path: both ceilings
+        # come from the one matching loop, 2 * nu(B0) on the block and
+        # the term rank, rounded down to even, elsewhere
+        true_matching = index_engine._matching
+        low = lambda adjacency, ncols: true_matching(adjacency, ncols) - 2  # noqa: E731
+        monkeypatch.setattr(index_engine, "_matching", low)
         assert index_engine._h_block(*structure_constants(path_poset)) is not None
         with pytest.raises(InvariantViolation, match="ceiling"):
             generic_rank(structure_constants(path_poset))

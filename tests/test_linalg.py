@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieposet import integer_rank
+from lieposet import integer_rank, linalg
 from lieposet.linalg import _bareiss, solve
 
 
@@ -183,6 +183,52 @@ def test_solve_matches_reference_solve(nr, nc, inner, use_fractions, consistent,
     if x is not None:
         assert all(type(v) is Fraction for v in x)
         assert [sum(r[j] * x[j] for j in range(nc)) for r in rows] == rhs
+
+
+# (rows, rhs, ncols).  The last pivot D is 5 on full_rank and -7 on
+# negative_last_pivot; on diagonal, D = 4 shares a factor with every
+# entry of D*x, so each Fraction(y_j, D) must reduce.
+SOLVE_CASES = {
+    "full_rank": ([[2, 1], [1, 3]], [1, 0], 2),
+    "negative_last_pivot": ([[-3, 1], [1, 2]], [1, 1], 2),
+    "diagonal": ([[2, 0], [0, 2]], [2, 1], 2),
+    "singular": ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [1, 2, 3], 3),
+    "skew_singular": ([[0, 1, 0], [-1, 0, 2], [0, -2, 0]], [1, 0, -2], 3),
+    "inconsistent": ([[1, 1], [1, 1]], [0, 1], 2),
+    "inconsistent_skew": ([[0, 1, 0], [-1, 0, 2], [0, -2, 0]], [1, 0, 2], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_solution_entries_are_normalized_fractions(name):
+    rows, rhs, ncols = SOLVE_CASES[name]
+    expected = reference_solve(rows, rhs, ncols)
+    rank, x = solve(rows, rhs, ncols)
+    assert rank == naive_rank(rows)
+    assert (x is None) == name.startswith("inconsistent")
+    assert x == expected
+    for v in x or ():
+        assert type(v) is Fraction
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def test_tampered_pivot_row_raises(monkeypatch):
+    # y = D*x is back-substituted with one exact division per pivot: an
+    # entry of a pivot row off by one after elimination (the coefficient
+    # of x_1 in row 0, 1 -> 2) leaves 7 / 2 in the first step, which
+    # must raise rather than give a wrong x
+    rows, rhs = SOLVE_CASES["full_rank"][:2]
+    assert solve(rows, rhs, 2) == (2, [Fraction(3, 5), Fraction(-1, 5)])
+    true_bareiss = linalg._bareiss
+
+    def tampered(m, ncols):
+        pivots = true_bareiss(m, ncols)
+        m[0][pivots[1]] += 1
+        return pivots
+
+    monkeypatch.setattr(linalg, "_bareiss", tampered)
+    with pytest.raises(ArithmeticError, match="back-substitution not exact"):
+        solve(rows, rhs, 2)
 
 
 def reference_det(rows):
