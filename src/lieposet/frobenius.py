@@ -21,8 +21,10 @@ the last result, so `kernel_dim` followed by `principal_element` solves
 once.  Only the solution x has a denominator.  The fixed-point identity
 and the spectrum are read off the columns of ad(d*x), d the lcm of the
 denominators of x, that one pass over the structure constants gives, in
-ints: the spectrum sorts and counts the integer diagonal (0 and d) and
-divides each entry by d once, at the end.
+ints; `_integer_ad` keeps the last pass, so `principal_element` followed
+by `spectrum` on its element makes one.  The spectrum sorts and counts
+the integer diagonal (0 and d) and builds each distinct eigenvalue, an
+entry over d, once, at the end.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def principal_element(P, F):
     if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
     coefficients = tuple((b, v) for b, v in zip(basis, solution) if v)
-    d, x, columns = _integer_ad(basis, table, coefficients)
+    d, x, columns = _integer_ad(P, coefficients)
     for b, value, column in zip(basis, values, columns):
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
         # X = d*x as F(ad(X)(b)) == d*F(b), column the coordinates of
@@ -203,10 +205,9 @@ def spectrum(P, fhat):
     entries, over d, are the eigenvalues; otherwise NonEigenbasis is
     raised.  A diagonal fhat gives a graph with no edges.  The integer
     diagonal is sorted and counted (eigenvalue 0 is entry 0, eigenvalue 1
-    is entry d) before each entry becomes one Fraction over d.
+    is entry d), and each distinct entry becomes one Fraction over d.
     """
-    basis, table = structure_constants(P)
-    d, _, columns = _integer_ad(basis, table, fhat.coefficients)
+    d, _, columns = _integer_ad(P, fhat.coefficients)
     # repeatedly drop the columns that depend on no other remaining one;
     # the digraph is acyclic exactly when every column goes
     pending = {
@@ -220,10 +221,12 @@ def spectrum(P, fhat):
             del pending[k]
         for rows in pending.values():
             rows.difference_update(free)
-    # d > 0, so sorting the ints sorts the eigenvalues
+    # d > 0, so sorting the ints sorts the eigenvalues; each distinct one
+    # becomes one Fraction
     diagonal = sorted(c.get(k, 0) for k, c in enumerate(columns))
-    eigenvalues = tuple(Fraction(v, d) for v in diagonal)
-    dim = len(basis)
+    fractions = {v: Fraction(v, d) for v in set(diagonal)}
+    eigenvalues = tuple([fractions[v] for v in diagonal])
+    dim = len(columns)
     zero = diagonal.count(0)
     one = diagonal.count(d)
     is_binary = zero == one and zero + one == dim
@@ -236,15 +239,20 @@ def spectrum(P, fhat):
     )
 
 
-def _integer_ad(basis, table, coefficients):
-    """(d, X, columns) for x given as (element, coefficient) pairs: d the
-    lcm of the coefficient denominators, X = d*x as {element: int}, and
-    the columns of ad(X) in basis coordinates as {row: int} maps, zeros
-    dropped.
+@lru_cache(maxsize=1)
+def _integer_ad(P, coefficients):
+    """(d, X, columns) for x in the algebra of P, given as (element,
+    coefficient) pairs: d the lcm of the coefficient denominators, X =
+    d*x as {element: int}, and the columns of ad(X) in basis coordinates,
+    a tuple of {row: int} maps with zeros dropped.
 
-    One pass over the table: [b_i, b_j] = terms adds X_i * terms to
-    column j and, as [b_j, b_i] = -terms, -X_j * terms to column i.
+    One pass over the structure constants: [b_i, b_j] = terms adds X_i *
+    terms to column j and, as [b_j, b_i] = -terms, -X_j * terms to column
+    i.  The last (P, coefficients) is cached, so `principal_element`
+    followed by `spectrum` on its element makes one pass; callers read
+    the result and never change it.
     """
+    basis, table = structure_constants(P)
     d = lcm(1, *(v.denominator for _, v in coefficients))
     X = {b: v.numerator * (d // v.denominator) for b, v in coefficients}
     position = {b: k for k, b in enumerate(basis)}
@@ -258,4 +266,4 @@ def _integer_ad(basis, table, coefficients):
             out = columns[column]
             for k, c in terms:
                 out[k] = out.get(k, 0) + sign * a * c
-    return d, X, [{k: c for k, c in out.items() if c} for out in columns]
+    return d, X, tuple([{k: c for k, c in out.items() if c} for out in columns])

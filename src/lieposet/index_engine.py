@@ -302,10 +302,18 @@ class ReductionTrace:
 
 
 class _Row:
-    __slots__ = ("label", "values")
+    """One row of the replay: its label, the label's string and its values.
+
+    values is a tuple and is never changed in place: a step that changes a
+    row assigns it a new tuple, so a snapshot that holds the old tuple
+    keeps it, and a row no step touches is one object in every snapshot.
+    """
+
+    __slots__ = ("label", "name", "values")
 
     def __init__(self, label, values):
         self.label = label
+        self.name = _label_str(label)
         self.values = values
 
 
@@ -334,16 +342,20 @@ def _tree_path(parent, depth, u, w):
 
 
 def _eliminate(target, source, col):
-    """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly."""
-    t = target.values[col - 1]
+    """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly.
+
+    target gets a new values tuple; the old one is left as it was.
+    """
+    values = list(target.values)
+    t = values[col - 1]
     s = source.values[col - 1]
     for k, b in enumerate(source.values):
         if b:
             q, r = divmod(t * b, s)
             if r:
-                label = _label_str(target.label)
-                raise InvariantViolation(f"inexact step in column {col} of {label}")
-            target.values[k] -= q
+                raise InvariantViolation(f"inexact step in column {col} of {target.name}")
+            values[k] -= q
+    target.values = tuple(values)
 
 
 def reduce(P, seed=0):
@@ -363,6 +375,13 @@ def reduce(P, seed=0):
     remainder, a wrong relabelled row, a missing row or a different end
     rank raises InvariantViolation; no other seed is tried, since exact
     row operations keep the rank at any point.
+
+    A row's values are a tuple that no step changes in place: a step that
+    changes a row gives it a new tuple.  A snapshot holds each row's label
+    string and tuple by reference, so it stores pointers plus the rows its
+    step changed, and a row no step touched is one object in every
+    snapshot.  The loop steps read each vertex's live neighbours off a
+    map that relabel keeps up to date with the edges.
 
     A graph with a loop takes only loop steps.  A loop-free graph is
     reduced along its BFS spanning tree (`RelationGraph.forest`), rooted
@@ -396,19 +415,24 @@ def reduce(P, seed=0):
     def loop_row(v):
         values = [0] * n
         values[v - 1] = -2 * loop_values[v]
-        return values
+        return tuple(values)
 
     rows = []
-    for i, j in sorted(G.edges):
+    for (i, j), value in edge_values.items():
         values = [0] * n
-        values[i - 1] = -edge_values[(i, j)]
-        values[j - 1] = -edge_values[(i, j)]
-        rows.append(_Row(("Y", i, j), values))
+        values[i - 1] = values[j - 1] = -value
+        rows.append(_Row(("Y", i, j), tuple(values)))
     rows += [_Row(("Z", v), loop_row(v)) for v in sorted(G.loops)]
-    # the live graph: the Y and Z rows by label, and the edges and loops
-    # they stand for; relabel keeps all three up to date
+    # the live graph: the Y and Z rows by label, the edges and loops they
+    # stand for, and each vertex's neighbours along those edges; relabel
+    # keeps all four up to date.  edges is a dict in sorted order that
+    # only ever shrinks, so it stays sorted
     by_label = {row.label: row for row in rows}
-    edges, loops = set(G.edges), set(G.loops)
+    edges, loops = dict.fromkeys(edge_values), set(G.loops)
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for i, j in G.edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
 
     def row_for(label):
         row = by_label.get(label)
@@ -438,11 +462,16 @@ def reduce(P, seed=0):
         if any(rest) or (v is not None and not row.values[v - 1]):
             values = ", ".join(map(str, row.values))
             raise InvariantViolation(
-                f"{_label_str(row.label)} row [{values}] is no {_label_str(label)} row"
+                f"{row.name} row [{values}] is no {_label_str(label)} row"
             )
         del by_label[row.label]
-        edges.discard(row.label[1:])
+        if row.label[0] == "Y":
+            _, a, b = row.label
+            del edges[(a, b)]
+            neighbours[a].discard(b)
+            neighbours[b].discard(a)
         row.label = label
+        row.name = _label_str(label)
         if v is not None:
             row.values = loop_row(v)
             by_label[label] = row
@@ -452,13 +481,15 @@ def reduce(P, seed=0):
     rank = integer_rank([r.values for r in rows], n)
 
     def record(kind, detail):
+        # pointers only: each row's name and values tuple are shared with
+        # the row and with every snapshot since the step that set them
         snapshots.append(ReductionStep(
             kind=kind,
             detail=detail,
-            edges=tuple(sorted(edges)),
+            edges=tuple(edges),
             loops=tuple(sorted(loops)),
-            row_labels=tuple(_label_str(r.label) for r in rows),
-            matrix=tuple(tuple(r.values) for r in rows),
+            row_labels=tuple([r.name for r in rows]),
+            matrix=tuple([r.values for r in rows]),
             rank=rank,
         ))
 
@@ -497,9 +528,8 @@ def reduce(P, seed=0):
     def loop_edge():
         """The least loop vertex with an edge and its least neighbour, or None."""
         for i in sorted(loops):
-            nbrs = [b if a == i else a for a, b in edges if i in (a, b)]
-            if nbrs:
-                return i, min(nbrs)
+            if neighbours[i]:
+                return i, min(neighbours[i])
         return None
 
     while (pick := loop_edge()) is not None:

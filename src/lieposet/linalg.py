@@ -51,9 +51,9 @@ def _bareiss(m, ncols):
         piv = -1
         best = 0
         for i in range(row, nr):
-            a = abs(m[i][col])
-            if a > best:
-                best, piv = a, i
+            a = m[i][col]
+            if a and abs(a) > best:  # most entries are 0: skip their abs
+                best, piv = abs(a), i
         if piv < 0:
             continue
         if piv != row:

@@ -75,10 +75,7 @@ class SignedPoset:
         """The HeightPair of a signed poset; read it through :func:`height`."""
         if self.family == "A":
             raise UnsupportedPoset("height pairs apply to families B, C, D")
-        positives = [x for x in self.elements if x > 0]
-        plus = _longest_chain(positives, self.relations) - 1
-        total = _longest_chain(self.elements, self.relations) - 1
-        return HeightPair(plus, total)
+        return _heights(self.elements, self.relations)
 
     @cached_property
     def relation_graph(self):
@@ -200,18 +197,6 @@ def _check_family(family):
         raise ValueError(f"unknown family {family!r}")
 
 
-def _reachable(succ, start):
-    seen = set()
-    stack = list(succ[start])
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(succ[u])
-    return seen
-
-
 def build_poset(family, n, generators, strict=False):
     """Close a generator list into a validated poset.
 
@@ -223,7 +208,8 @@ def build_poset(family, n, generators, strict=False):
     _check_family(family)
     if n < 1:
         raise ValueError("n must be >= 1")
-    ground = set(ground_set(family, n))
+    elements = ground_set(family, n)
+    ground = set(elements)
     pairs = set()
     for x, y in generators:
         if x not in ground or y not in ground:
@@ -243,14 +229,20 @@ def build_poset(family, n, generators, strict=False):
             if strict:
                 raise Condition2Violation(f"({x},{y}) present without ({-y},{-x})")
             pairs.add(mirror)
-    succ = {x: set() for x in ground}
+    # every generator and mirror has x <= y, so the elements above x are
+    # closed before x is reached from the top of the ground set
+    succ = {x: [] for x in ground}
     for x, y in pairs:
-        if x != y:
-            succ[x].add(y)
-    closed = set()
-    for x in ground:
-        closed.add((x, x))
-        closed.update((x, y) for y in _reachable(succ, x))
+        succ[x].append(y)
+    above = {}
+    closed = []
+    for x in reversed(elements):
+        up = {x}
+        for y in succ[x]:
+            if y != x:
+                up |= above[y]
+        above[x] = up
+        closed += [(x, y) for y in up]
     poset = SignedPoset(family, n, frozenset(closed))
     validate(poset)
     return poset
@@ -306,29 +298,33 @@ def covering_relations(P):
     )
 
 
-def _longest_chain(elements, relations):
-    """Cardinality of the longest chain inside the given element subset."""
-    elems = set(elements)
-    if not elems:
-        return 0
-    succ = {x: [] for x in elems}
+def _heights(elements, relations):
+    """HeightPair of a signed poset in one pass from the top of its
+    ascending ground set `elements`.
+
+    best[x] is the most elements of a chain that starts at x.  A chain
+    that starts at a positive element stays positive, so the longest
+    chain of P+ is the largest best over the positives.  A relation
+    against the integer order raises Condition1Violation.
+    """
+    succ = {x: [] for x in elements}
     for x, y in relations:
-        if x != y and x in elems and y in elems:
+        if x < y:
             succ[x].append(y)
+        elif x > y:
+            raise Condition1Violation(f"relation ({x},{y}) has {x} > {y}")
     best = {}
-
-    def depth(x):
-        if x not in best:
-            best[x] = 1 + max((depth(y) for y in succ[x]), default=0)
-        return best[x]
-
-    return max(depth(x) for x in elems)
+    for x in reversed(elements):
+        best[x] = 1 + max([best[y] for y in succ[x]], default=0)
+    plus = max([best[x] for x in elements if x > 0], default=0)
+    return HeightPair(plus - 1, max(best.values(), default=0) - 1)
 
 
 def height(P):
     """Height pair (longest chain in P+ minus one, longest chain minus one).
 
-    Raises UnsupportedPoset for family A.
+    Raises UnsupportedPoset for family A, and Condition1Violation for a
+    relation x > y, which only a hand-built SignedPoset can hold.
     """
     return P.height_pair
 

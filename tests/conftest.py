@@ -5,14 +5,16 @@ from lieposet import build_poset, frobenius
 
 @pytest.fixture(autouse=True)
 def fresh_kirillov_solve():
-    """Empty the one-entry Kirillov solve cache before every test.
+    """Empty the one-entry Kirillov solve and ad-column caches before
+    every test.
 
-    A test that patches `frobenius.solve` or `frobenius._integer_ad`
-    would otherwise read a solve cached before the patch, or leave one
-    made under it for the next test; a test that counts eliminations
-    would count none on a cache hit.
+    A test that patches `frobenius.solve`, `frobenius._integer_ad` or
+    `structure_constants` would otherwise read a result cached before the
+    patch, or leave one made under it for the next test; a test that
+    counts eliminations or passes would count none on a cache hit.
     """
     frobenius._solve_kirillov.cache_clear()
+    frobenius._integer_ad.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Extra poset corpora that only the test suite walks."""
 
-from lieposet import build_poset, covering_relations
+import random
+
+from lieposet import build_poset, covering_relations, poset_from_graph
 
 
 def random_separable_poset(rng, max_positive=4):
@@ -56,3 +58,46 @@ def type_a_height_one_posets(n, connected_only=True):
         if connected_only and not hasse_connected(P):
             continue
         yield P
+
+
+def reduction_graphs(seed, sizes=range(8, 13)):
+    """Seeded connected type-C posets for the reduction replay, per size:
+    a bipartite graph, a loop-free graph with an odd cycle and a looped one.
+
+    Each grows a uniform-attachment spanning tree on 1..n (every vertex in
+    a shuffled order joins an earlier one) and adds chords: bipartite
+    chords join the two sides of the tree, the odd-cycle graph adds one
+    chord within a side first, and the looped graph adds any chords plus
+    two loops.  Only stdlib `random` draws, so the posets depend on the
+    seed alone.
+    """
+    rng = random.Random(seed)
+    posets = []
+    for n in sizes:
+        for kind in ("bipartite", "odd", "looped"):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            side = {order[0]: 0}
+            edges = set()
+            for k in range(1, n):
+                u = order[rng.randrange(k)]
+                side[order[k]] = side[u] ^ 1
+                edges.add((min(u, order[k]), max(u, order[k])))
+            free = [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if (i, j) not in edges
+            ]
+            rng.shuffle(free)
+            if kind == "bipartite":
+                chords = [(i, j) for i, j in free if side[i] != side[j]][:n // 2]
+            elif kind == "odd":
+                same = [e for e in free if side[e[0]] == side[e[1]]]
+                chords = same[:1] + [e for e in free if e not in same[:1]][:n // 2]
+            else:
+                chords = free[:n // 3]
+            edges.update(chords)
+            loops = rng.sample(range(1, n + 1), 2) if kind == "looped" else ()
+            posets.append(poset_from_graph("C", n, sorted(edges), loops))
+    return posets

@@ -179,8 +179,9 @@ class TestPrincipalElement:
         real = frobenius._integer_ad
         for row in rows:
 
-            def integer_ad(basis, table, coefficients):
-                d, x, columns = real(basis, table, coefficients)
+            def integer_ad(P, coefficients):
+                d, x, columns = real(P, coefficients)
+                columns = [dict(column) for column in columns]  # the cached pass stays
                 columns[0][row] = columns[0].get(row, 0) + 1
                 return d, x, columns
 
@@ -304,8 +305,9 @@ class TestSpectrum:
         expected = spectrum(triangle_poset, element)
         real = frobenius._integer_ad
 
-        def integer_ad(basis, table, coefficients):
-            d, x, columns = real(basis, table, coefficients)
+        def integer_ad(P, coefficients):
+            d, x, columns = real(P, coefficients)
+            columns = [dict(column) for column in columns]  # the cached pass stays
             for k in tangled:
                 columns[k][1 - k] = columns[k].get(1 - k, 0) + 1
             return d, x, columns
@@ -344,8 +346,17 @@ class TestSpectrum:
             X = {k: int(d * v) for k, v in x.items()}
             expected = [combo_bracket(P, X, {k: 1}) for k in range(dim)]
             coefficients = tuple((basis[k], v) for k, v in x.items())
-            got = frobenius._integer_ad(basis, table, coefficients)
-            assert got == (d, {basis[k]: v for k, v in X.items()}, expected), P
+            got = frobenius._integer_ad(P, coefficients)
+            assert got == (d, {basis[k]: v for k, v in X.items()}, tuple(expected)), P
+
+    def test_one_ad_pass_for_principal_element_then_spectrum(self, triangle_poset):
+        # spectrum reads the columns of ad(d*x) that principal_element has
+        # just built for the same element: one pass over the table
+        P = triangle_poset
+        report = spectrum(P, principal_element(P, frobenius_functional(P)))
+        assert report.is_binary
+        info = frobenius._integer_ad.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestRationalFunctional:

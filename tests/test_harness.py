@@ -228,20 +228,20 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     algebra.build_basis.cache_clear()
 
     principal_calls = []
-    chain_calls = []
+    height_calls = []
     inner_principal = harness.principal_element
-    inner_chain = posets._longest_chain
+    inner_heights = posets._heights
 
     def counted_principal(P, F):
         principal_calls.append(P)
         return inner_principal(P, F)
 
-    def counted_chain(elements, relations):
-        chain_calls.append(elements)
-        return inner_chain(elements, relations)
+    def counted_heights(elements, relations):
+        height_calls.append(elements)
+        return inner_heights(elements, relations)
 
     monkeypatch.setattr(harness, "principal_element", counted_principal)
-    monkeypatch.setattr(posets, "_longest_chain", counted_chain)
+    monkeypatch.setattr(posets, "_heights", counted_heights)
     mask = _mask("C", 4, [(1, 2), (2, 3), (3, 4)], (4,))
     outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
     by_check = dict(zip(CHECKS, outcomes))
@@ -249,8 +249,8 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     assert len(principal_calls) == 1
     # one basis: the table and the parity check of index_formula share it
     assert algebra.build_basis.cache_info().misses == 1
-    # one height pair: the longest chain in P+ and in P
-    assert len(chain_calls) == 2
+    # one height pair: one pass gives the longest chain in P+ and in P
+    assert len(height_calls) == 1
 
 
 def test_default_report_bytes_pinned_under_optimize():

@@ -140,6 +140,16 @@ class TestHeight:
         P = build_poset("B", 1, [(-1, 0)])
         assert height(P) == (0, 2)  # chain -1 <= 0 <= 1
 
+    @pytest.mark.parametrize("relation", [(1, -1), (2, 1), (-1, -2)])
+    def test_relation_against_the_integer_order_raises(self, relation):
+        # the height pass runs from the top of the ground set, so a
+        # hand-built relation x > y is named, not read as a missing chain
+        reflexive = {(x, x) for x in ground_set("C", 2)}
+        P = SignedPoset("C", 2, frozenset(reflexive | {relation}))
+        x, y = relation
+        with pytest.raises(Condition1Violation, match=f"has {x} > {y}"):
+            height(P)
+
 
 class TestSeparable:
     def test_examples(self, path_poset):

@@ -19,6 +19,7 @@ from lieposet import (
 from lieposet import index_engine
 from lieposet.formats import reduction_trace_json_obj
 from lieposet.linalg import integer_rank
+from corpora import reduction_graphs
 from references import entry
 
 
@@ -281,7 +282,7 @@ class TestReduceReplay:
         def zeroing(target, source, col):
             eliminate(target, source, col)
             if target.label == ("Y", 2, 4):
-                target.values = [0] * len(target.values)
+                target.values = (0,) * len(target.values)
 
         monkeypatch.setattr(index_engine, "_eliminate", zeroing)
         with pytest.raises(InvariantViolation, match="rank drifted from 6 to 5"):
@@ -295,7 +296,7 @@ class TestReduceReplay:
         def smudging(target, source, col):
             eliminate(target, source, col)
             if target.label == ("Y", 2, 3):
-                target.values[0] += 1
+                target.values = (target.values[0] + 1,) + target.values[1:]
 
         monkeypatch.setattr(index_engine, "_eliminate", smudging)
         with pytest.raises(InvariantViolation, match=r"Y\(2,3\) row .* is no Z\(3\) row"):
@@ -319,3 +320,26 @@ class TestReduceReplay:
         assert digest.hexdigest() == (
             "b40824934fca04902ef2318e9609f393b0dbce72daae7307b29c7817924b5974"
         )
+
+    def test_larger_traces_pinned(self):
+        # seeded bipartite, odd-cycle and looped graphs with n = 8..12, two
+        # of each kind and size, each replayed at its own seed
+        posets = reduction_graphs(1) + reduction_graphs(2)
+        digest = hashlib.sha256()
+        for seed, P in enumerate(posets):
+            obj = reduction_trace_json_obj(reduce(P, seed=seed))
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+        assert len(posets) == 30
+        assert digest.hexdigest() == (
+            "c60f6c4dbda62ae91b7f6012aada9571eecec757994a2adf7cf12c8eaaa4df32"
+        )
+
+    def test_snapshots_share_unchanged_rows(self):
+        # a row that a step leaves alone is the same tuple in the snapshot
+        # before and after it, and a row that the step changes is not
+        for seed, P in enumerate(reduction_graphs(1)):
+            trace = reduce(P, seed=seed)
+            snapshots = (trace.initial,) + trace.steps
+            for before, after in zip(snapshots, snapshots[1:]):
+                for old, new in zip(before.matrix, after.matrix):
+                    assert (old is new) == (old == new), (P, after.detail)
