@@ -7,6 +7,17 @@ where it does not apply and a witness dict on a failure, so a pass or a
 skip builds no witness.  Outcomes are counted as they arrive and only
 failures are kept: memory does not grow with the plan, and with a fixed
 seed the JSON report is byte identical across runs and worker counts.
+
+Derived objects are shared at two scopes.  A CheckContext holds what one
+poset's checks share: its oracle, its principal element and the oracle
+of each of its component subposets.  The campaign shares the index of a
+component subposet across posets, keyed by the component after the
+order-preserving relabelling onto 1..k; an index enters that memo only
+when its oracle drew no trial point, since it then depends on the
+component alone and not on the seed of the poset that holds it.  Every
+component of the paper's class takes that path, so each distinct one is
+built and ranked once per campaign.  `run_campaign` empties the memo
+before it starts, so a campaign, and each worker it forks, starts empty.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from .frobenius import (
     principal_element,
     spectrum,
 )
-from .index_engine import index_formula, index_oracle, reduce
+from .index_engine import index_formula, index_oracle, index_oracle_sampled, reduce
 from .posets import (
     SIGNED_FAMILIES,
     graph_components,
@@ -43,6 +54,14 @@ SKIPPED = "skipped"
 # posets per pool task: a constant, so that the results a chunk holds in
 # a worker and in the parent do not grow with the plan
 POOL_CHUNK = 32
+
+# distinct component subposets the campaign memo holds, least recently
+# used dropped first; the plan C:5,D:5,B:4 has 690
+COMPONENT_MEMO_SIZE = 1024
+
+# component key -> index, for the components whose oracle drew nothing;
+# least recently used first
+_component_index = {}
 
 
 def _mix(*parts):
@@ -101,9 +120,10 @@ class CampaignConfig:
 class CheckContext:
     """Seed and trials for one poset's checks, plus their memo.
 
-    Build one per poset: the memo holds the oracle of the poset and of
-    its component subposets, and the principal element of the poset, or
-    the exception one raised, which each later reader gets again.
+    Build one per poset: the memo holds the oracle of the poset, the
+    oracle of each component subposet that the campaign memo does not
+    hold, and the principal element of the poset, or the exception one
+    raised, which each later reader gets again.
     """
 
     seed: int
@@ -134,6 +154,54 @@ class CheckContext:
             lambda: principal_element(P, frobenius_functional(P)),
         )
 
+    def component(self, P, vertices, key):
+        """The oracle index of the component subposet of P on ±vertices.
+
+        `key` is the component relabelled onto 1..k (`_component_keys`).
+        Its index is read from the campaign memo, or computed at this
+        context's seed and trials and stored there when its oracle drew
+        nothing.  A sampled index, or an exception, stays in this context's
+        memo only.
+        """
+        index = _component_index.pop(key, None)
+        if index is None:
+            index, sampled = self._once(
+                ("component", key),
+                lambda: index_oracle_sampled(
+                    induced_subposet(P, [v for w in vertices for v in (w, -w)]),
+                    trials=self.trials,
+                    seed=self.seed,
+                ),
+            )
+            if sampled:
+                return index
+            if len(_component_index) >= COMPONENT_MEMO_SIZE:
+                del _component_index[next(iter(_component_index))]
+        _component_index[key] = index
+        return index
+
+
+def _component_keys(P, G, comps):
+    """(family, k, edges, loops) of each of comps, the components of the
+    relation graph G of P, relabelled onto 1..k in vertex order, as
+    `induced_subposet` does.
+
+    The family is that of the component subposet: D for a B poset, whose
+    component drops 0.
+    """
+    family = "D" if P.family == "B" else P.family
+    edges, loops = sorted(G.edges), sorted(G.loops)
+    keys = []
+    for comp in comps:
+        label = {v: k for k, v in enumerate(comp.vertices, start=1)}
+        keys.append((
+            family,
+            len(comp.vertices),
+            tuple((label[i], label[j]) for i, j in edges if i in label),
+            tuple(label[v] for v in loops if v in label),
+        ))
+    return keys
+
 
 def check_dimension_formula(P, ctx):
     G = relation_graph(P)
@@ -149,17 +217,17 @@ def check_formula_vs_oracle(P, ctx):
 
 
 def check_disjoint_additivity(P, ctx):
-    comps = graph_components(relation_graph(P))
+    G = relation_graph(P)
+    comps = graph_components(G)
     if len(comps) == 1 and P.family != "B":
         # one component spans every vertex, so it induces P itself; in
         # family B the induced subposet would drop 0 and be of type D
-        parts = [P]
+        total = ctx.oracle(P)
     else:
-        parts = [
-            induced_subposet(P, [v for w in comp.vertices for v in (w, -w)])
-            for comp in comps
-        ]
-    total = sum(ctx.oracle(part) for part in parts)
+        total = sum(
+            ctx.component(P, comp.vertices, key)
+            for comp, key in zip(comps, _component_keys(P, G, comps))
+        )
     whole = ctx.oracle(P)
     if total == whole:
         return None
@@ -309,6 +377,7 @@ def run_campaign(cfg):
         for mask in range(size)
     )
     jobs = min(cfg.jobs, total)
+    _component_index.clear()
     summary = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in checks}
     failures = []
     with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:

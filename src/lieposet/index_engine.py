@@ -24,8 +24,8 @@ point and S diagonal and invertible over Q(x), and C0 = [[0, B0], [-B0^T,
 trial would find; B0 is the H-by-rest block, h x (dim - h), and its
 doubled rank is even by construction (see `generic_rank`).  The ceiling
 there is twice the largest matching in the pattern of B0 alone.  Every
-poset of the paper's class takes this path: all 2,188 oracle calls of
-the plan C:4,D:4,B:3 and all 56,903 of C:5,D:5,B:4.  There B0 reads as the
+poset of the paper's class takes this path: all 1,228 oracle calls of
+the plan C:4,D:4,B:3 and all 35,730 of C:5,D:5,B:4.  There B0 reads as the
 unsigned incidence matrix of the relation graph, a loop counting 2,
 whose rank is n minus the number of loop-free bipartite components
 (Grossman, Kulkarni and Schochetman 1995): that is the (0,1) index
@@ -186,6 +186,12 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     rank of B0 (the two off-diagonal blocks match independently), so the
     ceiling is 2 * nu(B0), a matching on the h x (dim - h) pattern of B0.
     """
+    return _generic_rank(C, trials, seed)[0]
+
+
+def _generic_rank(C, trials, seed):
+    """generic_rank(C, trials, seed), and whether it drew trial points:
+    False on the block path, whose rank depends on the table alone."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis, table = C
@@ -214,13 +220,24 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
         best = max(best, rank)
         if best == ceiling:
             break
-    return best
+    return best, block is None
 
 
 def index_oracle(P, trials=ORACLE_TRIALS, seed=0):
     """dim minus the generic rank of the commutator matrix."""
     basis, table = structure_constants(P)
     return len(basis) - generic_rank((basis, table), trials=trials, seed=seed)
+
+
+def index_oracle_sampled(P, trials=ORACLE_TRIALS, seed=0):
+    """index_oracle(P, trials, seed), and whether its rank drew trial points.
+
+    Where it drew none, the rank is that of the H block (`_h_block`): the
+    index then depends on P alone, not on trials or seed.
+    """
+    basis, table = structure_constants(P)
+    rank, sampled = _generic_rank((basis, table), trials, seed)
+    return len(basis) - rank, sampled
 
 
 def index_formula(P):

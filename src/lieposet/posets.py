@@ -204,6 +204,15 @@ def build_poset(family, n, generators, strict=False):
     and D the mirror (-y, -x) of each generator (x, y) with x != -y is
     added automatically; with strict=True a missing mirror raises
     Condition2Violation instead.
+
+    The closure satisfies every axiom that `validate` checks but one by
+    construction, so it is not validated again.  It holds (x, x) for each
+    x and is transitive.  Each generator and mirror has x <= y in the
+    integer order, and so has each composite, which makes the closure
+    antisymmetric.  The generators with their mirrors are mirror closed,
+    and so is their closure, since a chain x <= y <= z mirrors to the
+    chain -z <= -y <= -x.  What remains is condition 3, checked here: in
+    B and D, i may not cover -i.
     """
     _check_family(family)
     if n < 1:
@@ -244,7 +253,7 @@ def build_poset(family, n, generators, strict=False):
         above[x] = up
         closed += [(x, y) for y in up]
     poset = SignedPoset(family, n, frozenset(closed))
-    validate(poset)
+    _check_condition3(poset)
     return poset
 
 
@@ -280,9 +289,13 @@ def validate(P):
         for x, y in rel:
             if x != -y and (-y, -x) not in rel:
                 raise Condition2Violation(f"({x},{y}) present without ({-y},{-x})")
+    _check_condition3(P)
+
+
+def _check_condition3(P):
     if P.family in ("B", "D"):
         for i in range(1, P.n + 1):
-            if (-i, i) in rel and _is_cover(P, -i, i):
+            if (-i, i) in P.relations and _is_cover(P, -i, i):
                 raise Condition3Violation(f"{i} covers {-i}")
 
 

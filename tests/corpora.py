@@ -2,7 +2,29 @@
 
 import random
 
-from lieposet import build_poset, covering_relations, poset_from_graph
+from lieposet import build_poset, covering_relations, ground_set, poset_from_graph
+
+
+def general_generators(family, n):
+    """Every x < y of the ground set; B and D leave out -i < i, which may
+    not be a cover there (the closure adds it when something lies between)."""
+    ground = ground_set(family, n)
+    return [
+        (x, y) for x in ground for y in ground
+        if x < y and (family == "C" or x != -y)
+    ]
+
+
+def seeded_general_posets(family, seed, count=60, n_max=6, max_gens=8):
+    """`count` posets of the family, each closed from a random sample of at
+    most max_gens of its general generators: any height, and family A too,
+    from n = 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2 if family == "A" else 1, n_max)
+        candidates = general_generators(family, n)
+        gens = rng.sample(candidates, min(len(candidates), rng.randint(0, max_gens)))
+        yield build_poset(family, n, gens)
 
 
 def random_separable_poset(rng, max_positive=4):

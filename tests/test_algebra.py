@@ -1,14 +1,13 @@
 import hashlib
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpora import type_a_height_one_posets
+from corpora import general_generators, seeded_general_posets, type_a_height_one_posets
 from references import basis_by_kinds, bracket, combo_bracket, decompose_in, table_by_brackets
 from lieposet import (
     BasisElement,
@@ -383,21 +382,11 @@ class TestIsomorphisms:
             verify_B_reduction(build_poset("B", 1, [(-1, 0)]))
 
 
-def _general_generators(family, n):
-    """Every x < y of the ground set; B and D leave out -i < i, which may
-    not be a cover there (the closure adds it when something lies between)."""
-    ground = ground_set(family, n)
-    return [
-        (x, y) for x in ground for y in ground
-        if x < y and (family == "C" or x != -y)
-    ]
-
-
 def _general_posets(families, n_max, max_gens):
     """Every poset closed from at most max_gens generators, per family."""
     for family in families:
         for n in range(1, n_max + 1):
-            candidates = _general_generators(family, n)
+            candidates = general_generators(family, n)
             for k in range(max_gens + 1):
                 for gens in itertools.combinations(candidates, k):
                     yield build_poset(family, n, gens)
@@ -407,7 +396,7 @@ def _general_posets(families, n_max, max_gens):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_bracket_closure_on_general_posets(family, n, data):
-    candidates = _general_generators(family, n)
+    candidates = general_generators(family, n)
     gens = []
     if candidates:  # D1 has none: its one poset is the antichain
         gens = data.draw(st.lists(st.sampled_from(candidates), max_size=5))
@@ -582,13 +571,8 @@ class TestRowIndexedTable:
         # read is a fresh commutator as well
         algebra._borel.cache_clear()
         structure_constants.cache_clear()
-        rng = random.Random(11)
         heights = set()
-        for _ in range(40):
-            n = rng.randint(1 if family != "A" else 2, 4)
-            candidates = _general_generators(family, n)
-            gens = rng.sample(candidates, min(len(candidates), rng.randint(0, 6)))
-            P = build_poset(family, n, gens)
+        for P in seeded_general_posets(family, 11, count=40, n_max=4, max_gens=6):
             if family != "A":
                 heights.add(height(P))
             _, table = structure_constants(P)
@@ -598,7 +582,7 @@ class TestRowIndexedTable:
 
     @pytest.mark.parametrize(
         "P",
-        [build_poset("C", 4, []), build_poset("C", 3, _general_generators("C", 3))],
+        [build_poset("C", 4, []), build_poset("C", 3, general_generators("C", 3))],
         ids=["C4-antichain", "C3-full"],
     )
     def test_no_commutator_for_pairs_that_cannot_meet(self, monkeypatch, P):
@@ -615,7 +599,7 @@ class TestRowIndexedTable:
         algebra._borel.cache_clear()
         structure_constants.cache_clear()
         structure_constants(P)
-        borel = build_poset(P.family, P.n, _general_generators(P.family, P.n))
+        borel = build_poset(P.family, P.n, general_generators(P.family, P.n))
         dim = len(build_basis(borel))
         assert len(computed) == _meeting_pairs(borel) < dim * (dim - 1) // 2
         structure_constants.cache_clear()
@@ -643,13 +627,8 @@ class TestBorelSlice:
     def test_seeded_general_posets_equal_the_bracket_reference(self, family):
         # heights above (0, 1) included, and family A, whose Borel poset is
         # the chain 1 < ... < n
-        rng = random.Random(2600 + ord(family))
         structure_constants.cache_clear()
-        for _ in range(60):
-            n = rng.randint(2 if family == "A" else 1, 6)
-            candidates = _general_generators(family, n)
-            gens = rng.sample(candidates, min(len(candidates), rng.randint(0, 8)))
-            P = build_poset(family, n, gens)
+        for P in seeded_general_posets(family, 2600 + ord(family)):
             basis, table = structure_constants(P)
             ref_basis, ref_table = table_by_brackets(P)
             assert basis == ref_basis == basis_by_kinds(P), P
@@ -661,7 +640,7 @@ class TestBorelSlice:
         # the Borel table itself, one term per cell
         for n in range(2, 6):
             borel, _, rows = algebra._borel(family, n)
-            P = build_poset(family, n, _general_generators(family, n))
+            P = build_poset(family, n, general_generators(family, n))
             basis, table = structure_constants(P)
             assert basis == borel
             assert table == {(I, J): ((K, c),) for I, row in enumerate(rows) for J, K, c in row}
@@ -721,7 +700,7 @@ def test_commutator_matches_dense_reference(pair):
 
 
 _FULL_BASES = [
-    build_basis(build_poset(family, n, _general_generators(family, n)))
+    build_basis(build_poset(family, n, general_generators(family, n)))
     for family, n in (("A", 3), ("B", 2), ("C", 2), ("D", 3))
 ]
 

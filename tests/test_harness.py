@@ -25,6 +25,8 @@ from lieposet import (
     h01_slots,
     index_formula,
     index_oracle,
+    induced_subposet,
+    poset_from_graph,
     poset_from_mask,
     reduce,
     relation_graph,
@@ -32,7 +34,7 @@ from lieposet import (
     report_text,
     run_campaign,
 )
-from lieposet import harness
+from lieposet import harness, index_engine
 from lieposet.harness import CHECKS, SKIPPED, run_checks_on_poset
 
 
@@ -183,14 +185,18 @@ def _mask(family, n, edges, loops=()):
     ],
 )
 def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, components):
+    # the whole poset ranks through index_oracle, a component subposet
+    # through index_oracle_sampled
     calls = []
-    inner = harness.index_oracle
 
-    def counted(P, **kwargs):
-        calls.append(P)
-        return inner(P, **kwargs)
+    def counting(inner):
+        def counted(P, **kwargs):
+            calls.append(P)
+            return inner(P, **kwargs)
+        return counted
 
-    monkeypatch.setattr(harness, "index_oracle", counted)
+    for name in ("index_oracle", "index_oracle_sampled"):
+        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
     mask = _mask("C", 4, edges, loops)
     assert len(graph_components(relation_graph(poset_from_mask("C", 4, mask)))) == components
     outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
@@ -217,6 +223,115 @@ def test_spanning_component_is_the_poset_itself(monkeypatch, family, induced):
     assert harness.check_disjoint_additivity(P, ctx) is None
     assert len(calls) == induced
     assert len(ctx.memo) == 1 + induced
+
+
+def _components(family, n, mask):
+    """(vertices, key) of each component of a poset of the mask."""
+    P = poset_from_mask(family, n, mask)
+    G = relation_graph(P)
+    comps = graph_components(G)
+    return P, [(c.vertices, key) for c, key in zip(comps, harness._component_keys(P, G, comps))]
+
+
+def test_component_key_determines_the_subposet():
+    # the key read off the relation graph rebuilds the very subposet that
+    # induced_subposet cuts out, so equal keys mean equal subposets
+    for family, n_max in (("C", 4), ("D", 4), ("B", 3)):
+        for n in range(1, n_max + 1):
+            for mask in range(1 << sum(map(len, h01_slots(family, n)))):
+                P, parts = _components(family, n, mask)
+                for vertices, (kind, k, edges, loops) in parts:
+                    part = induced_subposet(P, [v for w in vertices for v in (w, -w)])
+                    assert part == poset_from_graph(kind, k, edges, loops), (P, vertices)
+
+
+def test_sampled_components_rank_at_each_posets_seed(monkeypatch):
+    # with the H block forced away every oracle draws, so the component
+    # shared by the two posets (the edge 1-2 relabelled) is ranked at each
+    # poset's own seed and the campaign memo stays empty
+    monkeypatch.setattr(index_engine, "_h_block", lambda basis, table: None)
+    calls = []
+    inner = harness.index_oracle_sampled
+
+    def counted(P, trials, seed):
+        calls.append((P, seed))
+        return inner(P, trials=trials, seed=seed)
+
+    monkeypatch.setattr(harness, "index_oracle_sampled", counted)
+    shared = poset_from_graph("C", 2, [(1, 2)])
+    masks = [_mask("C", 3, [(1, 2)]), _mask("C", 3, [(2, 3)])]
+    for mask in masks:
+        assert run_checks_on_poset("C", 3, mask, ("disjoint_additivity",), 0, 5) == [None]
+    seeds = [harness.poset_seed(0, "C", 3, mask) for mask in masks]
+    assert seeds[0] != seeds[1]
+    assert [seed for P, seed in calls if P == shared] == seeds
+    assert len(calls) == 4 and harness._component_index == {}
+
+
+def test_raising_component_oracle_fails_every_poset_holding_it(monkeypatch):
+    # nothing is stored for a component whose oracle raises, so each
+    # poset that contains it records the failure, not only the first
+    shared = poset_from_graph("C", 2, [(1, 2)])
+    inner = harness.index_oracle_sampled
+
+    def faulty(P, trials, seed):
+        if P == shared:
+            raise ZeroDivisionError("injected")
+        return inner(P, trials=trials, seed=seed)
+
+    monkeypatch.setattr(harness, "index_oracle_sampled", faulty)
+    key = ("C", 2, ((1, 2),), ())
+    expected = set()
+    for n in (1, 2, 3):
+        for mask in range(1 << sum(map(len, h01_slots("C", n)))):
+            _, parts = _components("C", n, mask)
+            if len(parts) > 1 and any(k == key for _, k in parts):
+                expected.add((n, mask))
+    report = run_campaign(CampaignConfig(plan=(("C", 3),), checks=("disjoint_additivity",)))
+    failed = {(f["poset"]["n"], f["poset"]["mask"]) for f in report["failures"]}
+    assert len(expected) > 1 and failed == expected
+    assert {f["witness"]["error"] for f in report["failures"]} == {"ZeroDivisionError"}
+    assert key not in harness._component_index
+
+
+def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch):
+    # the acceptance plan: 44 distinct components, built and ranked once
+    # each, beside the 1,184 posets' own oracles; a second campaign in the
+    # same process starts from an empty memo and counts the same
+    counts = {"induced_subposet": 0, "index_oracle": 0, "index_oracle_sampled": 0}
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    cfg = CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)), seed=0)
+    for _ in range(2):
+        payload = report_json_bytes(run_campaign(cfg))
+        assert hashlib.sha256(payload).hexdigest().startswith("13c5722d")
+        assert counts == {"induced_subposet": 44, "index_oracle": 1184,
+                          "index_oracle_sampled": 44}
+        assert len(harness._component_index) == 44
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def test_component_memo_bound_and_reset(monkeypatch):
+    # a memo bounded at two entries drops the least recently used, and a
+    # wrong entry left from before a campaign is emptied by run_campaign
+    cfg = CampaignConfig(plan=(("C", 3), ("D", 3)), seed=4)
+    unbounded = report_json_bytes(run_campaign(cfg))
+    monkeypatch.setattr(harness, "COMPONENT_MEMO_SIZE", 2)
+    harness._component_index[("C", 1, (), ())] = 99
+    assert report_json_bytes(run_campaign(cfg)) == unbounded
+    assert len(harness._component_index) == 2
+    ctx = harness.CheckContext(seed=0, trials=5)
+    P, parts = _components("C", 3, _mask("C", 3, [(1, 2)], (3,)))
+    for vertices, key in parts:
+        ctx.component(P, vertices, key)
+    assert list(harness._component_index) == [key for _, key in parts]
 
 
 def test_derived_objects_computed_once_per_poset(monkeypatch):

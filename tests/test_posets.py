@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpora import seeded_general_posets
 from lieposet import (
     AntisymmetryViolation,
     BadElement,
@@ -108,6 +109,17 @@ class TestBuild:
         # validate are reached only through a hand-built SignedPoset
         with pytest.raises(error, match=message):
             validate(SignedPoset("C", n, frozenset(relations)))
+
+    def test_validate_accepts_every_closure(self):
+        # build_poset does not validate the closure it builds, since the
+        # closure holds every axiom by construction; validate agrees
+        for family, n_max in (("C", 4), ("D", 5), ("B", 4)):
+            for n in range(1, n_max + 1):
+                for P in enumerate_h01(family, n):
+                    validate(P)
+        for family in "ABCD":
+            for P in seeded_general_posets(family, 2600 + ord(family)):
+                validate(P)
 
     def test_non_cover_loop_is_legal_in_type_d(self):
         # -2 <= 1 and 1 <= 2 compose to -2 <= 2 through 1, not a cover
