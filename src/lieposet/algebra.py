@@ -33,8 +33,9 @@ pairs of the Borel basis once per (family, n), and only those where a
 column of one realization is a row of the other (A*B is zero otherwise).
 A bracket of positive roots is a multiple of one root vector, and the
 realizations have entries +-1, so each Borel cell holds one int term;
-that is checked there, once.  `structure_constants` only slices: a term
-outside the basis of P raises NotInSpan.  The Borel tables sit in an
+that is checked there, once, and it is why a cell of a per-poset table
+is one (k, c) pair.  `structure_constants` only slices: a term outside
+the basis of P raises NotInSpan.  The Borel tables sit in an
 lru_cache of 32 (family, n) pairs; the 22 sizes C6..C14, D6..D12 and
 B5..B10 hold 14,239 cells in 1.4 MB (tracemalloc).  The per-poset
 tables sit in a cache of 256: most of its hits are one poset's checks
@@ -275,9 +276,9 @@ def _borel(family, n):
 def structure_constants(P):
     """Canonical basis and the table of brackets between its elements.
 
-    Returns (basis, table) where table maps (i, j) with i < j to a tuple
-    of (k, coefficient) pairs, one pair with an int coefficient; absent
-    keys mean a zero bracket and the skew entries follow by antisymmetry.
+    Returns (basis, table) where table maps (i, j) with i < j to one
+    (k, c) pair, [b_i, b_j] = c * b_k with c an int; absent keys mean a
+    zero bracket and the skew entries follow by antisymmetry.
     The cells are the Borel cells between elements of P, re-indexed, in
     the Borel order.  A term outside the basis of P raises NotInSpan.
     """
@@ -291,7 +292,7 @@ def structure_constants(P):
                 continue
             if K not in local:
                 raise NotInSpan(f"[{borel[I]!r},{borel[J]!r}] has {borel[K]!r}, outside the basis")
-            table[(i, local[J])] = ((local[K], c),)
+            table[(i, local[J])] = (local[K], c)
     return basis, table
 
 
@@ -299,15 +300,15 @@ def evaluate(table, values):
     """Rows of the commutator matrix ([x_i, x_j]) of a structure-constant
     table at values given in basis order.
 
-    Entry (i, j) of table holds the linear form sum(values[k] * c): v at
-    (i, j), -v at (j, i), 0 where the table has no entry.  The number
-    type of values is kept: int values give int rows, rational values
-    give rational (or int zero) entries.
+    Entry (i, j) of table holds one (k, c) pair, the linear form
+    values[k] * c: v at (i, j), -v at (j, i), 0 where the table has no
+    entry.  The number type of values is kept: int values give int rows,
+    rational values give rational (or int zero) entries.
     """
     dim = len(values)
     rows = [[0] * dim for _ in range(dim)]
-    for (i, j), terms in table.items():
-        v = sum(values[k] * c for k, c in terms)
+    for (i, j), (k, c) in table.items():
+        v = values[k] * c
         rows[i][j] = v
         rows[j][i] = -v
     return rows
@@ -380,9 +381,9 @@ def verify_CD_isomorphism(P):
         raise NoSignRescaling("bases do not correspond")
     equations = []
     for i, j in sorted(set(table_d) | set(table_c)):
-        # each cell holds one term; a missing cell reads as (None, 0)
-        ((kd, cd),) = table_d.get((i, j), ((None, 0),))
-        ((kc, cc),) = table_c.get((i, j), ((None, 0),))
+        # a missing cell reads as (None, 0)
+        kd, cd = table_d.get((i, j), (None, 0))
+        kc, cc = table_c.get((i, j), (None, 0))
         if kd != kc or abs(cd) != abs(cc):
             raise NoSignRescaling(
                 f"constants differ in magnitude at [{basis_d[i]!r},{basis_d[j]!r}]"
@@ -393,8 +394,8 @@ def verify_CD_isomorphism(P):
         raise NoSignRescaling("parity constraints are inconsistent")
     solution += [0] * (len(basis_d) - len(solution))
     eps = tuple(1 if v == 0 else -1 for v in solution)
-    for (i, j), ((k, cd),) in table_d.items():
-        if eps[i] * eps[j] * eps[k] * cd != table_c[(i, j)][0][1]:
+    for (i, j), (k, cd) in table_d.items():
+        if eps[i] * eps[j] * eps[k] * cd != table_c[(i, j)][1]:
             raise NoSignRescaling("rescaled tables still differ")
     return eps
 

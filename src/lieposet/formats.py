@@ -159,42 +159,33 @@ def matrix_form_text(P):
     return "\n".join(lines) + "\n"
 
 
-def linear_form_str(terms):
-    """Render ((position, coeff), ...) as a sum of x<k+1> symbols."""
-    if not terms:
+def linear_form_str(cell):
+    """Render one (k, c) pair as c times the symbol x<k+1>, and None as 0."""
+    if cell is None:
         return "0"
-    parts = []
-    for k, coeff in sorted(terms):
-        symbol = f"x{k + 1}"
-        if coeff == 1:
-            chunk = symbol
-        elif coeff == -1:
-            chunk = f"-{symbol}"
-        else:
-            chunk = f"{coeff}*{symbol}"
-        if parts and not chunk.startswith("-"):
-            parts.append(f"+ {chunk}")
-        elif parts:
-            parts.append(f"- {chunk[1:]}")
-        else:
-            parts.append(chunk)
-    return " ".join(parts)
+    k, c = cell
+    symbol = f"x{k + 1}"
+    if c == 1:
+        return symbol
+    if c == -1:
+        return f"-{symbol}"
+    return f"{c}*{symbol}"
 
 
 def _commutator_grid(P):
-    """The basis of P and every entry of its commutator matrix, as a
-    sorted tuple of (position, coefficient) pairs."""
+    """The basis of P and every entry of its commutator matrix: one (k, c)
+    pair, or None where the entry is zero."""
     basis, table = structure_constants(P)
-    grid = [[() for _ in basis] for _ in basis]
-    for (i, j), terms in table.items():
-        grid[i][j] = terms
-        grid[j][i] = tuple((k, -c) for k, c in terms)
+    grid = [[None] * len(basis) for _ in basis]
+    for (i, j), (k, c) in table.items():
+        grid[i][j] = (k, c)
+        grid[j][i] = (k, -c)
     return basis, grid
 
 
 def commutator_matrix_text(P):
     basis, grid = _commutator_grid(P)
-    cells = [[linear_form_str(terms) for terms in row] for row in grid]
+    cells = [[linear_form_str(cell) for cell in row] for row in grid]
     width = max((len(cell) for row in cells for cell in row), default=1)
     lines = [
         "basis: " + ", ".join(f"x{k + 1}={b!r}" for k, b in enumerate(basis))
@@ -209,7 +200,7 @@ def commutator_matrix_json_obj(P):
     return {
         "basis": [repr(b) for b in basis],
         "entries": [
-            [[[k, str(c)] for k, c in terms] for terms in row]
+            [[] if cell is None else [[cell[0], str(cell[1])]] for cell in row]
             for row in grid
         ],
     }
@@ -218,11 +209,8 @@ def commutator_matrix_json_obj(P):
 def structure_constants_text(P):
     basis, table = structure_constants(P)
     lines = ["basis: " + ", ".join(repr(b) for b in basis)]
-    for (i, j), terms in sorted(table.items()):
-        rhs = " + ".join(
-            (f"{c}*{basis[k]!r}" if c != 1 else repr(basis[k]))
-            for k, c in terms
-        )
+    for (i, j), (k, c) in sorted(table.items()):
+        rhs = f"{c}*{basis[k]!r}" if c != 1 else repr(basis[k])
         lines.append(f"[{basis[i]!r}, {basis[j]!r}] = {rhs}")
     return "\n".join(lines) + "\n"
 
@@ -232,8 +220,8 @@ def structure_constants_json_obj(P):
     return {
         "basis": [repr(b) for b in basis],
         "brackets": [
-            {"i": i, "j": j, "terms": [[k, str(c)] for k, c in terms]}
-            for (i, j), terms in sorted(table.items())
+            {"i": i, "j": j, "terms": [[k, str(c)]]}
+            for (i, j), (k, c) in sorted(table.items())
         ],
     }
 

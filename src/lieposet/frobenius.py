@@ -246,11 +246,12 @@ def _integer_ad(P, coefficients):
     d*x as {element: int}, and the columns of ad(X) in basis coordinates,
     a tuple of {row: int} maps with zeros dropped.
 
-    One pass over the structure constants: [b_i, b_j] = terms adds X_i *
-    terms to column j and, as [b_j, b_i] = -terms, -X_j * terms to column
-    i.  The last (P, coefficients) is cached, so `principal_element`
-    followed by `spectrum` on its element makes one pass; callers read
-    the result and never change it.
+    One pass over the structure constants, whose cells are one (k, c)
+    pair each: [b_i, b_j] = c*b_k adds X_i * c to row k of column j and,
+    as [b_j, b_i] = -c*b_k, -X_j * c to row k of column i.  The last (P,
+    coefficients) is cached, so `principal_element` followed by
+    `spectrum` on its element makes one pass; callers read the result
+    and never change it.
     """
     basis, table = structure_constants(P)
     d = lcm(1, *(v.denominator for _, v in coefficients))
@@ -258,12 +259,11 @@ def _integer_ad(P, coefficients):
     position = {b: k for k, b in enumerate(basis)}
     at = {position[b]: c for b, c in X.items()}
     columns = [{} for _ in basis]
-    for (i, j), terms in table.items():
+    for (i, j), (k, c) in table.items():
         for source, column, sign in ((i, j, 1), (j, i, -1)):
             a = at.get(source)
             if not a:
                 continue
             out = columns[column]
-            for k, c in terms:
-                out[k] = out.get(k, 0) + sign * a * c
+            out[k] = out.get(k, 0) + sign * a * c
     return d, X, tuple([{k: c for k, c in out.items() if c} for out in columns])

@@ -17,19 +17,19 @@ so by Schwartz (1980) the oracle index overstates after t trials with
 probability <= (dim/2000)^t.
 
 Nothing is sampled where the matrix scales diagonally: every cell joins
-one of the leading H elements to a non-H element and holds one term, on
-the non-H end.  Then C(x) = S*C0*S with C0 the matrix at the all-ones
-point and S diagonal and invertible over Q(x), and C0 = [[0, B0], [-B0^T,
-0]], so the generic rank is 2 * rank B0, proved, and it is what every
-trial would find; B0 is the H-by-rest block, h x (dim - h), and its
-doubled rank is even by construction (see `generic_rank`).  The ceiling
-there is twice the largest matching in the pattern of B0 alone.  Every
-poset of the paper's class takes this path: all 1,228 oracle calls of
-the plan C:4,D:4,B:3 and all 35,730 of C:5,D:5,B:4.  There B0 reads as the
-unsigned incidence matrix of the relation graph, a loop counting 2,
-whose rank is n minus the number of loop-free bipartite components
-(Grossman, Kulkarni and Schochetman 1995): that is the (0,1) index
-formula.
+one of the leading H elements to a non-H element, and its one (k, c)
+pair has k on the non-H end.  Then C(x) = S*C0*S with C0 the matrix at
+the all-ones point and S diagonal and invertible over Q(x), and C0 =
+[[0, B0], [-B0^T, 0]], so the generic rank is 2 * rank B0, proved, and
+it is what every trial would find; B0 is the H-by-rest block, h x (dim -
+h), and its doubled rank is even by construction (see `generic_rank`).
+The ceiling there is twice the largest matching in the pattern of B0
+alone.  Every poset of the paper's class takes this path: all 1,228
+oracle calls of the plan C:4,D:4,B:3 and all 35,730 of C:5,D:5,B:4.
+There B0 reads as the unsigned incidence matrix of the relation graph, a
+loop counting 2, whose rank is n minus the number of loop-free bipartite
+components (Grossman, Kulkarni and Schochetman 1995): that is the (0,1)
+index formula.
 
 Elsewhere the commutator matrix is the structure-constant table of
 `algebra.structure_constants`, read skew, evaluated in ints at the drawn
@@ -140,21 +140,23 @@ def _h_block(basis, table):
     point, when the table scales diagonally; otherwise None.
 
     The table scales diagonally when the H elements lead the basis and
-    every entry joins one of them to a later non-H element and holds one
-    term, on its non-H end; B0 holds that term's coefficient."""
+    every entry joins one of them to a later non-H element and its one
+    (k, c) pair has k on the non-H end; B0 holds c."""
     h = sum(b.kind == "H" for b in basis)
     if any(b.kind == "H" for b in basis[h:]):
         return None
     block = [[0] * (len(basis) - h) for _ in range(h)]
-    for (i, j), terms in table.items():
-        if len(terms) != 1 or not i < h <= j or terms[0][0] != j:
+    for (i, j), (k, c) in table.items():
+        if not i < h <= j or k != j:
             return None
-        block[i][j - h] = terms[0][1]
+        block[i][j - h] = c
     return block
 
 
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
-    """Max rank over seeded evaluations at nonzero integers in [-1000, 1000].
+    """(rank, sampled): the max rank over seeded evaluations at nonzero
+    integers in [-1000, 1000], and whether trial points were drawn; none
+    are where C scales diagonally, so the rank depends on C alone.
 
     C is the (basis, table) pair of `structure_constants`, and the
     commutator matrix C(x) is the table evaluated at x.  Each trial draws
@@ -186,12 +188,6 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     rank of B0 (the two off-diagonal blocks match independently), so the
     ceiling is 2 * nu(B0), a matching on the h x (dim - h) pattern of B0.
     """
-    return _generic_rank(C, trials, seed)[0]
-
-
-def _generic_rank(C, trials, seed):
-    """generic_rank(C, trials, seed), and whether it drew trial points:
-    False on the block path, whose rank depends on the table alone."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis, table = C
@@ -225,18 +221,18 @@ def _generic_rank(C, trials, seed):
 
 def index_oracle(P, trials=ORACLE_TRIALS, seed=0):
     """dim minus the generic rank of the commutator matrix."""
-    basis, table = structure_constants(P)
-    return len(basis) - generic_rank((basis, table), trials=trials, seed=seed)
+    return index_oracle_sampled(P, trials, seed)[0]
 
 
 def index_oracle_sampled(P, trials=ORACLE_TRIALS, seed=0):
-    """index_oracle(P, trials, seed), and whether its rank drew trial points.
+    """dim minus the generic rank of the commutator matrix, and whether
+    the rank drew trial points.
 
     Where it drew none, the rank is that of the H block (`_h_block`): the
     index then depends on P alone, not on trials or seed.
     """
     basis, table = structure_constants(P)
-    rank, sampled = _generic_rank((basis, table), trials, seed)
+    rank, sampled = generic_rank((basis, table), trials, seed)
     return len(basis) - rank, sampled
 
 

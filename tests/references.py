@@ -37,8 +37,8 @@ def bracket(a, b, P):
 def combo_bracket(P, u, v):
     """Bilinear extension of the bracket to {position: coefficient} maps.
 
-    The table is read once per call: [i, j] is table[(i, j)] for i < j
-    and minus table[(j, i)] for i > j.
+    The table is read once per call: [i, j] is the one (k, c) pair of
+    table[(i, j)] for i < j, and that of table[(j, i)] negated for i > j.
     """
     _, table = algebra.structure_constants(P)
     out = {}
@@ -49,21 +49,24 @@ def combo_bracket(P, u, v):
             if not b or i == j:
                 continue
             if i < j:
-                ab, terms = a * b, table.get((i, j), ())
+                ab, cell = a * b, table.get((i, j))
             else:
-                ab, terms = -a * b, table.get((j, i), ())
-            for k, c in terms:
+                ab, cell = -a * b, table.get((j, i))
+            if cell is not None:
+                k, c = cell
                 out[k] = out.get(k, 0) + ab * c
     return {k: c for k, c in out.items() if c}
 
 
 def entry(table, i, j):
     """{position: coefficient} of cell (i, j) of the commutator matrix of a
-    structure-constant table: table[(i, j)] for i < j, its negation for
-    i > j, and {} where the table has no key."""
-    if i < j:
-        return dict(table.get((i, j), ()))
-    return {k: -c for k, c in table.get((j, i), ())}
+    structure-constant table: the (k, c) pair of table[(i, j)] for i < j,
+    its negation for i > j, and {} where the table has no key."""
+    cell = table.get((i, j) if i < j else (j, i))
+    if cell is None:
+        return {}
+    k, c = cell
+    return {k: c if i < j else -c}
 
 
 def table_by_brackets(P):
@@ -71,9 +74,12 @@ def table_by_brackets(P):
 
     The realizations of the basis of P are indexed by row and by column,
     and a pair (i, j) with i < j is bracketed when a column of one is a
-    row of the other; each bracket is decomposed over the family.  An
-    element outside the basis of P raises NotInSpan and a coefficient
-    that is not an int raises InvariantViolation.
+    row of the other; each bracket is decomposed over the family in
+    full.  A cell is one (k, c) pair when the bracket has one term, and
+    the tuple of all its pairs otherwise, so a bracket with a second term
+    differs from every slice.  An element outside the basis of P raises
+    NotInSpan and a coefficient that is not an int raises
+    InvariantViolation.
     """
     basis = algebra.build_basis(P)
     position = {b: k for k, b in enumerate(basis)}
@@ -100,7 +106,7 @@ def table_by_brackets(P):
                 if type(c) is not int:
                     raise InvariantViolation(f"non-integral structure constant {c!r}")
                 terms.append((position[b], c))
-            table[(i, j)] = tuple(terms)
+            table[(i, j)] = terms[0] if len(terms) == 1 else tuple(terms)
     return basis, table
 
 

@@ -104,7 +104,7 @@ def test_criterion_01_two_dim_fixture():
         P = build_poset("C", 1, [(-1, 1)])
         basis, table = structure_constants(P)
         assert len(basis) == 2
-        assert table == {(0, 1): ((1, 2),)}
+        assert table == {(0, 1): (1, 2)}
         for value in (1, -1, 7, Fraction(3, 5), -1000):
             M = evaluate(table, [0, value])
             assert M == [[0, 2 * value], [-2 * value, 0]]

@@ -548,7 +548,7 @@ def test_isomorphism_b_tables_differ_exits_1(runner, monkeypatch):
     def dropped(P):
         basis, table = inner(P)
         if P.family == "D":
-            table = {key: terms for key, terms in table.items() if key != min(table)}
+            table = {key: cell for key, cell in table.items() if key != min(table)}
         return basis, table
 
     monkeypatch.setattr(algebra, "structure_constants", dropped)

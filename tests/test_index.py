@@ -93,26 +93,26 @@ class TestEvaluateAndRank:
         assert all(x == 0 for row in M for x in row)
 
     def test_generic_rank_examples(self, sl2_like_poset, path_poset):
-        assert generic_rank(structure_constants(sl2_like_poset)) == 2
-        assert generic_rank(structure_constants(build_poset("C", 2, []))) == 0
-        assert generic_rank(structure_constants(path_poset)) == 4
+        assert generic_rank(structure_constants(sl2_like_poset))[0] == 2
+        assert generic_rank(structure_constants(build_poset("C", 2, [])))[0] == 0
+        assert generic_rank(structure_constants(path_poset))[0] == 4
 
     def test_rank_monotone_and_stable_in_trials(self):
         for mask in (0, 5, 17, 63):
             P = poset_from_mask("C", 3, mask % 64)
             C = structure_constants(P)
-            ranks = [generic_rank(C, trials=t, seed=9) for t in (1, 2, 3, 5, 8)]
+            ranks = [generic_rank(C, trials=t, seed=9)[0] for t in (1, 2, 3, 5, 8)]
             assert ranks == sorted(ranks)
             assert len(set(ranks[2:])) == 1
 
     def test_rank_always_even(self):
         for P in enumerate_h01("C", 3):
-            assert generic_rank(structure_constants(P), trials=3, seed=1) % 2 == 0
+            assert generic_rank(structure_constants(P), trials=3, seed=1)[0] % 2 == 0
 
     def test_odd_rank_raises_invariant_violation(self):
         # a key on the diagonal breaks the i < j contract: it evaluates
         # to the 1x1 matrix holding minus the symbol, of rank 1
-        C = ((BasisElement("C", "Z", 1),), {(0, 0): ((0, 1),)})
+        C = ((BasisElement("C", "Z", 1),), {(0, 0): (0, 1)})
         with pytest.raises(InvariantViolation):
             generic_rank(C, trials=1, seed=0)
 
@@ -144,7 +144,7 @@ class TestEvaluateAndRank:
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
                     C = structure_constants(P)
-                    assert generic_rank(C, seed=seed) == reference(C, ORACLE_TRIALS), P
+                    assert generic_rank(C, seed=seed)[0] == reference(C, ORACLE_TRIALS), P
 
 
 def brute_matching_number(n, edges):
@@ -316,7 +316,7 @@ class TestEarlyStop:
                     C = structure_constants(poset_from_mask(fam, n, mask))
                     ranks = _full_loop_ranks(C, 5, seed)
                     for trials in (1, 2, 5):
-                        got = generic_rank(C, trials=trials, seed=seed)
+                        got = generic_rank(C, trials=trials, seed=seed)[0]
                         assert got == max(ranks[:trials]), (fam, n, mask, trials)
 
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
@@ -327,7 +327,7 @@ class TestEarlyStop:
             seed = rng.randrange(2**20)
             ranks = _full_loop_ranks(C, 5, seed)
             for trials in (1, 2, 5):
-                assert generic_rank(C, trials=trials, seed=seed) == max(ranks[:trials]), P
+                assert generic_rank(C, trials=trials, seed=seed)[0] == max(ranks[:trials]), P
 
     def _count_ranks(self, monkeypatch):
         calls = []
@@ -357,7 +357,7 @@ class TestEarlyStop:
     def test_tight_poset_takes_one_trial(self, path_poset, monkeypatch):
         calls = self._count_ranks(monkeypatch)
         C = structure_constants(path_poset)
-        assert generic_rank(C, trials=5) == 4
+        assert generic_rank(C, trials=5)[0] == 4
         assert len(calls) == 1
 
     def _count_draws(self, monkeypatch):
@@ -380,27 +380,26 @@ class TestEarlyStop:
         draws = self._count_draws(monkeypatch)
         C = basis, table = structure_constants(four_cycle_poset)
         assert _term_rank(len(basis), table) == len(basis) == 8
-        assert generic_rank(C, trials=trials) == 6
+        assert generic_rank(C, trials=trials)[0] == 6
         assert len(calls) == 1 and draws == []
 
     @pytest.mark.parametrize(
-        "terms",
+        "cell",
         [
-            lambda i, j: ((i, 1), (j, 1)),  # a second term, on the H end
-            lambda i, j: ((j, 1), (j + 1, 1)),  # a second term, on another element
-            lambda i, j: ((i, 1),),  # the one term moved to the H end
+            lambda i, j: (j + 1, 1),  # the term moved to another element
+            lambda i, j: (i, 1),  # the term moved to the H end
         ],
-        ids=["second-term-on-h", "second-term-elsewhere", "term-on-h-end"],
+        ids=["term-elsewhere", "term-on-h-end"],
     )
-    def test_faults_fall_back_to_sampling(self, four_cycle_poset, terms, monkeypatch):
+    def test_faults_fall_back_to_sampling(self, four_cycle_poset, cell, monkeypatch):
         basis, table = structure_constants(four_cycle_poset)
         assert index_engine._h_block(basis, table) is not None
         i, j = next(iter(table))
-        faulty = {**table, (i, j): terms(i, j)}
+        faulty = {**table, (i, j): cell(i, j)}
         assert index_engine._h_block(basis, faulty) is None
         draws = self._count_draws(monkeypatch)
-        got = generic_rank((basis, faulty), trials=5, seed=3)
-        assert draws
+        got, sampled = generic_rank((basis, faulty), trials=5, seed=3)
+        assert sampled and draws
         ranks = _full_loop_ranks((basis, faulty), 5, 3)
         assert got == max(ranks[: len(draws) // len(basis)])
 
@@ -414,23 +413,23 @@ class TestEarlyStop:
                     full = integer_rank(evaluate(table, [1] * len(basis)), len(basis))
                     block = index_engine._h_block(basis, table)
                     h_rank = 2 * integer_rank(block, len(basis) - len(block))
-                    assert h_rank == full == generic_rank(C), P
+                    assert h_rank == full and generic_rank(C) == (full, False), P
 
     def test_h_block_keeps_each_cells_coefficient(self):
         # B0 = [[1, 1], [1, -1]] has rank 2; with its signs dropped it
         # would have rank 1
         basis = tuple(BasisElement("C", *e) for e in (("H", 1), ("H", 2), ("Y", 1, 2), ("Z", 1)))
-        table = {(0, 2): ((2, 1),), (0, 3): ((3, 1),), (1, 2): ((2, 1),), (1, 3): ((3, -1),)}
+        table = {(0, 2): (2, 1), (0, 3): (3, 1), (1, 2): (2, 1), (1, 3): (3, -1)}
         assert index_engine._h_block(basis, table) == [[1, 1], [1, -1]]
         full = integer_rank(evaluate(table, [1] * 4), 4)
-        assert generic_rank((basis, table)) == full == 4
+        assert full == 4 and generic_rank((basis, table)) == (4, False)
 
     def test_h_block_needs_leading_h_elements(self):
         # a cell from a later H element to a non-H element does not scale
         # the block: its H row would not lead the matrix
         basis = (BasisElement("C", "Z", 1), BasisElement("C", "H", 1))
-        assert index_engine._h_block(basis, {(0, 1): ((1, 2),)}) is None
-        assert index_engine._h_block(basis, {(0, 1): ((0, 2),)}) is None
+        assert index_engine._h_block(basis, {(0, 1): (1, 2)}) is None
+        assert index_engine._h_block(basis, {(0, 1): (0, 2)}) is None
 
     def test_paper_class_scales_diagonally(self):
         # every oracle call of the acceptance plan takes the scaling path
