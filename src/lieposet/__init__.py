@@ -8,86 +8,101 @@ reduction, and verifies the Frobenius functional / principal element /
 binary spectrum story by exhaustive small-case enumeration.
 """
 
-from .errors import (
-    AntisymmetryViolation,
-    BadElement,
-    Condition1Violation,
-    Condition2Violation,
-    Condition3Violation,
-    InputParseError,
-    InvariantViolation,
-    LiePosetError,
-    NoSignRescaling,
-    NonEigenbasis,
-    NotFrobenius,
-    NotInSpan,
-    PosetConstructionError,
-    SingularForm,
-    TablesDiffer,
-    UnsupportedHeight,
-    UnsupportedPoset,
-)
-from .linalg import integer_rank
-from .posets import (
-    FAMILIES,
-    GraphComponent,
-    HeightPair,
-    RelationGraph,
-    SignedPoset,
-    build_poset,
-    covering_relations,
-    enumerate_h01,
-    graph_components,
-    ground_set,
-    h01_slots,
-    height,
-    induced_subposet,
-    is_separable,
-    mask_of_poset,
-    poset_from_graph,
-    poset_from_mask,
-    positive_part,
-    relation_graph,
-    rg_connected,
-    validate,
-)
-from .algebra import (
-    BasisElement,
-    build_basis,
-    commutator,
-    decompose,
-    evaluate,
-    matrix_form,
-    realize,
-    realize_combination,
-    structure_constants,
-    verify_B_reduction,
-    verify_CD_isomorphism,
-)
-from .index_engine import (
-    ReductionStep,
-    ReductionTrace,
-    generic_rank,
-    index_formula,
-    index_oracle,
-    reduce,
-)
-from .frobenius import (
-    Functional,
-    PrincipalElement,
-    SpectrumReport,
-    frobenius_functional,
-    functional,
-    is_frobenius_by_graph,
-    kernel_dim,
-    principal_element,
-    spectrum,
-)
-from .harness import (
-    CampaignConfig,
-    report_json_bytes,
-    report_text,
-    run_campaign,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# the oracle's default number of evaluations; it lives here so that the
+# command line can show it as an option default without loading the
+# index module
+ORACLE_TRIALS = 5
+
+# Every public name and the module that defines it.  Importing the
+# package imports none of them: `__getattr__` (PEP 562) reads a name off
+# its module, loading the module on first use, so `python -m lieposet.cli`
+# loads only what its command runs.  Nothing is copied into the package,
+# so a name always reads what its module holds now.
+_EXPORTS = {
+    "AntisymmetryViolation": "errors",
+    "BadElement": "errors",
+    "Condition1Violation": "errors",
+    "Condition2Violation": "errors",
+    "Condition3Violation": "errors",
+    "InputParseError": "errors",
+    "InvariantViolation": "errors",
+    "LiePosetError": "errors",
+    "NoSignRescaling": "errors",
+    "NonEigenbasis": "errors",
+    "NotFrobenius": "errors",
+    "NotInSpan": "errors",
+    "PosetConstructionError": "errors",
+    "SingularForm": "errors",
+    "TablesDiffer": "errors",
+    "UnsupportedHeight": "errors",
+    "UnsupportedPoset": "errors",
+    "integer_rank": "linalg",
+    "FAMILIES": "posets",
+    "GraphComponent": "posets",
+    "HeightPair": "posets",
+    "RelationGraph": "posets",
+    "SignedPoset": "posets",
+    "build_poset": "posets",
+    "covering_relations": "posets",
+    "enumerate_h01": "posets",
+    "graph_components": "posets",
+    "ground_set": "posets",
+    "h01_slots": "posets",
+    "height": "posets",
+    "induced_subposet": "posets",
+    "is_separable": "posets",
+    "mask_of_poset": "posets",
+    "poset_from_graph": "posets",
+    "poset_from_mask": "posets",
+    "positive_part": "posets",
+    "relation_graph": "posets",
+    "rg_connected": "posets",
+    "validate": "posets",
+    "BasisElement": "algebra",
+    "build_basis": "algebra",
+    "commutator": "algebra",
+    "decompose": "algebra",
+    "evaluate": "algebra",
+    "matrix_form": "algebra",
+    "realize": "algebra",
+    "realize_combination": "algebra",
+    "structure_constants": "algebra",
+    "verify_B_reduction": "algebra",
+    "verify_CD_isomorphism": "algebra",
+    "ReductionStep": "index_engine",
+    "ReductionTrace": "index_engine",
+    "generic_rank": "index_engine",
+    "index_formula": "index_engine",
+    "index_oracle": "index_engine",
+    "reduce": "index_engine",
+    "Functional": "frobenius",
+    "PrincipalElement": "frobenius",
+    "SpectrumReport": "frobenius",
+    "frobenius_functional": "frobenius",
+    "functional": "frobenius",
+    "is_frobenius_by_graph": "frobenius",
+    "kernel_dim": "frobenius",
+    "principal_element": "frobenius",
+    "spectrum": "frobenius",
+    "CampaignConfig": "harness",
+    "report_json_bytes": "harness",
+    "report_text": "harness",
+    "run_campaign": "harness",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -3,6 +3,19 @@
 Exit codes: 0 success, 1 computation-level failure (a precondition such
 as Frobeniusness fails, or the two index methods disagree), 2 input
 errors (unparseable input, poset axiom violations, bad flag combinations).
+
+A query is one cold process, so each command loads only what it runs.
+The module top loads errors and formats, and formats loads posets and
+algebra: that is all that validate, enumerate, export and isomorphism
+need.  index and reduce import index_engine in their bodies; principal
+and spectrum import frobenius; frobenius imports it too, and
+index_engine only for --check-oracle.  harness, the campaign driver, is
+verify's alone.  The --trials default is the package's ORACLE_TRIALS,
+which index_engine reads too, so the options can show it without loading
+that module.  Compiled from source (PYTHONDONTWRITEBYTECODE=1), a median
+query of the bench's cli-cold-query workload took 115.5 ms when every
+command loaded every module and takes 103.2 ms this way (2-vCPU Xeon,
+Python 3.11.7, BENCH_31.json).
 """
 
 from __future__ import annotations
@@ -13,26 +26,13 @@ from contextlib import nullcontext
 
 import click
 
-from . import __version__, formats
+from . import ORACLE_TRIALS, __version__, formats
 from .algebra import matrix_form, verify_B_reduction, verify_CD_isomorphism
 from .errors import (
     InputParseError,
     LiePosetError,
     PosetConstructionError,
     UnsupportedPoset,
-)
-from .frobenius import (
-    frobenius_functional,
-    is_frobenius_by_graph,
-    principal_element,
-    spectrum,
-)
-from .harness import CampaignConfig, report_json_bytes, report_text, run_campaign
-from .index_engine import (
-    ORACLE_TRIALS,
-    index_formula,
-    index_oracle,
-    reduce as reduce_poset,
 )
 from .posets import enumerate_h01, relation_graph
 
@@ -150,6 +150,8 @@ def validate_cmd(inline, path, strict, fmt):
 @run_command
 def index(inline, path, method, trials, seed, fmt):
     """Compute the algebra's index by formula, oracle, or both."""
+    from .index_engine import index_formula, index_oracle
+
     P = _load_poset(inline, path)
     out = {"seed": seed, "trials": trials}
     if method in ("formula", "both"):
@@ -175,8 +177,10 @@ def index(inline, path, method, trials, seed, fmt):
 @run_command
 def reduce_cmd(inline, path, seed, fmt):
     """Replay the graph-guided row reduction and print its trace."""
+    from .index_engine import reduce
+
     P = _load_poset(inline, path)
-    trace = reduce_poset(P, seed=seed)
+    trace = reduce(P, seed=seed)
     if fmt == "json":
         click.echo(json.dumps(formats.reduction_trace_json_obj(trace),
                               sort_keys=True))
@@ -197,9 +201,13 @@ def reduce_cmd(inline, path, seed, fmt):
 @run_command
 def frobenius(inline, path, trials, seed, check_oracle, fmt):
     """Decide Frobeniusness by the relation-graph criterion."""
+    from .frobenius import is_frobenius_by_graph
+
     P = _load_poset(inline, path)
     out = {"frobenius": is_frobenius_by_graph(P)}
     if check_oracle:
+        from .index_engine import index_oracle
+
         out["oracle_index"] = index_oracle(P, trials=trials, seed=seed)
         out["seed"] = seed
         out["agreement"] = (out["oracle_index"] == 0) == out["frobenius"]
@@ -216,6 +224,8 @@ def frobenius(inline, path, trials, seed, check_oracle, fmt):
 @run_command
 def principal(inline, path, check_closed_form, fmt):
     """Solve for the principal element of the standard Frobenius functional."""
+    from .frobenius import frobenius_functional, principal_element
+
     P = _load_poset(inline, path)
     F = frobenius_functional(P)
     element = principal_element(P, F)
@@ -243,6 +253,8 @@ def principal(inline, path, check_closed_form, fmt):
 @run_command
 def spectrum_cmd(inline, path, fmt):
     """Eigenvalue multiset of the adjoint action of the principal element."""
+    from .frobenius import frobenius_functional, principal_element, spectrum
+
     P = _load_poset(inline, path)
     element = principal_element(P, frobenius_functional(P))
     report = spectrum(P, element)
@@ -285,6 +297,8 @@ def enumerate(family, n, up_to_iso, fmt):
 @run_command
 def verify(families, checks, seed, trials, jobs, output, fmt):
     """Run the exhaustive verification campaign; exit 1 on any failure."""
+    from .harness import CampaignConfig, report_json_bytes, report_text, run_campaign
+
     plan = []
     try:
         for chunk in families.split(","):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     evaluate,
@@ -131,9 +132,8 @@ def kernel_dim(P, F):
     return len(basis) - rank
 
 
-@dataclass(frozen=True)
-class PrincipalElement:
-    """Solution x of B_F(x, -) = F, in basis coordinates.
+class PrincipalElement(NamedTuple):
+    """Solution x of B_F(x, -) = F, in basis coordinates, as a NamedTuple.
 
     diagonal holds (element, entry) pairs of the realized matrix when it
     is diagonal, else None.  half_convention is "negatives-plus-half"
@@ -180,8 +180,13 @@ def principal_element(P, F):
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
+    """Eigenvalues of ad(fhat), as a NamedTuple.
+
+    is_binary holds when the eigenvalues are 0 and 1 alone, each on half
+    of the dim basis elements; zero_count and one_count count the two.
+    """
+
     eigenvalues: tuple  # sorted, with multiplicity
     dim: int
     is_binary: bool

@@ -53,8 +53,9 @@ is retried, since exact row operations keep the rank at any point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import ORACLE_TRIALS
 from .errors import InvariantViolation, UnsupportedPoset
 from .linalg import integer_rank
 from .posets import (
@@ -66,8 +67,6 @@ from .posets import (
     rg_connected,
 )
 from .algebra import build_basis, evaluate, structure_constants
-
-ORACLE_TRIALS = 5
 
 
 def _nonzero_int(rng):
@@ -239,15 +238,16 @@ def index_oracle_sampled(P, trials=ORACLE_TRIALS, seed=0):
 def index_formula(P):
     """Combinatorial index of a type-B/C/D poset algebra.
 
-    Covers height-(0,0) posets (|P+|), height-(0,1) posets
-    (|E| - |V| + 2 * number of components of the relation graph without
-    an odd cycle, a self loop counting as an odd cycle), and separable
-    posets of any height (index of the type-A algebra on P+ plus one,
-    with the type-A index taken from the oracle at fixed seed: proved
-    where the oracle reaches the term-rank ceiling of `generic_rank`, and
-    elsewhere an upper bound, equal with the probability the module
-    docstring gives).  Raises
-    UnsupportedPoset otherwise, rather than answering with the oracle.
+    Covers height-(0,0) and (0,1) posets (|E| - |V| + 2 * number of
+    components of the relation graph without an odd cycle, a self loop
+    counting as an odd cycle; a (0,0) poset's graph has no edges, so
+    every vertex is such a component and the index is |V| = |P+|), and
+    separable posets of any height (index of the type-A algebra on P+
+    plus one, with the type-A index taken from the oracle at fixed seed:
+    proved where the oracle reaches the term-rank ceiling of
+    `generic_rank`, and elsewhere an upper bound, equal with the
+    probability the module docstring gives).  Raises UnsupportedPoset
+    otherwise, rather than answering with the oracle.
 
     The index is dim minus the even rank of a skew matrix, so a value
     whose parity differs from dim's raises InvariantViolation.
@@ -255,9 +255,7 @@ def index_formula(P):
     if P.family == "A":
         raise UnsupportedPoset("index_formula applies to families B, C, D")
     hp = height(P)
-    if hp == (0, 0):
-        index = P.n
-    elif hp == (0, 1):
+    if hp in ((0, 0), (0, 1)):
         G = relation_graph(P)
         eta = sum(1 for comp in graph_components(G) if not comp.has_odd_cycle)
         index = G.edge_count - G.n + 2 * eta
@@ -285,8 +283,10 @@ STEP_EVEN_CYCLE = "EvenCycleElim"
 STEP_PATH_SWEEP = "PathSweep"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
+    """One snapshot of the replay, as a NamedTuple: the step's kind and
+    detail, the edges and loops left, and the labelled rows with their rank."""
+
     kind: str
     detail: str
     edges: tuple
@@ -296,8 +296,10 @@ class ReductionStep:
     rank: int
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
+    """A whole replay, as a NamedTuple: the poset, the seed and the edge
+    and loop values it drew, the initial snapshot and one per step."""
+
     poset: object
     seed: int
     edge_values: tuple

@@ -184,8 +184,14 @@ class RelationGraph:
         )
 
 
-@dataclass(frozen=True)
-class GraphComponent:
+class GraphComponent(NamedTuple):
+    """One component of a relation graph, as a NamedTuple.
+
+    vertices are ascending; edge_count counts a self loop as one edge,
+    and a loop is an odd cycle; is_unicyclic means as many edges as
+    vertices.
+    """
+
     vertices: tuple
     edge_count: int
     has_odd_cycle: bool

@@ -15,6 +15,7 @@ from lieposet import (
     frobenius_functional,
     harness,
     algebra,
+    index_engine,
     index_formula,
     index_oracle,
     linalg,
@@ -349,7 +350,7 @@ def test_verify_campaign(runner, tmp_path):
 def test_verify_unwritable_output_exits_2_before_the_campaign(runner, monkeypatch,
                                                               tmp_path, fmt):
     campaigns = []
-    monkeypatch.setattr(cli, "run_campaign", lambda cfg: campaigns.append(cfg))
+    monkeypatch.setattr(harness, "run_campaign", lambda cfg: campaigns.append(cfg))
     out = tmp_path / "missing" / "report.json"
     result = runner.invoke(
         main, ["verify", "--families", "C:1", "--output", str(out), "--format", fmt]
@@ -506,7 +507,7 @@ def test_export_tables_match_the_emitters(runner, poset):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_index_disagreement_exits_1(runner, monkeypatch, fmt):
-    monkeypatch.setattr(cli, "index_oracle", lambda P, trials, seed: 2)
+    monkeypatch.setattr(index_engine, "index_oracle", lambda P, trials, seed: 2)
     result = runner.invoke(main, ["index", "-p", TRIANGLE, "--format", fmt])
     assert result.exit_code == 1
     out = {"agreement": False, "formula": index_formula(parse_inline(TRIANGLE)),
@@ -518,7 +519,7 @@ def test_index_disagreement_exits_1(runner, monkeypatch, fmt):
 
 
 def test_frobenius_disagreement_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(cli, "index_oracle", lambda P, trials, seed: 2)
+    monkeypatch.setattr(index_engine, "index_oracle", lambda P, trials, seed: 2)
     result = runner.invoke(main, ["frobenius", "-p", TRIANGLE, "--check-oracle",
                                   "--format", "json"])
     assert result.exit_code == 1

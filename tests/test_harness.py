@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,7 +478,7 @@ def _principal(coefficients=(), diagonal=None):
 def _rank_zero_trace(P, seed):
     """The trace of reduce with no steps and an initial rank of 0."""
     trace = reduce(P, seed=seed)
-    return replace(trace, initial=replace(trace.initial, rank=0), steps=())
+    return trace._replace(initial=trace.initial._replace(rank=0), steps=())
 
 
 @pytest.mark.parametrize(

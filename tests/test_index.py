@@ -499,6 +499,21 @@ class TestIndexFormula:
     def test_height_00(self):
         assert index_formula(build_poset("C", 3, [])) == 3
 
+    def test_height_00_is_n_on_the_acceptance_plan(self):
+        # the (0,1) expression covers height (0,0): the graph has no edges
+        # and each of its n vertices is a component without an odd cycle
+        zero = [
+            P
+            for fam, n_max in (("C", 4), ("D", 4), ("B", 3))
+            for n in range(1, n_max + 1)
+            for P in enumerate_h01(fam, n)
+            if height(P) == (0, 0)
+        ]
+        assert len(zero) == 4 + 4 + 3  # the antichain of each (family, n)
+        for P in zero:
+            assert relation_graph(P).edge_count == 0
+            assert index_formula(P) == P.n
+
     def test_separable_any_height(self):
         P = build_poset("C", 3, [(1, 2), (2, 3)])  # chain on the positives
         assert index_formula(P) == index_oracle(P)

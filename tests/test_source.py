@@ -1,9 +1,15 @@
 import ast
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import lieposet
+from lieposet.cli import main
 
 PACKAGE = Path(lieposet.__file__).parent
 
@@ -71,18 +77,109 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _modules_loaded_by(argv):
+    """Short names of the lieposet submodules that one command loads, run
+    as `python -m lieposet.cli *argv` in a fresh interpreter; argv None
+    only imports the package."""
+    code = (
+        "import json, runpy, sys\n"
+        "if sys.argv[1:]:\n"
+        "    try:\n"
+        "        runpy.run_module('lieposet.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        if exc.code:\n"
+        "            raise\n"
+        "else:\n"
+        "    import lieposet\n"
+        "print(json.dumps(sorted(m[9:] for m in sys.modules if m.startswith('lieposet.'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *(argv or ())],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    assert _modules_loaded_by(None) == set()
+
+
+TRIANGLE = "C;3;-1<=2,-1<=3,-2<=3"
+POSET = ["-p", TRIANGLE, "--format", "json"]
+
+
+# (argv, modules it must load, modules it must not load): a cold query
+# pays only for the compute module its command runs; errors, formats,
+# posets and algebra come with the module top
+COMMAND_LOADS = [
+    (["validate", *POSET], {"formats"}, {"index_engine", "frobenius"}),
+    (["export", *POSET, "--what", "commutator"], {"formats"},
+     {"index_engine", "frobenius"}),
+    (["enumerate", "--family", "C", "--n", "2"], {"posets"}, {"index_engine", "frobenius"}),
+    (["isomorphism", "-p", "D;3;-1<=2"], {"algebra"}, {"index_engine", "frobenius"}),
+    (["index", *POSET], {"index_engine"}, {"frobenius"}),
+    (["reduce", *POSET], {"index_engine"}, {"frobenius"}),
+    (["frobenius", *POSET, "--check-oracle"], {"frobenius", "index_engine"}, set()),
+    (["principal", *POSET], {"frobenius"}, {"index_engine"}),
+    (["spectrum", *POSET], {"frobenius"}, {"index_engine"}),
+    (["verify", "--families", "C:1"], {"harness", "index_engine", "frobenius"}, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips", [pytest.param(*case, id=case[0][0]) for case in COMMAND_LOADS]
+)
+def test_cli_command_loads_only_what_it_runs(argv, runs, skips):
+    # harness, the campaign driver, is verify's alone
+    if argv[0] != "verify":
+        skips = skips | {"harness"}
+    loaded = _modules_loaded_by(argv)
+    assert runs <= loaded
+    assert loaded & skips == set()
+
+
+@pytest.mark.parametrize("command", ["index", "frobenius", "verify"])
+def test_trials_default_is_the_oracle_default(command):
+    # the --trials default is lieposet.ORACLE_TRIALS, which the click
+    # decorators read at the module top, where index_engine is not loaded
+    help_text = CliRunner().invoke(main, [command, "--help"]).output
+    (line,) = [line for line in help_text.splitlines() if line.lstrip().startswith("--trials")]
+    assert line.endswith("[default: 5]")
+    assert importlib.import_module("lieposet.index_engine").ORACLE_TRIALS == 5
+
+
+def test_every_export_resolves_to_its_defining_module():
+    # each name of the export table loads its module on first access and
+    # is that module's own object, defined there and not re-exported
+    table = lieposet._EXPORTS
+    assert len(table) == len(lieposet.__all__) == 69
+    for name, module in table.items():
+        owner = importlib.import_module(f"lieposet.{module}")
+        value = getattr(owner, name)
+        assert getattr(lieposet, name) is value
+        assert getattr(value, "__module__", owner.__name__) == owner.__name__
+        assert name in dir(lieposet)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lieposet.no_such_name
+    with pytest.raises(ImportError):
+        from lieposet import no_such_name  # noqa: F401
+    # a submodule that is not a table name still imports as one
+    from lieposet import linalg
+
+    assert linalg is sys.modules["lieposet.linalg"]
+
+
 def test_every_export_is_used_inside_the_package():
     # a public function that only the tests and the export list reach is
     # dead code: delete it, or move it into tests/ as a reference.
     # mask_of_poset stays for the poset keys of ROADMAP item 3
     allowed = {"mask_of_poset"}
     init = PACKAGE / "__init__.py"
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(lieposet._EXPORTS)
+    assert exported
     used = set()
     for path in PACKAGE.rglob("*.py"):
         if path == init:
@@ -134,10 +231,10 @@ def test_layers_import_only_downward():
 def test_only_algebra_reads_commutator():
     # every bracket is read off the structure-constant table, and the
     # table is the one place that brackets realized matrices; __init__
-    # only re-exports the name
+    # names it only as a string of its export table
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name in ("algebra.py", "__init__.py"):
+        if path.name == "algebra.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Name):
