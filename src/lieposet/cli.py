@@ -325,51 +325,46 @@ def verify(families, checks, seed, trials, jobs, output, fmt):
         sys.exit(COMPUTE_EXIT)
 
 
+def _json_of(obj_of):
+    """An emitter that writes obj_of(P) as one sorted JSON line."""
+    return lambda P: json.dumps(obj_of(P), sort_keys=True) + "\n"
+
+
+# --what -> format -> emitter of the text export prints; the first format
+# of each is its default
+EXPORT_EMITTERS = {
+    "hasse": {"dot": formats.hasse_dot},
+    "relation-graph": {"dot": lambda P: formats.relation_graph_dot(relation_graph(P))},
+    "matrix-form": {
+        "text": formats.matrix_form_text,
+        "json": _json_of(lambda P: {"positions": [list(c) for c in sorted(matrix_form(P))]}),
+    },
+    "commutator": {
+        "text": formats.commutator_matrix_text,
+        "json": _json_of(formats.commutator_matrix_json_obj),
+    },
+    "structure-constants": {
+        "text": formats.structure_constants_text,
+        "json": _json_of(formats.structure_constants_json_obj),
+    },
+}
+
+
 @main.command()
 @poset_options
-@click.option("--what", type=click.Choice(
-    ["hasse", "relation-graph", "matrix-form", "commutator", "structure-constants"]),
-    default="hasse", show_default=True)
+@click.option("--what", type=click.Choice(list(EXPORT_EMITTERS)), default="hasse",
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "dot"]),
               help="output format  [default: dot for hasse and relation-graph, "
                    "text otherwise]")
 @run_command
 def export(inline, path, what, fmt):
     """Export diagrams and tables (DOT for graphs, text/JSON for tables)."""
-    allowed = {
-        "hasse": ("dot",),
-        "relation-graph": ("dot",),
-        "matrix-form": ("text", "json"),
-        "commutator": ("text", "json"),
-        "structure-constants": ("text", "json"),
-    }[what]
-    fmt = fmt or allowed[0]
-    if fmt not in allowed:
-        raise InputParseError(f"--what {what} supports formats {allowed}")
-    P = _load_poset(inline, path)
-    if what == "hasse":
-        click.echo(formats.hasse_dot(P), nl=False)
-    elif what == "relation-graph":
-        click.echo(formats.relation_graph_dot(relation_graph(P)), nl=False)
-    elif what == "matrix-form":
-        if fmt == "json":
-            click.echo(json.dumps(
-                {"positions": [list(c) for c in sorted(matrix_form(P))]},
-                sort_keys=True))
-        else:
-            click.echo(formats.matrix_form_text(P), nl=False)
-    elif what == "commutator":
-        if fmt == "json":
-            click.echo(json.dumps(formats.commutator_matrix_json_obj(P),
-                                  sort_keys=True))
-        else:
-            click.echo(formats.commutator_matrix_text(P), nl=False)
-    else:
-        if fmt == "json":
-            click.echo(json.dumps(formats.structure_constants_json_obj(P),
-                                  sort_keys=True))
-        else:
-            click.echo(formats.structure_constants_text(P), nl=False)
+    emitters = EXPORT_EMITTERS[what]
+    fmt = fmt or next(iter(emitters))
+    if fmt not in emitters:
+        raise InputParseError(f"--what {what} supports formats {tuple(emitters)}")
+    click.echo(emitters[fmt](_load_poset(inline, path)), nl=False)
 
 
 @main.command(name="isomorphism")

@@ -17,7 +17,7 @@ import json
 
 from .algebra import matrix_form, structure_constants
 from .errors import InputParseError
-from .posets import build_poset, covering_relations, relation_graph
+from .posets import build_poset, covering_relations
 
 
 def poset_to_text(P):

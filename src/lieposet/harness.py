@@ -9,15 +9,16 @@ failures are kept: memory does not grow with the plan, and with a fixed
 seed the JSON report is byte identical across runs and worker counts.
 
 Derived objects are shared at two scopes.  A CheckContext holds what one
-poset's checks share: its oracle, its principal element and the oracle
-of each of its component subposets.  The campaign shares the index of a
-component subposet across posets, keyed by the component after the
-order-preserving relabelling onto 1..k; an index enters that memo only
-when its oracle drew no trial point, since it then depends on the
-component alone and not on the seed of the poset that holds it.  Every
-component of the paper's class takes that path, so each distinct one is
-built and ranked once per campaign.  `run_campaign` empties the memo
-before it starts, so a campaign, and each worker it forks, starts empty.
+poset's checks share: its oracle and its principal element.  The
+campaign shares the index of each component subposet across posets
+through `_component_index`, an lru_cache keyed by the component after
+the order-preserving relabelling onto 1..k.  Every component the
+campaign ranks is of the paper's class, whose rank is proved on the H
+block and drew no trial point, so the index depends on the key alone;
+a sampled rank raises InvariantViolation and is not cached.  Each
+distinct component is built and ranked once per campaign: `run_campaign`
+empties the cache before it starts, so a campaign, and each worker it
+forks, starts empty.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
-from .errors import SingularForm
+from .errors import InvariantViolation, SingularForm
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
@@ -35,12 +37,12 @@ from .frobenius import (
     principal_element,
     spectrum,
 )
-from .index_engine import index_formula, index_oracle, index_oracle_sampled, reduce
+from .index_engine import generic_rank, index_formula, index_oracle, reduce
 from .posets import (
     SIGNED_FAMILIES,
     graph_components,
     h01_slots,
-    induced_subposet,
+    poset_from_graph,
     poset_from_mask,
     relation_graph,
     rg_connected,
@@ -54,14 +56,6 @@ SKIPPED = "skipped"
 # posets per pool task: a constant, so that the results a chunk holds in
 # a worker and in the parent do not grow with the plan
 POOL_CHUNK = 32
-
-# distinct component subposets the campaign memo holds, least recently
-# used dropped first; the plan C:5,D:5,B:4 has 690
-COMPONENT_MEMO_SIZE = 1024
-
-# component key -> index, for the components whose oracle drew nothing;
-# least recently used first
-_component_index = {}
 
 
 def _mix(*parts):
@@ -120,10 +114,9 @@ class CampaignConfig:
 class CheckContext:
     """Seed and trials for one poset's checks, plus their memo.
 
-    Build one per poset: the memo holds the oracle of the poset, the
-    oracle of each component subposet that the campaign memo does not
-    hold, and the principal element of the poset, or the exception one
-    raised, which each later reader gets again.
+    Build one per poset: the memo holds the oracle of the poset and its
+    principal element, or the exception one raised, which each later
+    reader gets again.
     """
 
     seed: int
@@ -154,32 +147,6 @@ class CheckContext:
             lambda: principal_element(P, frobenius_functional(P)),
         )
 
-    def component(self, P, vertices, key):
-        """The oracle index of the component subposet of P on ±vertices.
-
-        `key` is the component relabelled onto 1..k (`_component_keys`).
-        Its index is read from the campaign memo, or computed at this
-        context's seed and trials and stored there when its oracle drew
-        nothing.  A sampled index, or an exception, stays in this context's
-        memo only.
-        """
-        index = _component_index.pop(key, None)
-        if index is None:
-            index, sampled = self._once(
-                ("component", key),
-                lambda: index_oracle_sampled(
-                    induced_subposet(P, [v for w in vertices for v in (w, -w)]),
-                    trials=self.trials,
-                    seed=self.seed,
-                ),
-            )
-            if sampled:
-                return index
-            if len(_component_index) >= COMPONENT_MEMO_SIZE:
-                del _component_index[next(iter(_component_index))]
-        _component_index[key] = index
-        return index
-
 
 def _component_keys(P, G, comps):
     """(family, k, edges, loops) of each of comps, the components of the
@@ -203,6 +170,23 @@ def _component_keys(P, G, comps):
     return keys
 
 
+# the plan C:5,D:5,B:4 has 690 distinct components
+@lru_cache(maxsize=1024)
+def _component_index(key):
+    """The index of the component subposet with this `_component_keys` key.
+
+    The component is of the paper's class, so its rank is proved on the H
+    block and drew no trial point; a sampled rank raises
+    InvariantViolation naming the key, and like any exception is not
+    cached.
+    """
+    basis, table = structure_constants(poset_from_graph(*key))
+    rank, sampled = generic_rank((basis, table))
+    if sampled:
+        raise InvariantViolation(f"component {key} of a class poset was sampled")
+    return len(basis) - rank
+
+
 def check_dimension_formula(P, ctx):
     G = relation_graph(P)
     basis, _ = structure_constants(P)
@@ -224,10 +208,7 @@ def check_disjoint_additivity(P, ctx):
         # family B the induced subposet would drop 0 and be of type D
         total = ctx.oracle(P)
     else:
-        total = sum(
-            ctx.component(P, comp.vertices, key)
-            for comp, key in zip(comps, _component_keys(P, G, comps))
-        )
+        total = sum(map(_component_index, _component_keys(P, G, comps)))
     whole = ctx.oracle(P)
     if total == whole:
         return None
@@ -259,12 +240,11 @@ def check_principal_element(P, ctx):
     element = ctx.principal(P)
     if element.diagonal is None:
         return {"reason": "principal element not diagonal"}
-    diag = dict(element.diagonal)
-    mirrored = all(diag[e] == -diag[-e] for e in P.elements if e > 0)
-    halves = all(abs(v) * 2 == 1 for e, v in element.diagonal if e != 0)
-    if mirrored and halves:
+    # a diagonal element is a combination of the H elements, and this
+    # convention fixes each coefficient at 1/2: the element is h-hat
+    if element.half_convention == "negatives-plus-half":
         return None
-    return {"convention": element.half_convention, "mirrored": mirrored}
+    return {"convention": element.half_convention}
 
 
 def check_binary_spectrum(P, ctx):
@@ -377,7 +357,7 @@ def run_campaign(cfg):
         for mask in range(size)
     )
     jobs = min(cfg.jobs, total)
-    _component_index.clear()
+    _component_index.cache_clear()
     summary = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in checks}
     failures = []
     with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:

@@ -219,20 +219,14 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
 
 
 def index_oracle(P, trials=ORACLE_TRIALS, seed=0):
-    """dim minus the generic rank of the commutator matrix."""
-    return index_oracle_sampled(P, trials, seed)[0]
+    """dim minus the generic rank of the commutator matrix.
 
-
-def index_oracle_sampled(P, trials=ORACLE_TRIALS, seed=0):
-    """dim minus the generic rank of the commutator matrix, and whether
-    the rank drew trial points.
-
-    Where it drew none, the rank is that of the H block (`_h_block`): the
-    index then depends on P alone, not on trials or seed.
+    Where the rank drew no trial point (`generic_rank`), it is the
+    doubled rank of the H block, proved: the index then depends on P
+    alone, not on trials or seed.
     """
     basis, table = structure_constants(P)
-    rank, sampled = generic_rank((basis, table), trials, seed)
-    return len(basis) - rank, sampled
+    return len(basis) - generic_rank((basis, table), trials, seed)[0]
 
 
 def index_formula(P):

@@ -6,17 +6,17 @@ from lieposet import build_poset, frobenius, harness
 @pytest.fixture(autouse=True)
 def fresh_kirillov_solve():
     """Empty the one-entry Kirillov solve and ad-column caches, and the
-    campaign's component memo, before every test.
+    campaign's component cache, before every test.
 
     A test that patches `frobenius.solve`, `frobenius._integer_ad`,
-    `structure_constants` or a component oracle would otherwise read a
+    `structure_constants` or a component rank would otherwise read a
     result cached before the patch, or leave one made under it for the
     next test; a test that counts eliminations, passes or oracle calls
     would count none on a cache hit.
     """
     frobenius._solve_kirillov.cache_clear()
     frobenius._integer_ad.cache_clear()
-    harness._component_index.clear()
+    harness._component_index.cache_clear()
 
 
 @pytest.fixture(scope="session")

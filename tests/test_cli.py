@@ -236,6 +236,18 @@ def test_enumerate_counts(runner):
     assert len(as_json.output.splitlines()) == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_nonpositive_n_exits_2(runner, fmt):
+    result = runner.invoke(main, ["enumerate", "--family", "C", "--n", "0", "--format", fmt])
+    assert result.exit_code == 2
+    if fmt == "json":
+        assert json.loads(result.output) == {
+            "error": "InputParseError", "message": "n must be >= 1",
+        }
+    else:
+        assert result.output == "error[InputParseError]: n must be >= 1\n"
+
+
 def test_enumerate_up_to_iso_output_pinned(runner):
     # the least mask of each relabelling orbit, in ascending mask order
     text = runner.invoke(main, ["enumerate", "--family", "C", "--n", "3", "--up-to-iso"])

@@ -1,10 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from lieposet import (
+    BasisElement,
     InputParseError,
+    PrincipalElement,
     build_poset,
     enumerate_h01,
     reduce,
@@ -21,6 +24,7 @@ from lieposet.formats import (
     parse_poset_json,
     parse_poset_text,
     poset_to_json_obj,
+    principal_element_json_obj,
     poset_to_text,
     reduction_trace_dot,
     reduction_trace_json_obj,
@@ -202,3 +206,11 @@ class TestTables:
         obj = json.loads(payload)
         assert obj["final_rank"] == 3
         assert obj["initial"]["rank"] == 3
+
+
+
+def test_principal_element_json_of_a_non_diagonal_element():
+    element = PrincipalElement(((BasisElement("C", "Z", 1), Fraction(1, 2)),), None, "other")
+    assert principal_element_json_obj(element) == {
+        "coefficients": {"Z(1)": "1/2"}, "diagonal": None, "half_convention": "other",
+    }

@@ -32,6 +32,7 @@ from lieposet import (
     report_json_bytes,
     report_text,
     run_campaign,
+    structure_constants,
 )
 from lieposet import harness, index_engine
 from lieposet.harness import CHECKS, SKIPPED, run_checks_on_poset
@@ -184,44 +185,44 @@ def _mask(family, n, edges, loops=()):
     ],
 )
 def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, components):
-    # the whole poset ranks through index_oracle, a component subposet
-    # through index_oracle_sampled
+    # the whole poset ranks through index_oracle, each distinct component
+    # subposet through one miss of the component cache
     calls = []
+    inner = harness.index_oracle
 
-    def counting(inner):
-        def counted(P, **kwargs):
-            calls.append(P)
-            return inner(P, **kwargs)
-        return counted
+    def counted(P, **kwargs):
+        calls.append(P)
+        return inner(P, **kwargs)
 
-    for name in ("index_oracle", "index_oracle_sampled"):
-        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+    monkeypatch.setattr(harness, "index_oracle", counted)
     mask = _mask("C", 4, edges, loops)
     assert len(graph_components(relation_graph(poset_from_mask("C", 4, mask)))) == components
     outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
     assert all(outcome is None or outcome == SKIPPED for outcome in outcomes)
     # a connected poset is its own component subposet; otherwise each
     # component and the whole poset are computed once
-    assert len(calls) == (1 if components == 1 else components + 1)
+    assert len(calls) == 1
+    misses = harness._component_index.cache_info().misses
+    assert misses == (0 if components == 1 else components)
 
 
-@pytest.mark.parametrize("family, induced", [("C", 0), ("D", 0), ("B", 1)])
-def test_spanning_component_is_the_poset_itself(monkeypatch, family, induced):
+@pytest.mark.parametrize("family, built", [("C", 0), ("D", 0), ("B", 1)])
+def test_spanning_component_is_the_poset_itself(monkeypatch, family, built):
     # a connected C or D poset is its own component subposet, so no
     # subposet is built; in B the component drops 0 and is of type D
     calls = []
-    inner = harness.induced_subposet
+    inner = harness.poset_from_graph
 
-    def counted(P, elements):
-        calls.append(elements)
-        return inner(P, elements)
+    def counted(*key):
+        calls.append(key)
+        return inner(*key)
 
-    monkeypatch.setattr(harness, "induced_subposet", counted)
+    monkeypatch.setattr(harness, "poset_from_graph", counted)
     P = poset_from_mask(family, 3, _mask(family, 3, [(1, 2), (2, 3)]))
     ctx = harness.CheckContext(seed=5, trials=5)
     assert harness.check_disjoint_additivity(P, ctx) is None
-    assert len(calls) == induced
-    assert len(ctx.memo) == 1 + induced
+    assert len(calls) == built
+    assert list(ctx.memo) == [("oracle", P)]
 
 
 def _components(family, n, mask):
@@ -244,41 +245,35 @@ def test_component_key_determines_the_subposet():
                     assert part == poset_from_graph(kind, k, edges, loops), (P, vertices)
 
 
-def test_sampled_components_rank_at_each_posets_seed(monkeypatch):
-    # with the H block forced away every oracle draws, so the component
-    # shared by the two posets (the edge 1-2 relabelled) is ranked at each
-    # poset's own seed and the campaign memo stays empty
+def test_sampled_component_rank_fails_the_check_uncached(monkeypatch):
+    # every component the campaign ranks is of the paper's class, whose
+    # rank is proved on the H block; with that path forced away the rank
+    # draws trial points, which fails the check naming the component, and
+    # nothing is cached
     monkeypatch.setattr(index_engine, "_h_block", lambda basis, table: None)
-    calls = []
-    inner = harness.index_oracle_sampled
-
-    def counted(P, trials, seed):
-        calls.append((P, seed))
-        return inner(P, trials=trials, seed=seed)
-
-    monkeypatch.setattr(harness, "index_oracle_sampled", counted)
-    shared = poset_from_graph("C", 2, [(1, 2)])
-    masks = [_mask("C", 3, [(1, 2)]), _mask("C", 3, [(2, 3)])]
-    for mask in masks:
-        assert run_checks_on_poset("C", 3, mask, ("disjoint_additivity",), 0, 5) == [None]
-    seeds = [harness.poset_seed(0, "C", 3, mask) for mask in masks]
-    assert seeds[0] != seeds[1]
-    assert [seed for P, seed in calls if P == shared] == seeds
-    assert len(calls) == 4 and harness._component_index == {}
+    (failure,) = run_checks_on_poset("C", 3, 1, ("disjoint_additivity",), 0, 5)
+    assert failure["witness"] == {
+        "error": "InvariantViolation",
+        "message": "component ('C', 2, ((1, 2),), ()) of a class poset was sampled",
+    }
+    assert harness._component_index.cache_info().currsize == 0
 
 
 def test_raising_component_oracle_fails_every_poset_holding_it(monkeypatch):
-    # nothing is stored for a component whose oracle raises, so each
-    # poset that contains it records the failure, not only the first
-    shared = poset_from_graph("C", 2, [(1, 2)])
-    inner = harness.index_oracle_sampled
+    # nothing is cached for a component whose rank raises, so each poset
+    # that contains it ranks it again and records the failure, not only
+    # the first
+    shared = structure_constants(poset_from_graph("C", 2, [(1, 2)]))
+    inner = harness.generic_rank
+    faults = []
 
-    def faulty(P, trials, seed):
-        if P == shared:
+    def faulty(C, *args):
+        if C == shared:
+            faults.append(C)
             raise ZeroDivisionError("injected")
-        return inner(P, trials=trials, seed=seed)
+        return inner(C, *args)
 
-    monkeypatch.setattr(harness, "index_oracle_sampled", faulty)
+    monkeypatch.setattr(harness, "generic_rank", faulty)
     key = ("C", 2, ((1, 2),), ())
     expected = set()
     for n in (1, 2, 3):
@@ -290,14 +285,14 @@ def test_raising_component_oracle_fails_every_poset_holding_it(monkeypatch):
     failed = {(f["poset"]["n"], f["poset"]["mask"]) for f in report["failures"]}
     assert len(expected) > 1 and failed == expected
     assert {f["witness"]["error"] for f in report["failures"]} == {"ZeroDivisionError"}
-    assert key not in harness._component_index
+    assert len(faults) == len(expected)
 
 
 def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch):
     # the acceptance plan: 44 distinct components, built and ranked once
     # each, beside the 1,184 posets' own oracles; a second campaign in the
-    # same process starts from an empty memo and counts the same
-    counts = {"induced_subposet": 0, "index_oracle": 0, "index_oracle_sampled": 0}
+    # same process starts from an empty cache and counts the same
+    counts = {"poset_from_graph": 0, "index_oracle": 0}
 
     def counting(name, inner):
         def counted(*args, **kwargs):
@@ -311,26 +306,25 @@ def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch)
     for _ in range(2):
         payload = report_json_bytes(run_campaign(cfg))
         assert hashlib.sha256(payload).hexdigest().startswith("13c5722d")
-        assert counts == {"induced_subposet": 44, "index_oracle": 1184,
-                          "index_oracle_sampled": 44}
-        assert len(harness._component_index) == 44
+        assert counts == {"poset_from_graph": 44, "index_oracle": 1184}
+        info = harness._component_index.cache_info()
+        assert info.misses == info.currsize == 44
         counts.update(dict.fromkeys(counts, 0))
 
 
-def test_component_memo_bound_and_reset(monkeypatch):
-    # a memo bounded at two entries drops the least recently used, and a
-    # wrong entry left from before a campaign is emptied by run_campaign
+def test_component_cache_reset_per_campaign(monkeypatch):
+    # a campaign starts from an empty cache: wrong indices that a campaign
+    # on another plan left there change nothing, and the next campaign
+    # ranks every component it reads itself
     cfg = CampaignConfig(plan=(("C", 3), ("D", 3)), seed=4)
-    unbounded = report_json_bytes(run_campaign(cfg))
-    monkeypatch.setattr(harness, "COMPONENT_MEMO_SIZE", 2)
-    harness._component_index[("C", 1, (), ())] = 99
-    assert report_json_bytes(run_campaign(cfg)) == unbounded
-    assert len(harness._component_index) == 2
-    ctx = harness.CheckContext(seed=0, trials=5)
-    P, parts = _components("C", 3, _mask("C", 3, [(1, 2)], (3,)))
-    for vertices, key in parts:
-        ctx.component(P, vertices, key)
-    assert list(harness._component_index) == [key for _, key in parts]
+    fresh = report_json_bytes(run_campaign(cfg))
+    misses = harness._component_index.cache_info().misses
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "generic_rank", lambda C, *args: (0, False))
+        poisoned = run_campaign(CampaignConfig(plan=(("C", 2), ("D", 2)), seed=4))
+    assert poisoned["failures"] and harness._component_index.cache_info().currsize > 0
+    assert report_json_bytes(run_campaign(cfg)) == fresh
+    assert harness._component_index.cache_info().misses == misses
 
 
 def test_derived_objects_computed_once_per_poset(monkeypatch):
@@ -484,7 +478,8 @@ def _rank_zero_trace(P, seed):
 @pytest.mark.parametrize(
     "check, poset, target, fake, witness",
     [
-        # the oracle gives every poset index 1: two components sum to 2
+        # the oracle gives the whole poset index 1; its two components
+        # have index 1 each and sum to 2
         ("disjoint_additivity", ("C", 2, 0), "index_oracle",
          lambda P, trials, seed: 1,
          {"component_sum": "2", "whole": "1", "components": "2"}),
@@ -492,7 +487,11 @@ def _rank_zero_trace(P, seed):
          {"reason": "principal element not diagonal"}),
         ("principal_element", ("C", 1, 1), "principal_element",
          _principal(diagonal=((-1, Fraction(1, 2)), (1, Fraction(1, 2)))),
-         {"convention": "other", "mirrored": "False"}),
+         {"convention": "other"}),
+        # mirrored +-1/2, but +1/2 on the positive row: not h-hat
+        ("principal_element", ("C", 1, 1), "principal_element",
+         _principal(diagonal=((-1, Fraction(-1, 2)), (1, Fraction(1, 2)))),
+         {"convention": "other"}),
         # ad(H(1)) on H(1), Z(1) has eigenvalues 0 and 2
         ("binary_spectrum", ("C", 1, 1), "principal_element",
          _principal(coefficients=((BasisElement("C", "H", 1), Fraction(1)),)),
@@ -501,7 +500,8 @@ def _rank_zero_trace(P, seed):
          {"final_rank": "0", "expected": "1", "steps": "0"}),
     ],
     ids=["disjoint_additivity", "principal_element-reason",
-         "principal_element-convention", "binary_spectrum", "reduction_trace"],
+         "principal_element-convention", "principal_element-mirrored", "binary_spectrum",
+         "reduction_trace"],
 )
 def test_failure_witness(monkeypatch, check, poset, target, fake, witness):
     # each check's witness, from a fault injected under the check
@@ -522,18 +522,19 @@ def test_config_rejects_unknown_check_like_every_other_field():
 
 
 @pytest.mark.parametrize(
-    "plan, checks",
-    [((("C", 2), ("C", 1)), ()), ((("D", 1), ("B", 2), ("D", 3)), ()),
-     ((("C", 0),), ()), ((("B", -1),), ()), ((("A", 2),), ()), ((("E", 1),), ()),
-     ((("C", 2),), ("dimension_formula", "dimension_formula"))],
+    "plan, checks, trials",
+    [((("C", 2), ("C", 1)), (), 5), ((("D", 1), ("B", 2), ("D", 3)), (), 5),
+     ((("C", 0),), (), 5), ((("B", -1),), (), 5), ((("A", 2),), (), 5),
+     ((("E", 1),), (), 5), ((("C", 2),), ("dimension_formula", "dimension_formula"), 5),
+     ((("C", 2),), (), 0)],
     ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown",
-         "repeated-check"],
+         "repeated-check", "trials-zero"],
 )
-def test_plan_rejected_before_any_poset_runs(plan, checks, monkeypatch):
+def test_plan_rejected_before_any_poset_runs(plan, checks, trials, monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "_worker", lambda item: ran.append(item) or [])
     with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(plan=plan, checks=checks))
+        run_campaign(CampaignConfig(plan=plan, checks=checks, trials=trials))
     assert ran == []
 
 

@@ -382,6 +382,29 @@ class TestSmallOps:
         assert Q.family == "D" and (-1, 2) in Q.relations
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_poset("E", 2, []), ValueError, "unknown family 'E'"),
+        (lambda: build_poset("C", 0, []), ValueError, "n must be >= 1"),
+        (lambda: is_separable(build_poset("A", 2, [(1, 2)])), ValueError,
+         "separability applies to families B, C, D"),
+        (lambda: next(enumerate_h01("A", 2)), ValueError,
+         "enumeration applies to families B, C, D"),
+        (lambda: next(enumerate_h01("C", 0)), ValueError, "n must be >= 1"),
+        (lambda: induced_subposet(build_poset("C", 2, []), [-1, 1, 3]), BadElement,
+         "subset not contained in the ground set"),
+        (lambda: induced_subposet(build_poset("B", 2, []), [0]), BadElement,
+         "signed subposet needs at least one mirror pair"),
+    ],
+    ids=["build-unknown-family", "build-n-zero", "separable-family-A", "enumerate-family-A",
+         "enumerate-n-zero", "induced-outside-ground-set", "induced-B-zero-alone"],
+)
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestGraphBijection:
     def test_round_trip_from_graph(self):
         edges = [(1, 2), (2, 3)]

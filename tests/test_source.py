@@ -282,3 +282,24 @@ def test_every_lru_cache_has_an_integer_maxsize():
             elif isinstance(node, ast.ImportFrom) and node.module == "functools":
                 found.extend(where for alias in node.names if alias.name == "cache")
     assert found == []
+
+
+def test_every_import_is_used():
+    # a name a module imports at its top and never reads is dead weight,
+    # and a leftover of code deleted elsewhere; __future__ imports bind
+    # nothing
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found.extend(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                         for name in bound if name not in read)
+    assert found == []
