@@ -25,23 +25,27 @@ every function here that builds one keeps both rules.  `commutator` sums
 A*B - B*A in one pass over the pairs of entries of A and B.
 
 Every poset of (family, n) is contained in the Borel poset of (family,
-n), so its basis is a subsequence of the Borel basis, in the same order.
-A bracket does not depend on the poset: each basis element is a fixed
-signed matrix.  So the table of P is the Borel table restricted to the
-basis of P and re-indexed (the slice lemma).  `_borel` brackets the
-pairs of the Borel basis once per (family, n), and only those where a
-column of one realization is a row of the other (A*B is zero otherwise).
-A bracket of positive roots is a multiple of one root vector, and the
-realizations have entries +-1, so each Borel cell holds one int term;
-that is checked there, once, and it is why a cell of a per-poset table
-is one (k, c) pair.  `structure_constants` only slices: a term outside
-the basis of P raises NotInSpan.  The Borel tables sit in an
-lru_cache of 32 (family, n) pairs; the 22 sizes C6..C14, D6..D12 and
+n).  `_borel_basis` sorts the Borel basis once per (family, n) and keeps
+each element's leading position; `build_basis` filters it to the
+elements led at a relation of P, so every basis is a subsequence of the
+Borel basis, in the same order, by construction, and building one
+brackets nothing.  A bracket does not depend on the poset: each basis
+element is a fixed signed matrix.  So the table of P is the Borel table
+restricted to the basis of P and re-indexed (the slice lemma).
+`_borel_rows` brackets the pairs of the Borel basis once per (family,
+n), and only those where a column of one realization is a row of the
+other (A*B is zero otherwise).  A bracket of positive roots is a
+multiple of one root vector, and the realizations have entries +-1, so
+each Borel cell holds one int term; that is checked there, once, and it
+is why a cell of a per-poset table is one (k, c) pair.
+`structure_constants` only slices: a term outside the basis of P raises
+NotInSpan.  The Borel bases and rows each sit in an lru_cache of 32
+(family, n) pairs; the rows of the 22 sizes C6..C14, D6..D12 and
 B5..B10 hold 14,239 cells in 1.4 MB (tracemalloc).  The per-poset
-tables sit in a cache of 256: most of its hits are one poset's checks
-reading its table again, and the rest are component subposets that
-recur across posets, plus the few tables `verify_B_reduction` and
-`verify_CD_isomorphism` find still cached.
+tables sit in a cache of 256.  On C:4,D:4,B:3 it serves 1,837 of 3,112
+lookups: 1,712 are one poset's checks reading its table again, 28 are
+component subposets that recur across posets, and 22 and 75 are tables
+that `verify_B_reduction` and `verify_CD_isomorphism` find still cached.
 
 The pair (basis, table) is the one representation of the brackets of P:
 the commutator matrix ([x_i, x_j]) is the table read skew, and
@@ -105,23 +109,16 @@ def commutator(a, b):
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=1)
 def build_basis(P):
     """The canonical ordered basis of the Lie poset algebra of P.
 
     An element is in the basis exactly when its leading position (see
-    `realize`) is a relation of P, so the basis is the elements led at
-    the relations of P (`_led_at`), in basis order.  The last basis is
-    kept: the table of `structure_constants` and the parity check of
-    `index_formula` ask for the same poset's basis in turn, and share it.
+    `realize`) is a relation of P.  P lies in the Borel poset of its
+    (family, n), so the basis is the Borel basis filtered to those
+    elements, in Borel order; building it brackets nothing.
     """
-    return _led_by(P.family, P.n, P.relations)
-
-
-def _led_by(family, n, positions):
-    """The elements of (family, n) led at `positions`, in basis order."""
-    led = (_led_at(family, key, n) for key in positions)
-    return tuple(sorted((b for b in led if b is not None), key=BasisElement.sort_key))
+    basis, leads, _ = _borel_basis(P.family, P.n)
+    return tuple(b for b, lead in zip(basis, leads) if lead in P.relations)
 
 
 def realize(b):
@@ -232,19 +229,31 @@ def decompose(mat, family):
 
 
 @lru_cache(maxsize=32)
-def _borel(family, n):
-    """(basis, position, rows) of the Borel algebra of (family, n).
+def _borel_basis(family, n):
+    """(basis, leads, position) of the Borel algebra of (family, n).
 
     Its basis is the elements led at the pairs x <= y of the ground set:
     that of the Borel poset, which contains every poset of (family, n).
-    position maps each element to its index, and rows[I] holds one (J,
-    K, c) triple per nonzero bracket [b_I, b_J] = c * b_K with J > I, in
-    ascending J.  A bracket with more than one term, or a coefficient
-    that is not an int (a Fraction, or a bool), raises InvariantViolation.
+    It is sorted once, here.  leads[I] is the leading position of
+    basis[I], and position maps each element to its index.
     """
     pairs = itertools.combinations_with_replacement(ground_set(family, n), 2)
-    basis = _led_by(family, n, pairs)
-    position = {b: k for k, b in enumerate(basis)}
+    led = (_led_at(family, key, n) for key in pairs)
+    basis = tuple(sorted((b for b in led if b is not None), key=BasisElement.sort_key))
+    leads = tuple(next(iter(realize(b))) for b in basis)
+    return basis, leads, {b: k for k, b in enumerate(basis)}
+
+
+@lru_cache(maxsize=32)
+def _borel_rows(family, n):
+    """The bracket rows of the Borel basis of (family, n).
+
+    rows[I] holds one (J, K, c) triple per nonzero bracket [b_I, b_J] =
+    c * b_K with J > I, in ascending J.  A bracket with more than one
+    term, or a coefficient that is not an int (a Fraction, or a bool),
+    raises InvariantViolation.
+    """
+    basis, _, position = _borel_basis(family, n)
     mats = [realize(b) for b in basis]
     by_row, by_col = {}, {}
     for k, m in enumerate(mats):
@@ -269,7 +278,7 @@ def _borel(family, n):
                 raise InvariantViolation(f"non-integral structure constant {c!r} in {combo}")
             row.append((j, position[b], c))
         rows.append(tuple(row))
-    return basis, position, tuple(rows)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=256)
@@ -282,7 +291,8 @@ def structure_constants(P):
     The cells are the Borel cells between elements of P, re-indexed, in
     the Borel order.  A term outside the basis of P raises NotInSpan.
     """
-    borel, position, rows = _borel(P.family, P.n)
+    borel, _, position = _borel_basis(P.family, P.n)
+    rows = _borel_rows(P.family, P.n)
     basis = build_basis(P)
     local = {position[b]: i for i, b in enumerate(basis)}  # Borel index -> index in P
     table = {}

@@ -28,6 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import ORACLE_TRIALS
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
 from .errors import InvariantViolation, SingularForm
 from .frobenius import (
@@ -83,7 +84,7 @@ class CampaignConfig:
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
     checks: tuple = ()  # empty means all registered checks
     seed: int = 0
-    trials: int = 5
+    trials: int = ORACLE_TRIALS
     jobs: int = 1
 
     def __post_init__(self):

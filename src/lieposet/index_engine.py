@@ -461,7 +461,7 @@ def reduce(P, seed=0):
         return target
 
     def relabel(row, v):
-        """Label row Z(v), as -2*L_v*e_v, or 0 for v None.
+        """Relabel the row of an edge as Z(v), -2*L_v*e_v, or as 0 for v None.
 
         Raises InvariantViolation unless the row is a nonzero multiple of
         e_v, or zero for 0.
@@ -474,11 +474,10 @@ def reduce(P, seed=0):
                 f"{row.name} row [{values}] is no {_label_str(label)} row"
             )
         del by_label[row.label]
-        if row.label[0] == "Y":
-            _, a, b = row.label
-            del edges[(a, b)]
-            neighbours[a].discard(b)
-            neighbours[b].discard(a)
+        _, a, b = row.label
+        del edges[(a, b)]
+        neighbours[a].discard(b)
+        neighbours[b].discard(a)
         row.label = label
         row.name = _label_str(label)
         if v is not None:

@@ -66,10 +66,6 @@ class SignedPoset:
     def leq(self, x, y):
         return (x, y) in self.relations
 
-    @property
-    def strict_relations(self):
-        return tuple(sorted((x, y) for (x, y) in self.relations if x != y))
-
     @cached_property
     def height_pair(self):
         """The HeightPair of a signed poset; read it through :func:`height`."""

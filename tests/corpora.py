@@ -56,15 +56,20 @@ def hasse_connected(P):
     return len(seen) == len(elems)
 
 
+def strict_relations(P):
+    """The pairs x < y of P, sorted."""
+    return tuple(sorted((x, y) for (x, y) in P.relations if x != y))
+
+
 def type_a_height_at_most_one(P):
     """No chain x < y < z: no strict relation starts where another ends."""
-    strict = P.strict_relations
+    strict = strict_relations(P)
     return not {y for _, y in strict} & {x for x, _ in strict}
 
 
 def type_a_height_one_index(P):
     """|E| - |V| + 1, the index of a connected height-one type-A poset."""
-    return len(P.strict_relations) - P.n + 1
+    return len(strict_relations(P)) - P.n + 1
 
 
 def type_a_height_one_posets(n, connected_only=True):

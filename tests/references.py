@@ -11,6 +11,7 @@ the package did before it read each element off its leading position;
 the slice and the basis are compared against them.
 """
 
+from corpora import strict_relations
 from lieposet import InvariantViolation, NotInSpan, algebra
 
 
@@ -117,7 +118,7 @@ def basis_by_kinds(P):
     if P.family == "A":
         for i in range(1, P.n):
             out.append(algebra.BasisElement("A", "DA", i))
-        for x, y in P.strict_relations:
+        for x, y in strict_relations(P):
             out.append(algebra.BasisElement("A", "EA", x, y))
     else:
         fam = P.family

@@ -23,8 +23,11 @@ from lieposet import (
     decompose,
     enumerate_h01,
     ground_set,
+    h01_slots,
     height,
+    index_formula,
     matrix_form,
+    poset_from_mask,
     realize,
     realize_combination,
     relation_graph,
@@ -119,6 +122,10 @@ class TestRealize:
                 assert all(lead not in later for later in realized[k + 1:]), (P, basis[k])
             kinds.update(b.kind for b in basis)
         assert kinds == {"H", "X", "Y", "Z", "U", "DA", "EA"}
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown kind 'W'"):
+            realize(BasisElement("C", "W", 1))
 
     def test_upper_triangular_in_signed_order(self):
         for n in (1, 2, 3):
@@ -346,6 +353,27 @@ class TestIsomorphisms:
         with pytest.raises(NoSignRescaling, match="differ in magnitude"):
             verify_CD_isomorphism(build_poset("D", 2, [(-1, 2)]))
 
+    @staticmethod
+    def _drop_last_element(monkeypatch, family):
+        """Make structure_constants leave the last basis element off for one family."""
+        inner = algebra.structure_constants
+
+        def short(P):
+            basis, table = inner(P)
+            return (basis[:-1] if P.family == family else basis), table
+
+        monkeypatch.setattr(algebra, "structure_constants", short)
+
+    def test_cd_bases_that_do_not_correspond(self, monkeypatch):
+        self._drop_last_element(monkeypatch, "C")
+        with pytest.raises(NoSignRescaling, match="bases do not correspond"):
+            verify_CD_isomorphism(build_poset("D", 2, [(-1, 2)]))
+
+    def test_b_reduction_bases_that_do_not_correspond(self, monkeypatch):
+        self._drop_last_element(monkeypatch, "D")
+        with pytest.raises(TablesDiffer, match="bases do not correspond"):
+            verify_B_reduction(build_poset("B", 2, [(-1, 2)]))
+
     def test_cd_inconsistent_parity(self, monkeypatch):
         monkeypatch.setattr(algebra, "_solve_gf2", lambda equations: None)
         with pytest.raises(NoSignRescaling, match="parity constraints are inconsistent"):
@@ -438,7 +466,7 @@ class TestIntegerStructureConstants:
             return tuple((e, Fraction(c)) for e, c in inner(mat, family))
 
         monkeypatch.setattr(algebra, "decompose", as_fractions)
-        algebra._borel.cache_clear()
+        algebra._borel_rows.cache_clear()
         structure_constants.cache_clear()
         with pytest.raises(InvariantViolation, match="non-integral"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
@@ -453,7 +481,7 @@ class TestIntegerStructureConstants:
             return combo + combo
 
         monkeypatch.setattr(algebra, "decompose", doubled)
-        algebra._borel.cache_clear()
+        algebra._borel_rows.cache_clear()
         structure_constants.cache_clear()
         with pytest.raises(InvariantViolation, match="not one term"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
@@ -461,15 +489,13 @@ class TestIntegerStructureConstants:
     def test_bracket_outside_the_basis_raises_not_in_span(self, monkeypatch):
         # the Borel table holds every element of the family; the span
         # check of P is the lookup of each term in P's basis
-        inner = algebra._borel
+        inner = algebra._borel_rows
 
         def with_foreign(family, n):
-            basis, position, rows = inner(family, n)
-            foreign = position[BasisElement("C", "Z", 2)]
-            rows = tuple(tuple((J, foreign, c) for J, _, c in row) for row in rows)
-            return basis, position, rows
+            foreign = algebra._borel_basis(family, n)[2][BasisElement("C", "Z", 2)]
+            return tuple(tuple((J, foreign, c) for J, _, c in row) for row in inner(family, n))
 
-        monkeypatch.setattr(algebra, "_borel", with_foreign)
+        monkeypatch.setattr(algebra, "_borel_rows", with_foreign)
         structure_constants.cache_clear()
         with pytest.raises(NotInSpan, match=r"Z\(2\), outside the basis"):
             structure_constants(build_poset("C", 2, [(-1, 2)]))
@@ -492,7 +518,6 @@ class TestIntegerStructureConstants:
         calls = []
         inner = algebra.build_basis
         P = build_poset("C", 4, [(-1, 2), (-2, 3), (-3, 4), (-4, 4)])
-        algebra._borel(P.family, P.n)  # the Borel table builds its own basis
 
         def counted(P):
             calls.append(P)
@@ -508,7 +533,8 @@ class TestIntegerStructureConstants:
 
     def test_cache_is_bounded(self):
         assert structure_constants.cache_info().maxsize is not None
-        assert algebra._borel.cache_info().maxsize is not None
+        assert algebra._borel_basis.cache_info().maxsize is not None
+        assert algebra._borel_rows.cache_info().maxsize is not None
 
     def test_bracket_memo_is_shared_across_posets(self, monkeypatch):
         # the Borel table of (family, n) brackets each pair once; every
@@ -521,7 +547,7 @@ class TestIntegerStructureConstants:
             return true_commutator(a, b)
 
         monkeypatch.setattr(algebra, "commutator", counting)
-        algebra._borel.cache_clear()
+        algebra._borel_rows.cache_clear()
         structure_constants.cache_clear()
         path = build_poset("C", 3, [(-1, 2), (-2, 3)])
         structure_constants(path)
@@ -531,7 +557,7 @@ class TestIntegerStructureConstants:
         structure_constants.cache_clear()
         structure_constants(path)
         assert len(counted) == first
-        assert algebra._borel.cache_info().misses == 1
+        assert algebra._borel_rows.cache_info().misses == 1
         structure_constants(build_poset("C", 2, [(-1, 2)]))
         assert len(counted) > first
 
@@ -573,7 +599,7 @@ class TestRowIndexedTable:
         # A; only family A tells a one-sided index from the full one.
         # The Borel tables are emptied first, so every bracket the slices
         # read is a fresh commutator as well
-        algebra._borel.cache_clear()
+        algebra._borel_rows.cache_clear()
         structure_constants.cache_clear()
         heights = set()
         for P in seeded_general_posets(family, 11, count=40, n_max=4, max_gens=6):
@@ -600,7 +626,7 @@ class TestRowIndexedTable:
             return true_commutator(a, b)
 
         monkeypatch.setattr(algebra, "commutator", counting_commutator)
-        algebra._borel.cache_clear()
+        algebra._borel_rows.cache_clear()
         structure_constants.cache_clear()
         structure_constants(P)
         borel = build_poset(P.family, P.n, general_generators(P.family, P.n))
@@ -643,11 +669,28 @@ class TestBorelSlice:
         # the Borel poset is a poset of its family, and its own slice is
         # the Borel table itself, one term per cell
         for n in range(2, 6):
-            borel, _, rows = algebra._borel(family, n)
+            borel, rows = algebra._borel_basis(family, n)[0], algebra._borel_rows(family, n)
             P = build_poset(family, n, general_generators(family, n))
             basis, table = structure_constants(P)
             assert basis == borel
             assert table == {(I, J): (K, c) for I, row in enumerate(rows) for J, K, c in row}
+
+
+def test_basis_and_formula_build_no_borel_row(monkeypatch):
+    # a basis is read off the Borel basis, which brackets nothing: on a
+    # (family, n) not seen before, build_basis and the parity check of
+    # index_formula build the Borel basis once and no Borel row
+    def no_rows(*args):
+        raise AssertionError(f"a Borel row was built: {args}")
+
+    monkeypatch.setattr(algebra, "_borel_rows", no_rows)
+    monkeypatch.setattr(algebra, "commutator", no_rows)
+    algebra._borel_basis.cache_clear()
+    edges, loops = h01_slots("C", 40)
+    P = poset_from_mask("C", 40, sum(1 << b for b in range(0, len(edges) + len(loops), 2)))
+    assert len(build_basis(P)) == 40 + len(edges) // 2 + len(loops) // 2
+    index_formula(P)
+    assert algebra._borel_basis.cache_info().misses == 1
 
 
 # Dense references for the sparse products: matrices indexed by the signed

@@ -12,6 +12,7 @@ import pytest
 from corpora import (
     hasse_connected,
     random_separable_poset,
+    strict_relations,
     type_a_height_at_most_one,
     type_a_height_one_posets,
 )
@@ -331,14 +332,15 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     # a connected Frobenius C4 poset: the path 1-2-3-4 with a loop at 4
     from lieposet import algebra, posets
 
-    algebra._borel("C", 4)  # built once per process, with its own basis
+    algebra._borel_rows("C", 4)  # the Borel basis and rows, built once per process
     algebra.structure_constants.cache_clear()
-    algebra.build_basis.cache_clear()
 
     principal_calls = []
     height_calls = []
+    led_calls = []
     inner_principal = harness.principal_element
     inner_heights = posets._heights
+    inner_led = algebra._led_at
 
     def counted_principal(P, F):
         principal_calls.append(P)
@@ -348,17 +350,44 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
         height_calls.append(elements)
         return inner_heights(elements, relations)
 
+    def counted_led(family, position, top):
+        led_calls.append(position)
+        return inner_led(family, position, top)
+
     monkeypatch.setattr(harness, "principal_element", counted_principal)
     monkeypatch.setattr(posets, "_heights", counted_heights)
+    monkeypatch.setattr(algebra, "_led_at", counted_led)
     mask = _mask("C", 4, [(1, 2), (2, 3), (3, 4)], (4,))
     outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
     by_check = dict(zip(CHECKS, outcomes))
     assert by_check["principal_element"] is None and by_check["binary_spectrum"] is None
     assert len(principal_calls) == 1
-    # one basis: the table and the parity check of index_formula share it
-    assert algebra.build_basis.cache_info().misses == 1
+    # one table; it and the parity check of index_formula read the basis
+    # off the cached Borel basis, with no leading position looked up
+    assert algebra.structure_constants.cache_info().misses == 1
+    assert led_calls == []
     # one height pair: one pass gives the longest chain in P+ and in P
     assert len(height_calls) == 1
+
+
+def test_warm_campaign_looks_up_no_leading_position(monkeypatch):
+    # every basis is a filter of the cached Borel basis of its (family,
+    # n): once a campaign has built those, a second campaign runs no
+    # per-poset pass over the relations and no sort
+    from lieposet import algebra
+
+    cfg = CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)))
+    first = report_json_bytes(run_campaign(cfg))
+    calls = []
+    inner = algebra._led_at
+
+    def counted(family, position, top):
+        calls.append(position)
+        return inner(family, position, top)
+
+    monkeypatch.setattr(algebra, "_led_at", counted)
+    assert report_json_bytes(run_campaign(cfg)) == first
+    assert calls == []
 
 
 def test_default_report_bytes_pinned_under_optimize():
@@ -560,7 +589,7 @@ def test_random_separable_poset_is_separable():
 def test_type_a_height_one_enumeration():
     posets = list(type_a_height_one_posets(3))
     # connected height-one posets on {1,2,3}: vee, wedge, and paths
-    assert all(len(P.strict_relations) >= 2 for P in posets)
+    assert all(len(strict_relations(P)) >= 2 for P in posets)
     for P in posets:
         assert type_a_height_at_most_one(P) and hasse_connected(P)
     disconnected = list(type_a_height_one_posets(3, connected_only=False))

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -229,6 +230,31 @@ def test_tampered_pivot_row_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_bareiss", tampered)
     with pytest.raises(ArithmeticError, match="back-substitution not exact"):
         solve(rows, rhs, 2)
+
+
+def _bareiss_raise_lines():
+    """Line numbers of the two exactness raises of `_bareiss`, in order."""
+    lines, first = inspect.getsourcelines(_bareiss)
+    return [first + k for k, line in enumerate(lines) if "raise ArithmeticError" in line]
+
+
+@pytest.mark.parametrize(
+    "rows, which",
+    [
+        # row 1 sits out column 0 (pivot 2), then leads column 1 and is
+        # brought up to date: 2 * 1/3 is no integer
+        ([[2, 0], [0, Fraction(1, 3)]], 0),
+        # row 1 is eliminated against row 0: 1/2 - 1 is no integer
+        ([[1, 1], [1, Fraction(1, 2)]], 1),
+    ],
+    ids=["pivot-row-update", "elimination"],
+)
+def test_fraction_entry_breaks_the_fraction_free_step(rows, which):
+    # the loop takes int rows; a Fraction entry leaves a remainder in the
+    # exact division, which must raise rather than truncate
+    with pytest.raises(ArithmeticError, match="fraction-free step not exact") as info:
+        _bareiss([list(row) for row in rows], 2)
+    assert info.traceback[-1].lineno + 1 == _bareiss_raise_lines()[which]
 
 
 def reference_det(rows):

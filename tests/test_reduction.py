@@ -302,6 +302,15 @@ class TestReduceReplay:
         with pytest.raises(InvariantViolation, match=r"Y\(2,3\) row .* is no Z\(3\) row"):
             reduce(triangle_poset, seed=0)
 
+    def test_inexact_step_raises(self):
+        # rows no replay builds: clearing column 1 of (1, 1, 0) against
+        # (2, 0, 1) would subtract 1/2 in column 3
+        target = index_engine._Row(("Y", 1, 2), (1, 1, 0))
+        source = index_engine._Row(("Y", 1, 3), (2, 0, 1))
+        with pytest.raises(InvariantViolation, match=r"inexact step in column 1 of Y\(1,2\)"):
+            index_engine._eliminate(target, source, 1)
+        assert target.values == (1, 1, 0)
+
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
         # and K4,4: the replay takes the same tree, chords and steps

@@ -175,7 +175,7 @@ def test_every_export_resolves_to_its_defining_module():
 def test_every_export_is_used_inside_the_package():
     # a public function that only the tests and the export list reach is
     # dead code: delete it, or move it into tests/ as a reference.
-    # mask_of_poset stays for the poset keys of ROADMAP item 3
+    # mask_of_poset stays for the poset keys of ROADMAP item 4
     allowed = {"mask_of_poset"}
     init = PACKAGE / "__init__.py"
     exported = set(lieposet._EXPORTS)
@@ -258,6 +258,67 @@ def _callable_name(node):
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
+
+
+def _is_click_command(node):
+    """True when a function is decorated as a click command or group."""
+    return any(
+        isinstance(d, ast.Call) and _callable_name(d.func) in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def test_every_function_is_read_inside_the_package():
+    # a function, method or property that nothing in the package reads
+    # is dead code: delete it, or move it into tests/.  Python reads the
+    # dunders and click the commands; mask_of_poset stays for the poset
+    # keys of ROADMAP item 4, and poset_to_text writes the documented
+    # text format
+    allowed = {"mask_of_poset", "poset_to_text"}
+    defined, read = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not (dunder or _is_click_command(node)):
+                    defined.append((f"{path.relative_to(PACKAGE)}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            ):
+                read.add(_callable_name(node))
+    assert defined
+    assert [f"{where} {name}" for where, name in defined if name not in read | allowed] == []
+
+
+def _readers(name):
+    """`module.function` for each function of the package whose own body,
+    apart from the functions nested in it, reads `name`; `module.<module>`
+    for a read outside every function."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = [("<module>", tree)] + [
+            (node.name, node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for scope, top in scopes:
+            stack = list(ast.iter_child_nodes(top))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if _callable_name(node) == name:
+                    found.add(f"{path.stem}.{scope}")
+                stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_basis_order_is_sorted_only_in_the_borel_basis_and_decompose():
+    # a poset's basis is the Borel basis filtered, already in basis
+    # order: the Borel basis is sorted once per (family, n) and decompose
+    # picks its next element by basis order; no per-poset sort may come
+    # back
+    assert _readers("sort_key") == {"algebra._borel_basis", "algebra.decompose"}
 
 
 def test_every_lru_cache_has_an_integer_maxsize():
