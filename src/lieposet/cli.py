@@ -5,11 +5,12 @@ as Frobeniusness fails, or the two index methods disagree), 2 input
 errors (unparseable input, poset axiom violations, bad flag combinations).
 
 A query is one cold process, so each command loads only what it runs.
-The module top loads errors and formats, and formats loads posets and
-algebra: that is all that validate, enumerate, export and isomorphism
-need.  index and reduce import index_engine in their bodies; principal
-and spectrum import frobenius; frobenius imports it too, and
-index_engine only for --check-oracle.  harness, the campaign driver, is
+The module top loads errors and formats, and formats loads posets: that
+is all that validate, enumerate and the hasse and relation-graph exports
+need.  The table exports and isomorphism load algebra when they run.
+index and reduce import index_engine in their bodies; principal and
+spectrum import frobenius; frobenius imports it too, and index_engine
+only for --check-oracle.  harness, the campaign driver, is
 verify's alone.  The --trials default is the package's ORACLE_TRIALS,
 which index_engine reads too, so the options can show it without loading
 that module.  Compiled from source (PYTHONDONTWRITEBYTECODE=1), a median
@@ -27,7 +28,6 @@ from contextlib import nullcontext
 import click
 
 from . import ORACLE_TRIALS, __version__, formats
-from .algebra import matrix_form, verify_B_reduction, verify_CD_isomorphism
 from .errors import (
     InputParseError,
     LiePosetError,
@@ -337,7 +337,7 @@ EXPORT_EMITTERS = {
     "relation-graph": {"dot": lambda P: formats.relation_graph_dot(relation_graph(P))},
     "matrix-form": {
         "text": formats.matrix_form_text,
-        "json": _json_of(lambda P: {"positions": [list(c) for c in sorted(matrix_form(P))]}),
+        "json": _json_of(formats.matrix_form_json_obj),
     },
     "commutator": {
         "text": formats.commutator_matrix_text,
@@ -373,6 +373,8 @@ def export(inline, path, what, fmt):
 @run_command
 def isomorphism(inline, path, fmt):
     """Check the D-to-C sign rescaling or the B-to-D reduction, by family."""
+    from .algebra import verify_B_reduction, verify_CD_isomorphism
+
     P = _load_poset(inline, path)
     if P.family == "D":
         eps = verify_CD_isomorphism(P)

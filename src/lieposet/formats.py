@@ -8,14 +8,15 @@ and mirror closure happens on load.  Serialization writes the covering
 relations, which regenerate the poset exactly.
 
 All emitters sort their output, so equal inputs produce byte-identical
-files.
+files.  Only the matrix-form and table emitters need `algebra`, and they
+import it when called, so parsing, the poset dumps and the DOT exports
+of a cold query do not load it.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import matrix_form, structure_constants
 from .errors import InputParseError
 from .posets import build_poset, covering_relations
 
@@ -146,6 +147,8 @@ def relation_graph_dot(G):
 
 def matrix_form_text(P):
     """The permitted-entry pattern as a grid of '*' and '.'."""
+    from .algebra import matrix_form
+
     allowed = matrix_form(P)
     labels = P.elements
     width = max(len(str(e)) for e in labels)
@@ -157,6 +160,12 @@ def matrix_form_text(P):
         )
         lines.append(f"{r:>{width}}  {cells}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_form_json_obj(P):
+    from .algebra import matrix_form
+
+    return {"positions": [list(c) for c in sorted(matrix_form(P))]}
 
 
 def linear_form_str(cell):
@@ -175,6 +184,8 @@ def linear_form_str(cell):
 def _commutator_grid(P):
     """The basis of P and every entry of its commutator matrix: one (k, c)
     pair, or None where the entry is zero."""
+    from .algebra import structure_constants
+
     basis, table = structure_constants(P)
     grid = [[None] * len(basis) for _ in basis]
     for (i, j), (k, c) in table.items():
@@ -207,6 +218,8 @@ def commutator_matrix_json_obj(P):
 
 
 def structure_constants_text(P):
+    from .algebra import structure_constants
+
     basis, table = structure_constants(P)
     lines = ["basis: " + ", ".join(repr(b) for b in basis)]
     for (i, j), (k, c) in sorted(table.items()):
@@ -216,6 +229,8 @@ def structure_constants_text(P):
 
 
 def structure_constants_json_obj(P):
+    from .algebra import structure_constants
+
     basis, table = structure_constants(P)
     return {
         "basis": [repr(b) for b in basis],

@@ -11,12 +11,12 @@ orientations of the half-integer diagonal both occur in print.
 Everything up to that solution is an integer: realizations have entries
 +/-1 and the structure constants are ints, so F's point, scaled to ints
 once by the lcm of its denominators (1 for the standard functional, whose
-weights are 1), the Kirillov form and its elimination stay in ints
+weights are the int 1), the Kirillov form and its elimination stay in ints
 (`linalg`'s Bareiss loop).  Scaling F scales the form and the right-hand
 side alike, so the rank and the solution do not change.  The form is
 evaluated and eliminated once per (P, F): `linalg.solve` gives its rank
 and the solution x from the same pivots, back-substituting in ints and
-building each entry of x as one Fraction, and `_solve_kirillov` keeps
+building one Fraction per distinct entry of x, and `_solve_kirillov` keeps
 the last result, so `kernel_dim` followed by `principal_element` solves
 once.  Only the solution x has a denominator.  The fixed-point identity
 and the spectrum are read off the columns of ad(d*x), d the lcm of the
@@ -70,14 +70,16 @@ class Functional:
 def functional(P, coefficients):
     """Validate entry extractors against the matrix form of P.
 
-    Integral weights are stored as ints, others as Fractions.
+    Integral weights are stored as ints, others as Fractions; an int
+    weight is kept as it is.
     """
     allowed = matrix_form(P)
     support = []
     for (r, c), weight in sorted(coefficients.items()):
-        weight = Fraction(weight)
-        if weight.denominator == 1:
-            weight = weight.numerator
+        if type(weight) is not int:
+            weight = Fraction(weight)
+            if weight.denominator == 1:
+                weight = weight.numerator
         if not weight:
             continue
         if (r, c) not in allowed:
@@ -97,8 +99,8 @@ def frobenius_functional(P):
     if not is_frobenius_by_graph(P):
         raise NotFrobenius("the relation graph criterion fails")
     G = relation_graph(P)
-    coeffs = {(-i, j): Fraction(1) for (i, j) in G.edges}
-    coeffs.update({(-v, v): Fraction(1) for v in G.loops})
+    coeffs = {(-i, j): 1 for (i, j) in G.edges}
+    coeffs.update({(-v, v): 1 for v in G.loops})
     return functional(P, coeffs)
 
 
@@ -169,9 +171,12 @@ def principal_element(P, F):
         diagonal = tuple(
             (e, Fraction(v, d) if (v := xmat.get((e, e))) else 0) for e in P.elements
         )
-        diag = dict(diagonal)
-        half = Fraction(1, 2)
-        if all(diag[-e] == half and diag[e] == -half for e in P.elements if e > 0):
+        # x at (-e,-e) is 1/2 and at (e,e) is -1/2, decided on xmat in ints
+        if all(
+            2 * xmat.get((-e, -e), 0) == d and 2 * xmat.get((e, e), 0) == -d
+            for e in P.elements
+            if e > 0
+        ):
             convention = "negatives-plus-half"
     return PrincipalElement(
         coefficients=coefficients,

@@ -12,7 +12,7 @@ int rows and an int right-hand side, runs the same loop once, and reads
 the rank off the same pivots it back-substitutes from.  Back-substitution
 is fraction-free too: it finds y = D*x in ints, D the last pivot, with
 one exact division per pivot (Nakos, Turner and Williams 1997), and the
-only Fractions built are the entries y_j / D of x, one each.  Every
+only Fractions built are the distinct entries y_j / D of x, one each.  Every
 result is exact.
 """
 
@@ -115,7 +115,8 @@ def solve(rows, rhs, ncols):
         y[p_k] = (D*c_k - sum_{j>k} U[k][p_j] * y[p_j]) / U[k][p_k]
 
     divides exactly; a nonzero remainder raises ArithmeticError.  Each
-    entry of x is then built once, as Fraction(y_j, D).
+    distinct entry of y then becomes one Fraction(y_j, D), shared by the
+    entries of x that equal it.
     """
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
@@ -136,4 +137,5 @@ def solve(rows, rhs, ncols):
         if r:
             raise ArithmeticError("fraction-free back-substitution not exact")
         y[pivots[k]] = q
-    return rank, [Fraction(v, D) for v in y]
+    fractions = {v: Fraction(v, D) for v in set(y)}
+    return rank, [fractions[v] for v in y]

@@ -12,6 +12,13 @@ Posets and relation graphs are frozen, so the objects derived from them
 are computed once per object and cached on it; `height`, `relation_graph`
 and `graph_components` read those caches.  The caches live outside the
 dataclass fields, so equality and hashing ignore them.
+
+A poset of the paper's class (height (0,0) or (0,1)) is fixed by its
+relation graph, and `poset_from_graph` builds it from the graph with no
+closure: its relations are already closed, and it carries its height
+pair and relation graph from construction, so neither is ever derived
+from its relations.  `build_poset` closes generator input (the parsers,
+hand-written posets).
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ class SignedPoset:
     """A validated poset on a signed ground set, closed under the axioms.
 
     Instances are immutable and hashable; construct them through
-    :func:`build_poset` (or validate by hand with :func:`validate`).
+    :func:`build_poset`, or :func:`poset_from_graph` for the paper's class
+    (or validate by hand with :func:`validate`).
     """
 
     family: str
@@ -370,13 +378,59 @@ def graph_components(G):
 
 
 def poset_from_graph(family, n, edges, loops=()):
-    """Rebuild the height-(0,1) poset encoded by a relation graph."""
-    loops = tuple(loops)
+    """The height-(0,0)/(0,1) poset whose relation graph has these edges and loops.
+
+    The input domain: family B, C or D and n >= 1; each edge a pair of two
+    distinct vertices of 1..n, in either order, with repeats allowed; each
+    loop a vertex of 1..n, and loops in family C only.  Loops outside C,
+    family A, an unknown family and n < 1 raise ValueError; an edge or a
+    loop off the vertices raises BadElement.
+
+    The strict relations are -i < j and -j < i for each edge {i, j} and
+    -v < v for each loop v.  Each runs from a negative element to a
+    positive one, so no element has both a strict predecessor and a
+    strict successor, and the reflexive pairs with these are transitively
+    closed and mirror closed; -i < i occurs only in C, where condition 3
+    does not apply.  The height pair and the relation graph are known from
+    the input and attached to the poset, so neither is derived again.
+    """
+    loops = frozenset(loops)
     if loops and family != "C":
         raise ValueError("self loops occur only in family C")
-    generators = [(-min(i, j), max(i, j)) for (i, j) in edges]
-    generators += [(-v, v) for v in loops]
-    return build_poset(family, n, generators)
+    _check_family(family)
+    if family == "A":
+        raise ValueError("relation graphs apply to families B, C, D")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pairs = set()
+    for i, j in edges:
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise BadElement(f"edge ({i},{j}) is not two distinct vertices of 1..{n}")
+        pairs.add((i, j) if i < j else (j, i))
+    for v in loops:
+        if not 1 <= v <= n:
+            raise BadElement(f"loop {v} is not a vertex of 1..{n}")
+    relations = [(x, x) for x in ground_set(family, n)]
+    for i, j in pairs:
+        relations += ((-i, j), (-j, i))
+    relations += [(-v, v) for v in loops]
+    P = SignedPoset(family, n, frozenset(relations))
+    _attach(
+        P,
+        height_pair=HeightPair(0, 1 if pairs or loops else 0),
+        relation_graph=RelationGraph(n, frozenset(pairs), loops),
+    )
+    return P
+
+
+def _attach(P, **derived):
+    """Store values of P's cached properties that are already known.
+
+    A cached_property keeps its value in the instance __dict__ under its
+    own name and reads it from there first; the frozen dataclass guards
+    only setattr, and its equality and hash read the fields alone.
+    """
+    P.__dict__.update(derived)
 
 
 def h01_slots(family, n):

@@ -89,6 +89,18 @@ class TestFunctional:
         assert named == {
             "H(1)": 0, "H(2)": 0, "H(3)": 0, "Y(1,2)": 1, "Y(2,3)": 1, "Z(2)": 1,
         }
+        # the standard functional's weights are the int 1, and so is its point
+        assert all(type(w) is int for _, w in F.support)
+        assert all(type(v) is int for v in point.values())
+
+    def test_weights_normalized(self, looped_path_poset):
+        # an int stays as it is; any other weight goes through Fraction and
+        # becomes an int when integral; a zero weight drops out
+        F = functional(looped_path_poset, {
+            (-1, 2): 3, (-2, 3): Fraction(4, 2), (-2, 2): 0.5, (-1, 1): Fraction(0),
+        })
+        assert F.support == (((-2, 2), Fraction(1, 2)), ((-2, 3), 2), ((-1, 2), 3))
+        assert [type(w) for _, w in F.support] == [Fraction, int, int]
 
 
 class TestKernelDim:

@@ -313,6 +313,28 @@ def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch)
         counts.update(dict.fromkeys(counts, 0))
 
 
+def test_campaign_closes_no_poset_and_runs_no_height_pass(monkeypatch):
+    # every poset and every component of a campaign is built from its
+    # relation graph, already closed and carrying its height pair and graph
+    # (the closure made 1,228 calls and the height pass 1,184 before)
+    from lieposet import posets
+
+    counts = {"build_poset": 0, "_heights": 0}
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(posets, name, counting(name, getattr(posets, name)))
+    cfg = CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)), seed=0)
+    payload = report_json_bytes(run_campaign(cfg))
+    assert hashlib.sha256(payload).hexdigest().startswith("13c5722d")
+    assert counts == {"build_poset": 0, "_heights": 0}
+
+
 def test_component_cache_reset_per_campaign(monkeypatch):
     # a campaign starts from an empty cache: wrong indices that a campaign
     # on another plan left there change nothing, and the next campaign
@@ -366,8 +388,9 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     # off the cached Borel basis, with no leading position looked up
     assert algebra.structure_constants.cache_info().misses == 1
     assert led_calls == []
-    # one height pair: one pass gives the longest chain in P+ and in P
-    assert len(height_calls) == 1
+    # no height pass: the poset is built from its relation graph, which
+    # fixes its height pair, and carries that pair from construction
+    assert height_calls == []
 
 
 def test_warm_campaign_looks_up_no_leading_position(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import seeded_general_posets
+from corpora import reduction_graphs, seeded_general_posets
 from lieposet import (
     AntisymmetryViolation,
     BadElement,
@@ -431,6 +431,84 @@ class TestGraphBijection:
     def test_loops_rejected_outside_c(self):
         with pytest.raises(ValueError):
             poset_from_graph("D", 2, [], [1])
+
+
+@pytest.mark.parametrize(
+    "family, n, edges, loops, error, message",
+    [
+        ("B", 3, [(0, 2)], (), BadElement, r"edge \(0,2\) is not two distinct vertices of 1..3"),
+        ("C", 3, [(2, 2)], (), BadElement, r"edge \(2,2\) is not two distinct vertices of 1..3"),
+        ("D", 3, [(2, 2)], (), BadElement, r"edge \(2,2\) is not two distinct vertices of 1..3"),
+        ("C", 3, [(1, 4)], (), BadElement, r"edge \(1,4\) is not two distinct vertices of 1..3"),
+        ("D", 3, [(-1, 2)], (), BadElement, r"edge \(-1,2\) is not two distinct vertices of 1..3"),
+        ("C", 3, [], [4], BadElement, r"loop 4 is not a vertex of 1..3"),
+        ("C", 3, [], [0], BadElement, r"loop 0 is not a vertex of 1..3"),
+        ("D", 3, [(1, 2)], [1], ValueError, "self loops occur only in family C"),
+        ("B", 3, [], [1], ValueError, "self loops occur only in family C"),
+        ("E", 3, [(1, 2)], (), ValueError, "unknown family 'E'"),
+        ("C", 0, [], (), ValueError, "n must be >= 1"),
+        ("A", 3, [(1, 2)], (), ValueError, "relation graphs apply to families B, C, D"),
+        ("A", 3, [], (), ValueError, "relation graphs apply to families B, C, D"),
+    ],
+    ids=["B-vertex-zero", "C-edge-i-i", "D-edge-i-i", "edge-above-n", "edge-negative",
+         "loop-above-n", "loop-zero", "loop-in-D", "loop-in-B", "unknown-family",
+         "n-zero", "family-A", "family-A-no-edges"],
+)
+def test_poset_from_graph_input_domain(family, n, edges, loops, error, message):
+    # an edge needs two distinct vertices of 1..n and a loop one vertex:
+    # (i, i) is not a loop, and 0 is no vertex, even in family B
+    with pytest.raises(error, match=f"^{message}$"):
+        poset_from_graph(family, n, edges, loops)
+
+
+def test_poset_from_graph_normalizes_reversed_and_repeated_edges():
+    P = poset_from_graph("D", 4, [(3, 1), (1, 3), (4, 2), (2, 4), (4, 2)])
+    assert P == poset_from_graph("D", 4, [(1, 3), (2, 4)])
+    assert relation_graph(P).edges == {(1, 3), (2, 4)}
+
+
+def _read_graph(P):
+    """(edges, loops) of a class poset, read off its relations."""
+    edges = sorted((-x, y) for x, y in P.relations if x < 0 < y and -x < y)
+    loops = sorted(y for x, y in P.relations if x < 0 and x == -y)
+    return edges, loops
+
+
+def _fast_path_cases():
+    """(family, n, edges, loops) of every labelled graph of C<=4, D<=5 and
+    B<=4, and of the seeded reduction graphs of the corpora."""
+    for family, n_max in (("C", 4), ("D", 5), ("B", 4)):
+        for n in range(1, n_max + 1):
+            edges_all, loops_all = h01_slots(family, n)
+            base = len(edges_all)
+            for mask in range(1 << (base + len(loops_all))):
+                edges = [e for b, e in enumerate(edges_all) if mask >> b & 1]
+                loops = [v for b, v in enumerate(loops_all) if mask >> (base + b) & 1]
+                yield family, n, edges, loops
+    for P in reduction_graphs(1) + reduction_graphs(2):
+        yield ("C", P.n, *_read_graph(P))
+
+
+def test_poset_from_graph_equals_the_closure_of_its_generators():
+    # the fast path builds the relations with no closure and attaches the
+    # height pair and the graph; a freshly closed poset derives both from
+    # its relations through _heights and the extraction
+    count = 0
+    for family, n, edges, loops in _fast_path_cases():
+        fresh = build_poset(family, n, [(-i, j) for i, j in edges] + [(-v, v) for v in loops])
+        assert "height_pair" not in vars(fresh) and "relation_graph" not in vars(fresh)
+        messy = [(j, i) for i, j in edges] + edges  # reversed, and each twice
+        for P in (poset_from_graph(family, n, edges, loops),
+                  poset_from_graph(family, n, messy, loops)):
+            validate(P)
+            assert P == fresh and hash(P) == hash(fresh)
+            assert P.relations == fresh.relations
+            assert vars(P)["height_pair"] == fresh.height_pair
+            assert vars(P)["relation_graph"] == fresh.relation_graph
+        count += 1
+    # 2^1+2^3+2^6+2^10 (C) + 2^0+2^1+2^3+2^6+2^10 (D) + 2^0+2^1+2^3+2^6 (B)
+    # + 2 seeds x 5 sizes x 3 kinds
+    assert count == 1098 + 1099 + 75 + 30
 
 
 # -- property tests ---------------------------------------------------------

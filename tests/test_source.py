@@ -112,8 +112,8 @@ POSET = ["-p", TRIANGLE, "--format", "json"]
 
 
 # (argv, modules it must load, modules it must not load): a cold query
-# pays only for the compute module its command runs; errors, formats,
-# posets and algebra come with the module top
+# pays only for the compute module its command runs; errors, formats and
+# posets come with the module top
 COMMAND_LOADS = [
     (["validate", *POSET], {"formats"}, {"index_engine", "frobenius"}),
     (["export", *POSET, "--what", "commutator"], {"formats"},
@@ -139,6 +139,22 @@ def test_cli_command_loads_only_what_it_runs(argv, runs, skips):
     loaded = _modules_loaded_by(argv)
     assert runs <= loaded
     assert loaded & skips == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["validate", *POSET], id="validate"),
+        pytest.param(["enumerate", "--family", "C", "--n", "2"], id="enumerate"),
+        pytest.param(["export", "-p", TRIANGLE, "--what", "hasse"], id="export-hasse"),
+        pytest.param(["export", "-p", TRIANGLE, "--what", "relation-graph"],
+                     id="export-relation-graph"),
+    ],
+)
+def test_cold_query_without_a_basis_loads_no_algebra(argv):
+    # these commands build no basis and no table, so they neither compile
+    # nor run algebra
+    assert "algebra" not in _modules_loaded_by(argv)
 
 
 @pytest.mark.parametrize("command", ["index", "frobenius", "verify"])
