@@ -47,7 +47,9 @@ raises, and a row that takes a new label is checked against it.  So no
 step can change the rank, and `integer_rank` takes it only at the two
 ends: a different rank after the last step than on the instantiated
 block raises too.  Each of these faults raises InvariantViolation; none
-is retried, since exact row operations keep the rank at any point.
+is retried, since exact row operations keep the rank at any point.  The
+rows are addressed by index, a snapshot shares every row tuple its step
+left alone, and `integer_rank` eliminates the shorter side of the block.
 """
 
 from __future__ import annotations
@@ -310,22 +312,6 @@ class ReductionTrace(NamedTuple):
         return (self.initial.rank,) + tuple(s.rank for s in self.steps)
 
 
-class _Row:
-    """One row of the replay: its label, the label's string and its values.
-
-    values is a tuple and is never changed in place: a step that changes a
-    row assigns it a new tuple, so a snapshot that holds the old tuple
-    keeps it, and a row no step touches is one object in every snapshot.
-    """
-
-    __slots__ = ("label", "name", "values")
-
-    def __init__(self, label, values):
-        self.label = label
-        self.name = _label_str(label)
-        self.values = values
-
-
 def _label_str(label):
     if label[0] == "Y":
         return f"Y({label[1]},{label[2]})"
@@ -350,21 +336,23 @@ def _tree_path(parent, depth, u, w):
     return up + down[-2::-1]
 
 
-def _eliminate(target, source, col):
-    """Clear column `col` (a vertex) of target: a -> a - t*b/s, exactly.
+def _eliminate(target, source, col, name):
+    """Clear column `col` (a vertex) of the row `target`, named `name` in
+    the message, against the row `source`: a -> a - t*b/s, exactly.
 
-    target gets a new values tuple; the old one is left as it was.
+    Both rows are value tuples; the cleared row is returned as a new
+    tuple and neither argument is changed.
     """
-    values = list(target.values)
-    t = values[col - 1]
-    s = source.values[col - 1]
-    for k, b in enumerate(source.values):
+    values = list(target)
+    t = target[col - 1]
+    s = source[col - 1]
+    for k, b in enumerate(source):
         if b:
             q, r = divmod(t * b, s)
             if r:
-                raise InvariantViolation(f"inexact step in column {col} of {target.name}")
+                raise InvariantViolation(f"inexact step in column {col} of {name}")
             values[k] -= q
-    target.values = tuple(values)
+    return tuple(values)
 
 
 def reduce(P, seed=0):
@@ -385,12 +373,12 @@ def reduce(P, seed=0):
     rank raises InvariantViolation; no other seed is tried, since exact
     row operations keep the rank at any point.
 
-    A row's values are a tuple that no step changes in place: a step that
-    changes a row gives it a new tuple.  A snapshot holds each row's label
-    string and tuple by reference, so it stores pointers plus the rows its
-    step changed, and a row no step touched is one object in every
-    snapshot.  The loop steps read each vertex's live neighbours off a
-    map that relabel keeps up to date with the edges.
+    Three lists hold each row's label, label string and values by row
+    index, and by_label takes a live Y or Z label to its index.  A row's
+    values are a tuple that a step replaces, never edits, so a snapshot,
+    the tuples of the last two lists, stores pointers plus the rows its
+    step changed.  The loop steps read each vertex's live neighbours off
+    a map that relabel keeps up to date with the edges.
 
     A graph with a loop takes only loop steps.  A loop-free graph is
     reduced along its BFS spanning tree (`RelationGraph.forest`), rooted
@@ -426,17 +414,19 @@ def reduce(P, seed=0):
         values[v - 1] = -2 * loop_values[v]
         return tuple(values)
 
+    labels = [("Y",) + e for e in edge_values] + [("Z", v) for v in sorted(G.loops)]
+    names = [_label_str(label) for label in labels]
     rows = []
     for (i, j), value in edge_values.items():
         values = [0] * n
         values[i - 1] = values[j - 1] = -value
-        rows.append(_Row(("Y", i, j), tuple(values)))
-    rows += [_Row(("Z", v), loop_row(v)) for v in sorted(G.loops)]
+        rows.append(tuple(values))
+    rows += [loop_row(v) for v in sorted(G.loops)]
     # the live graph: the Y and Z rows by label, the edges and loops they
     # stand for, and each vertex's neighbours along those edges; relabel
     # keeps all four up to date.  edges is a dict in sorted order that
     # only ever shrinks, so it stays sorted
-    by_label = {row.label: row for row in rows}
+    by_label = {label: r for r, label in enumerate(labels)}
     edges, loops = dict.fromkeys(edge_values), set(G.loops)
     neighbours = {v: set() for v in range(1, n + 1)}
     for i, j in G.edges:
@@ -444,60 +434,63 @@ def reduce(P, seed=0):
         neighbours[j].add(i)
 
     def row_for(label):
-        row = by_label.get(label)
-        if row is None:
+        r = by_label.get(label)
+        if r is None:
             raise InvariantViolation(f"missing row {_label_str(label)}")
-        return row
+        return r
 
     def clear_path(edge, path):
-        """Clear the row of `edge` along a vertex path; return that row.
+        """Clear the row of `edge` along a vertex path; return its index.
 
         Each vertex of the path but the last has its column cleared
         against the row of the path edge leaving it.
         """
-        target = row_for(("Y",) + edge)
+        r = row_for(("Y",) + edge)
         for a, b in zip(path, path[1:]):
-            _eliminate(target, row_for(("Y",) + _pair(a, b)), a)
-        return target
+            source = rows[row_for(("Y",) + _pair(a, b))]
+            rows[r] = _eliminate(rows[r], source, a, names[r])
+        return r
 
-    def relabel(row, v):
-        """Relabel the row of an edge as Z(v), -2*L_v*e_v, or as 0 for v None.
+    def relabel(r, v):
+        """Relabel row r, the row of an edge, as Z(v), -2*L_v*e_v, or as 0
+        for v None.
 
         Raises InvariantViolation unless the row is a nonzero multiple of
         e_v, or zero for 0.
         """
         label = ("0",) if v is None else ("Z", v)
-        rest = [x for k, x in enumerate(row.values, start=1) if k != v]
-        if any(rest) or (v is not None and not row.values[v - 1]):
-            values = ", ".join(map(str, row.values))
+        row = rows[r]
+        rest = row if v is None else row[: v - 1] + row[v:]
+        if any(rest) or (v is not None and not row[v - 1]):
+            values = ", ".join(map(str, row))
             raise InvariantViolation(
-                f"{row.name} row [{values}] is no {_label_str(label)} row"
+                f"{names[r]} row [{values}] is no {_label_str(label)} row"
             )
-        del by_label[row.label]
-        _, a, b = row.label
+        _, a, b = labels[r]
+        del by_label[labels[r]]
         del edges[(a, b)]
         neighbours[a].discard(b)
         neighbours[b].discard(a)
-        row.label = label
-        row.name = _label_str(label)
+        labels[r] = label
+        names[r] = _label_str(label)
         if v is not None:
-            row.values = loop_row(v)
-            by_label[label] = row
+            rows[r] = loop_row(v)
+            by_label[label] = r
             loops.add(v)
 
     snapshots = []
-    rank = integer_rank([r.values for r in rows], n)
+    rank = integer_rank(rows, n)
 
     def record(kind, detail):
-        # pointers only: each row's name and values tuple are shared with
-        # the row and with every snapshot since the step that set them
+        # pointers only: each label string and values tuple is shared with
+        # the lists and with every snapshot since the step that set it
         snapshots.append(ReductionStep(
             kind=kind,
             detail=detail,
             edges=tuple(edges),
             loops=tuple(sorted(loops)),
-            row_labels=tuple([r.name for r in rows]),
-            matrix=tuple([r.values for r in rows]),
+            row_labels=tuple(names),
+            matrix=tuple(rows),
             rank=rank,
         ))
 
@@ -543,17 +536,17 @@ def reduce(P, seed=0):
     while (pick := loop_edge()) is not None:
         i, j = pick
         edge = _pair(i, j)
-        erow = row_for(("Y",) + edge)
-        _eliminate(erow, row_for(("Z", i)), i)
+        r = row_for(("Y",) + edge)
+        rows[r] = _eliminate(rows[r], rows[row_for(("Z", i))], i, names[r])
         if j in loops:
-            _eliminate(erow, row_for(("Z", j)), j)
-            relabel(erow, None)
+            rows[r] = _eliminate(rows[r], rows[row_for(("Z", j))], j, names[r])
+            relabel(r, None)
             record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
         else:
-            relabel(erow, j)
+            relabel(r, j)
             record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
 
-    final_rank = integer_rank([r.values for r in rows], n)
+    final_rank = integer_rank(rows, n)
     if final_rank != rank:
         raise InvariantViolation(
             f"rank drifted from {rank} to {final_rank} by the end of the replay"

@@ -7,13 +7,14 @@ instead of growing freely.  A row with a zero entry in the pivot column
 is not rewritten at that step; the scale Bareiss would have given it is
 applied when the row is next used, so sparse rows cost only the steps
 that change them.  Matrices are plain lists of rows.  The index oracle
-and the reduction replay call `integer_rank` on int rows.  `solve` takes
-int rows and an int right-hand side, runs the same loop once, and reads
-the rank off the same pivots it back-substitutes from.  Back-substitution
-is fraction-free too: it finds y = D*x in ints, D the last pivot, with
-one exact division per pivot (Nakos, Turner and Williams 1997), and the
-only Fractions built are the distinct entries y_j / D of x, one each.  Every
-result is exact.
+and the reduction replay call `integer_rank` on int rows; it eliminates
+the shorter side, the transpose of a matrix with more rows than columns.
+`solve` takes int rows and an int right-hand side, runs the same loop
+once, and reads the rank off the same pivots it back-substitutes from.
+Back-substitution is fraction-free too: it finds y = D*x in ints, D the
+last pivot, with one exact division per pivot (Nakos, Turner and
+Williams 1997), and the only Fractions built are the distinct entries
+y_j / D of x, one each.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -92,8 +93,12 @@ def _bareiss(m, ncols):
 def integer_rank(rows, ncols):
     """Exact rank of an integer matrix given as a list of rows of ints.
 
-    The rows are not modified.
+    rank A = rank A^T, so the elimination runs on whichever orientation
+    has fewer rows: a taller than wide matrix is eliminated as its
+    transpose.  The rows are not modified.
     """
+    if len(rows) > ncols:
+        return len(_bareiss([list(col) for col in zip(*rows)], len(rows)))
     return len(_bareiss([list(row) for row in rows], ncols))
 
 

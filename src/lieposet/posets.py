@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -440,25 +440,26 @@ def h01_slots(family, n):
     return edges, loops
 
 
+@lru_cache(maxsize=32)
+def _mask_slots(family, n):
+    """The slots of `h01_slots`, edges then loops, as one tuple, and the
+    mask of the edge bits."""
+    edges, loops = h01_slots(family, n)
+    return tuple(edges + loops), (1 << len(edges)) - 1
+
+
 def poset_from_mask(family, n, mask):
-    edges_all, loops_all = h01_slots(family, n)
-    edges = [e for b, e in enumerate(edges_all) if mask >> b & 1]
-    base = len(edges_all)
-    loops = [v for b, v in enumerate(loops_all) if mask >> (base + b) & 1]
-    return poset_from_graph(family, n, edges, loops)
+    slots, edge_bits = _mask_slots(family, n)
+    picked = [slot for b, slot in enumerate(slots) if mask >> b & 1]
+    k = (mask & edge_bits).bit_count()
+    return poset_from_graph(family, n, picked[:k], picked[k:])
 
 
 def mask_of_poset(P):
     G = relation_graph(P)
-    edges_all, loops_all = h01_slots(P.family, P.n)
-    mask = 0
-    for b, e in enumerate(edges_all):
-        if e in G.edges:
-            mask |= 1 << b
-    for b, v in enumerate(loops_all):
-        if v in G.loops:
-            mask |= 1 << (len(edges_all) + b)
-    return mask
+    slots, _ = _mask_slots(P.family, P.n)
+    present = G.edges | G.loops
+    return sum(1 << b for b, slot in enumerate(slots) if slot in present)
 
 
 def _slot_images(family, n):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieposet import integer_rank, linalg
+from lieposet import integer_rank, linalg, reduce
 from lieposet.linalg import _bareiss, solve
+from corpora import reduction_graphs
 
 
 def naive_rank(rows):
@@ -48,6 +49,49 @@ def test_rank_fixed_cases():
         assert solve(rows, [0] * len(rows), ncols)[0] == rank
     assert solve([[3, 2], [3, 2]], [0, 0], 2)[0] == 1
     assert solve([], [], 3) == (0, [0, 0, 0])
+
+
+def test_rank_eliminates_the_shorter_side(monkeypatch):
+    # rank A = rank A^T: a matrix with more rows than columns is
+    # eliminated as its transpose, any other as it is, and the input is
+    # left as it was
+    shapes = []
+    true_bareiss = linalg._bareiss
+
+    def spied(m, ncols):
+        shapes.append((len(m), ncols))
+        return true_bareiss(m, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss", spied)
+    for rows, ncols, rank, shape in (
+        ([[1, 2], [2, 4], [0, 1]], 2, 2, (2, 3)),  # tall
+        ([[1, 2, 0], [2, 4, 0]], 3, 1, (2, 3)),  # wide
+        ([[1, 0], [0, 1]], 2, 2, (2, 2)),  # square
+        ([], 3, 0, (0, 3)),  # empty
+        ([[], [], []], 0, 0, (0, 3)),  # three rows of no columns
+        ([[0, 0], [0, 0], [0, 0]], 2, 0, (2, 3)),  # tall and zero
+        ([[0, 0, 0], [0, 3, 0]], 3, 1, (2, 3)),  # wide, with a zero row
+        ([[0, 5], [0, 0], [0, -5]], 2, 1, (2, 3)),  # tall, with a zero row
+    ):
+        copy = [row[:] for row in rows]
+        shapes.clear()
+        assert integer_rank(rows, ncols) == rank == naive_rank(rows), rows
+        assert shapes == [shape], rows
+        assert rows == copy
+
+
+def test_rank_of_the_replay_blocks_equals_that_of_their_transposes():
+    # the instantiated block of the reduction replay is (|E| + |L|) x n,
+    # taller than wide; its rank and its transpose's agree with the
+    # Fraction elimination
+    posets = reduction_graphs(1) + reduction_graphs(2)
+    assert len(posets) == 30
+    for seed, P in enumerate(posets):
+        block = [list(row) for row in reduce(P, seed=seed).initial.matrix]
+        transpose = [list(col) for col in zip(*block)]
+        assert len(block) > P.n
+        rank = integer_rank(block, P.n)
+        assert rank == integer_rank(transpose, len(block)) == naive_rank(block), P
 
 
 def test_kernel_and_solve():

@@ -474,9 +474,9 @@ def _read_graph(P):
     return edges, loops
 
 
-def _fast_path_cases():
-    """(family, n, edges, loops) of every labelled graph of C<=4, D<=5 and
-    B<=4, and of the seeded reduction graphs of the corpora."""
+def _mask_cases():
+    """(family, n, mask, edges, loops) of every mask of C<=4, D<=5 and B<=4,
+    the edges and loops read bit by bit off the slots of h01_slots."""
     for family, n_max in (("C", 4), ("D", 5), ("B", 4)):
         for n in range(1, n_max + 1):
             edges_all, loops_all = h01_slots(family, n)
@@ -484,9 +484,32 @@ def _fast_path_cases():
             for mask in range(1 << (base + len(loops_all))):
                 edges = [e for b, e in enumerate(edges_all) if mask >> b & 1]
                 loops = [v for b, v in enumerate(loops_all) if mask >> (base + b) & 1]
-                yield family, n, edges, loops
+                yield family, n, mask, edges, loops
+
+
+def _fast_path_cases():
+    """(family, n, edges, loops) of every labelled graph of C<=4, D<=5 and
+    B<=4, and of the seeded reduction graphs of the corpora."""
+    for family, n, _, edges, loops in _mask_cases():
+        yield family, n, edges, loops
     for P in reduction_graphs(1) + reduction_graphs(2):
         yield ("C", P.n, *_read_graph(P))
+
+
+def test_poset_from_mask_decodes_each_bit_to_its_slot():
+    # the slots are computed once per (family, n); every mask still gives
+    # the poset of the graph its bits name, and round-trips
+    count = 0
+    for family, n, mask, edges, loops in _mask_cases():
+        P = poset_from_mask(family, n, mask)
+        assert P == poset_from_graph(family, n, edges, loops)
+        G = relation_graph(P)
+        assert G.edges == frozenset(edges) and G.loops == frozenset(loops)
+        assert mask_of_poset(P) == mask
+        count += 1
+    assert count == 1098 + 1099 + 75  # C<=4, D<=5, B<=4
+    # bits above the slots name nothing
+    assert poset_from_mask("C", 2, 5 | 1 << 3) == poset_from_mask("C", 2, 5)
 
 
 def test_poset_from_graph_equals_the_closure_of_its_generators():
