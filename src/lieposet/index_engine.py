@@ -41,14 +41,16 @@ relation graph, and `reduce` replays the graph-guided row reduction that
 proves the prediction, in Python ints.  The replay follows the BFS
 spanning tree of the graph: a chord whose ends have depths of the same
 parity closes the odd cycle the proof needs, and otherwise the chords
-are the closing edges whose removal leaves the tree to sweep.  Its one
+are the closing edges whose removal leaves the tree to sweep, one row
+operation per tree row, shallowest first.  Its one
 row operation reads its factor off the two rows and divides exactly or
 raises, and a row that takes a new label is checked against it.  So no
 step can change the rank, and `integer_rank` takes it only at the two
 ends: a different rank after the last step than on the instantiated
 block raises too.  Each of these faults raises InvariantViolation; none
 is retried, since exact row operations keep the rank at any point.  The
-rows are addressed by index, a snapshot shares every row tuple its step
+rows are addressed by index, the live graph is two maps from its edges
+and its loops to their rows, a snapshot shares every row tuple its step
 left alone, and `integer_rank` eliminates the shorter side of the block.
 """
 
@@ -312,14 +314,6 @@ class ReductionTrace(NamedTuple):
         return (self.initial.rank,) + tuple(s.rank for s in self.steps)
 
 
-def _label_str(label):
-    if label[0] == "Y":
-        return f"Y({label[1]},{label[2]})"
-    if label[0] == "Z":
-        return f"Z({label[1]})"
-    return "0"
-
-
 def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
@@ -361,24 +355,25 @@ def reduce(P, seed=0):
     P must be a connected type-C poset of height (0,0) or (0,1).  All
     basis symbols are instantiated with nonzero integers up front, and
     every entry stays an int.  The one row operation clears a column of
-    one row against another, with the factor read off the two rows.  The
-    graph is the row labels: the Y rows are its edges and the Z rows its
-    loops, kept up to date as rows are relabelled.  A relabelled row must be what its label says, Z(v) =
-    -2*L_v*e_v or the zero row for 0.  Neither step changes the rank: the
-    row operation subtracts a multiple of another row, and a relabelled
-    row is replaced by a nonzero multiple of itself or stays zero.  So
-    every step carries the rank of the instantiated block, and the exact
-    rank is taken only there and after the last step.  A division with a
-    remainder, a wrong relabelled row, a missing row or a different end
-    rank raises InvariantViolation; no other seed is tried, since exact
-    row operations keep the rank at any point.
+    one row against another, with the factor read off the two rows.  A
+    relabelled row must be what its label says, Z(v) = -2*L_v*e_v or the
+    zero row for 0.  Neither step changes the rank: the row operation
+    subtracts a multiple of another row, and a relabelled row is replaced
+    by a nonzero multiple of itself or stays zero.  So every step carries
+    the rank of the instantiated block, and the exact rank is taken only
+    there and after the last step.  A division with a remainder, a wrong
+    relabelled row, a missing row or a different end rank raises
+    InvariantViolation; no other seed is tried, since exact row
+    operations keep the rank at any point.
 
-    Three lists hold each row's label, label string and values by row
-    index, and by_label takes a live Y or Z label to its index.  A row's
-    values are a tuple that a step replaces, never edits, so a snapshot,
-    the tuples of the last two lists, stores pointers plus the rows its
-    step changed.  The loop steps read each vertex's live neighbours off
-    a map that relabel keeps up to date with the edges.
+    The rows are two lists by row index, the printed labels `names` and
+    the value tuples `rows`, and the live graph is two maps into them:
+    y_row takes each live edge to its Y row and z_row each loop vertex to
+    its Z row.  y_row starts in sorted order and only shrinks, so it
+    stays sorted.  A row's values are a tuple that a step replaces, never
+    edits, so a snapshot, the tuples of the two lists, stores pointers
+    plus the rows its step changed.  The loop steps read each vertex's
+    live neighbours off a map that relabel keeps up to date with y_row.
 
     A graph with a loop takes only loop steps.  A loop-free graph is
     reduced along its BFS spanning tree (`RelationGraph.forest`), rooted
@@ -387,14 +382,16 @@ def reduce(P, seed=0):
     path.  A chord whose ends have depths of the same parity closes an
     odd cycle: the first such chord in sorted order is cleared along its
     tree path, which leaves a nonzero multiple of e_j at its far end j,
-    and becomes the loop Z(j); loop steps follow.  With no such chord the graph is
-    bipartite, every chord closes an even cycle, and clearing each chord
-    in sorted order along its tree path leaves the zero row.  What
-    remains is the tree, and sweeping it deepest first toward vertex 1
-    leaves the row of each tree edge with entries only in the column of
-    its deeper end and in column 1: rank |V| - 1.  Tree edges are never
-    zeroed, so every row a path clears against still holds its two
-    original entries.
+    and becomes the loop Z(j); loop steps follow.  With no such chord the
+    graph is bipartite, every chord closes an even cycle, and clearing
+    each chord in sorted order along its tree path leaves the zero row.
+    What remains is the tree, swept shallowest first: the row of the
+    edge from v, at depth 2 or more, to its parent p has its column p
+    cleared once against the row of p's own tree edge, already swept and
+    so with entries only in column p and column 1.  That leaves the row of each tree edge
+    with entries only in the column of its deeper end and in column 1:
+    rank |V| - 1.  Tree edges are never zeroed, so every row a chord's
+    path clears against still holds its two original entries.
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
@@ -414,69 +411,57 @@ def reduce(P, seed=0):
         values[v - 1] = -2 * loop_values[v]
         return tuple(values)
 
-    labels = [("Y",) + e for e in edge_values] + [("Z", v) for v in sorted(G.loops)]
-    names = [_label_str(label) for label in labels]
-    rows = []
+    names, rows, y_row, z_row = [], [], {}, {}
     for (i, j), value in edge_values.items():
         values = [0] * n
         values[i - 1] = values[j - 1] = -value
+        y_row[(i, j)] = len(rows)
+        names.append(f"Y({i},{j})")
         rows.append(tuple(values))
-    rows += [loop_row(v) for v in sorted(G.loops)]
-    # the live graph: the Y and Z rows by label, the edges and loops they
-    # stand for, and each vertex's neighbours along those edges; relabel
-    # keeps all four up to date.  edges is a dict in sorted order that
-    # only ever shrinks, so it stays sorted
-    by_label = {label: r for r, label in enumerate(labels)}
-    edges, loops = dict.fromkeys(edge_values), set(G.loops)
+    for v in sorted(G.loops):
+        z_row[v] = len(rows)
+        names.append(f"Z({v})")
+        rows.append(loop_row(v))
     neighbours = {v: set() for v in range(1, n + 1)}
     for i, j in G.edges:
         neighbours[i].add(j)
         neighbours[j].add(i)
 
-    def row_for(label):
-        r = by_label.get(label)
+    def row_of(edge):
+        r = y_row.get(edge)
         if r is None:
-            raise InvariantViolation(f"missing row {_label_str(label)}")
+            raise InvariantViolation(f"missing row Y({edge[0]},{edge[1]})")
         return r
 
     def clear_path(edge, path):
-        """Clear the row of `edge` along a vertex path; return its index.
-
-        Each vertex of the path but the last has its column cleared
-        against the row of the path edge leaving it.
-        """
-        r = row_for(("Y",) + edge)
+        """Clear the row of `edge` along a vertex path: each vertex of the
+        path but the last has its column cleared against the row of the
+        path edge leaving it."""
+        r = row_of(edge)
         for a, b in zip(path, path[1:]):
-            source = rows[row_for(("Y",) + _pair(a, b))]
-            rows[r] = _eliminate(rows[r], source, a, names[r])
-        return r
+            rows[r] = _eliminate(rows[r], rows[row_of(_pair(a, b))], a, names[r])
 
-    def relabel(r, v):
-        """Relabel row r, the row of an edge, as Z(v), -2*L_v*e_v, or as 0
-        for v None.
+    def relabel(edge, v):
+        """Relabel the row of `edge` as Z(v), -2*L_v*e_v, or as 0 for v
+        None, and take the edge out of the live graph.
 
         Raises InvariantViolation unless the row is a nonzero multiple of
         e_v, or zero for 0.
         """
-        label = ("0",) if v is None else ("Z", v)
+        r = y_row.pop(edge)
+        name = "0" if v is None else f"Z({v})"
         row = rows[r]
         rest = row if v is None else row[: v - 1] + row[v:]
         if any(rest) or (v is not None and not row[v - 1]):
             values = ", ".join(map(str, row))
-            raise InvariantViolation(
-                f"{names[r]} row [{values}] is no {_label_str(label)} row"
-            )
-        _, a, b = labels[r]
-        del by_label[labels[r]]
-        del edges[(a, b)]
+            raise InvariantViolation(f"{names[r]} row [{values}] is no {name} row")
+        a, b = edge
         neighbours[a].discard(b)
         neighbours[b].discard(a)
-        labels[r] = label
-        names[r] = _label_str(label)
+        names[r] = name
         if v is not None:
             rows[r] = loop_row(v)
-            by_label[label] = r
-            loops.add(v)
+            z_row[v] = r
 
     snapshots = []
     rank = integer_rank(rows, n)
@@ -487,8 +472,8 @@ def reduce(P, seed=0):
         snapshots.append(ReductionStep(
             kind=kind,
             detail=detail,
-            edges=tuple(edges),
-            loops=tuple(sorted(loops)),
+            edges=tuple(y_row),
+            loops=tuple(sorted(z_row)),
             row_labels=tuple(names),
             matrix=tuple(rows),
             rank=rank,
@@ -504,7 +489,8 @@ def reduce(P, seed=0):
         if odd:
             i, j = odd[0]
             path = _tree_path(parent, depth, i, j)
-            relabel(clear_path((i, j), path), j)
+            clear_path((i, j), path)
+            relabel((i, j), j)
             record(
                 STEP_ODD_CYCLE,
                 f"odd cycle {tuple(path)}: edge {(i, j)} became loop {j}",
@@ -512,15 +498,15 @@ def reduce(P, seed=0):
         else:
             for i, j in chords:
                 path = _tree_path(parent, depth, i, j)
-                relabel(clear_path((i, j), path), None)
+                clear_path((i, j), path)
+                relabel((i, j), None)
                 record(
                     STEP_EVEN_CYCLE, f"even cycle {tuple(path)}: edge {(i, j)} zeroed"
                 )
-            for v in sorted(depth, key=lambda v: (-depth[v], v)):
+            for v in sorted(depth, key=depth.get):
                 if depth[v] >= 2:
-                    # the row of (v, parent) ends with entries in columns v and 1
-                    path = _tree_path(parent, depth, parent[v], 1)
-                    clear_path(_pair(v, parent[v]), path)
+                    p = parent[v]
+                    clear_path(_pair(v, p), (p, parent[p]))
             record(
                 STEP_PATH_SWEEP,
                 "tree sweep toward vertex 1" if G.edges else "trivial sweep (no edges)",
@@ -528,7 +514,7 @@ def reduce(P, seed=0):
 
     def loop_edge():
         """The least loop vertex with an edge and its least neighbour, or None."""
-        for i in sorted(loops):
+        for i in sorted(z_row):
             if neighbours[i]:
                 return i, min(neighbours[i])
         return None
@@ -536,14 +522,14 @@ def reduce(P, seed=0):
     while (pick := loop_edge()) is not None:
         i, j = pick
         edge = _pair(i, j)
-        r = row_for(("Y",) + edge)
-        rows[r] = _eliminate(rows[r], rows[row_for(("Z", i))], i, names[r])
-        if j in loops:
-            rows[r] = _eliminate(rows[r], rows[row_for(("Z", j))], j, names[r])
-            relabel(r, None)
+        r = row_of(edge)
+        rows[r] = _eliminate(rows[r], rows[z_row[i]], i, names[r])
+        if j in z_row:
+            rows[r] = _eliminate(rows[r], rows[z_row[j]], j, names[r])
+            relabel(edge, None)
             record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
         else:
-            relabel(r, j)
+            relabel(edge, j)
             record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
 
     final_rank = integer_rank(rows, n)
@@ -559,4 +545,3 @@ def reduce(P, seed=0):
         initial=snapshots[0],
         steps=tuple(snapshots[1:]),
     )
-

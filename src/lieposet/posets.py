@@ -433,33 +433,32 @@ def _attach(P, **derived):
     P.__dict__.update(derived)
 
 
+@lru_cache(maxsize=32)
 def h01_slots(family, n):
-    """Edge and loop slots addressed by the enumeration bitmask, in order."""
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    loops = list(range(1, n + 1)) if family == "C" else []
+    """Edge and loop slots addressed by the enumeration bitmask, in order.
+
+    Bit b of a mask is edge slot b, and bit len(edges) + b is loop slot b
+    (type C only).  Both are tuples, built once per (family, n) and
+    shared by every decode and encode.
+    """
+    edges = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    loops = tuple(range(1, n + 1)) if family == "C" else ()
     return edges, loops
 
 
-@lru_cache(maxsize=32)
-def _mask_slots(family, n):
-    """The slots of `h01_slots`, edges then loops, as one tuple, and the
-    mask of the edge bits."""
-    edges, loops = h01_slots(family, n)
-    return tuple(edges + loops), (1 << len(edges)) - 1
-
-
 def poset_from_mask(family, n, mask):
-    slots, edge_bits = _mask_slots(family, n)
-    picked = [slot for b, slot in enumerate(slots) if mask >> b & 1]
-    k = (mask & edge_bits).bit_count()
-    return poset_from_graph(family, n, picked[:k], picked[k:])
+    edges, loops = h01_slots(family, n)
+    picked = [e for b, e in enumerate(edges) if mask >> b & 1]
+    mask >>= len(edges)
+    looped = [v for b, v in enumerate(loops) if mask >> b & 1]
+    return poset_from_graph(family, n, picked, looped)
 
 
 def mask_of_poset(P):
     G = relation_graph(P)
-    slots, _ = _mask_slots(P.family, P.n)
+    edges, loops = h01_slots(P.family, P.n)
     present = G.edges | G.loops
-    return sum(1 << b for b, slot in enumerate(slots) if slot in present)
+    return sum(1 << b for b, slot in enumerate(edges + loops) if slot in present)
 
 
 def _slot_images(family, n):
@@ -491,9 +490,10 @@ def enumerate_h01(family, n, up_to_iso=False):
     slots = range(sum(map(len, h01_slots(family, n))))
     images = _slot_images(family, n) if up_to_iso else ()
     for mask in range(1 << len(slots)):
-        bits = [b for b in slots if mask >> b & 1]
-        if any(sum(1 << image[b] for b in bits) < mask for image in images):
-            continue
+        if images:
+            bits = [b for b in slots if mask >> b & 1]
+            if any(sum(1 << image[b] for b in bits) < mask for image in images):
+                continue
         yield poset_from_mask(family, n, mask)
 
 

@@ -327,9 +327,17 @@ class TestIsomorphisms:
             verify_CD_isomorphism(P)
 
     def test_cd_exhaustive_height_one(self):
-        for n in (1, 2, 3):
+        # on the paper's class no sign flip is needed: the D table is the
+        # C table of the same relations, cell for cell.  General posets
+        # can need one (test_cd_needs_sign_flip), so the GF(2) solve stays
+        count = 0
+        for n in (1, 2, 3, 4):
             for P in enumerate_h01("D", n):
-                assert verify_CD_isomorphism(P)
+                basis, table = structure_constants(P)
+                assert verify_CD_isomorphism(P) == (1,) * len(basis), P
+                assert table == structure_constants(SignedPoset("C", n, P.relations))[1], P
+                count += 1
+        assert count == 1 + 2 + 8 + 64
 
     def test_b_reduction_examples(self, path_poset):
         # a match returns None; a mismatch raises TablesDiffer

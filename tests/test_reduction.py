@@ -204,6 +204,54 @@ class TestReduceReplay:
         last = trace.steps[-1]
         assert last.edges == () and last.loops == tuple(range(1, 13))
 
+    def test_sweep_leaves_each_tree_row_in_its_column_and_column_1(self):
+        # on a bipartite graph the last snapshot holds, for each tree
+        # vertex v with edge value L to its parent, the row -L*e_v +
+        # (-1)^depth(v)*L*e_1, and a zero row for every chord
+        posets = [
+            P
+            for n in (2, 3, 4, 5)
+            for P in enumerate_h01("C", n)
+            if rg_connected(P)
+            and not any(c.has_odd_cycle for c in graph_components(relation_graph(P)))
+        ]
+        checked = 0
+        for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
+            parent, depth, _ = relation_graph(P).forest
+            trace = reduce(P, seed=seed)
+            last = trace.steps[-1]
+            assert last.kind == "PathSweep"
+            labelled = list(zip(last.row_labels, last.matrix))
+            rows = dict(labelled)
+            for (i, j), value in trace.edge_values:
+                if j == parent[i] or i == parent[j]:
+                    v = i if depth[i] > depth[j] else j
+                    expected = [0] * P.n
+                    expected[v - 1] = -value
+                    expected[0] += (-1) ** depth[v] * value
+                    assert list(rows[f"Y({i},{j})"]) == expected, (P, seed, (i, j))
+                checked += 1
+            chord_rows = [row for label, row in labelled if label == "0"]
+            assert len(chord_rows) == len(trace.edge_values) - (P.n - 1)
+            assert not any(map(any, chord_rows)), (P, seed)
+        assert checked == 1854
+
+    def test_sweep_makes_one_row_operation_per_deep_tree_row(self, monkeypatch):
+        # the path 1-2-...-8 has no chords, and each of its 6 vertices at
+        # depth 2 or more has its parent column cleared once
+        calls = []
+        eliminate = index_engine._eliminate
+
+        def counted(target, source, col, name):
+            calls.append((name, col))
+            return eliminate(target, source, col, name)
+
+        monkeypatch.setattr(index_engine, "_eliminate", counted)
+        path = poset_from_graph("C", 8, [(v, v + 1) for v in range(1, 8)])
+        trace = reduce(path, seed=0)
+        assert [s.kind for s in trace.steps] == ["PathSweep"]
+        assert calls == [(f"Y({v - 1},{v})", v - 1) for v in range(3, 9)]
+
     def test_path_off_the_tree_raises(self, monkeypatch):
         # a path that skips a vertex steps between two vertices on the
         # same side of K3,4, where no edge row exists

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -287,23 +288,70 @@ def _is_click_command(node):
 def test_every_function_is_read_inside_the_package():
     # a function, method or property that nothing in the package reads
     # is dead code: delete it, or move it into tests/.  Python reads the
-    # dunders and click the commands; mask_of_poset stays for the poset
-    # keys of ROADMAP item 4, and poset_to_text writes the documented
-    # text format
-    allowed = {"mask_of_poset", "poset_to_text"}
-    defined, read = [], set()
+    # dunders and click the commands, and a class member is read only
+    # through an attribute, not by a local of the same name;
+    # mask_of_poset stays for the poset keys of ROADMAP item 4,
+    # poset_to_text writes the documented text format, and the bench
+    # reads ReductionTrace.ranks until ROADMAP item 6
+    allowed = {"mask_of_poset", "poset_to_text", "ranks"}
+    defined, names, attributes = [], set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        members = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 dunder = node.name.startswith("__") and node.name.endswith("__")
                 if not (dunder or _is_click_command(node)):
-                    defined.append((f"{path.relative_to(PACKAGE)}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Attribute) or (
-                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            ):
-                read.add(_callable_name(node))
+                    where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                    defined.append((where, node.name, node in members))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
     assert defined
-    assert [f"{where} {name}" for where, name in defined if name not in read | allowed] == []
+    unread = [
+        f"{where} {name}"
+        for where, name, member in defined
+        if name not in attributes | allowed and (member or name not in names)
+    ]
+    assert unread == []
+
+
+def test_every_name_the_bench_reads_exists():
+    # the bench imports lieposet modules and reads functions off them and
+    # fields off their results; a rename inside the package must not
+    # leave a workload calling a name that is gone
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lieposet"
+        for alias in node.names
+    }
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert len(read) == 21
+    missing = [
+        f"{module}.{name}" for module, name in sorted(read)
+        if not hasattr(importlib.import_module(f"lieposet.{module}"), name)
+    ]
+    assert missing == []
+    from lieposet import build_poset, frobenius, index_engine
+
+    assert "seed" in inspect.signature(index_engine.reduce).parameters
+    P = build_poset("C", 1, [(-1, 1)])
+    trace = index_engine.reduce(P, seed=0)
+    assert (trace.ranks, trace.final_rank) == ((1,), 1)
+    element = frobenius.principal_element(P, frobenius.frobenius_functional(P))
+    assert element.diagonal is not None
+    report = frobenius.spectrum(P, element)
+    assert (report.is_binary, report.zero_count, report.one_count) == (True, 1, 1)
 
 
 def _readers(name):
