@@ -50,7 +50,10 @@ that `verify_B_reduction` and `verify_CD_isomorphism` find still cached.
 The pair (basis, table) is the one representation of the brackets of P:
 the commutator matrix ([x_i, x_j]) is the table read skew, and
 `evaluate` fills it at a point for the index oracle and the Kirillov
-form alike.
+form alike.  `_h_block` is the table's shape test that both read first:
+where the table scales diagonally it returns the H block B0, and the
+matrix at any point is [[0, A], [-A^T, 0]] with A a column scaling of
+B0, so neither needs the dense evaluation.
 """
 
 from __future__ import annotations
@@ -322,6 +325,28 @@ def evaluate(table, values):
         rows[i][j] = v
         rows[j][i] = -v
     return rows
+
+
+def _h_block(basis, table):
+    """B0, the H rows by non-H columns block of the table at the all-ones
+    point, when the table scales diagonally; otherwise None.
+
+    The table scales diagonally when the H elements lead the basis and
+    every entry joins one of them to a later non-H element and its one
+    (k, c) pair has k on the non-H end; B0 holds c.  Then the commutator
+    matrix at a point x is [[0, A], [-A^T, 0]] with A = B0 * diag(x on
+    the non-H elements), and every table of the paper's class passes.
+    `index_engine.generic_rank` ranks B0 for the generic rank, and
+    `frobenius._solve_kirillov` solves the Kirillov form on A."""
+    h = sum(b.kind == "H" for b in basis)
+    if any(b.kind == "H" for b in basis[h:]):
+        return None
+    block = [[0] * (len(basis) - h) for _ in range(h)]
+    for (i, j), (k, c) in table.items():
+        if not i < h <= j or k != j:
+            return None
+        block[i][j - h] = c
+    return block
 
 
 def matrix_form(P):

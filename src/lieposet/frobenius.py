@@ -13,18 +13,32 @@ Everything up to that solution is an integer: realizations have entries
 once by the lcm of its denominators (1 for the standard functional, whose
 weights are the int 1), the Kirillov form and its elimination stay in ints
 (`linalg`'s Bareiss loop).  Scaling F scales the form and the right-hand
-side alike, so the rank and the solution do not change.  The form is
-evaluated and eliminated once per (P, F): `linalg.solve` gives its rank
-and the solution x from the same pivots, back-substituting in ints and
-building one Fraction per distinct entry of x, and `_solve_kirillov` keeps
-the last result, so `kernel_dim` followed by `principal_element` solves
-once.  Only the solution x has a denominator.  The fixed-point identity
-and the spectrum are read off the columns of ad(d*x), d the lcm of the
+side alike, so the rank and the solution do not change.
+
+The form is solved once per (P, F), and `_solve_kirillov` keeps the last
+result, so `kernel_dim` followed by `principal_element` solves once.
+Every table of the paper's class scales diagonally (`algebra._h_block`):
+the H elements lead the basis and B_F = [[0, A], [-A^T, 0]], A the H
+block scaled by F's point on the other elements.  There the system
+splits into A^T x_H = F_N and A x_N = -F_H, and the rank is 2 * rank A.
+Where F is 0 on every H element, as the standard functional is, x_N = 0
+and one |N| x |H| elimination gives both the rank and x.  Any other
+(P, F), a functional with weight on an H element or a table that does
+not scale (a general poset through the API), is evaluated whole and
+eliminated once, and there an odd rank raises InvariantViolation.
+Either way
+`linalg.solve` gives the rank and the solution from the same pivots,
+back-substituting in ints and building one Fraction per distinct entry.
+Only the solution x has a denominator.  The fixed-point identity and
+the spectrum are read off the columns of ad(d*x), d the lcm of the
 denominators of x, that one pass over the structure constants gives, in
 ints; `_integer_ad` keeps the last pass, so `principal_element` followed
-by `spectrum` on its element makes one.  The spectrum sorts and counts
-the integer diagonal (0 and d) and builds each distinct eigenvalue, an
-entry over d, once, at the end.
+by `spectrum` on its element makes one.  The diagonal of a diagonal x
+builds one Fraction per distinct entry.  The spectrum peels the digraph
+of the off-diagonal entries from the columns that have one, so a
+diagonal ad(x) takes no pass; it sorts and counts the integer diagonal
+(0 and d) and builds each distinct eigenvalue, an entry over d, once, at
+the end.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
+    _h_block,
     evaluate,
     matrix_form,
     realize,
@@ -110,8 +125,18 @@ def _solve_kirillov(P, F):
 
     values is F's point in basis order, scaled to ints by the lcm c of
     its denominators: B_cF = c*B_F, so the rank and x are those of B_F.
-    x solves B_F(x, -) = F, or is None when no solution exists; one
-    evaluation and one elimination give both the rank and x.  A skew
+    x solves B_F(x, -) = F, or is None when no solution exists, and is
+    the solution with every free variable 0.
+
+    Where the table scales diagonally (`_h_block`, every poset of the
+    paper's class), B_F = [[0, A], [-A^T, 0]] with A = block *
+    diag(values on the non-H elements), the H elements first, and the
+    system splits into A^T x_H = v_N and A x_N = -v_H.  Where F is 0 on
+    every H element, as the standard functional is, x_N = 0, and one
+    elimination of A^T gives x_H and the rank, 2 * rank A: a column of
+    the whole form is a pivot exactly when it is one of its block, so
+    the solutions with free variables 0 agree.  Every other (P, F)
+    takes one evaluation and one elimination of the whole form; a skew
     matrix has even rank, so an odd rank raises InvariantViolation.
 
     The last (P, F) is cached, so a `kernel_dim` and a `principal_element`
@@ -122,9 +147,17 @@ def _solve_kirillov(P, F):
     point = F.point(P)
     c = lcm(1, *(v.denominator for v in point.values()))
     values = tuple(point[b].numerator * (c // point[b].denominator) for b in basis)
-    rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
-    if rank % 2:
-        raise InvariantViolation(f"evaluated Kirillov form has odd rank {rank}")
+    block = _h_block(basis, table)
+    if block is not None and not any(values[: len(block)]):
+        h = len(block)
+        v_n = values[h:]
+        a_t = [[row[j] * v for row in block] for j, v in enumerate(v_n)]
+        rank, x_h = solve(a_t, v_n, h)
+        rank, x = 2 * rank, None if x_h is None else x_h + [0] * len(v_n)
+    else:
+        rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
+        if rank % 2:
+            raise InvariantViolation(f"evaluated Kirillov form has odd rank {rank}")
     return basis, table, values, rank, None if x is None else tuple(x)
 
 
@@ -167,10 +200,11 @@ def principal_element(P, F):
     diagonal = None
     convention = "other"
     if all(r == c for (r, c) in xmat):
-        # x is xmat / d: a Fraction where xmat has an entry, 0 elsewhere
-        diagonal = tuple(
-            (e, Fraction(v, d) if (v := xmat.get((e, e))) else 0) for e in P.elements
-        )
+        # x is xmat / d: a Fraction where xmat has an entry, 0 elsewhere,
+        # one per distinct entry
+        entries = [xmat.get((e, e), 0) for e in P.elements]
+        fractions = {v: Fraction(v, d) if v else 0 for v in set(entries)}
+        diagonal = tuple(zip(P.elements, [fractions[v] for v in entries]))
         # x at (-e,-e) is 1/2 and at (e,e) is -1/2, decided on xmat in ints
         if all(
             2 * xmat.get((-e, -e), 0) == d and 2 * xmat.get((e, e), 0) == -d
@@ -219,10 +253,16 @@ def spectrum(P, fhat):
     """
     d, _, columns = _integer_ad(P, fhat.coefficients)
     # repeatedly drop the columns that depend on no other remaining one;
-    # the digraph is acyclic exactly when every column goes
+    # the digraph is acyclic exactly when every column goes.  A column
+    # with no off-diagonal entry is on no cycle, so only the others start
+    # the peel, and a diagonal ad(fhat) needs no pass
     pending = {
-        k: {row for row in column if row != k} for k, column in enumerate(columns)
+        k: {row for row in column if row != k}
+        for k, column in enumerate(columns)
+        if len(column) > (k in column)
     }
+    for rows in pending.values():
+        rows.intersection_update(pending)
     while pending:
         free = [k for k, rows in pending.items() if not rows]
         if not free:

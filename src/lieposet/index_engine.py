@@ -34,7 +34,9 @@ index formula.
 Elsewhere the commutator matrix is the structure-constant table of
 `algebra.structure_constants`, read skew, evaluated in ints at the drawn
 points by `algebra.evaluate` and ranked by `linalg.integer_rank`.  The
-Frobenius path evaluates the Kirillov form through the same function.
+Frobenius path reads the same shape test, `algebra._h_block`, and
+solves the Kirillov form on the block where it exists and through
+`evaluate` elsewhere.
 
 For the height-(0,1) signed posets the rank is also predicted by the
 relation graph, and `reduce` replays the graph-guided row reduction that
@@ -70,7 +72,7 @@ from .posets import (
     relation_graph,
     rg_connected,
 )
-from .algebra import build_basis, evaluate, structure_constants
+from .algebra import _h_block, build_basis, evaluate, structure_constants
 
 
 def _nonzero_int(rng):
@@ -136,24 +138,6 @@ def _term_rank(n, pairs):
         cols[i].append(j)
         cols[j].append(i)
     return _matching(cols, n)
-
-
-def _h_block(basis, table):
-    """B0, the H rows by non-H columns block of the table at the all-ones
-    point, when the table scales diagonally; otherwise None.
-
-    The table scales diagonally when the H elements lead the basis and
-    every entry joins one of them to a later non-H element and its one
-    (k, c) pair has k on the non-H end; B0 holds c."""
-    h = sum(b.kind == "H" for b in basis)
-    if any(b.kind == "H" for b in basis[h:]):
-        return None
-    block = [[0] * (len(basis) - h) for _ in range(h)]
-    for (i, j), (k, c) in table.items():
-        if not i < h <= j or k != j:
-            return None
-        block[i][j - h] = c
-    return block
 
 
 def generic_rank(C, trials=ORACLE_TRIALS, seed=0):

@@ -10,7 +10,9 @@ that change them.  Matrices are plain lists of rows.  The index oracle
 and the reduction replay call `integer_rank` on int rows; it eliminates
 the shorter side, the transpose of a matrix with more rows than columns.
 `solve` takes int rows and an int right-hand side, runs the same loop
-once, and reads the rank off the same pivots it back-substitutes from.
+once, and reads the rank off the same pivots it back-substitutes from;
+the Kirillov solve calls it on the block A^T of a class poset's form,
+and on the whole form elsewhere.
 Back-substitution is fraction-free too: it finds y = D*x in ints, D the
 last pivot, with one exact division per pivot (Nakos, Turner and
 Williams 1997), and the only Fractions built are the distinct entries

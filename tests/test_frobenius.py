@@ -29,11 +29,12 @@ from lieposet import (
     principal_element,
     realize,
     realize_combination,
+    relation_graph,
     spectrum,
     structure_constants,
 )
 
-from lieposet import frobenius, linalg
+from lieposet import algebra, frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 from lieposet.harness import CampaignConfig, run_campaign, run_checks_on_poset
 from references import combo_bracket
@@ -149,26 +150,34 @@ class TestPrincipalElement:
             principal_element(triangle_poset, frobenius_functional(triangle_poset))
 
     def test_odd_kirillov_rank_raises_invariant_violation(self, triangle_poset, monkeypatch):
-        # a skew matrix has even rank: an odd one is a fault in the solve,
-        # raised by both queries and, in a campaign, one failed check
+        # a skew matrix has even rank: an odd one is a fault in the dense
+        # solve, raised by both queries.  The Borel poset of C2 has an X
+        # element, so its table does not scale diagonally and the whole
+        # form is eliminated; F is regular there, of rank 6
         true_solve = frobenius.solve
 
         def odd_rank(rows, rhs, ncols):
             rank, x = true_solve(rows, rhs, ncols)
             return rank - 1, x
 
+        P = build_poset("C", 2, [(-2, -1), (-1, 1)])
+        assert algebra._h_block(*structure_constants(P)) is None
+        F = functional(P, {(-2, 1): 1, (-2, 2): 1})
+        assert kernel_dim(P, F) == 0
+        frobenius._solve_kirillov.cache_clear()
         monkeypatch.setattr(frobenius, "solve", odd_rank)
-        P = triangle_poset
-        F = frobenius_functional(P)
         with pytest.raises(InvariantViolation, match="odd rank 5"):
             kernel_dim(P, F)
         with pytest.raises(InvariantViolation, match="odd rank 5"):
             principal_element(P, F)
+        # on the paper's class the rank is 2 * rank A, even by
+        # construction: the lost pivot of A^T leaves a kernel of 2, which
+        # frobenius_kernel reports on every Frobenius poset of a campaign
         [outcome] = run_checks_on_poset(
-            P.family, P.n, mask_of_poset(P), ("frobenius_kernel",), 0, 5
+            "C", 3, mask_of_poset(triangle_poset), ("frobenius_kernel",), 0, 5
         )
         assert outcome["check"] == "frobenius_kernel"
-        assert outcome["witness"]["error"] == "InvariantViolation"
+        assert outcome["witness"] == {"kernel_dim": "2"}
         report = run_campaign(CampaignConfig(plan=(("C", 2),), checks=("frobenius_kernel",)))
         total = sum(report["posets"].values())
         frobenius_count = sum(is_frobenius_by_graph(Q) for n in (1, 2)
@@ -176,7 +185,8 @@ class TestPrincipalElement:
         assert report["summary"]["frobenius_kernel"] == {
             "pass": 0, "fail": frobenius_count, "skipped": total - frobenius_count,
         }
-        assert {f["witness"]["error"] for f in report["failures"]} == {"InvariantViolation"}
+        assert len(report["failures"]) == frobenius_count
+        assert all(f["witness"] == {"kernel_dim": "2"} for f in report["failures"])
 
     def test_fixed_point_mismatch_raises_invariant_violation(
         self, triangle_poset, monkeypatch
@@ -500,6 +510,94 @@ class TestIntegerPath:
         assert digest.hexdigest() == (
             "6de5ebba26fadda92ba600d525926b8ce0cc6368c779824b9558a2541f30d700"
         )
+
+
+def _class_posets(bounds, frobenius_only):
+    """The posets of enumerate_h01 for each (family, top) of bounds and
+    every n up to top; only the Frobenius ones when frobenius_only."""
+    for family, top in bounds:
+        for n in range(1, top + 1):
+            for P in enumerate_h01(family, n):
+                if not frobenius_only or is_frobenius_by_graph(P):
+                    yield P
+
+
+def _edge_loop_functional(P):
+    """The standard functional's weights, on any class poset: 1 at (-i, j)
+    for each edge (i, j) and at (-v, v) for each loop v."""
+    G = relation_graph(P)
+    weights = {(-i, j): 1 for i, j in G.edges}
+    weights.update({(-v, v): 1 for v in G.loops})
+    return functional(P, weights)
+
+
+def _h_supported_functional(P, rng):
+    """Seeded weights, some rational, at (-i, -i) for a nonempty sample of
+    i, so F is nonzero on those H(i), and at about half of the other
+    permitted positions."""
+    def weight():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    diagonal = rng.sample(range(1, P.n + 1), rng.randint(1, P.n))
+    weights = {(-i, -i): weight() for i in diagonal}
+    for r, c in sorted(matrix_form(P)):
+        if r != c and rng.random() < 0.5:
+            weights[(r, c)] = weight()
+    return functional(P, weights)
+
+
+class TestBlockSolve:
+    """Every class table scales diagonally, and `_solve_kirillov` solves
+    the Kirillov form of a functional that is 0 on every H element on the
+    block A^T alone, and any other functional dense: either way the rank
+    and x are those of the whole form, evaluated and eliminated dense."""
+
+    @pytest.mark.parametrize(
+        "bounds, frobenius_only, count",
+        [
+            ((("C", 4), ("D", 4), ("B", 3)), False, 1184),
+            ((("C", 5), ("D", 5), ("B", 4)), True, 1898),
+        ],
+        ids=["class-C4-D4-B3", "frobenius-C5-D5-B4"],
+    )
+    def test_block_route_equals_the_dense_solve(
+        self, bounds, frobenius_only, count, monkeypatch
+    ):
+        true_solve = frobenius.solve
+        widths = []
+
+        def recorded(rows, rhs, ncols):
+            widths.append(ncols)
+            return true_solve(rows, rhs, ncols)
+
+        monkeypatch.setattr(frobenius, "solve", recorded)
+        rng = random.Random(37)
+        posets = h_solved = 0
+        for P in _class_posets(bounds, frobenius_only):
+            posets += 1
+            standard = _edge_loop_functional(P)
+            if frobenius_only:
+                assert standard == frobenius_functional(P)
+            for F in (standard, _h_supported_functional(P, rng), functional(P, {})):
+                frobenius._solve_kirillov.cache_clear()
+                widths.clear()
+                basis, table, values, rank, x = frobenius._solve_kirillov(P, F)
+                h = len(algebra._h_block(basis, table))
+                dense_rank, dense_x = linalg.solve(
+                    evaluate(table, values), [-v for v in values], len(basis)
+                )
+                assert rank == dense_rank, (P, F)
+                assert x == (None if dense_x is None else tuple(dense_x)), (P, F)
+                # weight on an H element takes the dense solve; F zero on
+                # every H element takes A^T alone and gives x_N = 0
+                if any(values[:h]):
+                    assert widths == [len(basis)], (P, F)
+                    h_solved += x is not None and any(x[h:])
+                else:
+                    assert widths == [h], (P, F)
+                    assert x is None or not any(x[h:]), (P, F)
+        assert posets == count
+        assert h_solved
 
 
 class TestBDFrobenius:

@@ -484,27 +484,27 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
 
 
 def test_failed_kirillov_solve_runs_once_and_fails_each_check(monkeypatch):
-    # the triangle C3 is Frobenius; an odd rank from the solve is one
-    # fault, solved once and recorded by each of the three checks that
-    # read the principal element
+    # the triangle C3 is Frobenius, and its form is solved on the block
+    # A^T alone; a solve that finds rank 1 and no solution is one fault,
+    # solved once and recorded by each of the three checks that read the
+    # principal element
     from lieposet import frobenius
 
     calls = []
 
-    def odd_rank(rows, rhs, ncols):
+    def lost_rank(rows, rhs, ncols):
         calls.append(ncols)
         return 1, None
 
-    monkeypatch.setattr(frobenius, "solve", odd_rank)
+    monkeypatch.setattr(frobenius, "solve", lost_rank)
     checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
     mask = _mask("C", 3, [(1, 2), (1, 3), (2, 3)], ())
     outcomes = run_checks_on_poset("C", 3, mask, checks, seed=0, trials=5)
-    assert len(calls) == 1
+    assert calls == [3]
     assert [o["check"] for o in outcomes] == list(checks)
-    message = "evaluated Kirillov form has odd rank 1"
-    assert all(
-        o["witness"] == {"error": "InvariantViolation", "message": message} for o in outcomes
-    )
+    assert all(o["status"] == "fail" for o in outcomes)
+    singular = {"error": "SingularForm", "message": "the Kirillov form of F is singular"}
+    assert [o["witness"] for o in outcomes] == [{"kernel_dim": "4"}, singular, singular]
 
 
 def test_frobenius_kernel_keeps_singular_witness(monkeypatch):

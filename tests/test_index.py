@@ -35,7 +35,7 @@ from lieposet import (
     run_campaign,
     structure_constants,
 )
-from lieposet import index_engine
+from lieposet import algebra, index_engine
 from lieposet.index_engine import ORACLE_TRIALS, _matching, _term_rank
 from lieposet.linalg import integer_rank, solve
 from references import entry
@@ -263,7 +263,7 @@ class TestTermRank:
                         assert (basis[i].kind == "H") != (basis[j].kind == "H"), P
                     # the block path takes that ceiling as 2 * nu(B0), on
                     # the pattern of B0 alone
-                    block = index_engine._h_block(basis, table)
+                    block = algebra._h_block(basis, table)
                     pattern = [[j for j, c in enumerate(row) if c] for row in block]
                     nu = _matching(pattern, len(basis) - len(block))
                     assert 2 * nu == _term_rank(len(basis), table), P
@@ -393,10 +393,10 @@ class TestEarlyStop:
     )
     def test_faults_fall_back_to_sampling(self, four_cycle_poset, cell, monkeypatch):
         basis, table = structure_constants(four_cycle_poset)
-        assert index_engine._h_block(basis, table) is not None
+        assert algebra._h_block(basis, table) is not None
         i, j = next(iter(table))
         faulty = {**table, (i, j): cell(i, j)}
-        assert index_engine._h_block(basis, faulty) is None
+        assert algebra._h_block(basis, faulty) is None
         draws = self._count_draws(monkeypatch)
         got, sampled = generic_rank((basis, faulty), trials=5, seed=3)
         assert sampled and draws
@@ -411,7 +411,7 @@ class TestEarlyStop:
                 for P in enumerate_h01(fam, n):
                     C = basis, table = structure_constants(P)
                     full = integer_rank(evaluate(table, [1] * len(basis)), len(basis))
-                    block = index_engine._h_block(basis, table)
+                    block = algebra._h_block(basis, table)
                     h_rank = 2 * integer_rank(block, len(basis) - len(block))
                     assert h_rank == full and generic_rank(C) == (full, False), P
 
@@ -420,7 +420,7 @@ class TestEarlyStop:
         # would have rank 1
         basis = tuple(BasisElement("C", *e) for e in (("H", 1), ("H", 2), ("Y", 1, 2), ("Z", 1)))
         table = {(0, 2): (2, 1), (0, 3): (3, 1), (1, 2): (2, 1), (1, 3): (3, -1)}
-        assert index_engine._h_block(basis, table) == [[1, 1], [1, -1]]
+        assert algebra._h_block(basis, table) == [[1, 1], [1, -1]]
         full = integer_rank(evaluate(table, [1] * 4), 4)
         assert full == 4 and generic_rank((basis, table)) == (4, False)
 
@@ -428,15 +428,15 @@ class TestEarlyStop:
         # a cell from a later H element to a non-H element does not scale
         # the block: its H row would not lead the matrix
         basis = (BasisElement("C", "Z", 1), BasisElement("C", "H", 1))
-        assert index_engine._h_block(basis, {(0, 1): (1, 2)}) is None
-        assert index_engine._h_block(basis, {(0, 1): (0, 2)}) is None
+        assert algebra._h_block(basis, {(0, 1): (1, 2)}) is None
+        assert algebra._h_block(basis, {(0, 1): (0, 2)}) is None
 
     def test_paper_class_scales_diagonally(self):
         # every oracle call of the acceptance plan takes the scaling path
         for fam, n_max in (("C", 4), ("D", 4), ("B", 3)):
             for n in range(1, n_max + 1):
                 for P in enumerate_h01(fam, n):
-                    assert index_engine._h_block(*structure_constants(P)) is not None, P
+                    assert algebra._h_block(*structure_constants(P)) is not None, P
 
     def test_nonzero_int_reads_the_randint_stream(self):
         # the draws of getrandbits(11) with 2001..2047 and 1000 rejected are
@@ -458,11 +458,11 @@ class TestEarlyStop:
         true_matching = index_engine._matching
         low = lambda adjacency, ncols: true_matching(adjacency, ncols) - 2  # noqa: E731
         monkeypatch.setattr(index_engine, "_matching", low)
-        assert index_engine._h_block(*structure_constants(path_poset)) is not None
+        assert algebra._h_block(*structure_constants(path_poset)) is not None
         with pytest.raises(InvariantViolation, match="ceiling"):
             generic_rank(structure_constants(path_poset))
         chain = structure_constants(build_poset("A", 3, [(1, 2), (2, 3)]))
-        assert index_engine._h_block(*chain) is None
+        assert algebra._h_block(*chain) is None
         with pytest.raises(InvariantViolation, match="ceiling"):
             generic_rank(chain)
         report = run_campaign(

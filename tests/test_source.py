@@ -385,6 +385,19 @@ def test_basis_order_is_sorted_only_in_the_borel_basis_and_decompose():
     assert _readers("sort_key") == {"algebra._borel_basis", "algebra.decompose"}
 
 
+def test_h_block_is_read_by_the_oracle_and_the_kirillov_solve():
+    # the table's shape test is defined once, in algebra, and the generic
+    # rank and the Kirillov solve both take their block route from it
+    assert _readers("_h_block") == {"index_engine.generic_rank", "frobenius._solve_kirillov"}
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_h_block"
+    ]
+    assert defined == ["algebra._h_block"]
+
+
 def test_every_lru_cache_has_an_integer_maxsize():
     # memory must not grow without bound over a long run: every
     # lru_cache of the package names its bound as an int literal, and no
