@@ -49,17 +49,14 @@ _EXPORTS = {
     "build_poset": "posets",
     "covering_relations": "posets",
     "enumerate_h01": "posets",
-    "graph_components": "posets",
     "ground_set": "posets",
     "h01_slots": "posets",
-    "height": "posets",
     "induced_subposet": "posets",
     "is_separable": "posets",
     "mask_of_poset": "posets",
     "poset_from_graph": "posets",
     "poset_from_mask": "posets",
     "positive_part": "posets",
-    "relation_graph": "posets",
     "rg_connected": "posets",
     "validate": "posets",
     "BasisElement": "algebra",

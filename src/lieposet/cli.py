@@ -34,7 +34,7 @@ from .errors import (
     PosetConstructionError,
     UnsupportedPoset,
 )
-from .posets import enumerate_h01, relation_graph
+from .posets import enumerate_h01
 
 INPUT_EXIT = 2
 COMPUTE_EXIT = 1
@@ -334,7 +334,7 @@ def _json_of(obj_of):
 # of each is its default
 EXPORT_EMITTERS = {
     "hasse": {"dot": formats.hasse_dot},
-    "relation-graph": {"dot": lambda P: formats.relation_graph_dot(relation_graph(P))},
+    "relation-graph": {"dot": lambda P: formats.relation_graph_dot(P.relation_graph)},
     "matrix-form": {
         "text": formats.matrix_form_text,
         "json": _json_of(formats.matrix_form_json_obj),

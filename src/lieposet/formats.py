@@ -88,6 +88,8 @@ def parse_poset_json(obj, strict=False):
     if type(n) is not int:
         raise InputParseError(f"n must be an integer, got {n!r}")
     for pair in generators:
+        if len(pair) != 2:
+            raise InputParseError(f"relation entries must be pairs of integers: {list(pair)}")
         if any(type(x) is not int for x in pair):
             raise InputParseError(f"relation entries must be integers: {list(pair)}")
     return build_poset(family, n, generators, strict=strict)

@@ -3,10 +3,14 @@
 A height-(0,1) signed poset has index zero exactly when every connected
 component of its relation graph is unicyclic with an odd cycle (a self
 loop counts).  For such posets the standard functional picks out the
-entry (-min, max) of every edge and (-i, i) of every loop; the principal
-element is always obtained by solving the linear system of the Kirillov
-form rather than by assuming a closed form, because the two natural sign
-orientations of the half-integer diagonal both occur in print.
+entry (-min, max) of every edge and (-i, i) of every loop.  The
+principal element is what the linear system of the Kirillov form solves
+to; no closed form stands in for it, since both sign orientations of
+the half-integer diagonal occur in print.  On every class poset the
+campaign's `principal_element` check then compares that solution with
+h-hat = (H(1) + ... + H(n)) / 2, +1/2 on each negative row and -1/2 on
+each positive one: the closed form is checked against the solve, not
+assumed.
 
 Everything up to that solution is an integer: realizations have entries
 +/-1 and the structure constants are ints, so F's point, scaled to ints
@@ -59,7 +63,6 @@ from .algebra import (
 )
 from .errors import InvariantViolation, NonEigenbasis, NotFrobenius, SingularForm
 from .linalg import solve
-from .posets import graph_components, relation_graph
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def functional(P, coefficients):
 
 def is_frobenius_by_graph(P):
     """Every relation-graph component unicyclic with its unique cycle odd."""
-    comps = graph_components(relation_graph(P))
+    comps = P.relation_graph.components
     return all(c.is_unicyclic and c.has_odd_cycle for c in comps)
 
 
@@ -113,7 +116,7 @@ def frobenius_functional(P):
     """The edge-plus-loop functional; nonsingular on Frobenius posets."""
     if not is_frobenius_by_graph(P):
         raise NotFrobenius("the relation graph criterion fails")
-    G = relation_graph(P)
+    G = P.relation_graph
     coeffs = {(-i, j): 1 for (i, j) in G.edges}
     coeffs.update({(-v, v): 1 for v in G.loops})
     return functional(P, coeffs)

@@ -8,17 +8,21 @@ skip builds no witness.  Outcomes are counted as they arrive and only
 failures are kept: memory does not grow with the plan, and with a fixed
 seed the JSON report is byte identical across runs and worker counts.
 
+Every poset the campaign ranks, whole or a component, is of the paper's
+class, whose rank is proved on the H block and draws no trial point.
+One function, `_class_index`, computes such an index and raises
+InvariantViolation on a sampled rank, so the index depends on the poset
+alone and the seed and trials play no part in it.  The configured
+trials are only echoed in the report.
+
 Derived objects are shared at two scopes.  A CheckContext holds what one
-poset's checks share: its oracle and its principal element.  The
+poset's checks share: its index and its principal element.  The
 campaign shares the index of each component subposet across posets
 through `_component_index`, an lru_cache keyed by the component after
-the order-preserving relabelling onto 1..k.  Every component the
-campaign ranks is of the paper's class, whose rank is proved on the H
-block and drew no trial point, so the index depends on the key alone;
-a sampled rank raises InvariantViolation and is not cached.  Each
-distinct component is built and ranked once per campaign: `run_campaign`
-empties the cache before it starts, so a campaign, and each worker it
-forks, starts empty.
+the order-preserving relabelling onto 1..k; an exception is not cached.
+Each distinct component is built and ranked once per campaign:
+`run_campaign` empties the cache before it starts, so a campaign, and
+each worker it forks, starts empty.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ from .frobenius import (
     principal_element,
     spectrum,
 )
-from .index_engine import generic_rank, index_formula, index_oracle, reduce
+from .index_engine import generic_rank, index_formula, reduce
 from .posets import (
+    MAX_N,
     SIGNED_FAMILIES,
-    graph_components,
     h01_slots,
     poset_from_graph,
     poset_from_mask,
-    relation_graph,
     rg_connected,
 )
 
@@ -77,8 +80,10 @@ class CampaignConfig:
     """What to enumerate and how: ((family, n_max), ...), checks, seed.
 
     A plan family outside B/C/D or repeated, a repeated or unknown
-    check, n_max below 1, and trials or jobs below 1 raise ValueError,
-    before any poset runs.
+    check, n_max below 1 or above posets.MAX_N, and trials or jobs below
+    1 raise ValueError, before any poset runs.  No check reads trials:
+    every rank the campaign takes is proved (`_class_index`), and the
+    report only echoes the value.
     """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
@@ -96,6 +101,10 @@ class CampaignConfig:
                 raise ValueError(f"family {family!r} appears more than once in the plan")
             if n_max < 1:
                 raise ValueError(f"n_max of family {family!r} must be >= 1, got {n_max}")
+            if n_max > MAX_N:
+                raise ValueError(
+                    f"n_max of family {family!r} must be <= {MAX_N}, got {n_max}"
+                )
         for name in self.checks:
             if self.checks.count(name) > 1:
                 raise ValueError(f"check {name!r} appears more than once")
@@ -113,15 +122,15 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """Seed and trials for one poset's checks, plus their memo.
+    """The seed of one poset's checks, plus their memo.
 
-    Build one per poset: the memo holds the oracle of the poset and its
+    Build one per poset: the memo holds the index of the poset and its
     principal element, or the exception one raised, which each later
-    reader gets again.
+    reader gets again.  The seed drives the reduction replay and is
+    named in a failure's witness; the index does not depend on it.
     """
 
     seed: int
-    trials: int
     memo: dict = field(default_factory=dict, compare=False)
 
     def _once(self, key, compute):
@@ -135,11 +144,8 @@ class CheckContext:
         return self.memo[key]
 
     def oracle(self, P):
-        """index_oracle(P) at this context's seed and trials, computed once."""
-        return self._once(
-            ("oracle", P),
-            lambda: index_oracle(P, trials=self.trials, seed=self.seed),
-        )
+        """`_class_index(P)`, computed once."""
+        return self._once(("oracle", P), lambda: _class_index(P))
 
     def principal(self, P):
         """principal_element of the Frobenius functional of P, computed once."""
@@ -171,25 +177,30 @@ def _component_keys(P, G, comps):
     return keys
 
 
-# the plan C:5,D:5,B:4 has 690 distinct components
-@lru_cache(maxsize=1024)
-def _component_index(key):
-    """The index of the component subposet with this `_component_keys` key.
+def _class_index(P):
+    """The index of P, a poset of the paper's class: dim minus the rank of
+    its structure-constant table.
 
-    The component is of the paper's class, so its rank is proved on the H
-    block and drew no trial point; a sampled rank raises
-    InvariantViolation naming the key, and like any exception is not
-    cached.
+    The table of such a poset scales diagonally, so `generic_rank` proves
+    the rank on the H block and draws no trial point; a sampled rank
+    raises InvariantViolation naming P.
     """
-    basis, table = structure_constants(poset_from_graph(*key))
+    basis, table = structure_constants(P)
     rank, sampled = generic_rank((basis, table))
     if sampled:
-        raise InvariantViolation(f"component {key} of a class poset was sampled")
+        raise InvariantViolation(f"the rank of class poset {P!r} was sampled")
     return len(basis) - rank
 
 
+# the plan C:5,D:5,B:4 has 690 distinct components
+@lru_cache(maxsize=1024)
+def _component_index(key):
+    """The index of the component subposet with this `_component_keys` key."""
+    return _class_index(poset_from_graph(*key))
+
+
 def check_dimension_formula(P, ctx):
-    G = relation_graph(P)
+    G = P.relation_graph
     basis, _ = structure_constants(P)
     expected = G.n + G.edge_count
     return None if len(basis) == expected else {"dim": len(basis), "expected": expected}
@@ -202,8 +213,8 @@ def check_formula_vs_oracle(P, ctx):
 
 
 def check_disjoint_additivity(P, ctx):
-    G = relation_graph(P)
-    comps = graph_components(G)
+    G = P.relation_graph
+    comps = G.components
     if len(comps) == 1 and P.family != "B":
         # one component spans every vertex, so it induces P itself; in
         # family B the induced subposet would drop 0 and be of type D
@@ -274,9 +285,9 @@ def check_b_reduction(P, ctx):
 def check_reduction_trace(P, ctx):
     if P.family != "C" or not rg_connected(P):
         return SKIPPED
-    G = relation_graph(P)
+    G = P.relation_graph
     trace = reduce(P, seed=ctx.seed)
-    has_odd = any(c.has_odd_cycle for c in graph_components(G))
+    has_odd = any(c.has_odd_cycle for c in G.components)
     expected = G.n if has_odd else G.n - 1
     if trace.final_rank == expected:
         return None
@@ -310,10 +321,10 @@ def _run_check(fn, P, ctx):
         return {"error": type(exc).__name__, "message": exc}
 
 
-def run_checks_on_poset(family, n, mask, checks, seed, trials):
+def run_checks_on_poset(family, n, mask, checks, seed):
     """One outcome per check, in order: None, SKIPPED or a failure object."""
     P = poset_from_mask(family, n, mask)
-    ctx = CheckContext(seed=poset_seed(seed, family, n, mask), trials=trials)
+    ctx = CheckContext(seed=poset_seed(seed, family, n, mask))
     outcomes = []
     for name in checks:
         outcome = _run_check(CHECKS[name], P, ctx)
@@ -353,7 +364,7 @@ def run_campaign(cfg):
     ]
     total = sum(size for _, _, size in sizes)
     work = (
-        (family, n, mask, checks, cfg.seed, cfg.trials)
+        (family, n, mask, checks, cfg.seed)
         for family, n, size in sizes
         for mask in range(size)
     )

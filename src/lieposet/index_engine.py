@@ -25,7 +25,8 @@ it is what every trial would find; B0 is the H-by-rest block, h x (dim -
 h), and its doubled rank is even by construction (see `generic_rank`).
 The ceiling there is twice the largest matching in the pattern of B0
 alone.  Every poset of the paper's class takes this path: all 1,228
-oracle calls of the plan C:4,D:4,B:3 and all 35,730 of C:5,D:5,B:4.
+ranks a campaign takes on the plan C:4,D:4,B:3 and all 35,730 on
+C:5,D:5,B:4, and the campaign fails a check on any rank that samples.
 There B0 reads as the unsigned incidence matrix of the relation graph, a
 loop counting 2, whose rank is n minus the number of loop-free bipartite
 components (Grossman, Kulkarni and Schochetman 1995): that is the (0,1)
@@ -64,14 +65,7 @@ from typing import NamedTuple
 from . import ORACLE_TRIALS
 from .errors import InvariantViolation, UnsupportedPoset
 from .linalg import integer_rank
-from .posets import (
-    graph_components,
-    height,
-    is_separable,
-    positive_part,
-    relation_graph,
-    rg_connected,
-)
+from .posets import is_separable, positive_part, rg_connected
 from .algebra import _h_block, build_basis, evaluate, structure_constants
 
 
@@ -236,10 +230,10 @@ def index_formula(P):
     """
     if P.family == "A":
         raise UnsupportedPoset("index_formula applies to families B, C, D")
-    hp = height(P)
+    hp = P.height_pair
     if hp in ((0, 0), (0, 1)):
-        G = relation_graph(P)
-        eta = sum(1 for comp in graph_components(G) if not comp.has_odd_cycle)
+        G = P.relation_graph
+        eta = sum(1 for comp in G.components if not comp.has_odd_cycle)
         index = G.edge_count - G.n + 2 * eta
     elif is_separable(P):
         index = index_oracle(positive_part(P), trials=ORACLE_TRIALS, seed=0) + 1
@@ -379,12 +373,12 @@ def reduce(P, seed=0):
     """
     if P.family != "C":
         raise UnsupportedPoset("the reduction applies to family C")
-    hp = height(P)
+    hp = P.height_pair
     if hp.plus_height != 0 or hp.total_height > 1:
         raise UnsupportedPoset(f"height {tuple(hp)} is not (0,0) or (0,1)")
     if not rg_connected(P):
         raise UnsupportedPoset("relation graph is not connected")
-    G = relation_graph(P)
+    G = P.relation_graph
     rng = random.Random(seed)
     n = P.n
     edge_values = {e: _nonzero_int(rng) for e in sorted(G.edges)}

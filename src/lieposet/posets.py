@@ -9,9 +9,10 @@ respect the integer order.  For the signed families, every relation
 
 Posets and relation graphs are frozen, so the objects derived from them
 (the height pair, the relation graph, its BFS forest and its components)
-are computed once per object and cached on it; `height`, `relation_graph`
-and `graph_components` read those caches.  The caches live outside the
-dataclass fields, so equality and hashing ignore them.
+are computed once per object and cached on it, and read as its
+attributes: `P.height_pair`, `P.relation_graph`, `G.forest` and
+`G.components`.  The caches live outside the dataclass fields, so
+equality and hashing ignore them.
 
 A poset of the paper's class (height (0,0) or (0,1)) is fixed by its
 relation graph, and `poset_from_graph` builds it from the graph with no
@@ -41,6 +42,18 @@ from .errors import (
 
 FAMILIES = ("A", "B", "C", "D")
 SIGNED_FAMILIES = ("B", "C", "D")
+
+# the largest half-size n that build_poset, enumerate_h01 and a campaign
+# plan accept: the ground set and the enumeration's slot table grow with
+# n (and n^2), so an n from outside is bounded before anything is built
+MAX_N = 128
+
+
+def _check_n(n):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, got {n}")
 
 
 def ground_set(family, n):
@@ -76,17 +89,22 @@ class SignedPoset:
 
     @cached_property
     def height_pair(self):
-        """The HeightPair of a signed poset; read it through :func:`height`."""
+        """HeightPair (longest chain in P+ minus one, longest chain minus one).
+
+        Raises UnsupportedPoset for family A, and Condition1Violation for a
+        relation x > y, which only a hand-built SignedPoset can hold.
+        """
         if self.family == "A":
             raise UnsupportedPoset("height pairs apply to families B, C, D")
         return _heights(self.elements, self.relations)
 
     @cached_property
     def relation_graph(self):
-        """The RelationGraph; read it through :func:`relation_graph`.
+        """RelationGraph of a height-(0,0)/(0,1) signed poset.
 
-        Raises on every access while the poset has no relation graph,
-        since a property that raises caches nothing.
+        Raises UnsupportedPoset for family A and UnsupportedHeight for any
+        other height, on every access, since a property that raises
+        caches nothing.
         """
         if self.family == "A":
             raise UnsupportedPoset("relation graphs apply to families B, C, D")
@@ -162,7 +180,7 @@ class RelationGraph:
 
     @cached_property
     def components(self):
-        """GraphComponents in vertex order; read them through :func:`graph_components`.
+        """Connected components as GraphComponents, in vertex order.
 
         A component has an odd cycle when it has a loop or an edge whose
         ends have depths of the same parity in the forest.
@@ -225,8 +243,7 @@ def build_poset(family, n, generators, strict=False):
     B and D, i may not cover -i.
     """
     _check_family(family)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     elements = ground_set(family, n)
     ground = set(elements)
     pairs = set()
@@ -343,15 +360,6 @@ def _heights(elements, relations):
     return HeightPair(plus - 1, max(best.values(), default=0) - 1)
 
 
-def height(P):
-    """Height pair (longest chain in P+ minus one, longest chain minus one).
-
-    Raises UnsupportedPoset for family A, and Condition1Violation for a
-    relation x > y, which only a hand-built SignedPoset can hold.
-    """
-    return P.height_pair
-
-
 def is_separable(P):
     """True when no relation runs from a negative element to a positive one.
 
@@ -361,20 +369,6 @@ def is_separable(P):
     if P.family == "A":
         raise ValueError("separability applies to families B, C, D")
     return not any(x < 0 < y for (x, y) in P.relations)
-
-
-def relation_graph(P):
-    """Relation graph of a height-(0,0)/(0,1) signed poset.
-
-    Raises UnsupportedPoset for family A and UnsupportedHeight for any
-    other height, on every call.
-    """
-    return P.relation_graph
-
-
-def graph_components(G):
-    """Connected components of a relation graph, in vertex order."""
-    return G.components
 
 
 def poset_from_graph(family, n, edges, loops=()):
@@ -415,22 +409,14 @@ def poset_from_graph(family, n, edges, loops=()):
         relations += ((-i, j), (-j, i))
     relations += [(-v, v) for v in loops]
     P = SignedPoset(family, n, frozenset(relations))
-    _attach(
-        P,
+    # a cached_property keeps its value in the instance __dict__ under its
+    # own name and reads it from there first; the frozen dataclass guards
+    # only setattr, and its equality and hash read the fields alone
+    P.__dict__.update(
         height_pair=HeightPair(0, 1 if pairs or loops else 0),
         relation_graph=RelationGraph(n, frozenset(pairs), loops),
     )
     return P
-
-
-def _attach(P, **derived):
-    """Store values of P's cached properties that are already known.
-
-    A cached_property keeps its value in the instance __dict__ under its
-    own name and reads it from there first; the frozen dataclass guards
-    only setattr, and its equality and hash read the fields alone.
-    """
-    P.__dict__.update(derived)
 
 
 @lru_cache(maxsize=32)
@@ -455,7 +441,7 @@ def poset_from_mask(family, n, mask):
 
 
 def mask_of_poset(P):
-    G = relation_graph(P)
+    G = P.relation_graph
     edges, loops = h01_slots(P.family, P.n)
     present = G.edges | G.loops
     return sum(1 << b for b, slot in enumerate(edges + loops) if slot in present)
@@ -485,8 +471,7 @@ def enumerate_h01(family, n, up_to_iso=False):
     """
     if family not in SIGNED_FAMILIES:
         raise ValueError("enumeration applies to families B, C, D")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     slots = range(sum(map(len, h01_slots(family, n))))
     images = _slot_images(family, n) if up_to_iso else ()
     for mask in range(1 << len(slots)):
@@ -538,4 +523,4 @@ def positive_part(P):
 
 
 def rg_connected(P):
-    return len(graph_components(relation_graph(P))) == 1
+    return len(P.relation_graph.components) == 1

@@ -27,7 +27,6 @@ from lieposet import (
     evaluate,
     frobenius_functional,
     generic_rank,
-    graph_components,
     index_formula,
     index_oracle,
     is_frobenius_by_graph,
@@ -36,7 +35,6 @@ from lieposet import (
     positive_part,
     principal_element,
     reduce,
-    relation_graph,
     report_json_bytes,
     rg_connected,
     run_campaign,
@@ -214,11 +212,11 @@ def test_criterion_07_reduction_algorithm(c_corpus):
         f"{len(connected)} connected posets",
     ):
         for P in connected:
-            G = relation_graph(P)
+            G = P.relation_graph
             trace = reduce(P, seed=SEED)
             last = (trace.steps or (trace.initial,))[-1]
             assert integer_rank(last.matrix, P.n) == trace.final_rank, P
-            has_odd = any(c.has_odd_cycle for c in graph_components(G))
+            has_odd = any(c.has_odd_cycle for c in G.components)
             expected = G.n if has_odd else G.n - 1
             assert trace.final_rank == expected, (P, trace.final_rank, expected)
 

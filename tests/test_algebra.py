@@ -24,13 +24,11 @@ from lieposet import (
     enumerate_h01,
     ground_set,
     h01_slots,
-    height,
     index_formula,
     matrix_form,
     poset_from_mask,
     realize,
     realize_combination,
-    relation_graph,
     structure_constants,
     validate,
     verify_B_reduction,
@@ -68,7 +66,7 @@ class TestBasis:
     def test_dimension_is_graph_size(self):
         for n in (1, 2, 3):
             for P in enumerate_h01("C", n):
-                G = relation_graph(P)
+                G = P.relation_graph
                 assert len(build_basis(P)) == G.n + G.edge_count
 
     def test_family_a_basis(self):
@@ -612,7 +610,7 @@ class TestRowIndexedTable:
         heights = set()
         for P in seeded_general_posets(family, 11, count=40, n_max=4, max_gens=6):
             if family != "A":
-                heights.add(height(P))
+                heights.add(P.height_pair)
             _, table = structure_constants(P)
             assert list(table.items()) == list(_all_pairs_table(P).items()), P
         if family != "A":

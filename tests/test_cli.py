@@ -80,6 +80,50 @@ def test_json_poset_needs_integers(runner, text):
     assert json.loads(result.output)["error"] == "InputParseError"
 
 
+@pytest.mark.parametrize("relations", [[[1]], [[-1, 2, 3]]], ids=["one", "three"])
+def test_json_relation_entries_must_be_pairs(runner, relations):
+    # an entry of one or three integers is named as such, not reported as
+    # the unpacking that failed on it
+    text = json.dumps({"family": "C", "n": 2, "relations": relations})
+    result = runner.invoke(main, ["validate", "-i", "-", "--format", "json"], input=text)
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": "InputParseError",
+        "message": f"relation entries must be pairs of integers: {relations[0]}",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "-p", "C;129;"], ["validate", "-p", "C;99999999;-1<=2"],
+     ["enumerate", "--family", "C", "--n", "129"],
+     ["verify", "--families", "C:2,D:129"]],
+    ids=["validate", "validate-huge", "enumerate", "verify"],
+)
+def test_n_above_the_bound_exits_2_before_anything_is_built(runner, monkeypatch, argv):
+    # n comes from outside: above posets.MAX_N no ground set, slot table
+    # or campaign is built
+    from lieposet import posets
+
+    def unbuilt(*args):
+        raise AssertionError("built an object for an n above the bound")
+
+    for name in ("ground_set", "h01_slots", "poset_from_mask"):
+        monkeypatch.setattr(posets, name, unbuilt)
+    monkeypatch.setattr(harness, "run_campaign", unbuilt)
+    result = runner.invoke(main, [*argv, "--format", "json"])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.output)
+    assert error["error"] == "InputParseError"
+    assert f"must be <= {posets.MAX_N}" in error["message"]
+
+
+def test_n_at_the_bound_still_validates(runner):
+    result = runner.invoke(main, ["validate", "-p", "C;128;-1<=2,-128<=-127"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("valid: SignedPoset(C;128;")
+
+
 def test_version_without_installed_metadata(runner):
     # the package runs from the source tree, where no distribution
     # metadata exists; the version comes from lieposet.__version__

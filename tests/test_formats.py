@@ -11,7 +11,6 @@ from lieposet import (
     build_poset,
     enumerate_h01,
     reduce,
-    relation_graph,
 )
 from lieposet.formats import (
     commutator_matrix_json_obj,
@@ -135,7 +134,7 @@ class TestDot:
         assert '"-2" -> "1";' in d1 and d1.startswith("digraph")
 
     def test_relation_graph_loops(self, looped_path_poset):
-        dot = relation_graph_dot(relation_graph(looped_path_poset))
+        dot = relation_graph_dot(looped_path_poset.relation_graph)
         assert '"2" -- "2";' in dot and '"1" -- "2";' in dot
 
     def test_trace_dot(self, looped_path_poset):

@@ -29,7 +29,6 @@ from lieposet import (
     principal_element,
     realize,
     realize_combination,
-    relation_graph,
     spectrum,
     structure_constants,
 )
@@ -174,7 +173,7 @@ class TestPrincipalElement:
         # construction: the lost pivot of A^T leaves a kernel of 2, which
         # frobenius_kernel reports on every Frobenius poset of a campaign
         [outcome] = run_checks_on_poset(
-            "C", 3, mask_of_poset(triangle_poset), ("frobenius_kernel",), 0, 5
+            "C", 3, mask_of_poset(triangle_poset), ("frobenius_kernel",), 0
         )
         assert outcome["check"] == "frobenius_kernel"
         assert outcome["witness"] == {"kernel_dim": "2"}
@@ -341,6 +340,30 @@ class TestSpectrum:
             with pytest.raises(NonEigenbasis):
                 spectrum(triangle_poset, element)
 
+    @pytest.mark.parametrize(
+        "h, x, expected",
+        [(1, 1, (-1, 0, 0, 0, 1, 2)),
+         (HALF, Fraction(1, 3), (-HALF, 0, 0, 0, HALF, 1))],
+        ids=["ints", "fractions"],
+    )
+    def test_peel_past_its_first_round(self, h, x, expected):
+        # the C2 poset -2 < -1 < 1 has the basis H(1), H(2), X(2,1),
+        # Y(1,2), Z(1), Z(2); ad(h*H(1) + x*X(2,1)) is triangular but not
+        # diagonal, and its digraph clears in two rounds of the peel, the
+        # second only once the first round's columns are dropped from the
+        # others; the eigenvalues are those of ad(h*H(1)) alone
+        P = build_poset("C", 2, [(-2, -1), (-1, 1)])
+        basis, _ = structure_constants(P)
+        assert [str(b) for b in basis] == ["H(1)", "H(2)", "X(2,1)", "Y(1,2)", "Z(1)", "Z(2)"]
+        element = PrincipalElement(
+            coefficients=((basis[0], Fraction(h)), (basis[2], Fraction(x))),
+            diagonal=None,
+            half_convention="other",
+        )
+        report = spectrum(P, element)
+        assert report.eigenvalues == expected
+        assert not report.is_binary
+
     def test_binary_on_full_frobenius_corpus_n3(self):
         for n in (1, 2, 3):
             for P in enumerate_h01("C", n):
@@ -482,7 +505,7 @@ class TestIntegerPath:
 
         monkeypatch.setattr(linalg, "_bareiss", counted)
         checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
-        outcomes = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0, 5)
+        outcomes = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0)
         assert outcomes == [None] * 3
         assert len(calls) == 1
 
@@ -525,7 +548,7 @@ def _class_posets(bounds, frobenius_only):
 def _edge_loop_functional(P):
     """The standard functional's weights, on any class poset: 1 at (-i, j)
     for each edge (i, j) and at (-v, v) for each loop v."""
-    G = relation_graph(P)
+    G = P.relation_graph
     weights = {(-i, j): 1 for i, j in G.edges}
     weights.update({(-v, v): 1 for v in G.loops})
     return functional(P, weights)

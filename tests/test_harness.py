@@ -21,7 +21,6 @@ from lieposet import (
     CampaignConfig,
     PrincipalElement,
     functional,
-    graph_components,
     h01_slots,
     index_formula,
     index_oracle,
@@ -29,7 +28,6 @@ from lieposet import (
     poset_from_graph,
     poset_from_mask,
     reduce,
-    relation_graph,
     report_json_bytes,
     report_text,
     run_campaign,
@@ -186,25 +184,27 @@ def _mask(family, n, edges, loops=()):
     ],
 )
 def test_oracle_computed_once_per_distinct_poset(monkeypatch, edges, loops, components):
-    # the whole poset ranks through index_oracle, each distinct component
-    # subposet through one miss of the component cache
+    # the whole poset ranks through one _class_index call, each distinct
+    # component subposet through one miss of the component cache
     calls = []
-    inner = harness.index_oracle
+    inner = harness._class_index
 
-    def counted(P, **kwargs):
+    def counted(P):
         calls.append(P)
-        return inner(P, **kwargs)
+        return inner(P)
 
-    monkeypatch.setattr(harness, "index_oracle", counted)
+    monkeypatch.setattr(harness, "_class_index", counted)
     mask = _mask("C", 4, edges, loops)
-    assert len(graph_components(relation_graph(poset_from_mask("C", 4, mask)))) == components
-    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    whole = poset_from_mask("C", 4, mask)
+    assert len(whole.relation_graph.components) == components
+    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3)
     assert all(outcome is None or outcome == SKIPPED for outcome in outcomes)
     # a connected poset is its own component subposet; otherwise each
     # component and the whole poset are computed once
-    assert len(calls) == 1
+    assert calls.count(whole) == 1
     misses = harness._component_index.cache_info().misses
     assert misses == (0 if components == 1 else components)
+    assert len(calls) == 1 + misses
 
 
 @pytest.mark.parametrize("family, built", [("C", 0), ("D", 0), ("B", 1)])
@@ -220,7 +220,7 @@ def test_spanning_component_is_the_poset_itself(monkeypatch, family, built):
 
     monkeypatch.setattr(harness, "poset_from_graph", counted)
     P = poset_from_mask(family, 3, _mask(family, 3, [(1, 2), (2, 3)]))
-    ctx = harness.CheckContext(seed=5, trials=5)
+    ctx = harness.CheckContext(seed=5)
     assert harness.check_disjoint_additivity(P, ctx) is None
     assert len(calls) == built
     assert list(ctx.memo) == [("oracle", P)]
@@ -229,8 +229,8 @@ def test_spanning_component_is_the_poset_itself(monkeypatch, family, built):
 def _components(family, n, mask):
     """(vertices, key) of each component of a poset of the mask."""
     P = poset_from_mask(family, n, mask)
-    G = relation_graph(P)
-    comps = graph_components(G)
+    G = P.relation_graph
+    comps = G.components
     return P, [(c.vertices, key) for c, key in zip(comps, harness._component_keys(P, G, comps))]
 
 
@@ -252,18 +252,31 @@ def test_sampled_component_rank_fails_the_check_uncached(monkeypatch):
     # draws trial points, which fails the check naming the component, and
     # nothing is cached
     monkeypatch.setattr(index_engine, "_h_block", lambda basis, table: None)
-    (failure,) = run_checks_on_poset("C", 3, 1, ("disjoint_additivity",), 0, 5)
+    (failure,) = run_checks_on_poset("C", 3, 1, ("disjoint_additivity",), 0)
     assert failure["witness"] == {
         "error": "InvariantViolation",
-        "message": "component ('C', 2, ((1, 2),), ()) of a class poset was sampled",
+        "message": "the rank of class poset SignedPoset(C;2;-2<=1,-1<=2) was sampled",
     }
     assert harness._component_index.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("check", ["formula_vs_oracle", "frobenius_criterion"])
+def test_sampled_poset_rank_fails_the_check(monkeypatch, check):
+    # the whole poset's index takes the same proved path as a component's:
+    # a sampled rank fails the check naming the poset
+    monkeypatch.setattr(index_engine, "_h_block", lambda basis, table: None)
+    (failure,) = run_checks_on_poset("C", 1, 1, (check,), 0)
+    assert failure["witness"] == {
+        "error": "InvariantViolation",
+        "message": "the rank of class poset SignedPoset(C;1;-1<=1) was sampled",
+    }
 
 
 def test_raising_component_oracle_fails_every_poset_holding_it(monkeypatch):
     # nothing is cached for a component whose rank raises, so each poset
     # that contains it ranks it again and records the failure, not only
-    # the first
+    # the first; the poset that is that component fails through the same
+    # index function
     shared = structure_constants(poset_from_graph("C", 2, [(1, 2)]))
     inner = harness.generic_rank
     faults = []
@@ -280,7 +293,7 @@ def test_raising_component_oracle_fails_every_poset_holding_it(monkeypatch):
     for n in (1, 2, 3):
         for mask in range(1 << sum(map(len, h01_slots("C", n)))):
             _, parts = _components("C", n, mask)
-            if len(parts) > 1 and any(k == key for _, k in parts):
+            if any(k == key for _, k in parts):
                 expected.add((n, mask))
     report = run_campaign(CampaignConfig(plan=(("C", 3),), checks=("disjoint_additivity",)))
     failed = {(f["poset"]["n"], f["poset"]["mask"]) for f in report["failures"]}
@@ -293,7 +306,7 @@ def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch)
     # the acceptance plan: 44 distinct components, built and ranked once
     # each, beside the 1,184 posets' own oracles; a second campaign in the
     # same process starts from an empty cache and counts the same
-    counts = {"poset_from_graph": 0, "index_oracle": 0}
+    counts = {"poset_from_graph": 0, "_class_index": 0}
 
     def counting(name, inner):
         def counted(*args, **kwargs):
@@ -307,7 +320,7 @@ def test_each_distinct_component_built_and_ranked_once_per_campaign(monkeypatch)
     for _ in range(2):
         payload = report_json_bytes(run_campaign(cfg))
         assert hashlib.sha256(payload).hexdigest().startswith("13c5722d")
-        assert counts == {"poset_from_graph": 44, "index_oracle": 1184}
+        assert counts == {"poset_from_graph": 44, "_class_index": 1184 + 44}
         info = harness._component_index.cache_info()
         assert info.misses == info.currsize == 44
         counts.update(dict.fromkeys(counts, 0))
@@ -380,7 +393,7 @@ def test_derived_objects_computed_once_per_poset(monkeypatch):
     monkeypatch.setattr(posets, "_heights", counted_heights)
     monkeypatch.setattr(algebra, "_led_at", counted_led)
     mask = _mask("C", 4, [(1, 2), (2, 3), (3, 4)], (4,))
-    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3, trials=5)
+    outcomes = run_checks_on_poset("C", 4, mask, tuple(CHECKS), seed=3)
     by_check = dict(zip(CHECKS, outcomes))
     assert by_check["principal_element"] is None and by_check["binary_spectrum"] is None
     assert len(principal_calls) == 1
@@ -448,7 +461,7 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
         for n in range(1, n_max + 1)
         for mask in range(1 << sum(map(len, h01_slots(family, n))))
     ]
-    clean_results = [run_checks_on_poset(*w, tuple(CHECKS), 7, 5) for w in work]
+    clean_results = [run_checks_on_poset(*w, tuple(CHECKS), 7) for w in work]
     target = poset_from_mask("C", 2, 5)
     check = CHECKS["dimension_formula"]
 
@@ -474,7 +487,7 @@ def test_exception_in_one_check_is_recorded_as_fail(monkeypatch, jobs):
     assert report["summary"] == summary
     assert report["config"] == clean["config"] and report["posets"] == clean["posets"]
     for w, before in zip(work, clean_results):
-        after = run_checks_on_poset(*w, tuple(CHECKS), 7, 5)
+        after = run_checks_on_poset(*w, tuple(CHECKS), 7)
         changed = [(a, b) for a, b in zip(after, before) if a != b]
         if w == ("C", 2, 5):
             ((failure, _),) = changed
@@ -499,7 +512,7 @@ def test_failed_kirillov_solve_runs_once_and_fails_each_check(monkeypatch):
     monkeypatch.setattr(frobenius, "solve", lost_rank)
     checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
     mask = _mask("C", 3, [(1, 2), (1, 3), (2, 3)], ())
-    outcomes = run_checks_on_poset("C", 3, mask, checks, seed=0, trials=5)
+    outcomes = run_checks_on_poset("C", 3, mask, checks, seed=0)
     assert calls == [3]
     assert [o["check"] for o in outcomes] == list(checks)
     assert all(o["status"] == "fail" for o in outcomes)
@@ -511,7 +524,7 @@ def test_frobenius_kernel_keeps_singular_witness(monkeypatch):
     # the zero functional has no principal element; the check then
     # eliminates its Kirillov form for the kernel it reports
     monkeypatch.setattr(harness, "frobenius_functional", lambda P: functional(P, {}))
-    (failure,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0, 5)
+    (failure,) = run_checks_on_poset("C", 1, 1, ("frobenius_kernel",), 0)
     assert failure["status"] == "fail"
     assert failure["witness"] == {"kernel_dim": "2"}
 
@@ -532,8 +545,7 @@ def _rank_zero_trace(P, seed):
     [
         # the oracle gives the whole poset index 1; its two components
         # have index 1 each and sum to 2
-        ("disjoint_additivity", ("C", 2, 0), "index_oracle",
-         lambda P, trials, seed: 1,
+        ("disjoint_additivity", ("C", 2, 0), "_class_index", lambda P: 1,
          {"component_sum": "2", "whole": "1", "components": "2"}),
         ("principal_element", ("C", 1, 1), "principal_element", _principal(),
          {"reason": "principal element not diagonal"}),
@@ -558,7 +570,7 @@ def _rank_zero_trace(P, seed):
 def test_failure_witness(monkeypatch, check, poset, target, fake, witness):
     # each check's witness, from a fault injected under the check
     monkeypatch.setattr(harness, target, fake)
-    (failure,) = run_checks_on_poset(*poset, (check,), 0, 5)
+    (failure,) = run_checks_on_poset(*poset, (check,), 0)
     assert failure["status"] == "fail" and failure["check"] == check
     assert failure["witness"] == witness
 
@@ -578,9 +590,9 @@ def test_config_rejects_unknown_check_like_every_other_field():
     [((("C", 2), ("C", 1)), (), 5), ((("D", 1), ("B", 2), ("D", 3)), (), 5),
      ((("C", 0),), (), 5), ((("B", -1),), (), 5), ((("A", 2),), (), 5),
      ((("E", 1),), (), 5), ((("C", 2),), ("dimension_formula", "dimension_formula"), 5),
-     ((("C", 2),), (), 0)],
+     ((("C", 2),), (), 0), ((("C", 2), ("B", 129)), (), 5)],
     ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown",
-         "repeated-check", "trials-zero"],
+         "repeated-check", "trials-zero", "above-max-n"],
 )
 def test_plan_rejected_before_any_poset_runs(plan, checks, trials, monkeypatch):
     ran = []

@@ -18,6 +18,7 @@ from lieposet import (
     InvariantViolation,
     PosetConstructionError,
     RelationGraph,
+    SignedPoset,
     UnsupportedPoset,
     build_basis,
     build_poset,
@@ -26,12 +27,10 @@ from lieposet import (
     generic_rank,
     ground_set,
     h01_slots,
-    height,
     index_formula,
     index_oracle,
     poset_from_mask,
     positive_part,
-    relation_graph,
     run_campaign,
     structure_constants,
 )
@@ -298,7 +297,7 @@ def _random_low_posets(rng, family, count):
             P = build_poset(family, n, rng.sample(pairs, rng.randint(0, min(4, len(pairs)))))
         except PosetConstructionError:
             continue
-        if (type_a_height_at_most_one(P) if family == "A" else max(height(P)) <= 1):
+        if (type_a_height_at_most_one(P) if family == "A" else max(P.height_pair) <= 1):
             found.append(P)
     return found
 
@@ -507,11 +506,11 @@ class TestIndexFormula:
             for fam, n_max in (("C", 4), ("D", 4), ("B", 3))
             for n in range(1, n_max + 1)
             for P in enumerate_h01(fam, n)
-            if height(P) == (0, 0)
+            if P.height_pair == (0, 0)
         ]
         assert len(zero) == 4 + 4 + 3  # the antichain of each (family, n)
         for P in zero:
-            assert relation_graph(P).edge_count == 0
+            assert P.relation_graph.edge_count == 0
             assert index_formula(P) == P.n
 
     def test_separable_any_height(self):
@@ -529,11 +528,13 @@ class TestIndexFormula:
     def test_odd_parity_raises_invariant_violation(self, path_poset, monkeypatch):
         # the formula reads a graph short of one edge, so its value moves by
         # one and no longer has the parity of dim
-        G = relation_graph(path_poset)
-        short = RelationGraph(G.n, frozenset(sorted(G.edges)[1:]), G.loops)
-        monkeypatch.setattr(index_engine, "relation_graph", lambda P: short)
+        G = path_poset.relation_graph
+        P = SignedPoset(path_poset.family, path_poset.n, path_poset.relations)
+        P.__dict__["relation_graph"] = RelationGraph(
+            G.n, frozenset(sorted(G.edges)[1:]), G.loops
+        )
         with pytest.raises(InvariantViolation):
-            index_formula(path_poset)
+            index_formula(P)
 
     def test_height_01_builds_no_table(self, four_cycle_poset, monkeypatch):
         # the parity check reads dim off the basis, not off the table
@@ -550,14 +551,14 @@ class TestIndexFormula:
                     assert index_formula(P) == index_oracle(P, seed=5)
 
     def test_disjoint_additivity_examples(self):
-        from lieposet import graph_components, induced_subposet, relation_graph
+        from lieposet import induced_subposet
 
         # loop at 1 plus the edge {2,3}: two components
         P = poset_from_mask("C", 3, 0)
         edges, loops = h01_slots("C", 3)
         mask = (1 << edges.index((2, 3))) | (1 << (len(edges) + 0))
         P = poset_from_mask("C", 3, mask)
-        comps = graph_components(relation_graph(P))
+        comps = P.relation_graph.components
         assert len(comps) == 2
         total = sum(
             index_oracle(induced_subposet(P, [v for w in c.vertices for v in (w, -w)]))

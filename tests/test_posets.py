@@ -21,17 +21,14 @@ from lieposet import (
     build_poset,
     covering_relations,
     enumerate_h01,
-    graph_components,
     ground_set,
     h01_slots,
-    height,
     induced_subposet,
     is_separable,
     mask_of_poset,
     poset_from_graph,
     poset_from_mask,
     positive_part,
-    relation_graph,
     validate,
 )
 
@@ -139,18 +136,18 @@ class TestBuild:
 
 class TestHeight:
     def test_path_poset(self, path_poset):
-        assert height(path_poset) == (0, 1)
+        assert path_poset.height_pair == (0, 1)
 
     def test_antichain(self):
-        assert height(build_poset("C", 1, [])) == (0, 0)
+        assert build_poset("C", 1, []).height_pair == (0, 0)
 
     def test_negative_chain(self):
         P = build_poset("C", 2, [(-2, -1)])
-        assert height(P) == HeightPair(1, 1)
+        assert P.height_pair == HeightPair(1, 1)
 
     def test_zero_contributes_to_total_height(self):
         P = build_poset("B", 1, [(-1, 0)])
-        assert height(P) == (0, 2)  # chain -1 <= 0 <= 1
+        assert P.height_pair == (0, 2)  # chain -1 <= 0 <= 1
 
     @pytest.mark.parametrize("relation", [(1, -1), (2, 1), (-1, -2)])
     def test_relation_against_the_integer_order_raises(self, relation):
@@ -160,7 +157,7 @@ class TestHeight:
         P = SignedPoset("C", 2, frozenset(reflexive | {relation}))
         x, y = relation
         with pytest.raises(Condition1Violation, match=f"has {x} > {y}"):
-            height(P)
+            P.height_pair
 
 
 class TestSeparable:
@@ -178,32 +175,32 @@ class TestSeparable:
 
 class TestRelationGraph:
     def test_looped_path(self, looped_path_poset):
-        G = relation_graph(looped_path_poset)
+        G = looped_path_poset.relation_graph
         assert sorted(G.edges) == [(1, 2), (2, 3)]
         assert sorted(G.loops) == [2]
 
     def test_path(self, path_poset):
-        G = relation_graph(path_poset)
+        G = path_poset.relation_graph
         assert sorted(G.edges) == [(1, 2), (2, 3)]
         assert sorted(G.loops) == []
 
     def test_antichain_graph(self):
-        G = relation_graph(build_poset("C", 2, []))
+        G = build_poset("C", 2, []).relation_graph
         assert sorted(G.edges) == [] and G.n == 2
 
     def test_unsupported_height(self):
         P = build_poset("C", 2, [(-2, -1)])
         for _ in range(2):  # a cached graph must never stand in for the error
             with pytest.raises(UnsupportedHeight):
-                relation_graph(P)
+                P.relation_graph
         with pytest.raises(UnsupportedHeight):
-            relation_graph(build_poset("B", 1, [(-1, 0)]))
+            build_poset("B", 1, [(-1, 0)]).relation_graph
 
     def test_derived_objects_cached_on_the_poset(self, path_poset):
-        G = relation_graph(path_poset)
-        assert relation_graph(path_poset) is G
-        assert graph_components(G) is graph_components(G)
-        assert height(path_poset) is height(path_poset)
+        G = path_poset.relation_graph
+        assert path_poset.relation_graph is G
+        assert G.components is G.components
+        assert path_poset.height_pair is path_poset.height_pair
         # the caches are not fields: equality and hashing ignore them
         fresh = SignedPoset(path_poset.family, path_poset.n, path_poset.relations)
         assert fresh == path_poset and hash(fresh) == hash(path_poset)
@@ -211,22 +208,22 @@ class TestRelationGraph:
 
 class TestComponents:
     def test_looped_path(self, looped_path_poset):
-        (comp,) = graph_components(relation_graph(looped_path_poset))
+        (comp,) = looped_path_poset.relation_graph.components
         assert comp.vertices == (1, 2, 3)
         assert comp.edge_count == 3
         assert comp.has_odd_cycle and comp.is_unicyclic
 
     def test_path_is_bipartite_tree(self, path_poset):
-        (comp,) = graph_components(relation_graph(path_poset))
+        (comp,) = path_poset.relation_graph.components
         assert comp.edge_count == 2
         assert not comp.has_odd_cycle and not comp.is_unicyclic
 
     def test_triangle(self, triangle_poset):
-        (comp,) = graph_components(relation_graph(triangle_poset))
+        (comp,) = triangle_poset.relation_graph.components
         assert comp.has_odd_cycle and comp.is_unicyclic
 
     def test_even_cycle_has_no_odd_cycle(self, four_cycle_poset):
-        (comp,) = graph_components(relation_graph(four_cycle_poset))
+        (comp,) = four_cycle_poset.relation_graph.components
         assert not comp.has_odd_cycle and comp.is_unicyclic
 
     def test_forest_roots_each_component_at_its_least_vertex(self):
@@ -237,7 +234,7 @@ class TestComponents:
         assert parent == {1: None, 4: 1, 2: None, 3: 2, 5: 2}
         assert depth == {1: 0, 4: 1, 2: 0, 3: 1, 5: 1}
         assert root == {1: 1, 4: 1, 2: 2, 3: 2, 5: 2}
-        edge, triangle = graph_components(G)
+        edge, triangle = G.components
         assert (edge.vertices, edge.edge_count, edge.has_odd_cycle) == ((1, 4), 1, False)
         assert (triangle.vertices, triangle.edge_count) == ((2, 3, 5), 3)
         assert triangle.has_odd_cycle and triangle.is_unicyclic
@@ -252,7 +249,7 @@ class TestComponents:
     def test_odd_cycle_iff_no_two_colouring(self, graph):
         n, edges, loops = graph
         G = RelationGraph(n, frozenset(edges), frozenset(loops))
-        for comp in graph_components(G):
+        for comp in G.components:
             verts = comp.vertices
             inner = [(i, j) for i, j in edges if i in verts]
             two_colourable = any(
@@ -262,7 +259,7 @@ class TestComponents:
             looped = any(v in loops for v in verts)
             assert comp.has_odd_cycle == (looped or not two_colourable)
             assert comp.edge_count == len(inner) + sum(v in loops for v in verts)
-        assert sorted(v for c in graph_components(G) for v in c.vertices) == list(range(1, n + 1))
+        assert sorted(v for c in G.components for v in c.vertices) == list(range(1, n + 1))
 
 
 class TestEnumeration:
@@ -274,7 +271,7 @@ class TestEnumeration:
         posets = list(enumerate_h01(family, n))
         assert len(posets) == count
         for P in posets:
-            hp = height(P)
+            hp = P.height_pair
             assert hp.plus_height == 0 and hp.total_height <= 1
 
     def test_heights_and_zero_isolated_in_b(self):
@@ -387,18 +384,21 @@ class TestSmallOps:
     [
         (lambda: build_poset("E", 2, []), ValueError, "unknown family 'E'"),
         (lambda: build_poset("C", 0, []), ValueError, "n must be >= 1"),
+        (lambda: build_poset("C", 129, []), ValueError, "n must be <= 128, got 129"),
         (lambda: is_separable(build_poset("A", 2, [(1, 2)])), ValueError,
          "separability applies to families B, C, D"),
         (lambda: next(enumerate_h01("A", 2)), ValueError,
          "enumeration applies to families B, C, D"),
         (lambda: next(enumerate_h01("C", 0)), ValueError, "n must be >= 1"),
+        (lambda: next(enumerate_h01("D", 129)), ValueError, "n must be <= 128, got 129"),
         (lambda: induced_subposet(build_poset("C", 2, []), [-1, 1, 3]), BadElement,
          "subset not contained in the ground set"),
         (lambda: induced_subposet(build_poset("B", 2, []), [0]), BadElement,
          "signed subposet needs at least one mirror pair"),
     ],
-    ids=["build-unknown-family", "build-n-zero", "separable-family-A", "enumerate-family-A",
-         "enumerate-n-zero", "induced-outside-ground-set", "induced-B-zero-alone"],
+    ids=["build-unknown-family", "build-n-zero", "build-n-above-bound", "separable-family-A",
+         "enumerate-family-A", "enumerate-n-zero", "enumerate-n-above-bound",
+         "induced-outside-ground-set", "induced-B-zero-alone"],
 )
 def test_input_checks_raise(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -410,7 +410,7 @@ class TestGraphBijection:
         edges = [(1, 2), (2, 3)]
         loops = [2]
         P = poset_from_graph("C", 3, edges, loops)
-        G = relation_graph(P)
+        G = P.relation_graph
         assert set(G.edges) == set(edges) and set(G.loops) == set(loops)
 
     def test_family_a_has_no_relation_graph(self):
@@ -419,12 +419,12 @@ class TestGraphBijection:
         P = build_poset("A", 3, [(1, 2)])
         for _ in range(2):
             with pytest.raises(UnsupportedPoset, match="relation graphs"):
-                relation_graph(P)
+                P.relation_graph
             with pytest.raises(UnsupportedPoset, match="height pairs"):
-                height(P)
+                P.height_pair
 
     def test_round_trip_from_poset(self, path_poset):
-        G = relation_graph(path_poset)
+        G = path_poset.relation_graph
         Q = poset_from_graph("C", 3, G.edges, G.loops)
         assert Q.relations == path_poset.relations
 
@@ -464,7 +464,7 @@ def test_poset_from_graph_input_domain(family, n, edges, loops, error, message):
 def test_poset_from_graph_normalizes_reversed_and_repeated_edges():
     P = poset_from_graph("D", 4, [(3, 1), (1, 3), (4, 2), (2, 4), (4, 2)])
     assert P == poset_from_graph("D", 4, [(1, 3), (2, 4)])
-    assert relation_graph(P).edges == {(1, 3), (2, 4)}
+    assert P.relation_graph.edges == {(1, 3), (2, 4)}
 
 
 def _read_graph(P):
@@ -503,7 +503,7 @@ def test_poset_from_mask_decodes_each_bit_to_its_slot():
     for family, n, mask, edges, loops in _mask_cases():
         P = poset_from_mask(family, n, mask)
         assert P == poset_from_graph(family, n, edges, loops)
-        G = relation_graph(P)
+        G = P.relation_graph
         assert G.edges == frozenset(edges) and G.loops == frozenset(loops)
         assert mask_of_poset(P) == mask
         count += 1
@@ -586,7 +586,7 @@ def test_h01_closure_adds_no_compositions(params):
     edges, loops = h01_slots("C", n)
     mask %= 1 << (len(edges) + len(loops))
     P = poset_from_mask("C", n, mask)
-    G = relation_graph(P)
+    G = P.relation_graph
     expected = {(x, x) for x in P.elements}
     for i, j in G.edges:
         expected |= {(-i, j), (-j, i)}

@@ -9,10 +9,8 @@ from lieposet import (
     build_poset,
     enumerate_h01,
     evaluate,
-    graph_components,
     poset_from_graph,
     reduce,
-    relation_graph,
     rg_connected,
     structure_constants,
 )
@@ -156,11 +154,11 @@ class TestReduce:
             for P in enumerate_h01("C", n):
                 if not rg_connected(P):
                     continue
-                G = relation_graph(P)
+                G = P.relation_graph
                 trace = reduce(P, seed=2)
                 last = (trace.steps or (trace.initial,))[-1]
                 assert integer_rank(last.matrix, P.n) == trace.final_rank
-                has_odd = any(c.has_odd_cycle for c in graph_components(G))
+                has_odd = any(c.has_odd_cycle for c in G.components)
                 assert trace.final_rank == (G.n if has_odd else G.n - 1)
 
     def test_bowtie_two_odd_cycles(self):
@@ -213,11 +211,11 @@ class TestReduceReplay:
             for n in (2, 3, 4, 5)
             for P in enumerate_h01("C", n)
             if rg_connected(P)
-            and not any(c.has_odd_cycle for c in graph_components(relation_graph(P)))
+            and not any(c.has_odd_cycle for c in P.relation_graph.components)
         ]
         checked = 0
         for P, seed in ((P, seed) for seed in (0, 7) for P in posets):
-            parent, depth, _ = relation_graph(P).forest
+            parent, depth, _ = P.relation_graph.forest
             trace = reduce(P, seed=seed)
             last = trace.steps[-1]
             assert last.kind == "PathSweep"

@@ -172,7 +172,7 @@ def test_every_export_resolves_to_its_defining_module():
     # each name of the export table loads its module on first access and
     # is that module's own object, defined there and not re-exported
     table = lieposet._EXPORTS
-    assert len(table) == len(lieposet.__all__) == 69
+    assert len(table) == len(lieposet.__all__) == 66
     for name, module in table.items():
         owner = importlib.import_module(f"lieposet.{module}")
         value = getattr(owner, name)
@@ -207,6 +207,31 @@ def test_every_export_is_used_inside_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(exported - used - allowed) == []
+
+
+def test_no_function_only_reads_an_attribute_of_a_parameter():
+    # a function whose whole body, apart from its docstring, is `return
+    # P.attr` for a parameter P is a second name for an attribute that
+    # the callers can read themselves: each derived object is read one way
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Attribute)
+                and isinstance(body[0].value.value, ast.Name)
+                and body[0].value.value.id in params
+            ):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert found == []
 
 
 def _package_imports(module):
