@@ -120,7 +120,7 @@ def build_basis(P):
     (family, n), so the basis is the Borel basis filtered to those
     elements, in Borel order; building it brackets nothing.
     """
-    basis, leads, _ = _borel_basis(P.family, P.n)
+    basis, leads, _, _ = _borel_basis(P.family, P.n)
     return tuple(b for b, lead in zip(basis, leads) if lead in P.relations)
 
 
@@ -231,20 +231,39 @@ def decompose(mat, family):
     return tuple(combo)
 
 
+def _partner(family, key):
+    """The lead of the one element not led at key that may have an entry
+    at key, or None.
+
+    In B, C and D a realization has entries only at its leading position
+    (r, c) and at the mirror (-c, -r) of it (see `realize`), so the
+    elements with an entry at key are the one led there and the one led
+    at its mirror.  In A, EA(r, c) has one entry, and DA(r - 1) has its
+    second one at (r, r), the lead of DA(r).  The partner need not lead
+    an element of the family.
+    """
+    r, c = key
+    if family == "A":
+        return (r - 1, r - 1) if r == c else None
+    return None if c == -r else (-c, -r)
+
+
 @lru_cache(maxsize=32)
 def _borel_basis(family, n):
-    """(basis, leads, position) of the Borel algebra of (family, n).
+    """(basis, leads, position, led) of the Borel algebra of (family, n).
 
     Its basis is the elements led at the pairs x <= y of the ground set:
     that of the Borel poset, which contains every poset of (family, n).
     It is sorted once, here.  leads[I] is the leading position of
-    basis[I], and position maps each element to its index.
+    basis[I], position maps each element to its index, and led maps each
+    leading position to its element; led holds the objects of leads and
+    basis, so it costs one dict.
     """
     pairs = itertools.combinations_with_replacement(ground_set(family, n), 2)
-    led = (_led_at(family, key, n) for key in pairs)
-    basis = tuple(sorted((b for b in led if b is not None), key=BasisElement.sort_key))
+    found = (_led_at(family, key, n) for key in pairs)
+    basis = tuple(sorted((b for b in found if b is not None), key=BasisElement.sort_key))
     leads = tuple(next(iter(realize(b))) for b in basis)
-    return basis, leads, {b: k for k, b in enumerate(basis)}
+    return basis, leads, {b: k for k, b in enumerate(basis)}, dict(zip(leads, basis))
 
 
 @lru_cache(maxsize=32)
@@ -256,7 +275,7 @@ def _borel_rows(family, n):
     term, or a coefficient that is not an int (a Fraction, or a bool),
     raises InvariantViolation.
     """
-    basis, _, position = _borel_basis(family, n)
+    basis, _, position, _ = _borel_basis(family, n)
     mats = [realize(b) for b in basis]
     by_row, by_col = {}, {}
     for k, m in enumerate(mats):
@@ -294,7 +313,7 @@ def structure_constants(P):
     The cells are the Borel cells between elements of P, re-indexed, in
     the Borel order.  A term outside the basis of P raises NotInSpan.
     """
-    borel, _, position = _borel_basis(P.family, P.n)
+    borel, _, position, _ = _borel_basis(P.family, P.n)
     rows = _borel_rows(P.family, P.n)
     basis = build_basis(P)
     local = {position[b]: i for i, b in enumerate(basis)}  # Borel index -> index in P

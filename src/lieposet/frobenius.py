@@ -17,7 +17,12 @@ Everything up to that solution is an integer: realizations have entries
 once by the lcm of its denominators (1 for the standard functional, whose
 weights are the int 1), the Kirillov form and its elimination stay in ints
 (`linalg`'s Bareiss loop).  Scaling F scales the form and the right-hand
-side alike, so the rank and the solution do not change.
+side alike, so the rank and the solution do not change.  The point is
+read off F's support, not off every realization: in B, C and D a
+realization has entries only at its leading position and at the mirror
+of it, so a weight reaches only the element led at its position and the
+one led at the mirror (`algebra._partner`), both looked up in the Borel
+basis's table of leading positions.
 
 The form is solved once per (P, F), and `_solve_kirillov` keeps the last
 result, so `kernel_dim` followed by `principal_element` solves once.
@@ -36,8 +41,9 @@ back-substituting in ints and building one Fraction per distinct entry.
 Only the solution x has a denominator.  The fixed-point identity and
 the spectrum are read off the columns of ad(d*x), d the lcm of the
 denominators of x, that one pass over the structure constants gives, in
-ints; `_integer_ad` keeps the last pass, so `principal_element` followed
-by `spectrum` on its element makes one.  The diagonal of a diagonal x
+ints; `_integer_ad` keeps the last pass, keyed by P and X = d*x as
+(element, int) pairs, so `principal_element` followed by `spectrum` on
+its element makes one and hashes no Fraction.  The diagonal of a diagonal x
 builds one Fraction per distinct entry.  The spectrum peels the digraph
 of the off-diagonal entries from the columns that have one, so a
 diagonal ad(x) takes no pass; it sorts and counts the integer diagonal
@@ -48,13 +54,15 @@ the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
+    _borel_basis,
     _h_block,
+    _partner,
     evaluate,
     matrix_form,
     realize,
@@ -71,18 +79,28 @@ class Functional:
 
     support: tuple  # sorted ((row, col), weight) pairs
 
-    @cached_property
-    def weights(self):  # the support as a dict, built once
-        return dict(self.support)
-
-    def value_on(self, mat):
-        """F applied to a sparse {(row, col): value} matrix."""
-        return sum(self.weights.get(key, 0) * v for key, v in mat.items())
-
     def point(self, P):
-        """Induced assignment basis element -> value on its realization."""
+        """Induced assignment basis element -> value on its realization.
+
+        The dict holds every basis element of P, in basis order, and a
+        value is F's weights times the element's entries, summed: an int
+        where the weights are ints.  Only the positions of F's support are
+        visited.  At each, the element led there has entry 1, and the
+        element led at its partner (`algebra._partner`) is the only other
+        one with an entry there, read off its realization; every other
+        element keeps the int 0.
+        """
         basis, _ = structure_constants(P)
-        return {b: self.value_on(realize(b)) for b in basis}
+        led = _borel_basis(P.family, P.n)[3]
+        point = dict.fromkeys(basis, 0)
+        for key, weight in self.support:
+            b = led.get(key)
+            if b in point:
+                point[b] += weight  # an element's entry at its own lead is 1
+            b = led.get(_partner(P.family, key))
+            if b in point:
+                point[b] += weight * realize(b)[key]
+        return point
 
 
 def functional(P, coefficients):
@@ -147,9 +165,10 @@ def _solve_kirillov(P, F):
     change the cached entry.  A solve that raises is not cached.
     """
     basis, table = structure_constants(P)
-    point = F.point(P)
-    c = lcm(1, *(v.denominator for v in point.values()))
-    values = tuple(point[b].numerator * (c // point[b].denominator) for b in basis)
+    values = tuple(F.point(P).values())  # in basis order
+    c = lcm(1, *(v.denominator for v in values))
+    if c > 1:
+        values = tuple(v.numerator * (c // v.denominator) for v in values)
     block = _h_block(basis, table)
     if block is not None and not any(values[: len(block)]):
         h = len(block)
@@ -192,14 +211,15 @@ def principal_element(P, F):
     if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
     coefficients = tuple((b, v) for b, v in zip(basis, solution) if v)
-    d, x, columns = _integer_ad(P, coefficients)
+    d, X = _integer_form(coefficients)
+    columns = _integer_ad(P, X)
     for b, value, column in zip(basis, values, columns):
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
         # X = d*x as F(ad(X)(b)) == d*F(b), column the coordinates of
         # ad(X)(b) and values those of F (scaled alike on both sides)
         if sum(c * values[k] for k, c in column.items()) != d * value:
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
-    xmat = realize_combination(x)
+    xmat = realize_combination(dict(X))
     diagonal = None
     convention = "other"
     if all(r == c for (r, c) in xmat):
@@ -254,7 +274,8 @@ def spectrum(P, fhat):
     diagonal is sorted and counted (eigenvalue 0 is entry 0, eigenvalue 1
     is entry d), and each distinct entry becomes one Fraction over d.
     """
-    d, _, columns = _integer_ad(P, fhat.coefficients)
+    d, X = _integer_form(fhat.coefficients)
+    columns = _integer_ad(P, X)
     # repeatedly drop the columns that depend on no other remaining one;
     # the digraph is acyclic exactly when every column goes.  A column
     # with no off-diagonal entry is on no cycle, so only the others start
@@ -292,25 +313,32 @@ def spectrum(P, fhat):
     )
 
 
+def _integer_form(coefficients):
+    """(d, X) for x given as (element, coefficient) pairs: d the lcm of
+    the coefficient denominators and X = d*x as (element, int) pairs, in
+    the same order.  Only attributes of the coefficients are read, so no
+    Fraction is hashed."""
+    d = lcm(1, *(v.denominator for _, v in coefficients))
+    return d, tuple([(b, v.numerator * (d // v.denominator)) for b, v in coefficients])
+
+
 @lru_cache(maxsize=1)
-def _integer_ad(P, coefficients):
-    """(d, X, columns) for x in the algebra of P, given as (element,
-    coefficient) pairs: d the lcm of the coefficient denominators, X =
-    d*x as {element: int}, and the columns of ad(X) in basis coordinates,
-    a tuple of {row: int} maps with zeros dropped.
+def _integer_ad(P, X):
+    """The columns of ad(X) in basis coordinates, for X in the algebra of
+    P given as (element, int) pairs: a tuple of {row: int} maps with
+    zeros dropped.
 
     One pass over the structure constants, whose cells are one (k, c)
     pair each: [b_i, b_j] = c*b_k adds X_i * c to row k of column j and,
-    as [b_j, b_i] = -c*b_k, -X_j * c to row k of column i.  The last (P,
-    coefficients) is cached, so `principal_element` followed by
-    `spectrum` on its element makes one pass; callers read the result
-    and never change it.
+    as [b_j, b_i] = -c*b_k, -X_j * c to row k of column i.  The last
+    (P, X) is cached, a key of ints and basis elements, so
+    `principal_element` followed by `spectrum` on its element makes one
+    pass and hashes no Fraction; the columns of ad(X) do not depend on
+    the d that X was scaled by, so d is not part of the key.  Callers
+    read the result and never change it.
     """
     basis, table = structure_constants(P)
-    d = lcm(1, *(v.denominator for _, v in coefficients))
-    X = {b: v.numerator * (d // v.denominator) for b, v in coefficients}
-    position = {b: k for k, b in enumerate(basis)}
-    at = {position[b]: c for b, c in X.items()}
+    at = {basis.index(b): c for b, c in X}
     columns = [{} for _ in basis]
     for (i, j), (k, c) in table.items():
         for source, column, sign in ((i, j, 1), (j, i, -1)):
@@ -319,4 +347,4 @@ def _integer_ad(P, coefficients):
                 continue
             out = columns[column]
             out[k] = out.get(k, 0) + sign * a * c
-    return d, X, tuple([{k: c for k, c in out.items() if c} for out in columns])
+    return tuple([{k: c for k, c in out.items() if c} for out in columns])

@@ -28,6 +28,7 @@ each worker it forks, starts empty.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -368,7 +369,8 @@ def run_campaign(cfg):
         for family, n, size in sizes
         for mask in range(size)
     )
-    jobs = min(cfg.jobs, total)
+    # no more workers than posets or CPUs: one more would sit idle
+    jobs = min(cfg.jobs, total, os.cpu_count() or 1)
     _component_index.cache_clear()
     summary = {name: {"pass": 0, "fail": 0, "skipped": 0} for name in checks}
     failures = []

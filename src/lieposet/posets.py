@@ -47,6 +47,11 @@ SIGNED_FAMILIES = ("B", "C", "D")
 # plan accept: the ground set and the enumeration's slot table grow with
 # n (and n^2), so an n from outside is bounded before anything is built
 MAX_N = 128
+# the largest n that enumerate_h01(..., up_to_iso=True) accepts: its table
+# holds one slot list per permutation of 1..n, n! - 1 of them, built
+# before the first poset (0.4 s and 31 MB at n = 8, about n-fold more for
+# each step up)
+MAX_ISO_N = 8
 
 
 def _check_n(n):
@@ -376,8 +381,9 @@ def poset_from_graph(family, n, edges, loops=()):
 
     The input domain: family B, C or D and n >= 1; each edge a pair of two
     distinct vertices of 1..n, in either order, with repeats allowed; each
-    loop a vertex of 1..n, and loops in family C only.  Loops outside C,
-    family A, an unknown family and n < 1 raise ValueError; an edge or a
+    loop a vertex of 1..n, and loops in family C only.  An unknown family,
+    family A, n outside 1..MAX_N (the bound `build_poset` applies) and
+    loops outside C raise ValueError, checked in that order; an edge or a
     loop off the vertices raises BadElement.
 
     The strict relations are -i < j and -j < i for each edge {i, j} and
@@ -388,14 +394,13 @@ def poset_from_graph(family, n, edges, loops=()):
     does not apply.  The height pair and the relation graph are known from
     the input and attached to the poset, so neither is derived again.
     """
-    loops = frozenset(loops)
-    if loops and family != "C":
-        raise ValueError("self loops occur only in family C")
     _check_family(family)
     if family == "A":
         raise ValueError("relation graphs apply to families B, C, D")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
+    loops = frozenset(loops)
+    if loops and family != "C":
+        raise ValueError("self loops occur only in family C")
     pairs = set()
     for i, j in edges:
         if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -467,11 +472,14 @@ def enumerate_h01(family, n, up_to_iso=False):
     The order is the ascending bitmask order of :func:`poset_from_mask`.
     With up_to_iso=True only the masks that no relabelling of 1..n makes
     smaller are yielded: the least mask of each orbit, which is the first
-    representative of its graph isomorphism class (Read's orderly criterion).
+    representative of its graph isomorphism class (Read's orderly criterion),
+    for n up to MAX_ISO_N.
     """
     if family not in SIGNED_FAMILIES:
         raise ValueError("enumeration applies to families B, C, D")
     _check_n(n)
+    if up_to_iso and n > MAX_ISO_N:
+        raise ValueError(f"n must be <= {MAX_ISO_N} up to isomorphism, got {n}")
     slots = range(sum(map(len, h01_slots(family, n))))
     images = _slot_images(family, n) if up_to_iso else ()
     for mask in range(1 << len(slots)):

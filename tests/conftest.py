@@ -5,8 +5,9 @@ from lieposet import build_poset, frobenius, harness
 
 @pytest.fixture(autouse=True)
 def fresh_kirillov_solve():
-    """Empty the one-entry Kirillov solve and ad-column caches, and the
-    campaign's component cache, before every test.
+    """Empty the one-entry Kirillov solve and ad-column caches (the
+    latter keyed by the poset and X = d*x as (element, int) pairs), and
+    the campaign's component cache, before every test.
 
     A test that patches `frobenius.solve`, `frobenius._integer_ad`,
     `structure_constants` or a component rank would otherwise read a

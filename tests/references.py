@@ -8,7 +8,10 @@ closure, Jacobi and spectrum tests compare the package against them.
 `table_by_brackets` builds a poset's table the way the package did
 before it sliced the Borel table, and `basis_by_kinds` its basis the way
 the package did before it read each element off its leading position;
-the slice and the basis are compared against them.
+the slice and the basis are compared against them.  `functional_value`
+applies a functional to a sparse matrix, and `point_by_realizations`
+is a functional's point the way the package read it before it read the
+point off F's support, one realization per basis element.
 """
 
 from corpora import strict_relations
@@ -148,3 +151,15 @@ def basis_by_kinds(P):
                     out.append(algebra.BasisElement(fam, "U", j))
     out.sort(key=algebra.BasisElement.sort_key)
     return tuple(out)
+
+
+def functional_value(F, mat):
+    """F applied to a sparse {(row, col): value} matrix."""
+    weights = dict(F.support)
+    return sum(weights.get(key, 0) * v for key, v in mat.items())
+
+
+def point_by_realizations(F, P):
+    """{element: F(realization)} over the basis of P, in basis order."""
+    basis, _ = algebra.structure_constants(P)
+    return {b: functional_value(F, algebra.realize(b)) for b in basis}

@@ -121,6 +121,35 @@ class TestRealize:
             kinds.update(b.kind for b in basis)
         assert kinds == {"H", "X", "Y", "Z", "U", "DA", "EA"}
 
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [("A", range(2, 8)), ("B", range(1, 11)), ("C", range(1, 15)), ("D", range(1, 13))],
+    )
+    def test_entries_sit_at_the_lead_and_its_partner(self, family, sizes):
+        # Functional.point visits only the elements led at a position of
+        # F's support or at its partner: checked once per (family, n) on
+        # the Borel basis, which holds every element of every poset there,
+        # including the frobenius-solve bench sizes.  In B, C and D the
+        # partner is the mirror, and a realization has entries only at
+        # its lead and at the mirror of it; in A the mirror is not enough
+        # (DA(i) has an entry at (i + 1, i + 1))
+        for n in sizes:
+            basis, leads, _, led = algebra._borel_basis(family, n)
+            # the lookup table holds the lead and element objects themselves
+            assert list(led) == list(leads)
+            assert all(key is lead for key, lead in zip(led, leads))
+            assert all(led[lead] is b for b, lead in zip(basis, leads))
+            touching = {}
+            for b, (r, c) in zip(basis, leads):
+                entries = realize(b)
+                mirrored = set(entries) <= {(r, c), (-c, -r)}
+                assert mirrored == (family != "A" or b.kind == "EA"), b
+                for key in entries:
+                    touching.setdefault(key, set()).add(b)
+            for key, elements in touching.items():
+                found = {led.get(key), led.get(algebra._partner(family, key))} - {None}
+                assert found == elements, (family, n, key)
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown kind 'W'"):
             realize(BasisElement("C", "W", 1))

@@ -118,6 +118,34 @@ def test_n_above_the_bound_exits_2_before_anything_is_built(runner, monkeypatch,
     assert f"must be <= {posets.MAX_N}" in error["message"]
 
 
+class _SlotImagesBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_up_to_iso_above_its_bound_exits_2(runner, monkeypatch, fmt):
+    # the isomorphism table holds n! - 1 slot lists: above posets.MAX_ISO_N
+    # the query exits 2 before it is built, and at the bound it is built
+    # (the patched builder raises there, so no n >= 9 table is ever made)
+    from lieposet import posets
+
+    def unbuilt(family, n):
+        raise _SlotImagesBuilt(n)
+
+    monkeypatch.setattr(posets, "_slot_images", unbuilt)
+    argv = ["enumerate", "--family", "C", "--n", "9", "--up-to-iso", "--format", fmt]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    message = "n must be <= 8 up to isomorphism, got 9"
+    if fmt == "json":
+        assert json.loads(result.output) == {"error": "InputParseError", "message": message}
+    else:
+        assert result.output == f"error[InputParseError]: {message}\n"
+    assert posets.MAX_ISO_N == 8
+    with pytest.raises(_SlotImagesBuilt):
+        next(posets.enumerate_h01("D", 8, up_to_iso=True))
+
+
 def test_n_at_the_bound_still_validates(runner):
     result = runner.invoke(main, ["validate", "-p", "C;128;-1<=2,-128<=-127"])
     assert result.exit_code == 0, result.output

@@ -36,7 +36,8 @@ from lieposet import (
 from lieposet import algebra, frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 from lieposet.harness import CampaignConfig, run_campaign, run_checks_on_poset
-from references import combo_bracket
+from corpora import seeded_general_posets
+from references import combo_bracket, functional_value, point_by_realizations
 
 HALF = Fraction(1, 2)
 
@@ -101,6 +102,49 @@ class TestFunctional:
         })
         assert F.support == (((-2, 2), Fraction(1, 2)), ((-2, 3), 2), ((-1, 2), 3))
         assert [type(w) for _, w in F.support] == [Fraction, int, int]
+
+
+class TestPoint:
+    """F's point, read off the positions of F's support, against the sum of
+    F's weights over every realization, value and type alike."""
+
+    @staticmethod
+    def _assert_by_realizations(F, P):
+        point = F.point(P)
+        expected = point_by_realizations(F, P)
+        assert [(b, v, type(v)) for b, v in point.items()] == [
+            (b, v, type(v)) for b, v in expected.items()
+        ], (P, F)
+
+    def test_standard_functional_on_the_class(self):
+        # the edge-plus-loop weights on every class poset of C<=4, D<=4,
+        # B<=3, Frobenius or not, and seeded rational weights with H support
+        rng = random.Random(39)
+        count = 0
+        for P in _class_posets((("C", 4), ("D", 4), ("B", 3)), False):
+            self._assert_by_realizations(_edge_loop_functional(P), P)
+            self._assert_by_realizations(_h_supported_functional(P, rng), P)
+            count += 1
+        assert count == 1184
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_general_posets(self, family):
+        # posets of any height, with X and U elements (and DA, EA in family
+        # A), and int or Fraction weights on a sample of permitted positions,
+        # the diagonal included
+        rng = random.Random(3900)
+        kinds = set()
+        for P in seeded_general_posets(family, 39, count=40, n_max=5):
+            positions = sorted(matrix_form(P))
+            for _ in range(3):
+                weights = {
+                    key: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 6)))
+                    for key in rng.sample(positions, rng.randint(0, len(positions)))
+                }
+                self._assert_by_realizations(functional(P, weights), P)
+            kinds.update(b.kind for b in build_basis(P))
+        assert kinds >= ({"DA", "EA"} if family == "A" else {"H", "X", "Y"})
+        assert family != "B" or "U" in kinds
 
 
 class TestKernelDim:
@@ -200,11 +244,10 @@ class TestPrincipalElement:
         real = frobenius._integer_ad
         for row in rows:
 
-            def integer_ad(P, coefficients):
-                d, x, columns = real(P, coefficients)
-                columns = [dict(column) for column in columns]  # the cached pass stays
+            def integer_ad(P, X):
+                columns = [dict(column) for column in real(P, X)]  # the cached pass stays
                 columns[0][row] = columns[0].get(row, 0) + 1
-                return d, x, columns
+                return columns
 
             monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
             with pytest.raises(InvariantViolation, match="fixed-point identity"):
@@ -257,7 +300,7 @@ class TestPrincipalElement:
         fmat = realize_combination(dict(element.coefficients))
         for b in build_basis(triangle_poset):
             bm = realize(b)
-            assert F.value_on(commutator(fmat, bm)) == F.value_on(bm)
+            assert functional_value(F, commutator(fmat, bm)) == functional_value(F, bm)
 
 
 class TestSpectrum:
@@ -326,12 +369,11 @@ class TestSpectrum:
         expected = spectrum(triangle_poset, element)
         real = frobenius._integer_ad
 
-        def integer_ad(P, coefficients):
-            d, x, columns = real(P, coefficients)
-            columns = [dict(column) for column in columns]  # the cached pass stays
+        def integer_ad(P, X):
+            columns = [dict(column) for column in real(P, X)]  # the cached pass stays
             for k in tangled:
                 columns[k][1 - k] = columns[k].get(1 - k, 0) + 1
-            return d, x, columns
+            return columns
 
         monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
         if len(tangled) == 1:
@@ -378,7 +420,8 @@ class TestSpectrum:
     def test_ad_columns_in_one_pass(self, family):
         # every column of ad(d*x) from one pass over the table equals the
         # bracket of d*x with that basis element, for random sparse
-        # rational x; d is the lcm of the denominators of x
+        # rational x; d is the lcm of the denominators of x, and d*x is
+        # keyed as (element, int) pairs in the order of x
         rng = random.Random(3)
         for P in enumerate_h01(family, 3):
             basis, table = structure_constants(P)
@@ -391,17 +434,38 @@ class TestSpectrum:
             X = {k: int(d * v) for k, v in x.items()}
             expected = [combo_bracket(P, X, {k: 1}) for k in range(dim)]
             coefficients = tuple((basis[k], v) for k, v in x.items())
-            got = frobenius._integer_ad(P, coefficients)
-            assert got == (d, {basis[k]: v for k, v in X.items()}, tuple(expected)), P
+            integer = tuple((basis[k], v) for k, v in X.items())
+            assert frobenius._integer_form(coefficients) == (d, integer), P
+            assert frobenius._integer_ad(P, integer) == tuple(expected), P
 
-    def test_one_ad_pass_for_principal_element_then_spectrum(self, triangle_poset):
+    def test_one_ad_pass_for_principal_element_then_spectrum(self, triangle_poset, monkeypatch):
         # spectrum reads the columns of ad(d*x) that principal_element has
-        # just built for the same element: one pass over the table
-        P = triangle_poset
-        report = spectrum(P, principal_element(P, frobenius_functional(P)))
-        assert report.is_binary
-        info = frobenius._integer_ad.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # just built for the same element: one pass over the table, cached
+        # on ints and basis elements, so no Fraction of x is hashed on the
+        # way (x has Fraction coefficients 1/2 and -1/2)
+        true_hash = Fraction.__hash__
+        hashed = []
+
+        def counted(self):
+            hashed.append(self)
+            return true_hash(self)
+
+        for P in (
+            triangle_poset,
+            poset_from_graph("C", 4, [(1, 2), (2, 3), (3, 4)], [1]),
+            poset_from_graph("B", 3, [(1, 2), (1, 3), (2, 3)]),
+        ):
+            frobenius._integer_ad.cache_clear()
+            F = frobenius_functional(P)
+            monkeypatch.setattr(Fraction, "__hash__", counted)
+            element = principal_element(P, F)
+            report = spectrum(P, element)
+            monkeypatch.undo()
+            assert report.is_binary
+            assert {v for _, v in element.coefficients} <= {HALF, -HALF}
+            assert hashed == []
+            info = frobenius._integer_ad.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
 
 
 class TestRationalFunctional:
@@ -445,7 +509,7 @@ class TestRationalFunctional:
                 xmat = realize_combination(dict(element.coefficients))
                 for b in build_basis(P):
                     bm = realize(b)
-                    assert F.value_on(commutator(xmat, bm)) == F.value_on(bm)
+                    assert functional_value(F, commutator(xmat, bm)) == functional_value(F, bm)
                 nonsingular += 1
         assert nonsingular >= 15
 

@@ -66,16 +66,22 @@ def test_report_deterministic_across_runs_and_jobs():
 
 
 @pytest.mark.parametrize(
-    "plan, jobs, sizes, posets",
-    [((("C", 1),), 8, [2], {"C1": 2}), ((("C", 2),), 3, [3], {"C1": 2, "C2": 8}),
-     ((("C", 2),), 1, [], {"C1": 2, "C2": 8}), ((), 1, [], {}), ((), 3, [], {})],
-    ids=["C1-jobs8", "C2-jobs3", "C2-jobs1", "empty-jobs1", "empty-jobs3"],
+    "plan, jobs, cpus, sizes, posets",
+    [((("C", 1),), 8, 8, [2], {"C1": 2}), ((("C", 2),), 3, 8, [3], {"C1": 2, "C2": 8}),
+     ((("C", 2),), 1, 8, [], {"C1": 2, "C2": 8}), ((), 1, 8, [], {}), ((), 3, 8, [], {}),
+     ((("C", 2),), 10**6, 4, [4], {"C1": 2, "C2": 8}),
+     ((("C", 2),), 10**6, None, [], {"C1": 2, "C2": 8})],
+    ids=["C1-jobs8", "C2-jobs3", "C2-jobs1", "empty-jobs1", "empty-jobs3",
+         "C2-jobs1e6-cpus4", "C2-jobs1e6-cpus-unknown"],
 )
-def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, sizes, posets):
-    # C:1 holds two posets, so --jobs 8 forks two workers, not eight; the
-    # fake pool maps in this process, so no process is started.  An empty
-    # plan opens no pool and reports zero counts.
+def test_pool_has_no_idle_workers(monkeypatch, plan, jobs, cpus, sizes, posets):
+    # C:1 holds two posets, so --jobs 8 forks two workers, not eight, and
+    # no more workers start than os.cpu_count() reports (one where it
+    # reports None, which opens no pool); the fake pool maps in this
+    # process, so no process is started.  An empty plan opens no pool and
+    # reports zero counts.
     opened = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
     class InProcessPool:
         def __init__(self, size):

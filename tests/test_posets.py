@@ -447,16 +447,23 @@ class TestGraphBijection:
         ("B", 3, [], [1], ValueError, "self loops occur only in family C"),
         ("E", 3, [(1, 2)], (), ValueError, "unknown family 'E'"),
         ("C", 0, [], (), ValueError, "n must be >= 1"),
+        ("C", 200, [(1, 2)], (), ValueError, "n must be <= 128, got 200"),
         ("A", 3, [(1, 2)], (), ValueError, "relation graphs apply to families B, C, D"),
         ("A", 3, [], (), ValueError, "relation graphs apply to families B, C, D"),
+        ("X", 3, [], [1], ValueError, "unknown family 'X'"),
+        ("A", 3, [], [1], ValueError, "relation graphs apply to families B, C, D"),
+        ("D", 0, [], [1], ValueError, "n must be >= 1"),
     ],
     ids=["B-vertex-zero", "C-edge-i-i", "D-edge-i-i", "edge-above-n", "edge-negative",
          "loop-above-n", "loop-zero", "loop-in-D", "loop-in-B", "unknown-family",
-         "n-zero", "family-A", "family-A-no-edges"],
+         "n-zero", "n-above-bound", "family-A", "family-A-no-edges",
+         "unknown-family-with-loop", "family-A-with-loop", "n-zero-with-loop"],
 )
 def test_poset_from_graph_input_domain(family, n, edges, loops, error, message):
     # an edge needs two distinct vertices of 1..n and a loop one vertex:
-    # (i, i) is not a loop, and 0 is no vertex, even in family B
+    # (i, i) is not a loop, and 0 is no vertex, even in family B.  The
+    # family is checked first and n next, with build_poset's bound, so a
+    # loop is judged only on a family and n that exist
     with pytest.raises(error, match=f"^{message}$"):
         poset_from_graph(family, n, edges, loops)
 
