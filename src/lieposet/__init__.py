@@ -66,7 +66,6 @@ _EXPORTS = {
     "evaluate": "algebra",
     "matrix_form": "algebra",
     "realize": "algebra",
-    "realize_combination": "algebra",
     "structure_constants": "algebra",
     "verify_B_reduction": "algebra",
     "verify_CD_isomorphism": "algebra",

@@ -153,19 +153,6 @@ def realize(b):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def realize_combination(terms):
-    """Realize a {BasisElement: coefficient} combination as one sparse matrix.
-
-    Coefficients are ints or Fractions; sums that cancel to zero are
-    dropped.
-    """
-    out = {}
-    for b, c in terms.items():
-        for key, v in realize(b).items():
-            out[key] = out.get(key, 0) + v * c
-    return {key: v for key, v in out.items() if v}
-
-
 def _led_at(family, position, top):
     """The element of `family` whose leading position is `position`, or None.
 

@@ -39,16 +39,22 @@ Either way
 `linalg.solve` gives the rank and the solution from the same pivots,
 back-substituting in ints and building one Fraction per distinct entry.
 Only the solution x has a denominator.  The fixed-point identity and
-the spectrum are read off the columns of ad(d*x), d the lcm of the
-denominators of x, that one pass over the structure constants gives, in
-ints; `_integer_ad` keeps the last pass, keyed by P and X = d*x as
-(element, int) pairs, so `principal_element` followed by `spectrum` on
-its element makes one and hashes no Fraction.  The diagonal of a diagonal x
-builds one Fraction per distinct entry.  The spectrum peels the digraph
-of the off-diagonal entries from the columns that have one, so a
-diagonal ad(x) takes no pass; it sorts and counts the integer diagonal
-(0 and d) and builds each distinct eigenvalue, an entry over d, once, at
-the end.
+the spectrum are read off ad(d*x), d the lcm of the denominators of x,
+in ints: one pass over the structure constants gives its diagonal, a
+tuple of ints, and its off-diagonal entries, a {row: int} map for each
+column that has one.  On the paper's class ad(x) is diagonal, so the
+second is empty.  `_integer_ad` keeps the last pass, keyed by P and
+X = d*x as (element, int) pairs, so `principal_element` followed by
+`spectrum` on its element makes one and hashes no Fraction.  The
+diagonal of x is read off the coefficients of X, not off a realized
+matrix: H(i) puts c at (-i,-i) and -c at (i,i), DA(i) c at (i,i) and -c
+at (i+1,i+1), and every other kind realizes off the diagonal alone, at
+positions no other element touches, so x is diagonal exactly when X
+lies on the H or DA elements.  Its entries become one Fraction per
+distinct entry.  The spectrum peels the digraph of the off-diagonal
+entries, so a diagonal ad(x) takes no pass; it sorts and counts the
+integer diagonal (0 and d) and builds each distinct eigenvalue, an entry
+over d, once, at the end.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ from .algebra import (
     evaluate,
     matrix_form,
     realize,
-    realize_combination,
     structure_constants,
 )
 from .errors import InvariantViolation, NonEigenbasis, NotFrobenius, SingularForm
@@ -192,10 +197,11 @@ def kernel_dim(P, F):
 class PrincipalElement(NamedTuple):
     """Solution x of B_F(x, -) = F, in basis coordinates, as a NamedTuple.
 
-    diagonal holds (element, entry) pairs of the realized matrix when it
-    is diagonal, else None.  half_convention is "negatives-plus-half"
-    when the diagonal carries +1/2 on every negative row and -1/2 on every
-    positive row, else "other".  The orientation is forced: on a diagonal
+    diagonal holds (label, entry) pairs of the realized matrix when it
+    is diagonal, read off the H and DA coefficients, else None.
+    half_convention is "negatives-plus-half" when the diagonal carries
+    +1/2 on every negative row and -1/2 on every positive row, else
+    "other".  The orientation is forced: on a diagonal
     solution each supported root (-i, j) gives -x_i - x_j = 1 and each
     loop -2x_i = 1.  A functional with diagonal support forces a
     nilradical part, so its solution is not diagonal and gets "other".
@@ -212,25 +218,30 @@ def principal_element(P, F):
         raise SingularForm("the Kirillov form of F is singular")
     coefficients = tuple((b, v) for b, v in zip(basis, solution) if v)
     d, X = _integer_form(coefficients)
-    columns = _integer_ad(P, X)
-    for b, value, column in zip(basis, values, columns):
+    ad_diagonal, off = _integer_ad(P, X)
+    for k, (entry, value) in enumerate(zip(ad_diagonal, values)):
         # fixed point identity F(ad(x)(b)) == F(b), checked in ints on
-        # X = d*x as F(ad(X)(b)) == d*F(b), column the coordinates of
-        # ad(X)(b) and values those of F (scaled alike on both sides)
-        if sum(c * values[k] for k, c in column.items()) != d * value:
+        # X = d*x as F(ad(X)(b)) == d*F(b): entry and off[k] the
+        # coordinates of ad(X)(b) and values those of F (scaled alike on
+        # both sides)
+        total = entry * value
+        if k in off:
+            total += sum(c * values[j] for j, c in off[k].items())
+        if total != d * value:
+            b = basis[k]
             raise InvariantViolation(f"fixed-point identity F(ad(x)({b})) = F({b}) fails")
-    xmat = realize_combination(dict(X))
+    entries = _diagonal_entries(X)
     diagonal = None
     convention = "other"
-    if all(r == c for (r, c) in xmat):
-        # x is xmat / d: a Fraction where xmat has an entry, 0 elsewhere,
+    if entries is not None:
+        # x is entries / d: a Fraction where X has an entry, 0 elsewhere,
         # one per distinct entry
-        entries = [xmat.get((e, e), 0) for e in P.elements]
-        fractions = {v: Fraction(v, d) if v else 0 for v in set(entries)}
-        diagonal = tuple(zip(P.elements, [fractions[v] for v in entries]))
-        # x at (-e,-e) is 1/2 and at (e,e) is -1/2, decided on xmat in ints
+        ints = [entries.get(e, 0) for e in P.elements]
+        fractions = {v: Fraction(v, d) if v else 0 for v in set(ints)}
+        diagonal = tuple(zip(P.elements, [fractions[v] for v in ints]))
+        # x at (-e,-e) is 1/2 and at (e,e) is -1/2, decided in ints
         if all(
-            2 * xmat.get((-e, -e), 0) == d and 2 * xmat.get((e, e), 0) == -d
+            2 * entries.get(-e, 0) == d and 2 * entries.get(e, 0) == -d
             for e in P.elements
             if e > 0
         ):
@@ -265,28 +276,23 @@ class SpectrumReport(NamedTuple):
 def spectrum(P, fhat):
     """Eigenvalues of ad(fhat) on the algebra of P, computed exactly.
 
-    The columns of ad(d*fhat) in basis coordinates come from the integer
-    structure constants, d the common denominator of the coefficients of
-    fhat.  When the digraph of its off-diagonal entries is acyclic the
-    matrix is triangular in some ordering of the basis, so its diagonal
-    entries, over d, are the eigenvalues; otherwise NonEigenbasis is
-    raised.  A diagonal fhat gives a graph with no edges.  The integer
-    diagonal is sorted and counted (eigenvalue 0 is entry 0, eigenvalue 1
-    is entry d), and each distinct entry becomes one Fraction over d.
+    ad(d*fhat) in basis coordinates, its diagonal and its off-diagonal
+    columns, comes from the integer structure constants, d the common
+    denominator of the coefficients of fhat.  When the digraph of its
+    off-diagonal entries is acyclic the matrix is triangular in some
+    ordering of the basis, so its diagonal entries, over d, are the
+    eigenvalues; otherwise NonEigenbasis is raised.  A diagonal fhat
+    gives a graph with no edges.  The integer diagonal is sorted and
+    counted (eigenvalue 0 is entry 0, eigenvalue 1 is entry d), and each
+    distinct entry becomes one Fraction over d.
     """
     d, X = _integer_form(fhat.coefficients)
-    columns = _integer_ad(P, X)
+    diagonal, off = _integer_ad(P, X)
     # repeatedly drop the columns that depend on no other remaining one;
     # the digraph is acyclic exactly when every column goes.  A column
-    # with no off-diagonal entry is on no cycle, so only the others start
-    # the peel, and a diagonal ad(fhat) needs no pass
-    pending = {
-        k: {row for row in column if row != k}
-        for k, column in enumerate(columns)
-        if len(column) > (k in column)
-    }
-    for rows in pending.values():
-        rows.intersection_update(pending)
+    # with no off-diagonal entry is on no cycle, so only the columns of
+    # off start the peel, and a diagonal ad(fhat) needs no pass
+    pending = {k: set(column).intersection(off) for k, column in off.items()}
     while pending:
         free = [k for k, rows in pending.items() if not rows]
         if not free:
@@ -297,12 +303,12 @@ def spectrum(P, fhat):
             rows.difference_update(free)
     # d > 0, so sorting the ints sorts the eigenvalues; each distinct one
     # becomes one Fraction
-    diagonal = sorted(c.get(k, 0) for k, c in enumerate(columns))
-    fractions = {v: Fraction(v, d) for v in set(diagonal)}
-    eigenvalues = tuple([fractions[v] for v in diagonal])
-    dim = len(columns)
-    zero = diagonal.count(0)
-    one = diagonal.count(d)
+    ints = sorted(diagonal)
+    fractions = {v: Fraction(v, d) for v in set(ints)}
+    eigenvalues = tuple([fractions[v] for v in ints])
+    dim = len(ints)
+    zero = ints.count(0)
+    one = ints.count(d)
     is_binary = zero == one and zero + one == dim
     return SpectrumReport(
         eigenvalues=eigenvalues,
@@ -322,29 +328,61 @@ def _integer_form(coefficients):
     return d, tuple([(b, v.numerator * (d // v.denominator)) for b, v in coefficients])
 
 
+def _diagonal_entries(X):
+    """{label: int} of the diagonal of the matrix that X realizes, for X
+    given as (element, int) pairs with no zero, or None when that matrix
+    is not diagonal.
+
+    Read off the coefficients: H(i) puts c at (-i,-i) and -c at (i,i),
+    DA(i) puts c at (i,i) and -c at (i+1,i+1), and every other kind
+    realizes off the diagonal alone, at a mirror pair (or an EA cell)
+    that no other element touches, so one of them in X makes the matrix
+    not diagonal.  Labels where every entry cancels hold 0.
+    """
+    entries = {}
+    for b, c in X:
+        if b.kind == "H":
+            top, bottom = -b.i, b.i
+        elif b.kind == "DA":
+            top, bottom = b.i, b.i + 1
+        else:
+            return None
+        entries[top] = entries.get(top, 0) + c
+        entries[bottom] = entries.get(bottom, 0) - c
+    return entries
+
+
 @lru_cache(maxsize=1)
 def _integer_ad(P, X):
-    """The columns of ad(X) in basis coordinates, for X in the algebra of
-    P given as (element, int) pairs: a tuple of {row: int} maps with
-    zeros dropped.
+    """ad(X) in basis coordinates, for X in the algebra of P given as
+    (element, int) pairs: (diagonal, off), diagonal the tuple of its dim
+    diagonal entries and off a {column: {row: int}} map of its
+    off-diagonal entries, zeros dropped, holding only the columns that
+    have one.  Where ad(X) is diagonal, as on the paper's class, off is
+    empty.
 
     One pass over the structure constants, whose cells are one (k, c)
     pair each: [b_i, b_j] = c*b_k adds X_i * c to row k of column j and,
-    as [b_j, b_i] = -c*b_k, -X_j * c to row k of column i.  The last
-    (P, X) is cached, a key of ints and basis elements, so
-    `principal_element` followed by `spectrum` on its element makes one
-    pass and hashes no Fraction; the columns of ad(X) do not depend on
-    the d that X was scaled by, so d is not part of the key.  Callers
-    read the result and never change it.
+    as [b_j, b_i] = -c*b_k, -X_j * c to row k of column i; row k of
+    column k is the diagonal.  The last (P, X) is cached, a key of ints
+    and basis elements, so `principal_element` followed by `spectrum` on
+    its element makes one pass and hashes no Fraction; ad(X) does not
+    depend on the d that X was scaled by, so d is not part of the key.
+    Callers read the result and never change it.
     """
     basis, table = structure_constants(P)
     at = {basis.index(b): c for b, c in X}
-    columns = [{} for _ in basis]
+    diagonal = [0] * len(basis)
+    off = {}
     for (i, j), (k, c) in table.items():
         for source, column, sign in ((i, j, 1), (j, i, -1)):
             a = at.get(source)
             if not a:
                 continue
-            out = columns[column]
-            out[k] = out.get(k, 0) + sign * a * c
-    return tuple([{k: c for k, c in out.items() if c} for out in columns])
+            if k == column:
+                diagonal[k] += sign * a * c
+            else:
+                out = off.setdefault(column, {})
+                out[k] = out.get(k, 0) + sign * a * c
+    off = {j: {k: c for k, c in out.items() if c} for j, out in off.items()}
+    return tuple(diagonal), {j: out for j, out in off.items() if out}

@@ -5,8 +5,9 @@ from lieposet import build_poset, frobenius, harness
 
 @pytest.fixture(autouse=True)
 def fresh_kirillov_solve():
-    """Empty the one-entry Kirillov solve and ad-column caches (the
-    latter keyed by the poset and X = d*x as (element, int) pairs), and
+    """Empty the one-entry Kirillov solve and ad-pass caches (the
+    latter keyed by the poset and X = d*x as (element, int) pairs, and
+    holding ad(X) as its diagonal and its off-diagonal columns), and
     the campaign's component cache, before every test.
 
     A test that patches `frobenius.solve`, `frobenius._integer_ad`,

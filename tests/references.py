@@ -159,6 +159,19 @@ def functional_value(F, mat):
     return sum(weights.get(key, 0) * v for key, v in mat.items())
 
 
+def realize_combination(terms):
+    """Realize a {BasisElement: coefficient} combination as one sparse matrix.
+
+    Coefficients are ints or Fractions; sums that cancel to zero are
+    dropped.
+    """
+    out = {}
+    for b, c in terms.items():
+        for key, v in algebra.realize(b).items():
+            out[key] = out.get(key, 0) + v * c
+    return {key: v for key, v in out.items() if v}
+
+
 def point_by_realizations(F, P):
     """{element: F(realization)} over the basis of P, in basis order."""
     basis, _ = algebra.structure_constants(P)

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpora import general_generators, seeded_general_posets, type_a_height_one_posets
-from references import basis_by_kinds, bracket, combo_bracket, decompose_in, table_by_brackets
+from references import (
+    basis_by_kinds,
+    bracket,
+    combo_bracket,
+    decompose_in,
+    realize_combination,
+    table_by_brackets,
+)
 from lieposet import (
     BasisElement,
     InvariantViolation,
@@ -28,7 +35,6 @@ from lieposet import (
     matrix_form,
     poset_from_mask,
     realize,
-    realize_combination,
     structure_constants,
     validate,
     verify_B_reduction,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -28,7 +29,6 @@ from lieposet import (
     poset_from_graph,
     principal_element,
     realize,
-    realize_combination,
     spectrum,
     structure_constants,
 )
@@ -37,7 +37,12 @@ from lieposet import algebra, frobenius, linalg
 from lieposet.formats import principal_element_json_obj, spectrum_json_obj
 from lieposet.harness import CampaignConfig, run_campaign, run_checks_on_poset
 from corpora import seeded_general_posets
-from references import combo_bracket, functional_value, point_by_realizations
+from references import (
+    combo_bracket,
+    functional_value,
+    point_by_realizations,
+    realize_combination,
+)
 
 HALF = Fraction(1, 2)
 
@@ -235,23 +240,116 @@ class TestPrincipalElement:
         self, triangle_poset, monkeypatch
     ):
         # an extra 1 in row k of a column of ad(d*x) moves that column's
-        # F(ad(x)(b)) by F(b_k), so the identity fails where F(b_k) != 0
+        # F(ad(x)(b)) by F(b_k), so the identity fails where F(b_k) != 0;
+        # every such row is off the diagonal of column 0, so the extra 1
+        # goes into off
         P = triangle_poset
         F = frobenius_functional(P)
         point = F.point(P)
         rows = [k for k, b in enumerate(structure_constants(P)[0]) if point[b]]
-        assert rows
+        assert rows and 0 not in rows
         real = frobenius._integer_ad
         for row in rows:
 
             def integer_ad(P, X):
-                columns = [dict(column) for column in real(P, X)]  # the cached pass stays
-                columns[0][row] = columns[0].get(row, 0) + 1
-                return columns
+                diagonal, off = real(P, X)
+                off = {j: dict(column) for j, column in off.items()}  # the cached pass stays
+                column = off.setdefault(0, {})
+                column[row] = column.get(row, 0) + 1
+                return diagonal, off
 
             monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
             with pytest.raises(InvariantViolation, match="fixed-point identity"):
                 principal_element(P, F)
+
+    def test_changed_diagonal_entry_raises_invariant_violation(
+        self, triangle_poset, monkeypatch
+    ):
+        # an extra 1 on the diagonal of column k moves F(ad(x)(b_k)) by
+        # F(b_k), so the identity fails wherever F(b_k) != 0
+        P = triangle_poset
+        F = frobenius_functional(P)
+        point = F.point(P)
+        columns = [k for k, b in enumerate(structure_constants(P)[0]) if point[b]]
+        assert columns
+        real = frobenius._integer_ad
+        for k in columns:
+
+            def integer_ad(P, X):
+                diagonal, off = real(P, X)
+                assert not off  # ad(d*x) is diagonal on the class
+                diagonal = list(diagonal)
+                diagonal[k] += 1
+                return tuple(diagonal), off
+
+            monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
+            with pytest.raises(InvariantViolation, match="fixed-point identity"):
+                principal_element(P, F)
+
+    @pytest.mark.parametrize(
+        "n, relations, diagonal",
+        [
+            (2, [(1, 2)], (HALF, -HALF)),
+            (3, [(1, 2), (1, 3)], (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))),
+            (3, [(1, 3), (2, 3)], (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))),
+            (4, [(1, 3), (1, 4), (2, 4)], (HALF, HALF, -HALF, -HALF)),
+            (4, [(1, 2), (1, 3), (1, 4)],
+             (Fraction(3, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 4))),
+        ],
+        ids=["1<=2", "1<=2,1<=3", "1<=3,2<=3", "1<=3,1<=4,2<=4", "1<=2,1<=3,1<=4"],
+    )
+    def test_type_a_diagonal(self, n, relations, diagonal):
+        # DA(i) realizes as c at (i,i) and -c at (i+1,i+1), so a solution on
+        # the DA elements alone is diagonal; type A has no negative rows,
+        # so its convention is "other".  Of the 0/1 functionals on the
+        # relations, the one on all of them is the only nonsingular one
+        P = build_poset("A", n, relations)
+        nonsingular = []
+        for bits in itertools.product((0, 1), repeat=len(relations)):
+            F = functional(P, dict(zip(relations, bits)))
+            if not kernel_dim(P, F):
+                nonsingular.append(F)
+        assert [dict(F.support) for F in nonsingular] == [dict.fromkeys(relations, 1)]
+        element = principal_element(P, nonsingular[0])
+        assert {b.kind for b, _ in element.coefficients} == {"DA"}
+        assert element.diagonal == tuple(zip(range(1, n + 1), diagonal))
+        assert element.half_convention == "other"
+        assert _diagonal_and_convention(element) == _diagonal_by_realization(P, element)
+
+    def test_diagonal_matches_the_realized_combination_on_the_class(self):
+        # the diagonal read off the coefficients of x against the one read
+        # off its realized matrix, on every Frobenius poset of C<=4, D<=4,
+        # B<=3 with the standard functional
+        count = 0
+        for P in _class_posets((("C", 4), ("D", 4), ("B", 3)), True):
+            element = principal_element(P, frobenius_functional(P))
+            assert _diagonal_and_convention(element) == _diagonal_by_realization(P, element)
+            assert element.half_convention == "negatives-plus-half"
+            count += 1
+        assert count == 176
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_diagonal_matches_the_realized_combination_on_general_posets(self, family):
+        # seeded general posets, whose solutions can hold X, Y, Z, U (or
+        # EA) elements, with int or Fraction weights on a sample of the
+        # permitted positions
+        rng = random.Random(4000)
+        outcomes = set()
+        for P in seeded_general_posets(family, 40, count=80, n_max=5):
+            positions = sorted(matrix_form(P))
+            for _ in range(3):
+                weights = {
+                    key: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 6)))
+                    for key in rng.sample(positions, rng.randint(1, len(positions)))
+                }
+                F = functional(P, weights)
+                if kernel_dim(P, F):
+                    continue
+                element = principal_element(P, F)
+                expected = _diagonal_by_realization(P, element)
+                assert _diagonal_and_convention(element) == expected, (P, F)
+                outcomes.add(expected[0] is None)
+        assert outcomes == {True, False}
 
     def test_wrong_solution_raises_invariant_violation(self, monkeypatch):
         # the fixed-point identity, checked on d*x, must catch a solution
@@ -370,10 +468,12 @@ class TestSpectrum:
         real = frobenius._integer_ad
 
         def integer_ad(P, X):
-            columns = [dict(column) for column in real(P, X)]  # the cached pass stays
+            diagonal, off = real(P, X)
+            off = {j: dict(column) for j, column in off.items()}  # the cached pass stays
             for k in tangled:
-                columns[k][1 - k] = columns[k].get(1 - k, 0) + 1
-            return columns
+                column = off.setdefault(k, {})
+                column[1 - k] = column.get(1 - k, 0) + 1
+            return diagonal, off
 
         monkeypatch.setattr(frobenius, "_integer_ad", integer_ad)
         if len(tangled) == 1:
@@ -416,15 +516,25 @@ class TestSpectrum:
                 assert report.is_binary
                 assert report.zero_count == report.one_count == report.dim // 2
 
-    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     def test_ad_columns_in_one_pass(self, family):
-        # every column of ad(d*x) from one pass over the table equals the
-        # bracket of d*x with that basis element, for random sparse
-        # rational x; d is the lcm of the denominators of x, and d*x is
-        # keyed as (element, int) pairs in the order of x
+        # the diagonal and the off-diagonal columns of ad(d*x) from one
+        # pass over the table equal the bracket of d*x with each basis
+        # element, for random sparse rational x; d is the lcm of the
+        # denominators of x, and d*x is keyed as (element, int) pairs in
+        # the order of x.  The class posets (none in family A) come
+        # first, then seeded general posets of any height, whose x can
+        # hold X, Y and U elements (DA and EA in family A), so ad(d*x)
+        # has off-diagonal columns
         rng = random.Random(3)
-        for P in enumerate_h01(family, 3):
-            basis, table = structure_constants(P)
+        posets = itertools.chain(
+            enumerate_h01(family, 3) if family != "A" else (),
+            seeded_general_posets(family, 40, count=40, n_max=5),
+        )
+        kinds = set()
+        with_off = 0
+        for P in posets:
+            basis, _ = structure_constants(P)
             dim = len(basis)
             x = {
                 k: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
@@ -432,11 +542,24 @@ class TestSpectrum:
             }
             d = lcm(1, *(v.denominator for v in x.values()))
             X = {k: int(d * v) for k, v in x.items()}
-            expected = [combo_bracket(P, X, {k: 1}) for k in range(dim)]
+            columns = [combo_bracket(P, X, {k: 1}) for k in range(dim)]
+            expected_off = {
+                k: {row: c for row, c in column.items() if row != k}
+                for k, column in enumerate(columns)
+                if set(column) - {k}
+            }
             coefficients = tuple((basis[k], v) for k, v in x.items())
             integer = tuple((basis[k], v) for k, v in X.items())
             assert frobenius._integer_form(coefficients) == (d, integer), P
-            assert frobenius._integer_ad(P, integer) == tuple(expected), P
+            diagonal, off = frobenius._integer_ad(P, integer)
+            assert diagonal == tuple(column.get(k, 0) for k, column in enumerate(columns)), P
+            assert all(type(v) is int for v in diagonal)
+            assert off == expected_off, P
+            kinds.update(basis[k].kind for k, v in X.items() if v)
+            with_off += bool(off)
+        assert kinds >= ({"DA", "EA"} if family == "A" else {"H", "X", "Y"})
+        assert family != "B" or "U" in kinds
+        assert with_off >= 10
 
     def test_one_ad_pass_for_principal_element_then_spectrum(self, triangle_poset, monkeypatch):
         # spectrum reads the columns of ad(d*x) that principal_element has
@@ -597,6 +720,32 @@ class TestIntegerPath:
         assert digest.hexdigest() == (
             "6de5ebba26fadda92ba600d525926b8ce0cc6368c779824b9558a2541f30d700"
         )
+
+
+def _diagonal_by_realization(P, element):
+    """(diagonal, half_convention) of a principal element read off its
+    realized matrix, values with their types, as (label, value, type)
+    triples; diagonal is None when the matrix is not diagonal."""
+    xmat = realize_combination(dict(element.coefficients))
+    if any(r != c for r, c in xmat):
+        return None, "other"
+    diagonal = tuple((e, xmat.get((e, e), 0)) for e in P.elements)
+    half = all(
+        xmat.get((-e, -e), 0) == HALF and xmat.get((e, e), 0) == -HALF
+        for e in P.elements
+        if e > 0
+    )
+    return _typed(diagonal), "negatives-plus-half" if half else "other"
+
+
+def _diagonal_and_convention(element):
+    """(diagonal, half_convention) of a principal element, the diagonal's
+    values with their types as in `_diagonal_by_realization`."""
+    return _typed(element.diagonal), element.half_convention
+
+
+def _typed(diagonal):
+    return None if diagonal is None else tuple((e, v, type(v)) for e, v in diagonal)
 
 
 def _class_posets(bounds, frobenius_only):
