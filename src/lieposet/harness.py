@@ -5,15 +5,17 @@ families (one per labeled relation graph, identified by its slot bitmask)
 and runs each enabled check.  A check returns None on a pass, SKIPPED
 where it does not apply and a witness dict on a failure, so a pass or a
 skip builds no witness.  Outcomes are counted as they arrive and only
-failures are kept: memory does not grow with the plan, and with a fixed
-seed the JSON report is byte identical across runs and worker counts.
+failures are kept: memory does not grow with the plan, and the JSON
+report is byte identical across runs and worker counts.
 
-Every poset the campaign ranks, whole or a component, is of the paper's
-class, whose rank is proved on the H block and draws no trial point.
-One function, `_class_index`, computes such an index and raises
-InvariantViolation on a sampled rank, so the index depends on the poset
-alone and the seed and trials play no part in it.  The configured
-trials are only echoed in the report.
+No check draws a random number.  Every poset the campaign ranks, whole
+or a component, is of the paper's class, whose rank is proved on the H
+block and draws no trial point: one function, `_class_index`, computes
+such an index and raises InvariantViolation on a sampled rank.  The
+reduction replay runs at `reduce`'s default point, and on the class it
+ends at the same rank at every nonzero point.  So every outcome depends
+on the poset alone; the configured seed and trials are only echoed in
+the report.
 
 Derived objects are shared at two scopes.  A CheckContext holds what one
 poset's checks share: its index and its principal element.  The
@@ -53,8 +55,6 @@ from .posets import (
     rg_connected,
 )
 
-_FAMILY_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
-
 # a check's outcome where it does not apply; pooled outcomes are pickled: test with ==
 SKIPPED = "skipped"
 
@@ -63,28 +63,16 @@ SKIPPED = "skipped"
 POOL_CHUNK = 32
 
 
-def _mix(*parts):
-    """Deterministic 64-bit mix of integers (independent of PYTHONHASHSEED)."""
-    h = 0x9E3779B97F4A7C15
-    for part in parts:
-        h ^= (part + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h = (h * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def poset_seed(base_seed, family, n, mask):
-    return _mix(base_seed, _FAMILY_INDEX[family], n, mask) % (2**31)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to enumerate and how: ((family, n_max), ...), checks, seed.
+    """What to enumerate and how: ((family, n_max), ...), checks, jobs.
 
     A plan family outside B/C/D or repeated, a repeated or unknown
     check, n_max below 1 or above posets.MAX_N, and trials or jobs below
-    1 raise ValueError, before any poset runs.  No check reads trials:
-    every rank the campaign takes is proved (`_class_index`), and the
-    report only echoes the value.
+    1 raise ValueError, before any poset runs.  No check reads seed or
+    trials: the report only echoes them.  They stay as fields because
+    the bench builds its configs with them; ROADMAP item 14 removes them
+    together with the bench's use.
     """
 
     plan: tuple = (("C", 3), ("D", 3), ("B", 2))
@@ -123,15 +111,13 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """The seed of one poset's checks, plus their memo.
+    """The memo of one poset's checks.
 
     Build one per poset: the memo holds the index of the poset and its
     principal element, or the exception one raised, which each later
-    reader gets again.  The seed drives the reduction replay and is
-    named in a failure's witness; the index does not depend on it.
+    reader gets again.
     """
 
-    seed: int
     memo: dict = field(default_factory=dict, compare=False)
 
     def _once(self, key, compute):
@@ -210,7 +196,7 @@ def check_dimension_formula(P, ctx):
 def check_formula_vs_oracle(P, ctx):
     f = index_formula(P)
     o = ctx.oracle(P)
-    return None if f == o else {"formula": f, "oracle": o, "seed": ctx.seed}
+    return None if f == o else {"formula": f, "oracle": o}
 
 
 def check_disjoint_additivity(P, ctx):
@@ -287,7 +273,7 @@ def check_reduction_trace(P, ctx):
     if P.family != "C" or not rg_connected(P):
         return SKIPPED
     G = P.relation_graph
-    trace = reduce(P, seed=ctx.seed)
+    trace = reduce(P)
     has_odd = any(c.has_odd_cycle for c in G.components)
     expected = G.n if has_odd else G.n - 1
     if trace.final_rank == expected:
@@ -322,10 +308,10 @@ def _run_check(fn, P, ctx):
         return {"error": type(exc).__name__, "message": exc}
 
 
-def run_checks_on_poset(family, n, mask, checks, seed):
+def run_checks_on_poset(family, n, mask, checks):
     """One outcome per check, in order: None, SKIPPED or a failure object."""
     P = poset_from_mask(family, n, mask)
-    ctx = CheckContext(seed=poset_seed(seed, family, n, mask))
+    ctx = CheckContext()
     outcomes = []
     for name in checks:
         outcome = _run_check(CHECKS[name], P, ctx)
@@ -365,7 +351,7 @@ def run_campaign(cfg):
     ]
     total = sum(size for _, _, size in sizes)
     work = (
-        (family, n, mask, checks, cfg.seed)
+        (family, n, mask, checks)
         for family, n, size in sizes
         for mask in range(size)
     )

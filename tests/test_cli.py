@@ -422,7 +422,7 @@ def test_verify_campaign(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(
         main,
-        ["verify", "--families", "C:2,D:2", "--seed", "3", "--output", str(out)],
+        ["verify", "--families", "C:2,D:2", "--output", str(out)],
     )
     assert result.exit_code == 0
     assert "failures: 0" in result.output
@@ -455,10 +455,9 @@ def test_verify_rejects_bad_flags(runner):
     )
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--jobs"])
-def test_verify_rejects_nonpositive_trials_and_jobs(runner, flag):
-    # checked before any poset runs, even when no check reads the value
-    argv = ["verify", "--families", "C:1", "--checks", "dimension_formula", flag, "0"]
+def test_verify_rejects_nonpositive_jobs(runner):
+    # checked before any poset runs
+    argv = ["verify", "--families", "C:1", "--checks", "dimension_formula", "--jobs", "0"]
     assert runner.invoke(main, argv).exit_code == 2
 
 
@@ -562,10 +561,9 @@ def test_spectrum_json_is_the_report_object(runner):
 
 
 def test_verify_json_is_the_report_bytes(runner):
-    result = runner.invoke(main, ["verify", "--families", "C:2,D:2", "--seed", "3",
-                                  "--format", "json"])
+    result = runner.invoke(main, ["verify", "--families", "C:2,D:2", "--format", "json"])
     assert result.exit_code == 0
-    cfg = CampaignConfig(plan=(("C", 2), ("D", 2)), seed=3)
+    cfg = CampaignConfig(plan=(("C", 2), ("D", 2)))
     assert result.stdout == report_json_bytes(run_campaign(cfg)).decode()
 
 
@@ -616,15 +614,14 @@ def test_frobenius_disagreement_exits_1(runner, monkeypatch):
 def test_verify_failing_campaign_exits_1(runner, monkeypatch, fmt):
     monkeypatch.setitem(harness.CHECKS, "dimension_formula",
                         lambda P, ctx: {"injected": 1})
-    result = runner.invoke(main, ["verify", "--families", "C:1", "--seed", "3",
-                                  "--format", fmt])
+    result = runner.invoke(main, ["verify", "--families", "C:1", "--format", fmt])
     assert result.exit_code == 1
-    report = run_campaign(CampaignConfig(plan=(("C", 1),), seed=3))
+    report = run_campaign(CampaignConfig(plan=(("C", 1),)))
     assert len(report["failures"]) == 2
     if fmt == "json":
         assert result.stdout == report_json_bytes(report).decode()
     else:
-        assert result.stdout == "seed: 3\n" + report_text(report)
+        assert result.stdout == "seed: 0\n" + report_text(report)
 
 
 def test_isomorphism_b_tables_differ_exits_1(runner, monkeypatch):

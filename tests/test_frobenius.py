@@ -221,9 +221,8 @@ class TestPrincipalElement:
         # on the paper's class the rank is 2 * rank A, even by
         # construction: the lost pivot of A^T leaves a kernel of 2, which
         # frobenius_kernel reports on every Frobenius poset of a campaign
-        [outcome] = run_checks_on_poset(
-            "C", 3, mask_of_poset(triangle_poset), ("frobenius_kernel",), 0
-        )
+        [outcome] = run_checks_on_poset("C", 3, mask_of_poset(triangle_poset),
+                                        ("frobenius_kernel",))
         assert outcome["check"] == "frobenius_kernel"
         assert outcome["witness"] == {"kernel_dim": "2"}
         report = run_campaign(CampaignConfig(plan=(("C", 2),), checks=("frobenius_kernel",)))
@@ -692,7 +691,7 @@ class TestIntegerPath:
 
         monkeypatch.setattr(linalg, "_bareiss", counted)
         checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
-        outcomes = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks, 0)
+        outcomes = run_checks_on_poset(P.family, P.n, mask_of_poset(P), checks)
         assert outcomes == [None] * 3
         assert len(calls) == 1
 

@@ -158,7 +158,7 @@ def test_cold_query_without_a_basis_loads_no_algebra(argv):
     assert "algebra" not in _modules_loaded_by(argv)
 
 
-@pytest.mark.parametrize("command", ["index", "frobenius", "verify"])
+@pytest.mark.parametrize("command", ["index", "frobenius"])
 def test_trials_default_is_the_oracle_default(command):
     # the --trials default is lieposet.ORACLE_TRIALS, which the click
     # decorators read at the module top, where index_engine is not loaded
@@ -408,6 +408,19 @@ def test_basis_order_is_sorted_only_in_the_borel_basis_and_decompose():
     # picks its next element by basis order; no per-poset sort may come
     # back
     assert _readers("sort_key") == {"algebra._borel_basis", "algebra.decompose"}
+
+
+def test_only_the_campaign_report_reads_the_seed():
+    # no campaign check draws a random number: in harness the seed is
+    # declared as a CampaignConfig field (the module scope) and read only
+    # where run_campaign echoes it in the report, and verify takes no
+    # --seed or --trials
+    assert {r for r in _readers("seed") if r.startswith("harness.")} == {
+        "harness.<module>", "harness.run_campaign",
+    }
+    for flag, value in (("--seed", "1"), ("--trials", "5")):
+        result = CliRunner().invoke(main, ["verify", "--families", "C:1", flag, value])
+        assert result.exit_code == 2 and "no such option" in result.output.lower()
 
 
 def test_h_block_is_read_by_the_oracle_and_the_kirillov_solve():
