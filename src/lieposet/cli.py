@@ -11,8 +11,8 @@ need.  The table exports and isomorphism load algebra when they run.
 index and reduce import index_engine in their bodies; principal and
 spectrum import frobenius; frobenius imports it too, and index_engine
 only for --check-oracle.  harness, the campaign driver, is
-verify's alone.  The --trials default is the package's ORACLE_TRIALS,
-which index_engine reads too, so the options can show it without loading
+verify's alone.  index's --trials default is the package's ORACLE_TRIALS,
+which index_engine reads too, so the option can show it without loading
 that module.  Compiled from source (PYTHONDONTWRITEBYTECODE=1), a median
 query of the bench's cli-cold-query workload took 115.5 ms when every
 command loaded every module and takes 103.2 ms this way (2-vCPU Xeon,
@@ -76,13 +76,11 @@ def poset_options(fn):
 
 
 def run_command(fn):
-    """Translate domain errors, and a --trials below 1, into the documented exit codes."""
+    """Translate domain errors into the documented exit codes."""
 
     def wrapper(*args, **kwargs):
         as_json = kwargs.get("fmt") == "json"
         try:
-            if kwargs.get("trials", 1) < 1:
-                raise InputParseError("trials must be >= 1")
             return fn(*args, **kwargs)
         except ValueError as exc:
             _echo_error(InputParseError(str(exc)), as_json)
@@ -150,6 +148,8 @@ def validate_cmd(inline, path, strict, fmt):
 @run_command
 def index(inline, path, method, trials, seed, fmt):
     """Compute the algebra's index by formula, oracle, or both."""
+    if trials < 1:
+        raise InputParseError("trials must be >= 1")
     from .index_engine import index_formula, index_oracle
 
     P = _load_poset(inline, path)
@@ -192,14 +192,12 @@ def reduce_cmd(inline, path, seed, fmt):
 
 @main.command()
 @poset_options
-@click.option("--trials", type=int, default=ORACLE_TRIALS, show_default=True,
-              metavar="N", help="at most N evaluations")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--check-oracle", is_flag=True,
               help="also compare against the index oracle")
 @format_option("text", "json")
 @run_command
-def frobenius(inline, path, trials, seed, check_oracle, fmt):
+def frobenius(inline, path, seed, check_oracle, fmt):
     """Decide Frobeniusness by the relation-graph criterion."""
     from .frobenius import is_frobenius_by_graph
 
@@ -208,7 +206,7 @@ def frobenius(inline, path, trials, seed, check_oracle, fmt):
     if check_oracle:
         from .index_engine import index_oracle
 
-        out["oracle_index"] = index_oracle(P, trials=trials, seed=seed)
+        out["oracle_index"] = index_oracle(P, seed=seed)
         out["seed"] = seed
         out["agreement"] = (out["oracle_index"] == 0) == out["frobenius"]
     _echo_fields(out, fmt)
@@ -218,11 +216,9 @@ def frobenius(inline, path, trials, seed, check_oracle, fmt):
 
 @main.command()
 @poset_options
-@click.option("--check-closed-form", is_flag=True,
-              help="report how the solved diagonal relates to the +/-1/2 pattern")
 @format_option("text", "json")
 @run_command
-def principal(inline, path, check_closed_form, fmt):
+def principal(inline, path, fmt):
     """Solve for the principal element of the standard Frobenius functional."""
     from .frobenius import frobenius_functional, principal_element
 
@@ -233,18 +229,12 @@ def principal(inline, path, check_closed_form, fmt):
     # principal_element raises SingularForm unless the Kirillov form has
     # full rank, so its kernel is 0 and need not be eliminated again
     obj["kernel_dim"] = 0
-    if check_closed_form:
-        obj["half_entries"] = element.diagonal is not None and all(
-            abs(v) * 2 == 1 for e, v in element.diagonal if e != 0
-        )
     if fmt == "json":
         click.echo(json.dumps(obj, sort_keys=True))
     else:
         click.echo(f"coefficients: {obj['coefficients']}")
         click.echo(f"diagonal: {obj['diagonal']}")
         click.echo(f"half_convention: {obj['half_convention']}")
-        if check_closed_form:
-            click.echo(f"half_entries: {obj['half_entries']}")
 
 
 @main.command(name="spectrum")

@@ -67,9 +67,10 @@ POOL_CHUNK = 32
 class CampaignConfig:
     """What to enumerate and how: ((family, n_max), ...), checks, jobs.
 
-    A plan family outside B/C/D or repeated, a repeated or unknown
-    check, n_max below 1 or above posets.MAX_N, and trials or jobs below
-    1 raise ValueError, before any poset runs.  No check reads seed or
+    A plan family outside B/C/D or repeated, checks given as one string,
+    a repeated or unknown check, an n_max or jobs that is not an int,
+    n_max below 1 or above posets.MAX_N, and trials or jobs below 1
+    raise ValueError, before any poset runs.  No check reads seed or
     trials: the report only echoes them.  They stay as fields because
     the bench builds its configs with them; ROADMAP item 14 removes them
     together with the bench's use.
@@ -88,17 +89,24 @@ class CampaignConfig:
                 raise ValueError(f"family {family!r} is not one of B, C, D")
             if families.count(family) > 1:
                 raise ValueError(f"family {family!r} appears more than once in the plan")
+            if type(n_max) is not int:
+                raise ValueError(f"n_max of family {family!r} must be an integer, got {n_max!r}")
             if n_max < 1:
                 raise ValueError(f"n_max of family {family!r} must be >= 1, got {n_max}")
             if n_max > MAX_N:
                 raise ValueError(
                     f"n_max of family {family!r} must be <= {MAX_N}, got {n_max}"
                 )
+        # a string would be read as one check per character
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a sequence of names, got {self.checks!r}")
         for name in self.checks:
             if self.checks.count(name) > 1:
                 raise ValueError(f"check {name!r} appears more than once")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if type(self.jobs) is not int:
+            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         unknown = [name for name in self.checks if name not in CHECKS]

@@ -55,6 +55,8 @@ MAX_ISO_N = 8
 
 
 def _check_n(n):
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_N:
@@ -382,9 +384,9 @@ def poset_from_graph(family, n, edges, loops=()):
     The input domain: family B, C or D and n >= 1; each edge a pair of two
     distinct vertices of 1..n, in either order, with repeats allowed; each
     loop a vertex of 1..n, and loops in family C only.  An unknown family,
-    family A, n outside 1..MAX_N (the bound `build_poset` applies) and
-    loops outside C raise ValueError, checked in that order; an edge or a
-    loop off the vertices raises BadElement.
+    family A, an n that is not an int or is outside 1..MAX_N (the checks
+    `build_poset` applies) and loops outside C raise ValueError, checked
+    in that order; an edge or a loop off the vertices raises BadElement.
 
     The strict relations are -i < j and -j < i for each edge {i, j} and
     -v < v for each loop v.  Each runs from a negative element to a

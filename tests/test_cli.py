@@ -252,17 +252,6 @@ def test_spectrum_non_frobenius_exit_1(runner):
     assert "NotFrobenius" in result.output
 
 
-def test_principal_check_closed_form(runner):
-    result = runner.invoke(
-        main,
-        ["principal", "-p", LOOPED_PATH, "--check-closed-form", "--format", "json"],
-    )
-    assert result.exit_code == 0
-    out = json.loads(result.output)
-    assert out["half_convention"] == "negatives-plus-half"
-    assert out["half_entries"] is True and out["kernel_dim"] == 0
-
-
 def test_principal_eliminates_the_form_once(runner, monkeypatch):
     # a returned principal element proves the kernel is 0, so the CLI
     # does not eliminate the Kirillov form a second time for kernel_dim
@@ -486,12 +475,11 @@ def test_zero_trials_is_an_input_error(runner):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "argv",
-    [["index", "-p", "C;3;-1<=2", "--method", "formula", "--trials", "0"],
-     ["frobenius", "-p", "C;1;-1<=1", "--trials", "-4"]],
-    ids=["index-formula", "frobenius"],
+    [["index", "-p", "C;3;-1<=2", "--method", "formula", "--trials", "0"]],
+    ids=["index-formula"],
 )
 def test_nonpositive_trials_exit_2_where_unread(runner, argv, fmt):
-    # rejected before the command runs, also where no oracle reads it
+    # rejected before the poset is read, also where no oracle reads it
     result = runner.invoke(main, [*argv, "--format", fmt])
     assert result.exit_code == 2
     if fmt == "json":
@@ -500,6 +488,40 @@ def test_nonpositive_trials_exit_2_where_unread(runner, argv, fmt):
         }
     else:
         assert result.output == "error[InputParseError]: trials must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["principal", "-p", TRIANGLE, "--check-closed-form"],
+     ["frobenius", "-p", TRIANGLE, "--trials", "5"]],
+    ids=["principal-check-closed-form", "frobenius-trials"],
+)
+def test_removed_options_exit_2(runner, argv):
+    # the half_entries verdict can be read off the diagonal principal
+    # prints, and on the class the oracle draws no trial point
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2 and "no such option" in result.output.lower()
+
+
+def test_cli_outputs_pinned(runner):
+    # the installed command prints the same bytes; CI pins each of these
+    # by the prefix of its digest
+    pins = {
+        ("principal", "-p", TRIANGLE, "--format", "json"):
+            "436b718512ccbef734c28545cce7024793dcaf92dcc00a5eb2dc4196e908bb25",
+        ("spectrum", "-p", TRIANGLE, "--format", "json"):
+            "f82f8cc3850e1d2f7e9ad366e96af0360c1e170c6fc7fd026fd6379c60786f80",
+        ("reduce", "-p", TRIANGLE, "--format", "json"):
+            "8d503acc8c453c4fb7d53e823dd355512be212bad7334331b096375b82ff97bd",
+        ("verify",):
+            "3e825b1ae4e63224aca3dc36c48d6578cb8d4e65248e1a100f87476a02cbdc73",
+        ("frobenius", "-p", TRIANGLE, "--check-oracle", "--format", "json"):
+            "ea9ca6373fb2c0677e7fc682d6aad2dcde721e7c80d554656e17e9386b46b41d",
+    }
+    for argv, digest in pins.items():
+        result = runner.invoke(main, list(argv))
+        assert result.exit_code == 0, argv
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, argv
 
 
 def test_env_var_override():
@@ -540,7 +562,7 @@ def test_reduce_json_is_the_trace_object(runner):
 
 
 def test_principal_text_lines(runner):
-    result = runner.invoke(main, ["principal", "-p", LOOPED_PATH, "--check-closed-form"])
+    result = runner.invoke(main, ["principal", "-p", LOOPED_PATH])
     assert result.exit_code == 0
     P = parse_inline(LOOPED_PATH)
     obj = formats.principal_element_json_obj(principal_element(P, frobenius_functional(P)))
@@ -548,7 +570,6 @@ def test_principal_text_lines(runner):
         f"coefficients: {obj['coefficients']}\n"
         f"diagonal: {obj['diagonal']}\n"
         f"half_convention: {obj['half_convention']}\n"
-        "half_entries: True\n"
     )
 
 
@@ -601,7 +622,7 @@ def test_index_disagreement_exits_1(runner, monkeypatch, fmt):
 
 
 def test_frobenius_disagreement_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(index_engine, "index_oracle", lambda P, trials, seed: 2)
+    monkeypatch.setattr(index_engine, "index_oracle", lambda P, seed: 2)
     result = runner.invoke(main, ["frobenius", "-p", TRIANGLE, "--check-oracle",
                                   "--format", "json"])
     assert result.exit_code == 1

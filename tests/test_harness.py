@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -610,19 +611,32 @@ def test_config_rejects_unknown_check_like_every_other_field():
 
 
 @pytest.mark.parametrize(
-    "plan, checks, trials",
-    [((("C", 2), ("C", 1)), (), 5), ((("D", 1), ("B", 2), ("D", 3)), (), 5),
-     ((("C", 0),), (), 5), ((("B", -1),), (), 5), ((("A", 2),), (), 5),
-     ((("E", 1),), (), 5), ((("C", 2),), ("dimension_formula", "dimension_formula"), 5),
-     ((("C", 2),), (), 0), ((("C", 2), ("B", 129)), (), 5)],
+    "plan, fields, message",
+    [((("C", 2), ("C", 1)), {}, "family 'C' appears more than once in the plan"),
+     ((("D", 1), ("B", 2), ("D", 3)), {}, "family 'D' appears more than once in the plan"),
+     ((("C", 0),), {}, "n_max of family 'C' must be >= 1, got 0"),
+     ((("B", -1),), {}, "n_max of family 'B' must be >= 1, got -1"),
+     ((("A", 2),), {}, "family 'A' is not one of B, C, D"),
+     ((("E", 1),), {}, "family 'E' is not one of B, C, D"),
+     ((("C", 2),), {"checks": ("dimension_formula", "dimension_formula")},
+      "check 'dimension_formula' appears more than once"),
+     ((("C", 2),), {"trials": 0}, "trials must be >= 1"),
+     ((("C", 2), ("B", 129)), {}, "n_max of family 'B' must be <= 128, got 129"),
+     ((("C", True),), {}, "n_max of family 'C' must be an integer, got True"),
+     ((("C", 1.5),), {}, "n_max of family 'C' must be an integer, got 1.5"),
+     ((("C", 2),), {"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+     # read as a sequence, the string would be one check per character
+     ((("C", 2),), {"checks": "dimension_formula"},
+      "checks must be a sequence of names, got 'dimension_formula'")],
     ids=["repeated", "repeated-apart", "zero", "negative", "family-A", "unknown",
-         "repeated-check", "trials-zero", "above-max-n"],
+         "repeated-check", "trials-zero", "above-max-n", "n-max-bool", "n-max-float",
+         "jobs-float", "checks-string"],
 )
-def test_plan_rejected_before_any_poset_runs(plan, checks, trials, monkeypatch):
+def test_plan_rejected_before_any_poset_runs(plan, fields, message, monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "_worker", lambda item: ran.append(item) or [])
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(plan=plan, checks=checks, trials=trials))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_campaign(CampaignConfig(plan=plan, **fields))
     assert ran == []
 
 

@@ -395,10 +395,15 @@ class TestSmallOps:
          "subset not contained in the ground set"),
         (lambda: induced_subposet(build_poset("B", 2, []), [0]), BadElement,
          "signed subposet needs at least one mirror pair"),
+        (lambda: build_poset("C", True, []), ValueError, "n must be an integer, got True"),
+        (lambda: poset_from_graph("C", 2.0, [(1, 2)]), ValueError,
+         "n must be an integer, got 2.0"),
+        (lambda: next(enumerate_h01("C", 1.0)), ValueError, "n must be an integer, got 1.0"),
     ],
     ids=["build-unknown-family", "build-n-zero", "build-n-above-bound", "separable-family-A",
          "enumerate-family-A", "enumerate-n-zero", "enumerate-n-above-bound",
-         "induced-outside-ground-set", "induced-B-zero-alone"],
+         "induced-outside-ground-set", "induced-B-zero-alone", "build-n-bool",
+         "graph-n-float", "enumerate-n-float"],
 )
 def test_input_checks_raise(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

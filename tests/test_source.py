@@ -158,7 +158,7 @@ def test_cold_query_without_a_basis_loads_no_algebra(argv):
     assert "algebra" not in _modules_loaded_by(argv)
 
 
-@pytest.mark.parametrize("command", ["index", "frobenius"])
+@pytest.mark.parametrize("command", ["index"])
 def test_trials_default_is_the_oracle_default(command):
     # the --trials default is lieposet.ORACLE_TRIALS, which the click
     # decorators read at the module top, where index_engine is not loaded
