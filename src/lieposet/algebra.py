@@ -120,8 +120,8 @@ def build_basis(P):
     (family, n), so the basis is the Borel basis filtered to those
     elements, in Borel order; building it brackets nothing.
     """
-    basis, leads, _, _ = _borel_basis(P.family, P.n)
-    return tuple(b for b, lead in zip(basis, leads) if lead in P.relations)
+    led = _borel_basis(P.family, P.n)[2]
+    return tuple(b for lead, b in led.items() if lead in P.relations)
 
 
 def realize(b):
@@ -237,20 +237,20 @@ def _partner(family, key):
 
 @lru_cache(maxsize=32)
 def _borel_basis(family, n):
-    """(basis, leads, position, led) of the Borel algebra of (family, n).
+    """(basis, position, led) of the Borel algebra of (family, n).
 
     Its basis is the elements led at the pairs x <= y of the ground set:
     that of the Borel poset, which contains every poset of (family, n).
-    It is sorted once, here.  leads[I] is the leading position of
-    basis[I], position maps each element to its index, and led maps each
-    leading position to its element; led holds the objects of leads and
-    basis, so it costs one dict.
+    It is sorted once, here.  position maps each element to its index,
+    and led maps each element's leading position to the element, in
+    basis order, so its keys in order are the leading positions of the
+    basis and its values the basis itself.
     """
     pairs = itertools.combinations_with_replacement(ground_set(family, n), 2)
     found = (_led_at(family, key, n) for key in pairs)
     basis = tuple(sorted((b for b in found if b is not None), key=BasisElement.sort_key))
-    leads = tuple(next(iter(realize(b))) for b in basis)
-    return basis, leads, {b: k for k, b in enumerate(basis)}, dict(zip(leads, basis))
+    led = {next(iter(realize(b))): b for b in basis}
+    return basis, {b: k for k, b in enumerate(basis)}, led
 
 
 @lru_cache(maxsize=32)
@@ -262,7 +262,7 @@ def _borel_rows(family, n):
     term, or a coefficient that is not an int (a Fraction, or a bool),
     raises InvariantViolation.
     """
-    basis, _, position, _ = _borel_basis(family, n)
+    basis, position, _ = _borel_basis(family, n)
     mats = [realize(b) for b in basis]
     by_row, by_col = {}, {}
     for k, m in enumerate(mats):
@@ -300,7 +300,7 @@ def structure_constants(P):
     The cells are the Borel cells between elements of P, re-indexed, in
     the Borel order.  A term outside the basis of P raises NotInSpan.
     """
-    borel, _, position, _ = _borel_basis(P.family, P.n)
+    borel, position, _ = _borel_basis(P.family, P.n)
     rows = _borel_rows(P.family, P.n)
     basis = build_basis(P)
     local = {position[b]: i for i, b in enumerate(basis)}  # Borel index -> index in P

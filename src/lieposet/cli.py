@@ -226,15 +226,11 @@ def principal(inline, path, fmt):
     F = frobenius_functional(P)
     element = principal_element(P, F)
     obj = formats.principal_element_json_obj(element)
-    # principal_element raises SingularForm unless the Kirillov form has
-    # full rank, so its kernel is 0 and need not be eliminated again
-    obj["kernel_dim"] = 0
     if fmt == "json":
-        click.echo(json.dumps(obj, sort_keys=True))
-    else:
-        click.echo(f"coefficients: {obj['coefficients']}")
-        click.echo(f"diagonal: {obj['diagonal']}")
-        click.echo(f"half_convention: {obj['half_convention']}")
+        # principal_element raises SingularForm unless the Kirillov form
+        # has full rank, so its kernel is 0 and need not be eliminated again
+        obj["kernel_dim"] = 0
+    _echo_fields(obj, fmt)
 
 
 @main.command(name="spectrum")

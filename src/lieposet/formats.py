@@ -243,7 +243,7 @@ def structure_constants_json_obj(P):
     }
 
 
-def reduction_step_json_obj(step):
+def reduction_step_json_obj(step, rank):
     return {
         "kind": step.kind,
         "detail": step.detail,
@@ -253,7 +253,7 @@ def reduction_step_json_obj(step):
             {"label": label, "values": [str(v) for v in values]}
             for label, values in zip(step.row_labels, step.matrix)
         ],
-        "rank": step.rank,
+        "rank": rank,
     }
 
 
@@ -263,8 +263,8 @@ def reduction_trace_json_obj(trace):
         "seed": trace.seed,
         "edge_values": [[list(e), str(v)] for e, v in trace.edge_values],
         "loop_values": [[v, str(x)] for v, x in trace.loop_values],
-        "initial": reduction_step_json_obj(trace.initial),
-        "steps": [reduction_step_json_obj(s) for s in trace.steps],
+        "initial": reduction_step_json_obj(trace.initial, trace.final_rank),
+        "steps": [reduction_step_json_obj(s, trace.final_rank) for s in trace.steps],
         "final_rank": trace.final_rank,
     }
 
@@ -273,12 +273,12 @@ def reduction_trace_text(trace):
     lines = [
         f"reduction of {trace.poset!r} (seed {trace.seed})",
         f"  start: edges={list(trace.initial.edges)} loops={list(trace.initial.loops)} "
-        f"rank={trace.initial.rank}",
+        f"rank={trace.final_rank}",
     ]
     for k, step in enumerate(trace.steps, start=1):
         lines.append(
             f"  step {k}: {step.kind}: {step.detail}; "
-            f"edges={list(step.edges)} loops={list(step.loops)} rank={step.rank}"
+            f"edges={list(step.edges)} loops={list(step.loops)} rank={trace.final_rank}"
         )
     lines.append(f"  final rank: {trace.final_rank}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ class Functional:
         element keeps the int 0.
         """
         basis, _ = structure_constants(P)
-        led = _borel_basis(P.family, P.n)[3]
+        led = _borel_basis(P.family, P.n)[2]
         point = dict.fromkeys(basis, 0)
         for key, weight in self.support:
             b = led.get(key)
@@ -147,12 +147,14 @@ def frobenius_functional(P):
 
 @lru_cache(maxsize=1)
 def _solve_kirillov(P, F):
-    """(basis, table, values, rank, x) for the Kirillov form B_F at F's point.
+    """(basis, values, rank, x) for the Kirillov form B_F at F's point.
 
-    values is F's point in basis order, scaled to ints by the lcm c of
-    its denominators: B_cF = c*B_F, so the rank and x are those of B_F.
-    x solves B_F(x, -) = F, or is None when no solution exists, and is
-    the solution with every free variable 0.
+    basis is that of `structure_constants(P)`, and a caller that needs
+    the table reads it there, cached.  values is F's point in basis
+    order, scaled to ints by the lcm c of its denominators: B_cF =
+    c*B_F, so the rank and x are those of B_F.  x solves B_F(x, -) = F,
+    or is None when no solution exists, and is the solution with every
+    free variable 0.
 
     Where the table scales diagonally (`_h_block`, every poset of the
     paper's class), B_F = [[0, A], [-A^T, 0]] with A = block *
@@ -185,12 +187,12 @@ def _solve_kirillov(P, F):
         rank, x = solve(evaluate(table, values), [-v for v in values], len(basis))
         if rank % 2:
             raise InvariantViolation(f"evaluated Kirillov form has odd rank {rank}")
-    return basis, table, values, rank, None if x is None else tuple(x)
+    return basis, values, rank, None if x is None else tuple(x)
 
 
 def kernel_dim(P, F):
     """Exact kernel dimension of the Kirillov form of F."""
-    basis, _, _, rank, _ = _solve_kirillov(P, F)
+    basis, _, rank, _ = _solve_kirillov(P, F)
     return len(basis) - rank
 
 
@@ -213,7 +215,21 @@ class PrincipalElement(NamedTuple):
 
 
 def principal_element(P, F):
-    basis, table, values, rank, solution = _solve_kirillov(P, F)
+    """The principal element of F: the x that solves B_F(x, -) = F, with
+    B_F the Kirillov form of F, solved exactly by `_solve_kirillov`.
+
+    Raises SingularForm when B_F is singular, its rank below dim or the
+    system without a solution: F is then not a Frobenius functional.
+    The solution is checked against the fixed-point identity F(ad(x)(b))
+    = F(b) on every basis element b, in ints, and a failure raises
+    InvariantViolation naming b.  The returned PrincipalElement holds
+    x's nonzero coefficients in basis order; its diagonal is the
+    realized matrix of x as (label, Fraction) pairs where that matrix is
+    diagonal, else None, and its half_convention is "negatives-plus-half"
+    where that diagonal is h-hat, +1/2 on each negative row and -1/2 on
+    each positive one, else "other".
+    """
+    basis, values, rank, solution = _solve_kirillov(P, F)
     if solution is None or rank < len(basis):
         raise SingularForm("the Kirillov form of F is singular")
     coefficients = tuple((b, v) for b, v in zip(basis, solution) if v)

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from . import ORACLE_TRIALS
 from .algebra import structure_constants, verify_B_reduction, verify_CD_isomorphism
-from .errors import InvariantViolation, SingularForm
+from .errors import InvariantViolation
 from .frobenius import (
     frobenius_functional,
     is_frobenius_by_graph,
@@ -231,13 +231,9 @@ def check_frobenius_criterion(P, ctx):
 def check_frobenius_kernel(P, ctx):
     if not is_frobenius_by_graph(P):
         return SKIPPED
-    try:
-        # a principal element exists only for a nonsingular Kirillov form,
-        # so its solve already shows kernel 0
-        ctx.principal(P)
-        dim = 0
-    except SingularForm:
-        dim = kernel_dim(P, frobenius_functional(P))
+    # _solve_kirillov keeps the last (P, F), so the principal element
+    # the next two checks share does not eliminate the form again
+    dim = kernel_dim(P, frobenius_functional(P))
     return None if dim == 0 else {"kernel_dim": dim}
 
 

@@ -168,7 +168,12 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     pattern is [[0, B0], [-B0^T, 0]], whose term rank is twice the term
     rank of B0 (the two off-diagonal blocks match independently), so the
     ceiling is 2 * nu(B0), a matching on the h x (dim - h) pattern of B0.
+
+    trials and seed must be ints, bools excluded, on either path.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis, table = C
@@ -261,7 +266,7 @@ STEP_PATH_SWEEP = "PathSweep"
 
 class ReductionStep(NamedTuple):
     """One snapshot of the replay, as a NamedTuple: the step's kind and
-    detail, the edges and loops left, and the labelled rows with their rank."""
+    detail, the edges and loops left, and the labelled rows."""
 
     kind: str
     detail: str
@@ -269,12 +274,12 @@ class ReductionStep(NamedTuple):
     loops: tuple
     row_labels: tuple
     matrix: tuple
-    rank: int
 
 
 class ReductionTrace(NamedTuple):
     """A whole replay, as a NamedTuple: the poset, the seed and the edge
-    and loop values it drew, the initial snapshot and one per step."""
+    and loop values it drew, the initial snapshot and one per step, and
+    the one rank every snapshot has, taken at both ends of the replay."""
 
     poset: object
     seed: int
@@ -282,14 +287,11 @@ class ReductionTrace(NamedTuple):
     loop_values: tuple
     initial: ReductionStep
     steps: tuple
-
-    @property
-    def final_rank(self):
-        return (self.steps[-1] if self.steps else self.initial).rank
+    final_rank: int
 
     @property
     def ranks(self):
-        return (self.initial.rank,) + tuple(s.rank for s in self.steps)
+        return (self.final_rank,) * (1 + len(self.steps))
 
 
 def _pair(a, b):
@@ -337,9 +339,10 @@ def reduce(P, seed=0):
     relabelled row must be what its label says, Z(v) = -2*L_v*e_v or the
     zero row for 0.  Neither step changes the rank: the row operation
     subtracts a multiple of another row, and a relabelled row is replaced
-    by a nonzero multiple of itself or stays zero.  So every step carries
+    by a nonzero multiple of itself or stays zero.  So every step keeps
     the rank of the instantiated block, and the exact rank is taken only
-    there and after the last step.  A division with a remainder, a wrong
+    there and after the last step; the trace stores it once, as
+    final_rank, after the two agree.  A division with a remainder, a wrong
     relabelled row, a missing row or a different end rank raises
     InvariantViolation; no other seed is tried, since exact row
     operations keep the rank at any point.
@@ -454,7 +457,6 @@ def reduce(P, seed=0):
             loops=tuple(sorted(z_row)),
             row_labels=tuple(names),
             matrix=tuple(rows),
-            rank=rank,
         ))
 
     record("Init", "instantiated block")
@@ -522,4 +524,5 @@ def reduce(P, seed=0):
         loop_values=tuple(sorted(loop_values.items())),
         initial=snapshots[0],
         steps=tuple(snapshots[1:]),
+        final_rank=rank,
     )

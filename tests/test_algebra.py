@@ -140,11 +140,12 @@ class TestRealize:
         # its lead and at the mirror of it; in A the mirror is not enough
         # (DA(i) has an entry at (i + 1, i + 1))
         for n in sizes:
-            basis, leads, _, led = algebra._borel_basis(family, n)
-            # the lookup table holds the lead and element objects themselves
-            assert list(led) == list(leads)
-            assert all(key is lead for key, lead in zip(led, leads))
-            assert all(led[lead] is b for b, lead in zip(basis, leads))
+            basis, _, led = algebra._borel_basis(family, n)
+            # the lookup table holds the element objects themselves, in
+            # basis order, each keyed by its own lead
+            assert all(a is b for a, b in zip(led.values(), basis, strict=True))
+            leads = list(led)
+            assert leads == [next(iter(realize(b))) for b in basis]
             touching = {}
             for b, (r, c) in zip(basis, leads):
                 entries = realize(b)
@@ -533,7 +534,7 @@ class TestIntegerStructureConstants:
         inner = algebra._borel_rows
 
         def with_foreign(family, n):
-            foreign = algebra._borel_basis(family, n)[2][BasisElement("C", "Z", 2)]
+            foreign = algebra._borel_basis(family, n)[1][BasisElement("C", "Z", 2)]
             return tuple(tuple((J, foreign, c) for J, _, c in row) for row in inner(family, n))
 
         monkeypatch.setattr(algebra, "_borel_rows", with_foreign)

@@ -509,10 +509,16 @@ def test_cli_outputs_pinned(runner):
     pins = {
         ("principal", "-p", TRIANGLE, "--format", "json"):
             "436b718512ccbef734c28545cce7024793dcaf92dcc00a5eb2dc4196e908bb25",
+        ("principal", "-p", TRIANGLE):
+            "d71d84982dd88b4dec42b672bd8cdf038afb19a779c685b588cc8e3a47554a94",
         ("spectrum", "-p", TRIANGLE, "--format", "json"):
             "f82f8cc3850e1d2f7e9ad366e96af0360c1e170c6fc7fd026fd6379c60786f80",
         ("reduce", "-p", TRIANGLE, "--format", "json"):
             "8d503acc8c453c4fb7d53e823dd355512be212bad7334331b096375b82ff97bd",
+        ("reduce", "-p", TRIANGLE):
+            "e45b9a5e1a4c34797c988492906d1c4192e8147d409ac1941680b23f3a9818f5",
+        ("reduce", "-p", TRIANGLE, "--format", "dot"):
+            "856db4e15c0c566a3333ea1ffe155b52911d9483624e13e7653b4b4399a47c75",
         ("verify",):
             "3e825b1ae4e63224aca3dc36c48d6578cb8d4e65248e1a100f87476a02cbdc73",
         ("frobenius", "-p", TRIANGLE, "--check-oracle", "--format", "json"):

@@ -542,6 +542,33 @@ def test_failed_kirillov_solve_runs_once_and_fails_each_check(monkeypatch):
     assert [o["witness"] for o in outcomes] == [{"kernel_dim": "4"}, singular, singular]
 
 
+def test_fixed_point_fault_fails_only_the_principal_checks(monkeypatch):
+    # a wrong ad(x) breaks the fixed-point identity, which the principal
+    # element checks; the kernel check reads the Kirillov form alone and
+    # passes
+    from lieposet import frobenius
+
+    inner = frobenius._integer_ad
+
+    def off_by_one(P, X):
+        diagonal, off = inner(P, X)
+        return diagonal[:-1] + (diagonal[-1] + 1,), off
+
+    monkeypatch.setattr(frobenius, "_integer_ad", off_by_one)
+    checks = ("frobenius_kernel", "principal_element", "binary_spectrum")
+    mask = _mask("C", 3, [(1, 2), (1, 3), (2, 3)], ())
+    outcomes = run_checks_on_poset("C", 3, mask, checks)
+    assert outcomes[0] is None
+    fault = {
+        "error": "InvariantViolation",
+        "message": "fixed-point identity F(ad(x)(Y(2,3))) = F(Y(2,3)) fails",
+    }
+    assert [(o["check"], o["status"], o["witness"]) for o in outcomes[1:]] == [
+        ("principal_element", "fail", fault),
+        ("binary_spectrum", "fail", fault),
+    ]
+
+
 def test_frobenius_kernel_keeps_singular_witness(monkeypatch):
     # the zero functional has no principal element; the check then
     # eliminates its Kirillov form for the kernel it reports
@@ -557,9 +584,8 @@ def _principal(coefficients=(), diagonal=None):
 
 
 def _rank_zero_trace(P):
-    """The trace of reduce with no steps and an initial rank of 0."""
-    trace = reduce(P)
-    return trace._replace(initial=trace.initial._replace(rank=0), steps=())
+    """The trace of reduce with no steps and a final rank of 0."""
+    return reduce(P)._replace(final_rank=0, steps=())
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from lieposet import (
     h01_slots,
     index_formula,
     index_oracle,
+    poset_from_graph,
     poset_from_mask,
     positive_part,
     run_campaign,
@@ -118,6 +120,32 @@ class TestEvaluateAndRank:
     def test_zero_trials_raises(self, path_poset):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             generic_rank(structure_constants(path_poset), trials=0)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            # the block path reads neither trials nor seed
+            poset_from_graph("C", 3, [(1, 2), (2, 3), (1, 3)]),
+            build_poset("A", 3, [(1, 2), (2, 3)]),
+        ],
+        ids=["block", "sampled"],
+    )
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"trials": "3"}, "trials must be an integer, got '3'"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"seed": False}, "seed must be an integer, got False"),
+        ],
+        ids=["trials-float", "trials-str", "trials-bool", "seed-none", "seed-float",
+             "seed-bool"],
+    )
+    def test_non_int_trials_or_seed_raises(self, P, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            index_oracle(P, **kwargs)
 
     @pytest.mark.parametrize("seed", [0, 77])
     def test_generic_rank_matches_fraction_reference(self, seed):

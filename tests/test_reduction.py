@@ -15,7 +15,11 @@ from lieposet import (
     structure_constants,
 )
 from lieposet import index_engine
-from lieposet.formats import reduction_trace_json_obj
+from lieposet.formats import (
+    reduction_trace_dot,
+    reduction_trace_json_obj,
+    reduction_trace_text,
+)
 from lieposet.linalg import integer_rank
 from corpora import reduction_graphs
 from references import entry
@@ -356,7 +360,8 @@ class TestReduceReplay:
 
     def test_traces_pinned(self):
         # every connected C<=4 poset in enumeration order, then K3,3, K3,4
-        # and K4,4: the replay takes the same tree, chords and steps
+        # and K4,4: the replay takes the same tree, chords and steps, and
+        # each renderer prints it the same
         posets = [
             P
             for n in (1, 2, 3, 4)
@@ -364,14 +369,22 @@ class TestReduceReplay:
             if rg_connected(P)
         ]
         posets += [complete_bipartite(a, b) for a, b in ((3, 3), (3, 4), (4, 4))]
-        digest = hashlib.sha256()
+        renderers = {
+            "json": lambda t: json.dumps(reduction_trace_json_obj(t), sort_keys=True),
+            "text": reduction_trace_text,
+            "dot": reduction_trace_dot,
+        }
+        digests = {name: hashlib.sha256() for name in renderers}
         for P in posets:
-            obj = reduction_trace_json_obj(reduce(P, seed=0))
-            digest.update(json.dumps(obj, sort_keys=True).encode())
+            trace = reduce(P, seed=0)
+            for name, render in renderers.items():
+                digests[name].update(render(trace).encode())
         assert len(posets) == 649
-        assert digest.hexdigest() == (
-            "b40824934fca04902ef2318e9609f393b0dbce72daae7307b29c7817924b5974"
-        )
+        assert {name: d.hexdigest() for name, d in digests.items()} == {
+            "json": "b40824934fca04902ef2318e9609f393b0dbce72daae7307b29c7817924b5974",
+            "text": "f54ae56ff95cf8f02e15c5b9a501d796be76a8ba109b17a72225804b28ba1ab6",
+            "dot": "8c059c7b766572be08e5dd66aa8c84d9b9396ff5af0fdbfd0f067c5188872b7b",
+        }
 
     def test_larger_traces_pinned(self):
         # seeded bipartite, odd-cycle and looped graphs with n = 8..12, two
