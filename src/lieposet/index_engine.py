@@ -48,18 +48,25 @@ are the closing edges whose removal leaves the tree to sweep, one row
 operation per tree row, shallowest first.  Its one
 row operation reads its factor off the two rows and divides exactly or
 raises, and a row that takes a new label is checked against it.  So no
-step can change the rank, and `integer_rank` takes it only at the two
-ends: a different rank after the last step than on the instantiated
-block raises too.  Each of these faults raises InvariantViolation; none
-is retried, since exact row operations keep the rank at any point.  The
-rows are addressed by index, the live graph is two maps from its edges
-and its loops to their rows, a snapshot shares every row tuple its step
-left alone, and `integer_rank` eliminates the shorter side of the block.
+step can change the rank, which is known at the start and taken with
+`integer_rank` after the last step: a different end rank raises too.
+`reduce` takes the start rank on the instantiated block; the campaign
+passes the rank its oracle proved on the H block, since the block is
+-B0^T scaled by the point's nonzero values.  Each of these faults raises
+InvariantViolation; none is retried, since exact row operations keep the
+rank at any point.  `_replay` is the one body of the replay: it returns
+the final rank and the step count, and builds a snapshot per step only
+for `reduce`.  The point is drawn once per (seed, count), in a bounded
+cache.  The rows are addressed by index, the live graph is two maps from
+its edges and its loops to their rows, a snapshot shares every row tuple
+its step left alone, and `integer_rank` eliminates the shorter side of
+the block.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import ORACLE_TRIALS
@@ -69,17 +76,30 @@ from .posets import is_separable, positive_part, rg_connected
 from .algebra import _h_block, build_basis, evaluate, structure_constants
 
 
-def _nonzero_int(rng):
-    """The next value of rng.randint(-1000, 1000) that is not 0.
+def _nonzero_ints(rng, count):
+    """The next `count` values of rng.randint(-1000, 1000) that are not 0.
 
     randint draws getrandbits(11) until it is below 2001 and returns it
     minus 1000, so drawing the bits here and also rejecting 1000 (the
-    draw for 0) reads the same stream and returns the same values.
+    draw for 0) reads the same stream, returns the same values and leaves
+    rng in the same state.
     """
-    while True:
-        r = rng.getrandbits(11)
+    getrandbits = rng.getrandbits
+    values = []
+    while len(values) < count:
+        r = getrandbits(11)
         if r < 2001 and r != 1000:
-            return r - 1000
+            values.append(r - 1000)
+    return values
+
+
+# a campaign replays at seed 0: on 8 counts on C:4, and on 13 on C:5
+@lru_cache(maxsize=64)
+def _point(seed, count):
+    """The first `count` values `_nonzero_ints` draws from
+    random.Random(seed), as a tuple: the replay's point, drawn once per
+    (seed, count)."""
+    return tuple(_nonzero_ints(random.Random(seed), count))
 
 
 def _matching(adjacency, ncols):
@@ -188,7 +208,7 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
         ceiling = _term_rank(dim, table) // 2 * 2
         rng = random.Random(seed)
         ranks = (
-            integer_rank(evaluate(table, [_nonzero_int(rng) for _ in basis]), dim)
+            integer_rank(evaluate(table, _nonzero_ints(rng, dim)), dim)
             for _ in range(trials)
         )
     best = 0
@@ -332,20 +352,56 @@ def _eliminate(target, source, col, name):
 def reduce(P, seed=0):
     """Run the relation-graph guided row reduction at a seeded generic point.
 
-    P must be a connected type-C poset of height (0,0) or (0,1).  All
-    basis symbols are instantiated with nonzero integers up front, and
-    every entry stays an int.  The one row operation clears a column of
-    one row against another, with the factor read off the two rows.  A
-    relabelled row must be what its label says, Z(v) = -2*L_v*e_v or the
-    zero row for 0.  Neither step changes the rank: the row operation
-    subtracts a multiple of another row, and a relabelled row is replaced
-    by a nonzero multiple of itself or stays zero.  So every step keeps
-    the rank of the instantiated block, and the exact rank is taken only
+    P must be a connected type-C poset of height (0,0) or (0,1), and seed
+    an int, bools excluded; any other seed raises ValueError before a
+    value is drawn.  All basis symbols are instantiated with nonzero
+    integers up front, one per edge in sorted order and then one per
+    vertex, drawn once per (seed, count) by `_point`, and every entry
+    stays an int.  The one row operation clears a column of one row
+    against another, with the factor read off the two rows.  A relabelled
+    row must be what its label says, Z(v) = -2*L_v*e_v or the zero row
+    for 0.  Neither step changes the rank: the row operation subtracts a
+    multiple of another row, and a relabelled row is replaced by a
+    nonzero multiple of itself or stays zero.  So every step keeps the
+    rank of the instantiated block, and the exact rank is taken only
     there and after the last step; the trace stores it once, as
-    final_rank, after the two agree.  A division with a remainder, a wrong
-    relabelled row, a missing row or a different end rank raises
+    final_rank, after the two agree.  A division with a remainder, a
+    wrong relabelled row, a missing row or a different end rank raises
     InvariantViolation; no other seed is tried, since exact row
     operations keep the rank at any point.
+
+    The trace holds a snapshot of the rows before the first step and
+    after each step.  `_replay` is the one body of the replay: it builds
+    these snapshots only when its caller asks for them, and the campaign
+    asks for none.
+    """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    snapshots = []
+    final_rank, _ = _replay(P, seed=seed, snapshots=snapshots)
+    edges = sorted(P.relation_graph.edges)
+    point = _point(seed, len(edges) + P.n)
+    return ReductionTrace(
+        poset=P,
+        seed=seed,
+        edge_values=tuple(zip(edges, point)),
+        loop_values=tuple(enumerate(point[len(edges):], start=1)),
+        initial=snapshots[0],
+        steps=tuple(snapshots[1:]),
+        final_rank=final_rank,
+    )
+
+
+def _replay(P, rank=None, seed=0, snapshots=None):
+    """(final rank, steps): the replay of `reduce` at the point of seed,
+    and the number of steps it took after the instantiated block.
+
+    rank is the rank of the instantiated block, taken with `integer_rank`
+    when it is None; a caller that already knows it passes it, and the
+    replay still takes the rank after the last step and raises unless the
+    two agree.  snapshots, when a list, receives the Init snapshot and one
+    per step; when it is None no snapshot is built and no step detail is
+    formatted.
 
     The rows are two lists by row index, the printed labels `names` and
     the value tuples `rows`, and the live graph is two maps into them:
@@ -382,18 +438,18 @@ def reduce(P, seed=0):
     if not rg_connected(P):
         raise UnsupportedPoset("relation graph is not connected")
     G = P.relation_graph
-    rng = random.Random(seed)
     n = P.n
-    edge_values = {e: _nonzero_int(rng) for e in sorted(G.edges)}
-    loop_values = {v: _nonzero_int(rng) for v in range(1, n + 1)}
+    edges = sorted(G.edges)
+    point = _point(seed, len(edges) + n)
+    loop_values = point[len(edges):]  # L_v at v - 1
 
     def loop_row(v):
         values = [0] * n
-        values[v - 1] = -2 * loop_values[v]
+        values[v - 1] = -2 * loop_values[v - 1]
         return tuple(values)
 
     names, rows, y_row, z_row = [], [], {}, {}
-    for (i, j), value in edge_values.items():
+    for (i, j), value in zip(edges, point):
         values = [0] * n
         values[i - 1] = values[j - 1] = -value
         y_row[(i, j)] = len(rows)
@@ -404,7 +460,7 @@ def reduce(P, seed=0):
         names.append(f"Z({v})")
         rows.append(loop_row(v))
     neighbours = {v: set() for v in range(1, n + 1)}
-    for i, j in G.edges:
+    for i, j in edges:
         neighbours[i].add(j)
         neighbours[j].add(i)
 
@@ -444,27 +500,32 @@ def reduce(P, seed=0):
             rows[r] = loop_row(v)
             z_row[v] = r
 
-    snapshots = []
-    rank = integer_rank(rows, n)
+    if rank is None:
+        rank = integer_rank(rows, n)
+    steps = -1  # the Init record is no step
 
-    def record(kind, detail):
-        # pointers only: each label string and values tuple is shared with
-        # the lists and with every snapshot since the step that set it
-        snapshots.append(ReductionStep(
-            kind=kind,
-            detail=detail,
-            edges=tuple(y_row),
-            loops=tuple(sorted(z_row)),
-            row_labels=tuple(names),
-            matrix=tuple(rows),
-        ))
+    def record(kind, detail, *args):
+        """Count a step, and snapshot it if snapshots are asked for: only
+        then is its detail formatted from args."""
+        nonlocal steps
+        steps += 1
+        if snapshots is not None:
+            # pointers only: each label string and values tuple is shared
+            # with the lists and with every snapshot since the step that
+            # set it
+            snapshots.append(ReductionStep(
+                kind=kind,
+                detail=detail.format(*args),
+                edges=tuple(y_row),
+                loops=tuple(sorted(z_row)),
+                row_labels=tuple(names),
+                matrix=tuple(rows),
+            ))
 
     record("Init", "instantiated block")
     if not G.loops:
         parent, depth, _ = G.forest
-        chords = [
-            (i, j) for i, j in sorted(G.edges) if i != parent[j] and j != parent[i]
-        ]
+        chords = [(i, j) for i, j in edges if i != parent[j] and j != parent[i]]
         odd = [(i, j) for i, j in chords if depth[i] % 2 == depth[j] % 2]
         if odd:
             i, j = odd[0]
@@ -472,24 +533,22 @@ def reduce(P, seed=0):
             clear_path((i, j), path)
             relabel((i, j), j)
             record(
-                STEP_ODD_CYCLE,
-                f"odd cycle {tuple(path)}: edge {(i, j)} became loop {j}",
+                STEP_ODD_CYCLE, "odd cycle {}: edge {} became loop {}",
+                tuple(path), (i, j), j,
             )
         else:
             for i, j in chords:
                 path = _tree_path(parent, depth, i, j)
                 clear_path((i, j), path)
                 relabel((i, j), None)
-                record(
-                    STEP_EVEN_CYCLE, f"even cycle {tuple(path)}: edge {(i, j)} zeroed"
-                )
+                record(STEP_EVEN_CYCLE, "even cycle {}: edge {} zeroed", tuple(path), (i, j))
             for v in sorted(depth, key=depth.get):
                 if depth[v] >= 2:
                     p = parent[v]
                     clear_path(_pair(v, p), (p, parent[p]))
             record(
                 STEP_PATH_SWEEP,
-                "tree sweep toward vertex 1" if G.edges else "trivial sweep (no edges)",
+                "tree sweep toward vertex 1" if edges else "trivial sweep (no edges)",
             )
 
     def loop_edge():
@@ -507,22 +566,14 @@ def reduce(P, seed=0):
         if j in z_row:
             rows[r] = _eliminate(rows[r], rows[z_row[j]], j, names[r])
             relabel(edge, None)
-            record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
+            record(STEP_SELF_LOOP, "edge {} eliminated between loops", edge)
         else:
             relabel(edge, j)
-            record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
+            record(STEP_SELF_LOOP, "edge {} absorbed; loop moved to {}", edge, j)
 
     final_rank = integer_rank(rows, n)
     if final_rank != rank:
         raise InvariantViolation(
             f"rank drifted from {rank} to {final_rank} by the end of the replay"
         )
-    return ReductionTrace(
-        poset=P,
-        seed=seed,
-        edge_values=tuple(sorted(edge_values.items())),
-        loop_values=tuple(sorted(loop_values.items())),
-        initial=snapshots[0],
-        steps=tuple(snapshots[1:]),
-        final_rank=rank,
-    )
+    return final_rank, steps

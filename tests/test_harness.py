@@ -28,13 +28,12 @@ from lieposet import (
     induced_subposet,
     poset_from_graph,
     poset_from_mask,
-    reduce,
     report_json_bytes,
     report_text,
     run_campaign,
     structure_constants,
 )
-from lieposet import harness, index_engine
+from lieposet import harness, index_engine, linalg
 from lieposet.harness import CHECKS, SKIPPED, run_checks_on_poset
 
 
@@ -174,13 +173,27 @@ def test_report_does_not_depend_on_the_replay_point(monkeypatch, value):
     # n - 1 with no odd cycle, at every nonzero point, and every rank the
     # campaign takes is proved on the H block: with every draw of a point
     # forced to one constant the acceptance report is the same, byte for
-    # byte
-    monkeypatch.setattr(index_engine, "_nonzero_int", lambda rng: value)
+    # byte.  The point cache is emptied around the patch, so the replays
+    # read the forced draws and not points cached at seed 0, and no forced
+    # point outlives the test
+    counts = []
+
+    def constant(rng, count):
+        counts.append(count)
+        return [value] * count
+
     cfg = CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)))
-    payload = report_json_bytes(run_campaign(cfg))
+    index_engine._point.cache_clear()
+    monkeypatch.setattr(index_engine, "_nonzero_ints", constant)
+    try:
+        payload = report_json_bytes(run_campaign(cfg))
+    finally:
+        index_engine._point.cache_clear()
     assert hashlib.sha256(payload).hexdigest() == (
         "13c5722d03d12cca19d0627440c537805b59f3daff573f1d14b8229d06210b92"
     )
+    # one forced draw per count the replays needed, each read once
+    assert counts and len(counts) == len(set(counts))
 
 
 def test_default_report_bytes_pinned():
@@ -583,11 +596,6 @@ def _principal(coefficients=(), diagonal=None):
     return lambda P, F: PrincipalElement(coefficients, diagonal, "other")
 
 
-def _rank_zero_trace(P):
-    """The trace of reduce with no steps and a final rank of 0."""
-    return reduce(P)._replace(final_rank=0, steps=())
-
-
 @pytest.mark.parametrize(
     "check, poset, target, fake, witness",
     [
@@ -611,7 +619,8 @@ def _rank_zero_trace(P):
         ("binary_spectrum", ("C", 1, 1), "principal_element",
          _principal(coefficients=((BasisElement("C", "H", 1), Fraction(1)),)),
          {"zeros": "1", "ones": "0", "dim": "2"}),
-        ("reduction_trace", ("C", 1, 1), "reduce", _rank_zero_trace,
+        # a replay that ends at rank 0 after no step
+        ("reduction_trace", ("C", 1, 1), "_replay", lambda P, rank: (0, 0),
          {"final_rank": "0", "expected": "1", "steps": "0"}),
     ],
     ids=["disjoint_additivity", "formula_vs_oracle", "principal_element-reason",
@@ -624,6 +633,67 @@ def test_failure_witness(monkeypatch, check, poset, target, fake, witness):
     (failure,) = run_checks_on_poset(*poset, (check,))
     assert failure["status"] == "fail" and failure["check"] == check
     assert failure["witness"] == witness
+
+
+TRIANGLE_MASK = _mask("C", 3, [(1, 2), (1, 3), (2, 3)])
+
+
+def test_replay_start_rank_fault_fails_the_campaign_check(monkeypatch):
+    # the campaign's replay starts at the rank the oracle proved, so an
+    # oracle index 4 too low puts the start rank 2 too high, and the rank
+    # the replay takes after its last step no longer agrees with it
+    true = harness._class_index
+    monkeypatch.setattr(harness, "_class_index", lambda P: true(P) - 4)
+    (failure,) = run_checks_on_poset("C", 3, TRIANGLE_MASK, ("reduction_trace",))
+    assert failure["status"] == "fail"
+    assert failure["witness"] == {
+        "error": "InvariantViolation",
+        "message": "rank drifted from 5 to 3 by the end of the replay",
+    }
+
+
+def test_replay_end_rank_fault_fails_the_campaign_check(monkeypatch):
+    # the oracle ranks the H block once, and the replay takes one rank,
+    # after its last step: that one rank 2 too high fails the check
+    calls = []
+    true = index_engine.integer_rank
+
+    def shifted(rows, ncols):
+        calls.append(ncols)
+        return true(rows, ncols) + 2 * (len(calls) == 2)
+
+    monkeypatch.setattr(index_engine, "integer_rank", shifted)
+    (failure,) = run_checks_on_poset("C", 3, TRIANGLE_MASK, ("reduction_trace",))
+    assert failure["status"] == "fail"
+    assert failure["witness"] == {
+        "error": "InvariantViolation",
+        "message": "rank drifted from 3 to 5 by the end of the replay",
+    }
+    assert len(calls) == 2
+
+
+def test_campaign_replay_reuses_the_oracle_rank_and_builds_no_snapshot(monkeypatch):
+    # the acceptance campaign ranks each of its 646 replays once, at the
+    # end, and builds no ReductionStep; reduce still snapshots its steps
+    eliminations, snapshots = [], []
+    true_bareiss, true_step = linalg._bareiss, index_engine.ReductionStep
+
+    def counted_bareiss(m, ncols):
+        eliminations.append(ncols)
+        return true_bareiss(m, ncols)
+
+    def counted_step(**fields):
+        snapshots.append(fields["kind"])
+        return true_step(**fields)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(index_engine, "ReductionStep", counted_step)
+    report = run_campaign(CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3))))
+    assert report["summary"]["reduction_trace"]["pass"] == 646
+    assert (len(eliminations), snapshots) == (2050, [])
+    trace = index_engine.reduce(poset_from_mask("C", 3, TRIANGLE_MASK))
+    assert snapshots == ["Init", "OddCycleElim", "SelfLoopElim", "SelfLoopElim"]
+    assert len(trace.steps) == 3
 
 
 def test_unknown_check_rejected():

@@ -389,13 +389,14 @@ class TestEarlyStop:
 
     def _count_draws(self, monkeypatch):
         draws = []
-        inner = index_engine._nonzero_int
+        inner = index_engine._nonzero_ints
 
-        def counted(rng):
-            draws.append(inner(rng))
-            return draws[-1]
+        def counted(rng, count):
+            values = inner(rng, count)
+            draws.extend(values)
+            return values
 
-        monkeypatch.setattr(index_engine, "_nonzero_int", counted)
+        monkeypatch.setattr(index_engine, "_nonzero_ints", counted)
         return draws
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
@@ -467,16 +468,18 @@ class TestEarlyStop:
 
     def test_nonzero_int_reads_the_randint_stream(self):
         # the draws of getrandbits(11) with 2001..2047 and 1000 rejected are
-        # the nonzero draws of randint(-1000, 1000), and leave the generator
-        # in the same state
+        # the nonzero draws of randint(-1000, 1000), in runs of any length,
+        # and leave the generator in the same state
         for seed in range(200):
             fast, reference = random.Random(seed), random.Random(seed)
-            for _ in range(500):
-                value = 0
-                while value == 0:
+            for count in (0, 1, 7, 500):
+                expected = []
+                while len(expected) < count:
                     value = reference.randint(-1000, 1000)
-                assert index_engine._nonzero_int(fast) == value
-            assert fast.getstate() == reference.getstate()
+                    if value:
+                        expected.append(value)
+                assert index_engine._nonzero_ints(fast, count) == expected
+                assert fast.getstate() == reference.getstate()
 
     def test_rank_above_ceiling_raises(self, path_poset, monkeypatch):
         # on the H-block path, and on the sampling path: both ceilings

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -152,6 +154,37 @@ class TestReduce:
             reduce(build_poset("C", 2, []))  # two components
         with pytest.raises(UnsupportedPoset):
             reduce(build_poset("C", 2, [(-2, -1)]))
+
+    @pytest.mark.parametrize("seed", [None, "x", 2.5, True], ids=["none", "str", "float", "bool"])
+    def test_non_int_seed_raises_before_any_draw(self, triangle_poset, seed, monkeypatch):
+        # a seed that is not an int, bools included, is refused before a
+        # point is drawn: None would replay at an OS-entropy point, which
+        # the point cache would then keep for every later None
+        draws = []
+        monkeypatch.setattr(index_engine, "_point", lambda *key: draws.append(key))
+        message = f"seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reduce(triangle_poset, seed=seed)
+        assert draws == []
+
+    def test_point_drawn_once_per_seed_and_count(self, triangle_poset, monkeypatch):
+        # the triangle's point is its 3 edge values, then its 3 loop
+        # values: the first 6 nonzero draws of random.Random(13), drawn
+        # once for both replays
+        counts = []
+        inner = index_engine._nonzero_ints
+        monkeypatch.setattr(
+            index_engine, "_nonzero_ints", lambda rng, count: counts.append(count) or inner(rng, count)
+        )
+        index_engine._point.cache_clear()
+        try:
+            first, second = reduce(triangle_poset, seed=13), reduce(triangle_poset, seed=13)
+        finally:
+            index_engine._point.cache_clear()
+        assert counts == [6]
+        values = [value for _, value in first.edge_values + first.loop_values]
+        assert values == inner(random.Random(13), 6)
+        assert first == second
 
     def test_dichotomy_exhaustive_n3(self):
         for n in (1, 2, 3):
