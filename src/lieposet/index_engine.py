@@ -379,7 +379,7 @@ def reduce(P, seed=0):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     snapshots = []
     final_rank, _ = _replay(P, seed=seed, snapshots=snapshots)
-    edges = sorted(P.relation_graph.edges)
+    edges = snapshots[0].edges  # every edge, sorted
     point = _point(seed, len(edges) + P.n)
     return ReductionTrace(
         poset=P,
@@ -400,8 +400,7 @@ def _replay(P, rank=None, seed=0, snapshots=None):
     when it is None; a caller that already knows it passes it, and the
     replay still takes the rank after the last step and raises unless the
     two agree.  snapshots, when a list, receives the Init snapshot and one
-    per step; when it is None no snapshot is built and no step detail is
-    formatted.
+    per step; when it is None no snapshot is built.
 
     The rows are two lists by row index, the printed labels `names` and
     the value tuples `rows`, and the live graph is two maps into them:
@@ -504,9 +503,8 @@ def _replay(P, rank=None, seed=0, snapshots=None):
         rank = integer_rank(rows, n)
     steps = -1  # the Init record is no step
 
-    def record(kind, detail, *args):
-        """Count a step, and snapshot it if snapshots are asked for: only
-        then is its detail formatted from args."""
+    def record(kind, detail):
+        """Count a step, and snapshot it if snapshots are asked for."""
         nonlocal steps
         steps += 1
         if snapshots is not None:
@@ -515,7 +513,7 @@ def _replay(P, rank=None, seed=0, snapshots=None):
             # set it
             snapshots.append(ReductionStep(
                 kind=kind,
-                detail=detail.format(*args),
+                detail=detail,
                 edges=tuple(y_row),
                 loops=tuple(sorted(z_row)),
                 row_labels=tuple(names),
@@ -533,15 +531,17 @@ def _replay(P, rank=None, seed=0, snapshots=None):
             clear_path((i, j), path)
             relabel((i, j), j)
             record(
-                STEP_ODD_CYCLE, "odd cycle {}: edge {} became loop {}",
-                tuple(path), (i, j), j,
+                STEP_ODD_CYCLE,
+                f"odd cycle {tuple(path)}: edge {(i, j)} became loop {j}",
             )
         else:
             for i, j in chords:
                 path = _tree_path(parent, depth, i, j)
                 clear_path((i, j), path)
                 relabel((i, j), None)
-                record(STEP_EVEN_CYCLE, "even cycle {}: edge {} zeroed", tuple(path), (i, j))
+                record(
+                    STEP_EVEN_CYCLE, f"even cycle {tuple(path)}: edge {(i, j)} zeroed"
+                )
             for v in sorted(depth, key=depth.get):
                 if depth[v] >= 2:
                     p = parent[v]
@@ -566,10 +566,10 @@ def _replay(P, rank=None, seed=0, snapshots=None):
         if j in z_row:
             rows[r] = _eliminate(rows[r], rows[z_row[j]], j, names[r])
             relabel(edge, None)
-            record(STEP_SELF_LOOP, "edge {} eliminated between loops", edge)
+            record(STEP_SELF_LOOP, f"edge {edge} eliminated between loops")
         else:
             relabel(edge, j)
-            record(STEP_SELF_LOOP, "edge {} absorbed; loop moved to {}", edge, j)
+            record(STEP_SELF_LOOP, f"edge {edge} absorbed; loop moved to {j}")
 
     final_rank = integer_rank(rows, n)
     if final_rank != rank:
