@@ -57,7 +57,7 @@ InvariantViolation; none is retried, since exact row operations keep the
 rank at any point.  `_replay` is the one body of the replay: it returns
 the final rank and the step count, and builds a snapshot per step only
 for `reduce`.  The point is drawn once per (seed, count), in a bounded
-cache.  The rows are addressed by index, the live graph is two maps from
+cache that goes when the replay loses its seed.  The rows are addressed by index, the live graph is two maps from
 its edges and its loops to their rows, a snapshot shares every row tuple
 its step left alone, and `integer_rank` eliminates the shorter side of
 the block.
