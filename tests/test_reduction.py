@@ -161,7 +161,9 @@ class TestReduce:
         # point is drawn: None would replay at an OS-entropy point, which
         # the point cache would then keep for every later None
         draws = []
-        monkeypatch.setattr(index_engine, "_point", lambda *key: draws.append(key))
+        monkeypatch.setattr(
+            index_engine, "_point", lambda *key: draws.append(key), raising=False
+        )
         message = f"seed must be an integer, got {seed!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reduce(triangle_poset, seed=seed)
