@@ -26,11 +26,12 @@ A*B - B*A in one pass over the pairs of entries of A and B.
 
 Every poset of (family, n) is contained in the Borel poset of (family,
 n).  `_borel_basis` sorts the Borel basis once per (family, n) and keeps
-each element's leading position; `build_basis` filters it to the
-elements led at a relation of P, so every basis is a subsequence of the
-Borel basis, in the same order, by construction, and building one
-brackets nothing.  A bracket does not depend on the poset: each basis
-element is a fixed signed matrix.  So the table of P is the Borel table
+each element's leading position; `_selection` picks the Borel indices
+of the elements led at a relation of P, and `build_basis` and
+`structure_constants` both read that one selection, so every basis is a
+subsequence of the Borel basis, in the same order, by construction, and
+building one brackets nothing.  A bracket does not depend on the poset:
+each basis element is a fixed signed matrix.  So the table of P is the Borel table
 restricted to the basis of P and re-indexed (the slice lemma).
 `_borel_rows` brackets the pairs of the Borel basis once per (family,
 n), and only those where a column of one realization is a row of the
@@ -42,10 +43,12 @@ is why a cell of a per-poset table is one (k, c) pair.
 NotInSpan.  The Borel bases and rows each sit in an lru_cache of 32
 (family, n) pairs; the rows of the 22 sizes C6..C14, D6..D12 and
 B5..B10 hold 14,239 cells in 1.4 MB (tracemalloc).  The per-poset
-tables sit in a cache of 256.  On C:4,D:4,B:3 it serves 1,837 of 3,112
-lookups: 1,712 are one poset's checks reading its table again, 28 are
-component subposets that recur across posets, and 22 and 75 are tables
-that `verify_B_reduction` and `verify_CD_isomorphism` find still cached.
+tables sit in a cache of 256.  A jobs-1 campaign on C:4,D:4,B:3 from an
+empty cache builds 1,275 tables and serves 2,483 of 3,758 lookups: 2,358
+are one poset's checks reading its table again (646 of them the
+replay's start rank), 28 are component subposets that recur across
+posets, and 22 and 75 are tables that `verify_B_reduction` and
+`verify_CD_isomorphism` find still cached.
 
 The pair (basis, table) is the one representation of the brackets of P:
 the commutator matrix ([x_i, x_j]) is the table read skew, and
@@ -118,10 +121,23 @@ def build_basis(P):
     An element is in the basis exactly when its leading position (see
     `realize`) is a relation of P.  P lies in the Borel poset of its
     (family, n), so the basis is the Borel basis filtered to those
-    elements, in Borel order; building it brackets nothing.
+    elements, in Borel order (`_selection`); building it brackets nothing.
     """
-    led = _borel_basis(P.family, P.n)[2]
-    return tuple(b for lead, b in led.items() if lead in P.relations)
+    borel = _borel_basis(P.family, P.n)[0]
+    return tuple([borel[I] for I in _selection(P)])
+
+
+@lru_cache(maxsize=1)
+def _selection(P):
+    """The Borel indices of the basis of P, ascending, as a tuple: the
+    indices of the leading positions, the keys of `_borel_basis`'s led
+    in basis order, that are relations of P.
+
+    The last poset's selection is kept, so `structure_constants` on a
+    cache miss and `build_basis` right after it select once."""
+    relations = P.relations
+    leads = _borel_basis(P.family, P.n)[2]
+    return tuple([I for I, lead in enumerate(leads) if lead in relations])
 
 
 def realize(b):
@@ -298,12 +314,15 @@ def structure_constants(P):
     (k, c) pair, [b_i, b_j] = c * b_k with c an int; absent keys mean a
     zero bracket and the skew entries follow by antisymmetry.
     The cells are the Borel cells between elements of P, re-indexed, in
-    the Borel order.  A term outside the basis of P raises NotInSpan.
+    the Borel order, through the Borel indices of `_selection`, so no
+    basis element is hashed.  A term outside the basis of P raises
+    NotInSpan.
     """
-    borel, position, _ = _borel_basis(P.family, P.n)
+    borel = _borel_basis(P.family, P.n)[0]
     rows = _borel_rows(P.family, P.n)
-    basis = build_basis(P)
-    local = {position[b]: i for i, b in enumerate(basis)}  # Borel index -> index in P
+    selected = _selection(P)
+    basis = tuple([borel[I] for I in selected])
+    local = {I: i for i, I in enumerate(selected)}  # Borel index -> index in P
     table = {}
     for I, i in local.items():
         for J, K, c in rows[I]:

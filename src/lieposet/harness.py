@@ -19,10 +19,11 @@ every nonzero point.  So every outcome depends on the poset alone; the
 configured seed and trials are only echoed in the report.
 
 Derived objects are shared at two scopes.  A CheckContext holds what one
-poset's checks share: its index and its principal element.  The
-campaign shares the index of each component subposet across posets
-through `_component_index`, an lru_cache keyed by the component after
-the order-preserving relabelling onto 1..k; an exception is not cached.
+poset's checks share: its index, its Frobenius functional and its
+principal element.  The campaign shares the index of each component
+subposet across posets through `_component_index`, an lru_cache keyed by
+the component after the order-preserving relabelling onto 1..k; an
+exception is not cached.
 Each distinct component is built and ranked once per campaign:
 `run_campaign` empties the cache before it starts, so a campaign, and
 each worker it forks, starts empty.
@@ -122,9 +123,9 @@ class CampaignConfig:
 class CheckContext:
     """The memo of one poset's checks.
 
-    Build one per poset: the memo holds the index of the poset and its
-    principal element, or the exception one raised, which each later
-    reader gets again.
+    Build one per poset: the memo holds the index of the poset, its
+    Frobenius functional and its principal element, or the exception one
+    raised, which each later reader gets again.
     """
 
     memo: dict = field(default_factory=dict, compare=False)
@@ -143,11 +144,14 @@ class CheckContext:
         """`_class_index(P)`, computed once."""
         return self._once(("oracle", P), lambda: _class_index(P))
 
+    def functional(self, P):
+        """`frobenius_functional(P)`, built once."""
+        return self._once(("functional", P), lambda: frobenius_functional(P))
+
     def principal(self, P):
         """principal_element of the Frobenius functional of P, computed once."""
         return self._once(
-            ("principal", P),
-            lambda: principal_element(P, frobenius_functional(P)),
+            ("principal", P), lambda: principal_element(P, self.functional(P))
         )
 
 
@@ -233,8 +237,9 @@ def check_frobenius_kernel(P, ctx):
     if not is_frobenius_by_graph(P):
         return SKIPPED
     # _solve_kirillov keeps the last (P, F), so the principal element
-    # the next two checks share does not eliminate the form again
-    dim = kernel_dim(P, frobenius_functional(P))
+    # the next two checks share, on the same functional, does not
+    # eliminate the form again
+    dim = kernel_dim(P, ctx.functional(P))
     return None if dim == 0 else {"kernel_dim": dim}
 
 

@@ -200,10 +200,14 @@ def generic_rank(C, trials=ORACLE_TRIALS, seed=0):
     dim = len(basis)
     block = _h_block(basis, table)
     if block is not None:
-        ncols = dim - len(block)
-        pattern = [[j for j, c in enumerate(row) if c] for row in block]
-        ceiling = 2 * _matching(pattern, ncols)
-        ranks = [2 * integer_rank(block, ncols)]
+        h = len(block)
+        # the table's cells are B0's nonzero entries, each (i, j) with
+        # i < h <= j, in ascending i and then j
+        pattern = [[] for _ in range(h)]
+        for i, j in table:
+            pattern[i].append(j - h)
+        ceiling = 2 * _matching(pattern, dim - h)
+        ranks = [2 * integer_rank(block, dim - h)]
     else:
         ceiling = _term_rank(dim, table) // 2 * 2
         rng = random.Random(seed)

@@ -18,8 +18,11 @@ A poset of the paper's class (height (0,0) or (0,1)) is fixed by its
 relation graph, and `poset_from_graph` builds it from the graph with no
 closure: its relations are already closed, and it carries its height
 pair and relation graph from construction, so neither is ever derived
-from its relations.  `build_poset` closes generator input (the parsers,
-hand-written posets).
+from its relations.  `poset_from_mask` builds the same poset from the
+graph's slot bitmask.  Each checks its own input once and then builds
+through one constructor, `_graph_poset`, which reads the reflexive
+pairs and each slot's relations off a table cached per (family, n).
+`build_poset` closes generator input (the parsers, hand-written posets).
 """
 
 from __future__ import annotations
@@ -166,22 +169,25 @@ class RelationGraph:
 
         Each component is searched from its least vertex, its root, whose
         parent is None; neighbours are taken in ascending order, so the
-        forest depends on the edges alone.
+        forest depends on the edges alone.  Each dict is filled in the
+        order the search reaches the vertices.
         """
-        adj = {v: [] for v in self.vertices}
+        n = self.n
+        adj = [[] for _ in range(n + 1)]  # the neighbours of v, ascending, at v
         for i, j in sorted(self.edges):
             adj[i].append(j)
             adj[j].append(i)
         parent, depth, root = {}, {}, {}
-        for r in self.vertices:
+        for r in range(1, n + 1):
             if r in root:
                 continue
             parent[r], depth[r], root[r] = None, 0, r
             queue = [r]
             for u in queue:
+                below = depth[u] + 1
                 for w in adj[u]:
                     if w not in root:
-                        parent[w], depth[w], root[w] = u, depth[u] + 1, r
+                        parent[w], depth[w], root[w] = u, below, r
                         queue.append(w)
         return parent, depth, root
 
@@ -190,25 +196,28 @@ class RelationGraph:
         """Connected components as GraphComponents, in vertex order.
 
         A component has an odd cycle when it has a loop or an edge whose
-        ends have depths of the same parity in the forest.
+        ends have depths of the same parity in the forest.  The forest's
+        root dict is read once, in vertex order; the counts are kept by
+        root, in lists addressed by vertex.
         """
         _, depth, root = self.forest
+        n = self.n
         members = {}
-        for v in self.vertices:
+        for v in range(1, n + 1):
             members.setdefault(root[v], []).append(v)
-        edge_count = dict.fromkeys(members, 0)
-        odd = set()
+        edge_count = [0] * (n + 1)
+        odd = [False] * (n + 1)
         for i, j in self.edges:
-            edge_count[root[i]] += 1
-            if depth[i] % 2 == depth[j] % 2:
-                odd.add(root[i])
+            r = root[i]
+            edge_count[r] += 1
+            if not (depth[i] - depth[j]) % 2:
+                odd[r] = True
         for v in self.loops:
-            edge_count[root[v]] += 1
-            odd.add(root[v])
+            r = root[v]
+            edge_count[r] += 1
+            odd[r] = True
         return tuple(
-            GraphComponent(
-                tuple(verts), edge_count[r], r in odd, edge_count[r] == len(verts)
-            )
+            GraphComponent(tuple(verts), edge_count[r], odd[r], edge_count[r] == len(verts))
             for r, verts in members.items()
         )
 
@@ -378,6 +387,15 @@ def is_separable(P):
     return not any(x < 0 < y for (x, y) in P.relations)
 
 
+def _check_signed(family, n):
+    """The family and n checks of a relation graph's poset, in order: an
+    unknown family, family A, then n as `build_poset` checks it."""
+    if family not in SIGNED_FAMILIES:
+        _check_family(family)
+        raise ValueError("relation graphs apply to families B, C, D")
+    _check_n(n)
+
+
 def poset_from_graph(family, n, edges, loops=()):
     """The height-(0,0)/(0,1) poset whose relation graph has these edges and loops.
 
@@ -387,41 +405,52 @@ def poset_from_graph(family, n, edges, loops=()):
     family A, an n that is not an int or is outside 1..MAX_N (the checks
     `build_poset` applies) and loops outside C raise ValueError, checked
     in that order; an edge or a loop off the vertices raises BadElement.
-
-    The strict relations are -i < j and -j < i for each edge {i, j} and
-    -v < v for each loop v.  Each runs from a negative element to a
-    positive one, so no element has both a strict predecessor and a
-    strict successor, and the reflexive pairs with these are transitively
-    closed and mirror closed; -i < i occurs only in C, where condition 3
-    does not apply.  The height pair and the relation graph are known from
-    the input and attached to the poset, so neither is derived again.
+    The checked graph is built by `_graph_poset`.
     """
-    _check_family(family)
-    if family == "A":
-        raise ValueError("relation graphs apply to families B, C, D")
-    _check_n(n)
+    _check_signed(family, n)
     loops = frozenset(loops)
     if loops and family != "C":
         raise ValueError("self loops occur only in family C")
+    # the slots are the edges {i, j}, i < j, and the loops of 1..n
+    slots = _slot_relations(family, n)[1]
     pairs = set()
     for i, j in edges:
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
+        pair = (i, j) if i < j else (j, i)
+        if pair not in slots:
             raise BadElement(f"edge ({i},{j}) is not two distinct vertices of 1..{n}")
-        pairs.add((i, j) if i < j else (j, i))
+        pairs.add(pair)
     for v in loops:
-        if not 1 <= v <= n:
+        if not 1 <= v <= n or v not in slots:
             raise BadElement(f"loop {v} is not a vertex of 1..{n}")
-    relations = [(x, x) for x in ground_set(family, n)]
-    for i, j in pairs:
-        relations += ((-i, j), (-j, i))
-    relations += [(-v, v) for v in loops]
+    return _graph_poset(family, n, frozenset(pairs), loops)
+
+
+def _graph_poset(family, n, edges, loops):
+    """The poset of a checked relation graph: edges and loops are
+    frozensets of slots of `h01_slots(family, n)`.
+
+    The strict relations are -i < j and -j < i for each edge {i, j} and
+    -v < v for each loop v, read off `_slot_relations`.  Each runs from a
+    negative element to a positive one, so no element has both a strict
+    predecessor and a strict successor, and the reflexive pairs with
+    these are transitively closed and mirror closed; -i < i occurs only
+    in C, where condition 3 does not apply.  The height pair and the
+    relation graph are known from the input and attached to the poset,
+    so neither is derived again.
+    """
+    reflexive, strict = _slot_relations(family, n)
+    relations = list(reflexive)
+    for slot in edges:
+        relations += strict[slot]
+    for slot in loops:
+        relations += strict[slot]
     P = SignedPoset(family, n, frozenset(relations))
     # a cached_property keeps its value in the instance __dict__ under its
     # own name and reads it from there first; the frozen dataclass guards
     # only setattr, and its equality and hash read the fields alone
     P.__dict__.update(
-        height_pair=HeightPair(0, 1 if pairs or loops else 0),
-        relation_graph=RelationGraph(n, frozenset(pairs), loops),
+        height_pair=HeightPair(0, 1 if edges or loops else 0),
+        relation_graph=RelationGraph(n, edges, loops),
     )
     return P
 
@@ -439,12 +468,48 @@ def h01_slots(family, n):
     return edges, loops
 
 
-def poset_from_mask(family, n, mask):
+@lru_cache(maxsize=32)
+def _slot_relations(family, n):
+    """(reflexive, strict) of (family, n), built once beside its slots:
+    the reflexive pairs of the ground set, and a map from each slot of
+    `h01_slots` to the strict relations it adds, ((-i, j), (-j, i)) for
+    an edge (i, j) and ((-v, v),) for a loop v."""
     edges, loops = h01_slots(family, n)
-    picked = [e for b, e in enumerate(edges) if mask >> b & 1]
-    mask >>= len(edges)
-    looped = [v for b, v in enumerate(loops) if mask >> b & 1]
-    return poset_from_graph(family, n, picked, looped)
+    strict = {(i, j): ((-i, j), (-j, i)) for i, j in edges}
+    strict.update((v, ((-v, v),)) for v in loops)
+    return tuple((x, x) for x in ground_set(family, n)), strict
+
+
+def poset_from_mask(family, n, mask):
+    """The poset whose relation graph holds the slots of the set bits of
+    mask (see `h01_slots`).
+
+    family and n are checked as `poset_from_graph` checks them.  A mask
+    that is not an int (bools included) or lies outside [0, 2^slots)
+    raises ValueError, so every mask that decodes is the `mask_of_poset`
+    of its poset.  Its slots need no further check.
+    """
+    _check_signed(family, n)
+    edges, loops = h01_slots(family, n)
+    if type(mask) is not int or not 0 <= mask < 1 << (len(edges) + len(loops)):
+        raise ValueError(
+            f"mask must be an int in [0, 2^{len(edges) + len(loops)}), got {mask!r}"
+        )
+    below = (1 << len(edges)) - 1
+    return _graph_poset(
+        family, n, _picked(edges, mask & below), _picked(loops, mask >> len(edges))
+    )
+
+
+def _picked(slots, bits):
+    """The frozenset of slots[b] for each set bit b of bits, visiting
+    only the set bits."""
+    picked = []
+    while bits:
+        low = bits & -bits
+        picked.append(slots[low.bit_length() - 1])
+        bits ^= low
+    return frozenset(picked)
 
 
 def mask_of_poset(P):

@@ -557,15 +557,17 @@ class TestIntegerStructureConstants:
         )
 
     def test_basis_built_once_per_cache_miss(self, monkeypatch):
+        # the basis is selected by Borel index once per table built; a
+        # cache hit selects nothing
         calls = []
-        inner = algebra.build_basis
+        inner = algebra._selection
         P = build_poset("C", 4, [(-1, 2), (-2, 3), (-3, 4), (-4, 4)])
 
         def counted(P):
             calls.append(P)
             return inner(P)
 
-        monkeypatch.setattr(algebra, "build_basis", counted)
+        monkeypatch.setattr(algebra, "_selection", counted)
         structure_constants.cache_clear()
         structure_constants(P)
         structure_constants(P)

@@ -696,6 +696,35 @@ def test_campaign_replay_reuses_the_oracle_rank_and_builds_no_snapshot(monkeypat
     assert len(trace.steps) == 3
 
 
+def test_one_frobenius_functional_per_frobenius_poset(monkeypatch):
+    # the kernel, principal-element and spectrum checks of each of the
+    # acceptance plan's 176 Frobenius posets read one functional, built
+    # once in the poset's CheckContext (two per poset before)
+    calls = []
+    inner = harness.frobenius_functional
+
+    def counted(P):
+        calls.append(P)
+        return inner(P)
+
+    monkeypatch.setattr(harness, "frobenius_functional", counted)
+    report = run_campaign(CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3))))
+    assert report["summary"]["frobenius_kernel"]["pass"] == 176
+    assert len(calls) == len(set(calls)) == 176
+
+
+def test_acceptance_campaign_table_cache_counts():
+    # a jobs-1 acceptance campaign from an empty table cache builds 1,275
+    # tables and reads 2,483 again: 2,358 by one poset's own checks (646
+    # of them the replay's start rank), 28 by components that recur across
+    # posets, 22 by verify_B_reduction and 75 by verify_CD_isomorphism
+    structure_constants.cache_clear()
+    payload = report_json_bytes(run_campaign(CampaignConfig(plan=(("C", 4), ("D", 4), ("B", 3)))))
+    assert hashlib.sha256(payload).hexdigest().startswith("13c5722d")
+    info = structure_constants.cache_info()
+    assert (info.hits, info.misses) == (2483, 1275)
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(plan=(("C", 1),), checks=("nope",)))

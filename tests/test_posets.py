@@ -448,6 +448,8 @@ class TestGraphBijection:
         ("D", 3, [(-1, 2)], (), BadElement, r"edge \(-1,2\) is not two distinct vertices of 1..3"),
         ("C", 3, [], [4], BadElement, r"loop 4 is not a vertex of 1..3"),
         ("C", 3, [], [0], BadElement, r"loop 0 is not a vertex of 1..3"),
+        ("C", 3, [(1.5, 2)], (), BadElement, r"edge \(1.5,2\) is not two distinct vertices of 1..3"),
+        ("C", 3, [], [1.5], BadElement, r"loop 1.5 is not a vertex of 1..3"),
         ("D", 3, [(1, 2)], [1], ValueError, "self loops occur only in family C"),
         ("B", 3, [], [1], ValueError, "self loops occur only in family C"),
         ("E", 3, [(1, 2)], (), ValueError, "unknown family 'E'"),
@@ -460,7 +462,7 @@ class TestGraphBijection:
         ("D", 0, [], [1], ValueError, "n must be >= 1"),
     ],
     ids=["B-vertex-zero", "C-edge-i-i", "D-edge-i-i", "edge-above-n", "edge-negative",
-         "loop-above-n", "loop-zero", "loop-in-D", "loop-in-B", "unknown-family",
+         "loop-above-n", "loop-zero", "edge-non-integer", "loop-non-integer", "loop-in-D", "loop-in-B", "unknown-family",
          "n-zero", "n-above-bound", "family-A", "family-A-no-edges",
          "unknown-family-with-loop", "family-A-with-loop", "n-zero-with-loop"],
 )
@@ -520,8 +522,33 @@ def test_poset_from_mask_decodes_each_bit_to_its_slot():
         assert mask_of_poset(P) == mask
         count += 1
     assert count == 1098 + 1099 + 75  # C<=4, D<=5, B<=4
-    # bits above the slots name nothing
-    assert poset_from_mask("C", 2, 5 | 1 << 3) == poset_from_mask("C", 2, 5)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [5 | 1 << 3, 1 << 3, 1 << 10, -1, True, False, 2.0, "5", None],
+    ids=["above-slots", "slots", "far-above", "negative", "true", "false",
+         "float", "str", "none"],
+)
+def test_poset_from_mask_rejects_a_mask_it_cannot_round_trip(mask):
+    # C2 has 3 slots: a mask decodes only from [0, 8), and only as an int,
+    # so every poset it gives is read back by mask_of_poset as that mask
+    with pytest.raises(ValueError, match=r"mask must be an int in \[0, 2\^3\)"):
+        poset_from_mask("C", 2, mask)
+    assert mask_of_poset(poset_from_mask("C", 2, 7)) == 7
+
+
+@pytest.mark.parametrize(
+    "family, n, message",
+    [("X", 2, "unknown family"), ("A", 2, "relation graphs apply"),
+     ("C", 0, "n must be >= 1"), ("C", 129, "n must be <= 128"),
+     ("C", 2.0, "n must be an integer")],
+)
+def test_poset_from_mask_checks_family_and_n_as_poset_from_graph_does(family, n, message):
+    for build in (lambda: poset_from_mask(family, n, 0),
+                  lambda: poset_from_graph(family, n, ())):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_poset_from_graph_equals_the_closure_of_its_generators():
